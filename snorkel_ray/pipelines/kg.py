@@ -5,6 +5,12 @@ pool, broadcast alias dict) → labeling functions → label-model fit
 (streaming pattern-count sufficient stats + driver EM) → marginal
 scoring → entity linking (actor pool) → dedup/sort/write triples.
 
+This module is the ONE definition of the flagship's labeled chain
+(``_kb_broadcasts`` → ``_labeled_chain`` with ``_labeled_params`` as
+its checkpoint fingerprint).  ``run_kg_pipeline`` streams it;
+``state.sharded.run_kg_pipeline_sharded`` runs the same functions per
+input shard, so sharded == streaming by construction.
+
 Reference lifecycle being recast: SURVEY.md §3 E1/E2 (parse → extract
 → label → supervise → score), with the RDBMS replaced by Dataset
 lineage + per-stage parquet checkpoints.
@@ -26,7 +32,77 @@ from ..stages.label_model import fit_label_model, pattern_counts, score_marginal
 from ..stages.labeling import apply_lfs
 from ..stages.linking import build_link_index
 from ..stages.materialize import link_candidates, materialize_triples
-from ..state.checkpoint import CheckpointedPipeline
+from ..state.checkpoint import CheckpointedPipeline, fingerprint
+from ..state.resources import broadcast_key
+
+
+def _kb_broadcasts(alias_table: pa.Table, facts):
+    """→ (alias_ref, kb_ref, kb_fp): the alias table and KB put once in
+    the object store, plus ``kb_fp``, a content digest of both.  They
+    determine candidates, DS-LF votes AND linking, so ``kb_fp`` must
+    fold into every stage fingerprint — otherwise an edited KB with an
+    unchanged input_fingerprint would silently serve stale checkpoints."""
+    import ray
+
+    alias_ref = ray.put(alias_table)
+    kb_ref = ray.put({"facts": [tuple(f) for f in (facts or [])],
+                      "link_index": build_link_index(alias_table)}) if facts else None
+    kb_fp = fingerprint(broadcast_key(alias_table),
+                        sorted(tuple(f) for f in (facts or [])))
+    return alias_ref, kb_ref, kb_fp
+
+
+def _labeled_params(lang, cooccur_pred, cooccur_gap, kb_fp) -> dict:
+    """Fingerprint params of the labeled stage (``CODE_VERSION``
+    versions the chain itself)."""
+    return {"lang": lang, "lfs": "kg_v1", "cooccur_pred": cooccur_pred,
+            "cooccur_gap": cooccur_gap, "kb_fp": kb_fp}
+
+
+def _labeled_chain(pages, alias_ref, kb_ref, lang, cooccur_pred, cooccur_gap,
+                   concurrency=None, giant_page_bytes=None):
+    """pages → lang filter → extract_docs → extract_candidates_fused →
+    apply_lfs: the flagship's labeled chain, used by the streaming and
+    the sharded runner alike.
+
+    The fused docs→candidates map (sentence split + tokenize + pair in
+    one map fn) skips the Arrow list<string> sentence columns the
+    separate sentence stage built only to be to_pylist()-ed back (the
+    tokenizer-stage scaling fix, BASELINE.md "Per-stage scaling audit").
+    An explicit ``concurrency`` requests bounded actor pools; the
+    elastic-task default ignores it.  With ``giant_page_bytes`` set,
+    oversized pages run the same chain in their own single-row-batch
+    stream, unioned before the labeled output."""
+    as_tasks = concurrency is None
+
+    def _lang_filter(b: pa.Table) -> pa.Table:
+        return b.filter(pc.equal(b.column("lang"), lang))
+
+    def _chain(pages_ds, batch_size=None):
+        return apply_lfs(
+            extract_candidates_fused(
+                extract_docs(
+                    pages_ds.map_batches(_lang_filter, batch_format="pyarrow"),
+                    # giant-page routing must bound the PARSE stage too,
+                    # not just the candidate stage
+                    batch_size=batch_size,
+                ),
+                alias_ref,
+                cooccur_pred=cooccur_pred,
+                cooccur_gap=cooccur_gap,
+                batch_size=batch_size,
+            ),
+            kb_ref,
+            concurrency=concurrency,
+            as_tasks=as_tasks,
+        )
+
+    if giant_page_bytes is None:
+        return _chain(pages)
+    from ..stages.skew import split_by_row_size
+
+    normal, giant = split_by_row_size(pages, "html", max_bytes=giant_page_bytes)
+    return _chain(normal).union(_chain(giant, batch_size=1))
 
 
 def run_kg_pipeline(
@@ -58,73 +134,15 @@ def run_kg_pipeline(
     one 100 MB page then occupies one task instead of straggling a
     whole block of normal pages.  Both streams run the identical fused
     chain and union before labeling stats."""
-    import ray
-
-    from ..state.checkpoint import fingerprint as _fp
-    from ..state.resources import broadcast_key
-
-    alias_ref = ray.put(alias_table)
-    kb_ref = ray.put({"facts": [tuple(f) for f in (facts or [])],
-                      "link_index": build_link_index(alias_table)}) if facts else None
-    # content digests of the broadcast inputs: the alias table and KB
-    # determine candidates, DS-LF votes AND linking, so they must fold
-    # into the stage fingerprints — an edited KB with an unchanged
-    # input_fingerprint used to silently serve stale checkpoints
-    # (round-4 review)
-    kb_fp = _fp(broadcast_key(alias_table),
-                sorted(tuple(f) for f in (facts or [])))
-
+    alias_ref, kb_ref, kb_fp = _kb_broadcasts(alias_table, facts)
     cp = CheckpointedPipeline(checkpoint_dir, input_fingerprint)
-
-    def _lang_filter(b: pa.Table) -> pa.Table:
-        return b.filter(pc.equal(b.column("lang"), lang))
-
-    # fused docs→candidates (sentence split+tokenize+pair in one map
-    # fn) — the separate sentence stage built Arrow list<string>
-    # columns only for the next fused stage to to_pylist() them back;
-    # skipping that was the tokenizer-stage scaling fix (BASELINE.md
-    # round-2 per-stage audit). extract_candidates over an explicit
-    # sentence table remains for sentence-level consumers.
-    # an explicit concurrency is a request for bounded actor pools;
-    # the elastic-task default ignores it (round-4 review: the
-    # parameter was silently dead)
-    as_tasks = concurrency is None
-
-    def _labeled_chain(pages_ds, batch_size=None):
-        return apply_lfs(
-            extract_candidates_fused(
-                extract_docs(
-                    pages_ds.map_batches(_lang_filter, batch_format="pyarrow"),
-                    # giant-page routing must bound the PARSE stage too,
-                    # not just the candidate stage (round-4 review)
-                    batch_size=batch_size,
-                ),
-                alias_ref,
-                cooccur_pred=cooccur_pred,
-                cooccur_gap=cooccur_gap,
-                batch_size=batch_size,
-            ),
-            kb_ref,
-            concurrency=concurrency,
-            as_tasks=as_tasks,
-        )
-
-    def _build_labeled():
-        if giant_page_bytes is None:
-            return _labeled_chain(pages)
-        from ..stages.skew import split_by_row_size
-
-        normal, giant = split_by_row_size(pages, "html",
-                                          max_bytes=giant_page_bytes)
-        return _labeled_chain(normal).union(
-            _labeled_chain(giant, batch_size=1))
-
     labeled, fp = cp.stage(
         "labeled",
-        {"lang": lang, "lfs": "kg_v1", "cooccur_pred": cooccur_pred,
-         "cooccur_gap": cooccur_gap, "fused": True,
-         "giant_page_bytes": giant_page_bytes, "kb_fp": kb_fp},
-        _build_labeled,
+        {**_labeled_params(lang, cooccur_pred, cooccur_gap, kb_fp),
+         "giant_page_bytes": giant_page_bytes},
+        lambda: _labeled_chain(pages, alias_ref, kb_ref, lang, cooccur_pred,
+                               cooccur_gap, concurrency=concurrency,
+                               giant_page_bytes=giant_page_bytes),
     )
     if fit_sample_rows is not None or fit_sample_fraction is not None:
         # one-pass mode: fit the label model on a bounded sample, then

@@ -214,6 +214,7 @@ def write_jsonl(ds, out_dir: str, *, columns: list[str] | None = None,
     import glob as _glob
     import hashlib as _hashlib
     import os as _os
+    import uuid as _uuid
 
     _os.makedirs(out_dir, exist_ok=True)
     stale = _glob.glob(_os.path.join(out_dir, "part-*.jsonl"))
@@ -221,10 +222,8 @@ def write_jsonl(ds, out_dir: str, *, columns: list[str] | None = None,
         raise FileExistsError(
             f"write_jsonl: {out_dir} already holds {len(stale)} "
             "shard(s); pass overwrite=True to replace them")
-    # also clear orphaned '.part-*.jsonl.tmp' from a killed run — the
-    # rename only replaces a tmp of identical content (round-5 review)
-    for p in stale + _glob.glob(_os.path.join(out_dir,
-                                              ".part-*.jsonl.tmp")):
+    # also clear orphaned '.part-*.tmp' writer files from a killed run
+    for p in stale + _glob.glob(_os.path.join(out_dir, ".part-*.tmp")):
         _os.remove(p)
 
     def _write(batch: pa.Table) -> pa.Table:
@@ -235,7 +234,11 @@ def write_jsonl(ds, out_dir: str, *, columns: list[str] | None = None,
             for r in rows).encode()
         digest = _hashlib.blake2b(payload, digest_size=16).hexdigest()
         name = f"part-{digest}.jsonl"
-        tmp = _os.path.join(out_dir, "." + name + ".tmp")
+        # a tmp name of the writer's own: two tasks whose blocks
+        # serialize to the same bytes share the content name, and a
+        # shared tmp could be renamed away under the second writer
+        tmp = _os.path.join(
+            out_dir, f".{name}.{_os.getpid()}-{_uuid.uuid4().hex}.tmp")
         with open(tmp, "wb") as f:
             f.write(payload)
         _os.replace(tmp, _os.path.join(out_dir, name))

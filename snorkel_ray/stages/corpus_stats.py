@@ -301,7 +301,9 @@ def tfidf_scores(ds, terms: list[str], *, column: str = "text",
     from ..functions.exprs import duck_round
 
     terms = list(terms)
-    assert all(terms), "empty-string query terms are reserved"
+    if not all(terms):
+        # "" is the per-batch doc-count row of the df partials below
+        raise ValueError("empty-string query terms are reserved")
 
     def _df_partial(b: pa.Table) -> pa.Table:
         toks = [set(_tokens(t)) for t in b.column(column).to_pylist()]

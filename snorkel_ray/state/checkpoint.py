@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import shutil
+import time
 from dataclasses import dataclass, field
 
 CODE_VERSION = "3"  # bump to invalidate all checkpoints on semantic change
@@ -123,6 +124,33 @@ def fingerprint(*parts: object) -> str:
     return h.hexdigest()
 
 
+def _skip_or_build(final: str, fp: str, build, fields: dict) -> dict:
+    """THE skip-or-build step of every checkpointed stage dir (the
+    streaming stages and each shard of the sharded runners).
+
+    A ``_manifest.json`` whose fingerprint equals ``fp`` means the dir
+    is complete: return it with ``skipped=True``.  Otherwise clear a
+    stale or manifest-less dir (a run killed between the data rename
+    and the manifest write leaves one), run ``build()`` → Dataset,
+    write it atomically and record ``fp``, ``fields``, row count and
+    timing in the manifest.  → the manifest dict."""
+    mpath = os.path.join(final, "_manifest.json")
+    m = load_manifest(mpath)  # corrupt/truncated -> recompute
+    if m is not None and m.get("fingerprint") == fp:
+        return {**m, "skipped": True}
+    if os.path.exists(final):
+        shutil.rmtree(final)
+    t0 = time.perf_counter()
+    rows = atomic_stage_write(build(), final)
+    wall = time.perf_counter() - t0
+    m = {"fingerprint": fp, **fields, "rows": rows,
+         "wall_sec": round(wall, 3),
+         "rows_per_sec": round(rows / wall, 1) if wall > 0 else None,
+         "code_version": CODE_VERSION, "skipped": False}
+    write_manifest(mpath, m)
+    return m
+
+
 @dataclass
 class StageResult:
     name: str
@@ -163,29 +191,9 @@ class CheckpointedPipeline:
             return ds, fp
 
         final = os.path.join(self.root, name)
-        manifest_path = os.path.join(final, "_manifest.json")
-        m = load_manifest(manifest_path)  # corrupt/truncated -> None
-        if m is not None:
-            if m.get("fingerprint") == fp:
-                self.log.append(StageResult(name, fp, final, m.get("rows"), True))
-                return rd.read_parquet(final), fp
-            shutil.rmtree(final)
-        elif os.path.exists(final):
-            shutil.rmtree(final)
-
-        import time
-
-        t0 = time.perf_counter()
-        ds = build()
-        rows = atomic_stage_write(ds, final)
-        wall = time.perf_counter() - t0
-        write_manifest(manifest_path, {
-            "fingerprint": fp, "stage": name, "rows": rows,
-            "wall_sec": round(wall, 3),
-            "rows_per_sec": round(rows / wall, 1) if wall > 0 else None,
-            "params": {k: repr(v) for k, v in params.items()},
-            "code_version": CODE_VERSION})
-        self.log.append(StageResult(name, fp, final, rows, False))
+        m = _skip_or_build(final, fp, build, {
+            "stage": name, "params": {k: repr(v) for k, v in params.items()}})
+        self.log.append(StageResult(name, fp, final, m["rows"], m["skipped"]))
         return rd.read_parquet(final), fp
 
     def summary(self) -> list[dict]:

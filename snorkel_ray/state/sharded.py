@@ -5,13 +5,20 @@ so runs resume mid-pipeline" and "write partitioned output (one
 directory per input shard) so a failed run can skip finished
 partitions".  `state/checkpoint.py` gives stage-level resume; this
 module adds the shard dimension: the INPUT is split into deterministic
-hash-of-url shards, each shard runs the whole per-shard portion of the
-pipeline independently and writes its own output directory atomically
-(tmp → rename) with a `_manifest.json` carrying the shard's lineage
-fingerprint and counters (rows in/out, wall seconds, rows/s).  A rerun
-recomputes only shards whose manifest is missing or whose fingerprint
-changed.  Global (cross-shard) steps — label-model fit, final dedup —
-run after all shards are present, reading the shard outputs.
+shards (file groups, or a hash of an id column), each shard runs the
+whole per-shard portion of the pipeline independently and writes its
+own output directory through ``checkpoint._skip_or_build`` — the same
+skip-or-build step the streaming stages use — with a `_manifest.json`
+carrying the shard's lineage fingerprint and counters (rows, wall
+seconds, rows/s).  A rerun recomputes only shards whose manifest is
+missing or whose fingerprint changed.  Global (cross-shard) steps —
+label-model fit, final dedup — run after all shards are present,
+reading the shard outputs.
+
+The runners define no pipeline of their own: each shard runs the
+streaming runner's functions (the flagship's labeled chain from
+``pipelines/kg.py``, ``annotate_docs``, ``minhash_signatures``), so
+sharded == streaming by construction.
 
 This mirrors a 10^12-doc layout: one shard ≈ one input partition
 (WARC segment / parquet file range); kill the job at shard k and the
@@ -21,19 +28,12 @@ rerun skips 0..k-1.
 from __future__ import annotations
 
 import os
-import shutil
-import time
 from typing import Callable
 
 import pyarrow as pa
 
 from ..functions.ids import hash64
-from .checkpoint import (
-    CODE_VERSION,
-    fingerprint,
-    load_manifest,
-    write_manifest,
-)
+from .checkpoint import CODE_VERSION, _skip_or_build, fingerprint
 
 
 def _stabilize_fsspec_http() -> None:
@@ -67,7 +67,7 @@ def shard_paths(paths: list[str], num_shards: int) -> list[list[str]]:
     """File-range sharding: split a parquet file list into ``num_shards``
     disjoint groups (round-robin for size balance).  THE scale path —
     each shard reads only its own files.  Hash-sharding a Dataset
-    (``shard_pages``) re-scans the full input once per shard (measured
+    (``_hash_shards``) re-scans the full input once per shard (measured
     4x overhead at 8 shards) and exists for inputs that are not
     file-splittable."""
     groups: list[list[str]] = [[] for _ in range(num_shards)]
@@ -90,26 +90,6 @@ def shard_input_token(paths: list[str]) -> str:
     return fingerprint(*parts)
 
 
-def shard_pages(pages, num_shards: int):
-    """Deterministic url-hash shards: list of (shard_idx, Dataset).
-    Prefer ``shard_paths`` + per-shard ``read_parquet`` when the input
-    is a file list — this variant filters the WHOLE input per shard."""
-
-    def _filter(shard: int):
-        def _f(b: pa.Table) -> pa.Table:
-            urls = b.column("url").to_pylist()
-            import numpy as np
-
-            keep = np.fromiter(((hash64(u) % num_shards) == shard for u in urls),
-                               dtype=bool, count=len(urls))
-            return b.filter(pa.array(keep))
-
-        return _f
-
-    return [(s, pages.map_batches(_filter(s), batch_format="pyarrow"))
-            for s in range(num_shards)]
-
-
 def _file_shards(paths: list[str], num_shards: int, *, columns=None):
     """(idx, per-file-group read, input token) shard triples — the
     scale path shared by every sharded runner (round-5 review: three
@@ -127,8 +107,10 @@ def _file_shards(paths: list[str], num_shards: int, *, columns=None):
 
 def _hash_shards(pages, id_column: str, num_shards: int):
     """Hash-shard fallback on an explicit id column (full re-scan per
-    shard; prefer input_paths at scale).  Row-count token per
-    run_sharded_stage's fallback note."""
+    shard; prefer input_paths at scale).  No file metadata exists to
+    fingerprint, so a cheap row-count token stands in: a resized corpus
+    invalidates stale manifests (an equal-count content swap still
+    needs the caller to version input_fingerprint)."""
     tok = f"rows={pages.count()}"
 
     def _filter(s: int):
@@ -181,69 +163,34 @@ def run_sharded_stage(
 ) -> tuple[list[str], list[dict]]:
     """Run ``build`` per shard with skip-on-manifest-match.
 
-    ``shards``: optional pre-built list of (shard_idx, Dataset) — e.g.
-    per-file-group reads from ``shard_paths`` (the scale path); when
-    None, falls back to hash-sharding ``pages`` (full re-scan per
-    shard).  → (list of shard output dirs, per-shard manifest dicts).
-    Output layout: ``<root>/<stage_name>/shard=<i>/part-*.parquet`` +
+    ``shards``: optional pre-built list of (shard_idx, Dataset,
+    input_token) — e.g. per-file-group reads from ``shard_paths`` with
+    ``shard_input_token`` (the scale path); when None, falls back to
+    url-hash-sharding ``pages`` (full re-scan per shard).  → (list of
+    shard output dirs, per-shard manifest dicts).  Output layout:
+    ``<root>/<stage_name>/shard=<i>/part-*.parquet`` +
     ``_manifest.json``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     _stabilize_fsspec_http()
     os.makedirs(os.path.join(root, stage_name), exist_ok=True)
-    if shards is not None:
-        shard_list = list(shards)
-    else:
-        # hash-shard fallback: no file metadata exists to fingerprint,
-        # so fold a cheap row-count token into each shard fingerprint —
-        # a resized corpus invalidates stale manifests (round-4 review;
-        # an equal-count content swap still needs the caller to version
-        # input_fingerprint)
-        tok = f"rows={pages.count()}"
-        shard_list = [(i, d, tok) for i, d in shard_pages(pages, num_shards)]
+    shard_list = (list(shards) if shards is not None
+                  else _hash_shards(pages, "url", num_shards))
 
     def _run_one(item) -> tuple[str, dict]:
-        # shards may be (idx, ds) or (idx, ds, input_token); the token
-        # (the shard's actual file group + sizes/mtimes, see
-        # shard_input_token) folds into the fingerprint so that adding/
-        # removing an input file — which shifts the round-robin file
-        # assignment — invalidates every shard whose file group changed
-        # instead of silently matching a stale manifest (round-1 ADVICE).
-        shard, ds = item[0], item[1]
-        shard_token = item[2] if len(item) > 2 else None
+        # the input token (the shard's file group + sizes/mtimes, or the
+        # hash fallback's row count) folds into the fingerprint, so
+        # adding/removing an input file — which shifts the round-robin
+        # file assignment — invalidates every shard whose file group
+        # changed instead of silently matching a stale manifest
+        shard, ds, token = item
         fp = fingerprint(input_fingerprint, stage_name, shard, num_shards,
-                         sorted((params or {}).items()), CODE_VERSION,
-                         shard_token)
+                         sorted((params or {}).items()), CODE_VERSION, token)
         final = os.path.join(root, stage_name, f"shard={shard}")
-        mpath = os.path.join(final, "_manifest.json")
-        m = load_manifest(mpath)  # corrupt/truncated -> recompute
-        if m is not None:
-            if m.get("fingerprint") == fp:
-                m["skipped"] = True
-                return final, m
-            shutil.rmtree(final)
-        elif os.path.exists(final):
-            shutil.rmtree(final)
-        from .checkpoint import atomic_stage_write
-
-        t0 = time.perf_counter()
-        out = build(ds)
-        rows = atomic_stage_write(out, final)
-        wall = time.perf_counter() - t0
-        m = {
-            "fingerprint": fp,
-            "stage": stage_name,
-            "shard": shard,
-            "num_shards": num_shards,
-            "rows": rows,
-            "wall_sec": round(wall, 3),
-            "rows_per_sec": round(rows / wall, 1) if wall > 0 else None,
-            "code_version": CODE_VERSION,
-            "skipped": False,
-        }
-        write_manifest(mpath, m)
-        return final, m
+        return final, _skip_or_build(
+            final, fp, lambda: build(ds),
+            {"stage": stage_name, "shard": shard, "num_shards": num_shards})
 
     # a few shard pipelines in flight keeps the cluster busy through
     # each shard's serial tail (fit/finalize); each runs in its own
@@ -269,67 +216,27 @@ def run_kg_pipeline_sharded(
     input_fingerprint: str = "pages",
     input_paths: list[str] | None = None,
 ):
-    """Shard-resumable flagship pipeline.
-
-    Per shard: lang filter → extract → sentences → candidates → LFs →
-    parquet (`labeled/shard=i/`).  Global: pattern counts over all
-    shard outputs → EM fit → score+link+materialize (also resumable at
-    stage level via the final manifest).  → (triples Dataset, report).
-    """
-    import ray
+    """Shard-resumable flagship pipeline: per shard, the labeled chain
+    of ``pipelines/kg.py`` → `labeled/shard=i/` parquet; then one global
+    fit → score → link → atomic `triples/` write (a rerun replaces it).
+    → (triples Dataset, report)."""
     import ray.data as rd
-    import pyarrow.compute as pc
 
-    from ..stages.candidates import extract_candidates_fused
-    from ..stages.extract import extract_docs
+    from ..pipelines.kg import _kb_broadcasts, _labeled_chain, _labeled_params
     from ..stages.label_model import fit_label_model, pattern_counts, score_marginals
-    from ..stages.labeling import apply_lfs
-    from ..stages.linking import build_link_index
     from ..stages.materialize import link_candidates, materialize_triples
 
-    from .checkpoint import fingerprint as _fp
-    from .resources import broadcast_key
-
-    alias_ref = ray.put(alias_table)
-    kb_ref = ray.put({"facts": [tuple(f) for f in (facts or [])],
-                      "link_index": build_link_index(alias_table)}) if facts else None
-    # content digest of the broadcast KB inputs — they determine the
-    # shard outputs (candidates + DS-LF votes), so an edited alias
-    # table / fact set must invalidate shard checkpoints exactly as it
-    # does the streaming pipeline's stages (pipelines/kg.py kb_fp,
-    # round-4 review; the sharded runner missed the same fix —
-    # round-5 review)
-    kb_fp = _fp(broadcast_key(alias_table),
-                sorted(tuple(f) for f in (facts or [])))
-
-    def build(shard_ds):
-        filtered = shard_ds.map_batches(
-            lambda b: b.filter(pc.equal(b.column("lang"), lang)),
-            batch_format="pyarrow")
-        return apply_lfs(
-            extract_candidates_fused(extract_docs(filtered), alias_ref,
-                                     cooccur_pred=cooccur_pred,
-                                     cooccur_gap=cooccur_gap),
-            kb_ref)
-
-    shards = None
-    if input_paths is not None:
-        shards = _file_shards(input_paths, num_shards)
-
+    alias_ref, kb_ref, kb_fp = _kb_broadcasts(alias_table, facts)
     dirs, manifests = run_sharded_stage(
-        pages, root, "labeled", build, num_shards=num_shards,
-        params={"lang": lang, "lfs": "kg_v1", "cooccur_pred": cooccur_pred,
-                "cooccur_gap": cooccur_gap, "kb_fp": kb_fp},
-        input_fingerprint=input_fingerprint, shards=shards)
-
-    files = _shard_parquet_files(dirs)
-    labeled = rd.read_parquet(files)
+        pages, root, "labeled",
+        lambda ds: _labeled_chain(ds, alias_ref, kb_ref, lang, cooccur_pred, cooccur_gap),
+        num_shards=num_shards,
+        params=_labeled_params(lang, cooccur_pred, cooccur_gap, kb_fp),
+        input_fingerprint=input_fingerprint,
+        shards=None if input_paths is None else _file_shards(input_paths, num_shards))
+    labeled = rd.read_parquet(_shard_parquet_files(dirs))
     model = fit_label_model(pattern_counts(labeled))
-    scored = score_marginals(labeled, model)
-    linked = link_candidates(scored, alias_ref)
-    # materialize_triples writes out_dir atomically (tmp + os.replace),
-    # so a rerun REPLACES the persisted triples instead of appending a
-    # duplicate part-file set (round-1 ADVICE, high)
+    linked = link_candidates(score_marginals(labeled, model), alias_ref)
     triples = materialize_triples(linked, threshold=threshold,
                                   out_dir=os.path.join(root, "triples"))
     return triples, {"model": model, "shards": manifests}

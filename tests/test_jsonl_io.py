@@ -81,7 +81,9 @@ def test_write_jsonl_salt_shards(ray_session, tmp_path):
     from snorkel_ray.sources.readers import write_jsonl
 
     rows = [{"doc_id": 1, "text": "same"}]
-    ds = rd.from_items(rows).union(rd.from_items(rows))
+    # 8 byte-identical blocks: their writer tasks share one content
+    # name, so each must use a tmp file of its own
+    ds = rd.from_items(rows).union(*(rd.from_items(rows) for _ in range(7)))
 
     d1 = str(tmp_path / "plain")
     m1 = write_jsonl(ds, d1).to_pandas()
@@ -91,12 +93,13 @@ def test_write_jsonl_salt_shards(ray_session, tmp_path):
     d2 = str(tmp_path / "salted")
     m2 = write_jsonl(ds, d2, salt_shards=True).to_pandas()
     files = sorted(glob.glob(os.path.join(d2, "part-*.jsonl")))
-    assert len(files) == 2 and len(m2) == 2
-    # multiplicity survives on disk: both copies hold the same line
+    assert len(files) == 8 and len(m2) == 8
+    # multiplicity survives on disk: every copy holds the same line
     import json
 
     lines = [json.loads(open(f).read()) for f in files]
-    assert lines[0] == lines[1] == {"doc_id": 1, "text": "same"}
+    assert lines == [{"doc_id": 1, "text": "same"}] * 8
+    assert not glob.glob(os.path.join(d2, ".part-*.tmp"))
 
 
 def test_read_jsonl_skips_non_dict_json(tmp_path):
@@ -139,9 +142,12 @@ def test_write_jsonl_clears_orphaned_tmp(tmp_path):
 
     out_dir = str(tmp_path / "orphan")
     os.makedirs(out_dir)
-    orphan = os.path.join(out_dir, ".part-deadbeef.jsonl.tmp")
-    open(orphan, "w").write('{"half": "written')
+    # an older shared tmp name and a per-writer (pid-uuid) tmp name
+    orphans = [os.path.join(out_dir, ".part-deadbeef.jsonl.tmp"),
+               os.path.join(out_dir, ".part-deadbeef.jsonl.123-abc.tmp")]
+    for orphan in orphans:
+        open(orphan, "w").write('{"half": "written')
     t = pa.table({"url": ["a"], "text": ["x"]})
     write_jsonl(ray.data.from_arrow(t), out_dir)
-    assert not os.path.exists(orphan)
-    assert not glob.glob(os.path.join(out_dir, ".part-*.jsonl.tmp"))
+    assert not any(os.path.exists(o) for o in orphans)
+    assert not glob.glob(os.path.join(out_dir, ".part-*.tmp"))

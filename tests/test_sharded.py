@@ -6,16 +6,17 @@ import os
 import shutil
 
 import pyarrow as pa
+import pytest
 
-from snorkel_ray.state.sharded import run_kg_pipeline_sharded, shard_pages
+from snorkel_ray.state.sharded import _hash_shards, run_kg_pipeline_sharded
 from snorkel_ray.synth import alias_table, build_kb, expected_triples, pages_dataset
 
 
 def test_shard_partition_is_complete_and_disjoint(ray_session):
     pages = pages_dataset(100, 42)
-    shards = shard_pages(pages, 4)
+    shards = _hash_shards(pages, "url", 4)
     urls = []
-    for _, ds in shards:
+    for _, ds, _ in shards:
         urls.extend(ds.to_pandas()["url"].tolist())
     assert len(urls) == 100 and len(set(urls)) == 100
 
@@ -129,18 +130,21 @@ def test_shard_fingerprint_tracks_file_group(ray_session, tmp_path):
     assert any(not m["skipped"] for m in m3)
 
 
-def test_sharded_matches_streaming_triples(ray_session, tmp_path):
+@pytest.mark.parametrize("cooccur_pred", [None, "near"])
+def test_sharded_matches_streaming_triples(ray_session, tmp_path, cooccur_pred):
     """The shard-resumable plan must emit the SAME triple set as the
     streaming flagship on identical input (the resume machinery is
-    partitioning, not semantics)."""
+    partitioning, not semantics) — also with the chain's co-occurrence
+    knob set as ``__ray_entry__.py`` sets it."""
     from snorkel_ray.pipelines.kg import run_kg_pipeline
 
     kb = build_kb(42)
     pages = pages_dataset(200, 42)
     stream, _ = run_kg_pipeline(pages_dataset(200, 42), alias_table(kb),
-                                kb["facts"])
+                                kb["facts"], cooccur_pred=cooccur_pred)
     shard, _ = run_kg_pipeline_sharded(pages, alias_table(kb), kb["facts"],
-                                       root=str(tmp_path / "p"), num_shards=3)
+                                       root=str(tmp_path / "p"), num_shards=3,
+                                       cooccur_pred=cooccur_pred)
     key = ["subj_qid", "pred", "obj_qid"]
     a = stream.to_pandas()[key].sort_values(key).reset_index(drop=True)
     b = shard.to_pandas()[key].sort_values(key).reset_index(drop=True)
