@@ -22,10 +22,6 @@ def casefold(arr):
     return pc.utf8_lower(arr)
 
 
-def strip_ws(arr):
-    return pc.utf8_trim_whitespace(arr)
-
-
 def collapse_ws(arr):
     return pc.replace_substring_regex(arr, r"\s+", " ")
 
@@ -47,35 +43,9 @@ def ptb_unescape(arr):
     return arr
 
 
-def concat_ws(sep: str, *arrays):
-    return pc.binary_join_element_wise(*arrays, sep)
-
-
-def regex_contains(arr, pattern: str):
-    return pc.match_substring_regex(arr, pattern)
-
-
-def regex_extract_first(arr, pattern: str):
-    """First capture group per value ('' if no match) — pyarrow has no
-    extract kernel; python re over the column (non-hot-path helper)."""
-    import re
-
-    rgx = re.compile(pattern)
-    vals = arr.to_pylist() if hasattr(arr, "to_pylist") else list(arr)
-    out = []
-    for v in vals:
-        m = rgx.search(v) if v is not None else None
-        out.append(m.group(1) if m and m.groups() else (m.group(0) if m else ""))
-    return pa.array(out, pa.string())
-
-
 # ---------------------------------------------------------------------------
 # list / array
 # ---------------------------------------------------------------------------
-
-def list_len(arr):
-    return pc.list_value_length(arr)
-
 
 def list_slice(arr, start: int, stop: int):
     return pc.list_slice(arr, start, stop)
@@ -134,10 +104,6 @@ def duck_round_np(arr, nd: int) -> np.ndarray:
         # propagates through copysign identically either way
         out = np.where(ax >= 2.0 ** 52, xs, np.copysign(r, xs)) / p
     return out
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
 def safe_div(num, den):

@@ -187,6 +187,21 @@ def read_jsonl_docs(path: str | list[str], *,
     return ds.map_batches(_parse, batch_format="pyarrow")
 
 
+def _publish(out_dir: str, name: str, payload: bytes) -> str:
+    """Write ``payload`` to ``out_dir/name`` atomically: a tmp file of
+    this writer's own, then ``os.replace``.  Two writers whose blocks
+    serialize to the same bytes share the content name, and a shared
+    tmp name could be renamed away under the second writer."""
+    import uuid
+
+    path = os.path.join(out_dir, name)
+    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}-{uuid.uuid4().hex}.tmp")
+    with open(tmp, "wb") as f:
+        f.write(payload)
+    os.replace(tmp, path)
+    return path
+
+
 def write_jsonl(ds, out_dir: str, *, columns: list[str] | None = None,
                 overwrite: bool = True, salt_shards: bool = False):
     """JSONL sink: one shard file per block, named by the shard's
@@ -214,7 +229,6 @@ def write_jsonl(ds, out_dir: str, *, columns: list[str] | None = None,
     import glob as _glob
     import hashlib as _hashlib
     import os as _os
-    import uuid as _uuid
 
     _os.makedirs(out_dir, exist_ok=True)
     stale = _glob.glob(_os.path.join(out_dir, "part-*.jsonl"))
@@ -233,18 +247,9 @@ def write_jsonl(ds, out_dir: str, *, columns: list[str] | None = None,
             json.dumps(r, default=str, sort_keys=True) + "\n"
             for r in rows).encode()
         digest = _hashlib.blake2b(payload, digest_size=16).hexdigest()
-        name = f"part-{digest}.jsonl"
-        # a tmp name of the writer's own: two tasks whose blocks
-        # serialize to the same bytes share the content name, and a
-        # shared tmp could be renamed away under the second writer
-        tmp = _os.path.join(
-            out_dir, f".{name}.{_os.getpid()}-{_uuid.uuid4().hex}.tmp")
-        with open(tmp, "wb") as f:
-            f.write(payload)
-        _os.replace(tmp, _os.path.join(out_dir, name))
-        return pa.table({"path": pa.array(
-            [_os.path.join(out_dir, name)], pa.string()),
-            "n_rows": pa.array([len(rows)], pa.int64())})
+        path = _publish(out_dir, f"part-{digest}.jsonl", payload)
+        return pa.table({"path": pa.array([path], pa.string()),
+                         "n_rows": pa.array([len(rows)], pa.int64())})
 
     # consume the manifest so the write executes; return it for audit.
     import ray.data as rd

@@ -134,20 +134,6 @@ def score_vs_gold(scored, gold: pa.Table, *, threshold: float = 0.5) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# O4: viewer-style sampling (the reference SentenceNgramViewer shows n
-# candidates; the UI itself is out of scope — this is its data feed)
-# ---------------------------------------------------------------------------
-
-def sample_candidates(ds, n: int = 10, *, seed: int = 7, frac_hint: float = 0.01):
-    """Deterministic small sample for inspection: seeded random_sample
-    (cheap, streaming) CAPPED at ``n`` by limit.  ``limit`` cannot top
-    up an undersampled draw — when the corpus is small relative to
-    ``n / frac_hint`` the result may hold fewer than ``n`` rows; raise
-    ``frac_hint`` for small corpora."""
-    return ds.random_sample(min(1.0, max(frac_hint, 0.0001)), seed=seed).limit(n)
-
-
-# ---------------------------------------------------------------------------
 # A8: corpus summary stats
 # ---------------------------------------------------------------------------
 

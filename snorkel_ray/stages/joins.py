@@ -248,13 +248,10 @@ def _asof_chunked(tagged, key: str, ts: str, out_cols: list[str],
     strictly LATER chunk."""
     import pyarrow.compute as pc
 
-    fwd = direction == "forward"
-    chunk = pd.Timedelta(pre_split_chunk)
-    rcols = ["_r_" + oc for oc in out_cols]
+    from .windows import _chunk_map, _ck_map
 
-    def _add_chunk(b: pa.Table) -> pa.Table:
-        c = b.column(ts).to_pandas().dt.floor(chunk)
-        return b.append_column("_chunk", pa.Array.from_pandas(c))
+    fwd = direction == "forward"
+    rcols = ["_r_" + oc for oc in out_cols]
 
     def _l1(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([ts, "_side"],
@@ -302,7 +299,8 @@ def _asof_chunked(tagged, key: str, ts: str, out_cols: list[str],
         out = need[[key, "_chunk"] + rcols].copy()
         return out
 
-    staged = (tagged.map_batches(_add_chunk, batch_format="pyarrow")
+    staged = (tagged.map_batches(_chunk_map(ts, pd.Timedelta(pre_split_chunk)),
+                                 batch_format="pyarrow")
               .groupby([key, "_chunk"])
               .map_groups(_l1, batch_format="pandas")
               .materialize())  # consumed by done/head/boundary splits
@@ -320,14 +318,9 @@ def _asof_chunked(tagged, key: str, ts: str, out_cols: list[str],
                                   batch_format="pyarrow")
     carry = boundary.groupby(key).map_groups(_l2, batch_format="pandas")
 
-    def _ck(b: pa.Table) -> pa.Table:
-        k = pc.cast(b.column(key), pa.string())
-        c = pc.cast(pc.cast(b.column("_chunk"), pa.int64()), pa.string())
-        return b.append_column("_ck", pc.binary_join_element_wise(k, c, "\x1f"))
-
-    heads = heads.map_batches(_ck, batch_format="pyarrow") \
+    heads = heads.map_batches(_ck_map(key), batch_format="pyarrow") \
         .drop_columns(rcols)
-    carry = carry.map_batches(_ck, batch_format="pyarrow").materialize()
+    carry = carry.map_batches(_ck_map(key), batch_format="pyarrow").materialize()
     for rc in rcols:
         heads = apply_mapping(heads, carry, "_ck", "_ck", rc, rc)
 

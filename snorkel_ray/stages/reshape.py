@@ -289,6 +289,27 @@ def grouped_count_distinct(ds, key: str | list[str], value: str, *,
         .aggregate(Count(alias_name=out))
 
 
+def _fine_counts(ds, key: str, value: str, *, keep_nulls: bool):
+    """The FINE table shared by rank, quantiles and mode: per-batch
+    (key, value) count partials (free combiner), then
+    ``groupby(key, value).sum`` → one ``_n`` row per DISTINCT pair.
+    ``keep_nulls`` keeps a null value as its own pair (rank); the
+    others drop nulls (SQL ignores them)."""
+    import pyarrow.compute as pc
+    from ray.data.aggregate import Sum
+
+    def _partial(b: pa.Table) -> pa.Table:
+        if not keep_nulls:
+            b = b.filter(pc.is_valid(b.column(value)))
+        df = (b.select([key, value]).to_pandas()
+              .groupby([key, value], sort=False, dropna=False)
+              .size().reset_index(name="_c"))
+        return pa.Table.from_pandas(df, preserve_index=False)
+
+    return (ds.map_batches(_partial, batch_format="pyarrow")
+            .groupby([key, value]).aggregate(Sum("_c", alias_name="_n")))
+
+
 def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
                  dense_out: str | None = None,
                  percent_out: str | None = None,
@@ -317,7 +338,6 @@ def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
     ``grouped_topk`` / ``grouped_argmax`` for bounded-k needs."""
     import pandas as pd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from snorkel_ray.stages.joins import apply_mapping
 
@@ -344,14 +364,7 @@ def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
             pc.cast(_canon(b.column(key)), pa.string()),
             pc.cast(_canon(b.column(value)), pa.string()), sep)
 
-    def _partial(b: pa.Table) -> pa.Table:
-        df = (b.select([key, value]).to_pandas()
-              .groupby([key, value], sort=False, dropna=False)
-              .size().reset_index(name="_c"))
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    fine = (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby([key, value]).aggregate(Sum("_c", alias_name="_n")))
+    fine = _fine_counts(ds, key, value, keep_nulls=True)
 
     int_cols = [out] + ([dense_out] if dense_out else [])
     float_cols = ([percent_out] if percent_out else []) \
@@ -447,23 +460,12 @@ def grouped_quantiles(ds, key: str, value: str, qs: list[float], *,
     whose values are ALL null is absent from the output (SQL would
     emit it with null quantiles — the one documented divergence)."""
     import pandas as pd
-    import pyarrow.compute as pc
-
-    from ray.data.aggregate import Sum
 
     out_names = out_names or [f"q{int(round(q * 100))}" for q in qs]
     if len(out_names) != len(qs):
         raise ValueError("out_names must match qs")
 
-    def _partial(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_valid(b.column(value)))
-        df = (b.select([key, value]).to_pandas()
-              .groupby([key, value], sort=False, dropna=False)
-              .size().reset_index(name="_c"))
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    fine = (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby([key, value]).aggregate(Sum("_c", alias_name="_n")))
+    fine = _fine_counts(ds, key, value, keep_nulls=False)
 
     def _quant(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(value, kind="mergesort")
@@ -610,21 +612,9 @@ def grouped_mode(ds, key: str, value: str, *, out: str = "mode",
     (count DESC, value ASC) over the fine table.  A hot key costs its
     distinct values, never its rows.  Nulls are ignored (SQL mode
     semantics); an all-null key is absent from the output."""
-    import pyarrow.compute as pc
-
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.stages.skew import grouped_topk
 
-    def _partial(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_valid(b.column(value)))
-        df = (b.select([key, value]).to_pandas()
-              .groupby([key, value], sort=False, dropna=False)
-              .size().reset_index(name="_c"))
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    fine = (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby([key, value]).aggregate(Sum("_c", alias_name="_n")))
+    fine = _fine_counts(ds, key, value, keep_nulls=False)
     win = grouped_topk(fine, key, ["_n", value],
                        descending=[True, False], k=1)
 

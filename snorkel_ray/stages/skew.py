@@ -21,8 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.ids import hash64
-
 
 def detect_hot_keys(ds, key: str, *, sample_fraction: float = 0.05,
                     sample_cap: int = 100_000,
@@ -193,29 +191,3 @@ def grouped_topk(ds, group_col: str | list[str], order_cols: list[str],
     return partial.groupby(group_col).map_groups(_final,
                                                  batch_format="pandas")
 
-
-def repartition_by_key(ds, key: str, num_partitions: int):
-    """Explicit hash repartition: adds ``_bucket = hash(key) % P`` and
-    shuffles so equal keys co-locate — the reusable partitioning step
-    before a sequence of per-key operations (pick ONE key and reuse).
-
-    Bucketing is a vectorized polars column hash (equal keys → equal
-    bucket, deterministic within a run — all a shuffle route needs;
-    the old per-row blake2b loop ran on every row of the stream), with
-    the blake2b loop as fallback for polars-unsupported key types."""
-
-    def _bucket(batch: pa.Table) -> pa.Table:
-        try:
-            import polars as pl
-
-            h = (pl.from_arrow(batch.select([key]))
-                 .get_column(key).cast(pl.Utf8).hash(seed=0).to_numpy())
-            b = (h % np.uint64(num_partitions)).astype(np.int64)
-        except Exception:
-            keys = batch.column(key).to_pylist()
-            b = np.fromiter((hash64(str(k)) % num_partitions for k in keys),
-                            dtype=np.int64, count=len(keys))
-        return batch.append_column("_bucket", pa.array(b, pa.int64()))
-
-    return ds.map_batches(_bucket, batch_format="pyarrow").repartition(
-        num_partitions, shuffle=True)

@@ -14,16 +14,25 @@ Partitioning contracts (hot-key story, round-1 verdict item 9):
 - **session**: ``pre_split_chunk`` floors events into coarse time
   chunks (≫ gap), sessionizes per ``(key, chunk)`` — bounded groups —
   then merges adjacent sessions across chunk boundaries on the SESSION
-  table (≪ events).  Merging any two adjacent sessions whose inter-gap
-  ≤ gap reproduces exact sessionization: within-chunk sessions are
+  table (≪ events).  Both levels run the same vectorized run split
+  (``start − cummax(end).shift() > gap``): within-chunk sessions are
   already > gap apart, so only boundary splits rejoin.
-- **sliding**: per-key group with in-memory sort for keys that fit a
-  reducer; ``pre_split_chunk`` switches to the two-level plan — per
-  ``(key, chunk)`` rolling with (window−1)-row boundary context rows,
-  then a per-key fix-up over the boundary rows only (O(#chunks ×
-  window) per key, never the key's full history in one group).
-  Ordering identity is ``(ts, event_id)`` — exactly one event per key
-  per (ts, event_id) is assumed, as in the single-group path.
+- **lag / sliding mean / time-range sum**: per-key ordered ops.  The
+  single-group plan (``_per_key``) sorts a key's whole history in one
+  reducer; ``pre_split_chunk`` switches to the shared two-level hot-key
+  plan ``_context_plan``: per ``(key, chunk)`` the op's ``compute``
+  runs and its ``split`` marks HEAD rows (output may depend on an
+  earlier/later chunk) and CONTEXT rows (the boundary rows other
+  chunks' heads depend on); every other row settles.  A per-key fix-up
+  recomputes the heads over heads ∪ context only — O(#chunks × window)
+  rows per key, never the key's full history in one group.
+- **cumulative sum**: every row settles with ONE additive carry, so its
+  level 2 is a prefix sum over per-chunk totals joined back on the
+  (key, chunk) composite instead of the context plan.
+
+Ordering identity is ``(ts, event_id)`` — one stable sort
+(``_sorted``); exactly one event per key per (ts, event_id) is
+assumed.
 """
 
 from __future__ import annotations
@@ -31,45 +40,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-
-def _attach_uid(g, chunk_key) -> None:
-    """Per-row identity for the two-level plans: unique within a
-    (key, chunk) group by position, across chunks by the chunk key.
-    The level-2 head/context dedup keys on THIS, not on (ts, event_id)
-    — deduping on order columns silently collapsed distinct rows that
-    tie on ts when no event_id column exists (round-4 review)."""
-    ck = getattr(chunk_key, "value", chunk_key)
-    g["_w_uid"] = [f"{ck}:{i}" for i in range(len(g))]
-
-
-def _level2_dedup(g, order):
-    """Level-2 input with head/ctx double-emissions collapsed by row
-    uid, re-sorted on the op's order columns."""
-    return (g.drop_duplicates("_w_uid")
-            .sort_values(order, kind="mergesort").reset_index(drop=True))
-
-
-def _keep_heads(dedup, heads):
-    mask = dedup["_w_uid"].isin(set(heads["_w_uid"]))
-    return dedup[mask].drop(columns=["_role", "_w_uid"])
-
-
-def _role_split(staged):
-    """(done rows without helper cols, boundary rows with roles)."""
-    import pyarrow.compute as pc
-
-    def _f(want_done: bool):
-        def _filter(b: pa.Table) -> pa.Table:
-            eq = pc.equal(b.column("_role"), "done")
-            t = b.filter(eq if want_done else pc.invert(eq))
-            return (t.drop_columns(["_role", "_w_uid"])
-                    if want_done else t)
-
-        return _filter
-
-    return (staged.map_batches(_f(True), batch_format="pyarrow"),
-            staged.map_batches(_f(False), batch_format="pyarrow"))
+import pyarrow.compute as pc
 
 
 def _resolve_chunk(events, key: str, ts: str, pre_split_chunk,
@@ -89,6 +60,111 @@ def _resolve_chunk(events, key: str, ts: str, pre_split_chunk,
 
         return auto_pre_split_chunk(events, key, ts, min_width=min_width)
     return pre_split_chunk
+
+
+def _chunk_map(ts: str, chunk: pd.Timedelta):
+    """Batch map appending ``_chunk = floor(ts, chunk)``: the time
+    chunk of every two-level plan (windows and ``joins.asof_join``)."""
+
+    def _add_chunk(b: pa.Table) -> pa.Table:
+        c = b.column(ts).to_pandas().dt.floor(chunk)
+        return b.append_column("_chunk", pa.Array.from_pandas(c))
+
+    return _add_chunk
+
+
+def _ck_map(key: str):
+    """Batch map appending ``_ck``, the (key, chunk) composite string a
+    per-chunk carry joins back on via ``joins.apply_mapping``."""
+
+    def _ck(b: pa.Table) -> pa.Table:
+        k = pc.cast(b.column(key), pa.string())
+        c = pc.cast(pc.cast(b.column("_chunk"), pa.int64()), pa.string())
+        return b.append_column("_ck", pc.binary_join_element_wise(k, c, "\x1f"))
+
+    return _ck
+
+
+def _sorted(g: pd.DataFrame, ts: str) -> pd.DataFrame:
+    """One stable sort on the ordering identity (ts, event_id)."""
+    order = [ts] + (["event_id"] if "event_id" in g.columns else [])
+    return g.sort_values(order, kind="mergesort").reset_index(drop=True)
+
+
+def _per_key(events, key: str, ts: str, compute):
+    """Single-group plan: one group per key, sorted, ``compute(g)``
+    fills the output column in place."""
+
+    def _sorted_compute(g: pd.DataFrame) -> pd.DataFrame:
+        g = _sorted(g, ts)
+        compute(g)
+        return g
+
+    return events.groupby(key).map_groups(_sorted_compute, batch_format="pandas")
+
+
+def _context_plan(events, key: str, ts: str, chunk: pd.Timedelta,
+                  compute, split):
+    """The two-level hot-key plan of every per-key ordered op.
+
+    1. Per ``(key, chunk)`` group: sort, ``compute(g)``, then
+       ``split(g, chunk_start)`` → (head, ctx) boolean masks.  Non-head
+       rows are settled ('done'); heads are provisional; ctx rows are
+       the chunk's boundary rows that other chunks' heads depend on.
+    2. Per ``key`` over heads ∪ ctx only: collapse head/ctx double
+       emissions, sort, recompute, keep the corrected heads.
+
+    The double emissions collapse by a per-row uid (chunk, position),
+    NOT by the order columns — deduping on those silently collapsed
+    distinct rows that tie on ts when no event_id column exists."""
+
+    def _level1(g: pd.DataFrame) -> pd.DataFrame:
+        chunk_start = g["_chunk"].iloc[0]
+        g = _sorted(g.drop(columns=["_chunk"]), ts)
+        compute(g)
+        g["_w_uid"] = [f"{chunk_start.value}:{i}" for i in range(len(g))]
+        head, ctx = split(g, chunk_start)
+        return pd.concat([g[~head].assign(_role="done"),
+                          g[head].assign(_role="head"),
+                          g[ctx].assign(_role="ctx")], ignore_index=True)
+
+    def _level2(g: pd.DataFrame) -> pd.DataFrame:
+        heads = set(g.loc[g["_role"] == "head", "_w_uid"])
+        g = _sorted(g.drop_duplicates("_w_uid"), ts)
+        compute(g)
+        return g[g["_w_uid"].isin(heads)].drop(columns=["_role", "_w_uid"])
+
+    def _role(done: bool):
+        def _filter(b: pa.Table) -> pa.Table:
+            eq = pc.equal(b.column("_role"), "done")
+            if not done:
+                return b.filter(pc.invert(eq))
+            return b.filter(eq).drop_columns(["_role", "_w_uid"])
+
+        return _filter
+
+    staged = (events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow")
+              .groupby([key, "_chunk"])
+              .map_groups(_level1, batch_format="pandas")
+              .materialize())  # consumed twice: done and boundary
+    done = staged.map_batches(_role(True), batch_format="pyarrow")
+    fixed = (staged.map_batches(_role(False), batch_format="pyarrow")
+             .groupby(key).map_groups(_level2, batch_format="pandas"))
+    return done.union(fixed)
+
+
+def _row_split(k: int, lead: bool = False):
+    """``split`` of the row-count ops: a row settles once it has its k
+    in-chunk predecessors (successors for ``lead``).  The chunk's
+    first k rows are heads and its last k rows context for the next
+    chunk — mirrored for ``lead``."""
+
+    def _split(g: pd.DataFrame, chunk_start):
+        idx = np.arange(len(g))
+        first, last = idx < k, idx >= len(g) - k
+        return (last, first) if lead else (first, last)
+
+    return _split
 
 
 def tumbling_window_counts(events, *, key: str = "user_id", ts: str = "ts",
@@ -132,15 +208,19 @@ def session_windows(events, *, key: str = "user_id", ts: str = "ts",
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk,
                                      min_width=2 * delta)
 
-    def _sess(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(ts)
-        t = g[ts]
-        new = (t.diff() > delta).fillna(True)
-        sid = new.cumsum()
-        out = g.groupby(sid).agg(session_start=(ts, "min"), session_end=(ts, "max"),
-                                 n_events=(ts, "size")).reset_index(drop=True)
+    def _runs(g: pd.DataFrame, start: str, end: str, n_events) -> pd.DataFrame:
+        # a run ends where the next start is > gap past the max end so
+        # far (for events start == end, so this is the plain ts diff)
+        g = g.sort_values(start, kind="mergesort")
+        new = (g[start] - g[end].cummax().shift()) > delta
+        out = g.groupby(new.cumsum()).agg(
+            session_start=(start, "min"), session_end=(end, "max"),
+            n_events=n_events).reset_index(drop=True)
         out[key] = g[key].iloc[0]
         return out[[key, "session_start", "session_end", "n_events"]]
+
+    def _sess(g: pd.DataFrame) -> pd.DataFrame:
+        return _runs(g, ts, ts, (ts, "size"))
 
     if pre_split_chunk is None:
         return events.groupby(key).map_groups(_sess, batch_format="pandas")
@@ -149,26 +229,14 @@ def session_windows(events, *, key: str = "user_id", ts: str = "ts",
     if chunk <= delta:
         raise ValueError(f"pre_split_chunk {pre_split_chunk} must exceed gap {gap}")
 
-    def _add_chunk(b: pa.Table) -> pa.Table:
-        c = b.column(ts).to_pandas().dt.floor(chunk)
-        return b.append_column("_chunk", pa.Array.from_pandas(c))
-
     def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["session_start", "session_end"]).reset_index(drop=True)
-        rows = []
-        for r in g.itertuples(index=False):
-            if rows and (r.session_start - rows[-1]["session_end"]) <= delta:
-                rows[-1]["session_end"] = max(rows[-1]["session_end"], r.session_end)
-                rows[-1]["n_events"] += r.n_events
-            else:
-                rows.append({key: getattr(r, key), "session_start": r.session_start,
-                             "session_end": r.session_end, "n_events": r.n_events})
-        return pd.DataFrame(rows, columns=[key, "session_start", "session_end",
-                                           "n_events"])
+        # the cummax over all earlier sessions is the current run's max
+        # end: every earlier run ended more than gap before it
+        return _runs(g, "session_start", "session_end", ("n_events", "sum"))
 
-    chunked = events.map_batches(_add_chunk, batch_format="pyarrow")
-    per_chunk = chunked.groupby([key, "_chunk"]).map_groups(
-        lambda g: _sess(g.drop(columns=["_chunk"])), batch_format="pandas")
+    per_chunk = (events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow")
+                 .groupby([key, "_chunk"])
+                 .map_groups(_sess, batch_format="pandas"))
     return per_chunk.groupby(key).map_groups(_merge, batch_format="pandas")
 
 
@@ -182,64 +250,22 @@ def lag_column(events, *, key: str = "user_id", ts: str = "ts",
     no such event exists.
 
     Default: one group per key.  ``pre_split_chunk`` (e.g. "1D")
-    switches to the hot-key-safe two-level plan (same shape as
-    ``sliding_window_mean``'s): rows with ≥ n in-chunk predecessors
-    (successors for lead) settle in the per-(key, chunk) pass; each
-    chunk's boundary n rows become context, and the per-key fix-up
-    touches only O(#chunks × n) rows."""
+    switches to the shared two-level plan (``_context_plan``): rows
+    with ≥ n in-chunk predecessors (successors for lead) settle in the
+    per-(key, chunk) pass; each chunk's boundary n rows become
+    context, and the per-key fix-up touches only O(#chunks × n)
+    rows."""
     out = out or (f"lead_{value}" if lead else f"lag_{value}")
     shift = -n if lead else n
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk)
 
-    def _order_cols(g):
-        return [ts] + (["event_id"] if "event_id" in g.columns else [])
-
-    def _lag(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(_order_cols(g))
+    def _lag(g: pd.DataFrame) -> None:
         g[out] = g[value].shift(shift)
-        return g
 
     if pre_split_chunk is None:
-        return events.groupby(key).map_groups(_lag, batch_format="pandas")
-
-    chunk = pd.Timedelta(pre_split_chunk)
-
-    def _add_chunk(b: pa.Table) -> pa.Table:
-        c = b.column(ts).to_pandas().dt.floor(chunk)
-        return b.append_column("_chunk", pa.Array.from_pandas(c))
-
-    def _level1(g: pd.DataFrame) -> pd.DataFrame:
-        ck = g["_chunk"].iloc[0]
-        g = _lag(g.drop(columns=["_chunk"]))
-        _attach_uid(g, ck)
-        m = len(g)
-        idx = np.arange(m)
-        if lead:
-            settled_mask = idx < m - n     # have n in-chunk successors
-            head = g.iloc[idx[idx >= m - n]].copy()   # need next chunks
-            tail = g.iloc[: min(n, m)].copy()         # ctx for PREV chunk
-        else:
-            settled_mask = idx >= n        # have n in-chunk predecessors
-            head = g.iloc[idx[idx < n]].copy()        # need prev chunks
-            tail = g.iloc[max(0, m - n):].copy()      # ctx for NEXT chunk
-        settled = g.iloc[idx[settled_mask]].copy()
-        settled["_role"] = "done"
-        head["_role"] = "head"
-        tail["_role"] = "ctx"
-        return pd.concat([settled, head, tail], ignore_index=True)
-
-    def _level2(g: pd.DataFrame) -> pd.DataFrame:
-        heads = g[g["_role"] == "head"]
-        dedup = _level2_dedup(g, _order_cols(g))
-        dedup[out] = dedup[value].shift(shift)
-        return _keep_heads(dedup, heads)
-
-    chunked = events.map_batches(_add_chunk, batch_format="pyarrow")
-    staged = chunked.groupby([key, "_chunk"]).map_groups(
-        _level1, batch_format="pandas").materialize()
-    done, boundary = _role_split(staged)
-    fixed = boundary.groupby(key).map_groups(_level2, batch_format="pandas")
-    return done.union(fixed)
+        return _per_key(events, key, ts, _lag)
+    return _context_plan(events, key, ts, pd.Timedelta(pre_split_chunk),
+                         _lag, _row_split(n, lead))
 
 
 def sliding_window_mean(events, *, key: str = "user_id", ts: str = "ts",
@@ -250,73 +276,33 @@ def sliding_window_mean(events, *, key: str = "user_id", ts: str = "ts",
 
     Default: one group per key (the key's whole history sorts in one
     reducer — fine when no key is pathological).  ``pre_split_chunk``
-    (e.g. "1D") switches to the hot-key-safe two-level plan (round-2
-    verdict item 3 — the plan this docstring used to merely promise):
+    (e.g. "1D") switches to the shared two-level plan
+    (``_context_plan``):
 
     1. Per ``(key, time-chunk)`` group: sort, compute the rolling mean.
        Rows with ≥ window−1 in-chunk predecessors are SETTLED (their
-       window never crosses the chunk boundary).  Each chunk also
-       emits its first window−1 rows as UNSETTLED and its last
-       window−1 rows as boundary CONTEXT.
-    2. Per ``key`` group over (unsettled ∪ context) only — O(#chunks ×
+       window never crosses the chunk boundary).  The chunk's first
+       window−1 rows are heads, its last window−1 rows context.
+    2. Per ``key`` group over (heads ∪ context) only — O(#chunks ×
        window) rows per key, ≪ events: sort, recompute, keep the
-       corrected unsettled rows.
+       corrected heads.
 
-    Exact: an unsettled row's window−1 predecessors span at most
-    window−1 chunks back, and from each chunk at most its window−1
-    most recent events — all present in that chunk's context tail, so
-    the level-2 subsequence contains every true predecessor and no
-    impostor between them (any event time-between two of the last
-    window−1 events IS one of them).
+    Exact: a head's window−1 predecessors span at most window−1
+    chunks back, and from each chunk at most its window−1 most recent
+    events — all present in that chunk's context tail, so the level-2
+    subsequence contains every true predecessor and no impostor
+    between them (any event time-between two of the last window−1
+    events IS one of them).
     """
-
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk)
 
-    def _roll(g: pd.DataFrame) -> pd.DataFrame:
-        order = [ts] + (["event_id"] if "event_id" in g.columns else [])
-        g = g.sort_values(order)
+    def _roll(g: pd.DataFrame) -> None:
         g["rolling_mean"] = g[value].rolling(window, min_periods=1).mean()
-        return g
 
     if pre_split_chunk is None:
-        return events.groupby(key).map_groups(_roll, batch_format="pandas")
-
-    chunk = pd.Timedelta(pre_split_chunk)
-    w1 = window - 1
-
-    def _add_chunk(b: pa.Table) -> pa.Table:
-        c = b.column(ts).to_pandas().dt.floor(chunk)
-        return b.append_column("_chunk", pa.Array.from_pandas(c))
-
-    def _level1(g: pd.DataFrame) -> pd.DataFrame:
-        ck = g["_chunk"].iloc[0]
-        g = _roll(g.drop(columns=["_chunk"]))
-        _attach_uid(g, ck)
-        n = len(g)
-        idx = np.arange(n)
-        settled = g.iloc[idx[idx >= w1]].copy()
-        settled["_role"] = "done"
-        head = g.iloc[idx[idx < w1]].copy()
-        head["_role"] = "head"  # value provisional: may need prev-chunk ctx
-        tail = g.iloc[max(0, n - w1):].copy()
-        tail["_role"] = "ctx"
-        return pd.concat([settled, head, tail], ignore_index=True)
-
-    def _level2(g: pd.DataFrame) -> pd.DataFrame:
-        order = [ts] + (["event_id"] if "event_id" in g.columns else [])
-        heads = g[g["_role"] == "head"]
-        # head/ctx double-emissions collapse by row uid (NOT by the
-        # order columns — distinct tied-ts rows must all survive)
-        dedup = _level2_dedup(g, order)
-        dedup["rolling_mean"] = dedup[value].rolling(window, min_periods=1).mean()
-        return _keep_heads(dedup, heads)
-
-    chunked = events.map_batches(_add_chunk, batch_format="pyarrow")
-    staged = chunked.groupby([key, "_chunk"]).map_groups(
-        _level1, batch_format="pandas").materialize()  # consumed twice
-    done, boundary = _role_split(staged)
-    fixed = boundary.groupby(key).map_groups(_level2, batch_format="pandas")
-    return done.union(fixed)
+        return _per_key(events, key, ts, _roll)
+    return _context_plan(events, key, ts, pd.Timedelta(pre_split_chunk),
+                         _roll, _row_split(window - 1))
 
 
 def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
@@ -327,7 +313,7 @@ def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
 
     Default: one group per key (in-memory sort + cumsum).
     ``pre_split_chunk`` (e.g. "1D") switches to the hot-key-safe
-    two-level plan — simpler than lag/sliding because every row
+    two-level plan — simpler than the context plan because every row
     settles with ONE additive carry:
 
     1. Per ``(key, time-chunk)`` group: sort, WITHIN-chunk cumsum;
@@ -343,32 +329,19 @@ def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
     carry is added as one term instead of element-wise); within a
     chunk the accumulation order matches the single-group path.
     """
-
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk)
 
-    def _order_cols(g):
-        return [ts] + (["event_id"] if "event_id" in g.columns else [])
-
-    def _cum(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(_order_cols(g))
+    def _cum(g: pd.DataFrame) -> None:
         g[out] = g[value].cumsum()
-        return g
 
     if pre_split_chunk is None:
-        return events.groupby(key).map_groups(_cum, batch_format="pandas")
-
-    import pyarrow.compute as pc
+        return _per_key(events, key, ts, _cum)
 
     from .joins import apply_mapping
 
-    chunk = pd.Timedelta(pre_split_chunk)
-
-    def _add_chunk(b: pa.Table) -> pa.Table:
-        c = b.column(ts).to_pandas().dt.floor(chunk)
-        return b.append_column("_chunk", pa.Array.from_pandas(c))
-
     def _level1(g: pd.DataFrame) -> pd.DataFrame:
-        g = _cum(g)
+        g = _sorted(g, ts)
+        _cum(g)
         total = g.iloc[[-1]].copy()
         total["_total"] = g[out].iloc[-1]
         g["_total"] = np.nan
@@ -382,12 +355,8 @@ def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
             "_carry": g["_total"].cumsum().shift(1, fill_value=0.0),
         })
 
-    def _ck(b: pa.Table) -> pa.Table:
-        k = pc.cast(b.column(key), pa.string())
-        c = pc.cast(pc.cast(b.column("_chunk"), pa.int64()), pa.string())
-        return b.append_column("_ck", pc.binary_join_element_wise(k, c, "\x1f"))
-
-    staged = (events.map_batches(_add_chunk, batch_format="pyarrow")
+    chunk = pd.Timedelta(pre_split_chunk)
+    staged = (events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow")
               .groupby([key, "_chunk"])
               .map_groups(_level1, batch_format="pandas")
               .materialize())  # rows + summaries both consumed
@@ -398,8 +367,8 @@ def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
         lambda b: b.filter(pc.is_valid(b.column("_total"))),
         batch_format="pyarrow")
     carry = (totals.groupby(key).map_groups(_level2, batch_format="pandas")
-             .map_batches(_ck, batch_format="pyarrow"))
-    rows = rows.map_batches(_ck, batch_format="pyarrow")
+             .map_batches(_ck_map(key), batch_format="pyarrow"))
+    rows = rows.map_batches(_ck_map(key), batch_format="pyarrow")
     rows = apply_mapping(rows, carry, "_ck", "_ck", "_carry", "_carry")
 
     def _apply_carry(b: pa.Table) -> pa.Table:
@@ -422,26 +391,23 @@ def time_range_sum(events, *, key: str = "user_id", ts: str = "ts",
     sharing the exact ts are peers and all included, per SQL RANGE
     semantics — ties need no tiebreak column).
 
-    Default ``"auto"`` probes for hot keys (min chunk width = the
-    window width).  The chunked two-level plan mirrors
-    ``sliding_window_mean`` with time slices instead of row counts:
-    rows further than ``width`` from their chunk's start settle in the
-    per-(key, chunk) pass; each chunk's trailing ``width`` of rows is
-    boundary context; the per-key fix-up recomputes only the heads
-    over (heads ∪ context).  Exact because a head's window spans at
-    most one chunk back when chunk ≥ width (enforced)."""
+    Default ``"auto"`` probes for hot keys (min chunk width = 16 × the
+    window width).  The chunked plan is the shared ``_context_plan``
+    with time slices instead of row counts: rows further than
+    ``width`` from their chunk's start settle in the per-(key, chunk)
+    pass; each chunk's trailing ``width`` of rows is context; the
+    per-key fix-up recomputes only the heads over (heads ∪ context).
+    Exact because a head's window spans at most one chunk back when
+    chunk ≥ width (enforced)."""
     wid = pd.Timedelta(width)
 
-    def _rsum(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts] + (["event_id"] if "event_id" in g.columns
-                                  else []), kind="mergesort")
+    def _rsum(g: pd.DataFrame) -> None:
         t = g[ts].to_numpy()
         v = g[value].to_numpy(dtype=np.float64)
         cs = np.concatenate([[0.0], np.cumsum(v)])
         lo = np.searchsorted(t, t - wid, side="left")
         hi = np.searchsorted(t, t, side="right")  # include ts peers
         g[out] = cs[hi] - cs[lo]
-        return g
 
     # auto: a chunk must be MUCH wider than the window or the
     # boundary set (fraction ~2*width/chunk of every key's rows) eats
@@ -451,41 +417,16 @@ def time_range_sum(events, *, key: str = "user_id", ts: str = "ts",
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk,
                                      min_width=16 * wid)
     if pre_split_chunk is None:
-        return events.groupby(key).map_groups(_rsum, batch_format="pandas")
+        return _per_key(events, key, ts, _rsum)
 
     chunk = pd.Timedelta(pre_split_chunk)
     if chunk < wid:
         raise ValueError(
             f"pre_split_chunk {pre_split_chunk} must be >= width {width}")
 
-    def _add_chunk(b: pa.Table) -> pa.Table:
-        c = b.column(ts).to_pandas().dt.floor(chunk)
-        return b.append_column("_chunk", pa.Array.from_pandas(c))
-
-    def _level1(g: pd.DataFrame) -> pd.DataFrame:
-        chunk_start = g["_chunk"].iloc[0]
-        g = _rsum(g.drop(columns=["_chunk"]))
-        _attach_uid(g, chunk_start)
+    def _split(g: pd.DataFrame, chunk_start):
         t = g[ts]
-        head_mask = (t - chunk_start) < wid        # window may cross back
-        ctx_mask = t >= (chunk_start + chunk - wid)  # next chunk's deps
-        settled = g[~head_mask].copy()
-        settled["_role"] = "done"
-        head = g[head_mask].copy()
-        head["_role"] = "head"
-        ctxr = g[ctx_mask].copy()
-        ctxr["_role"] = "ctx"
-        return pd.concat([settled, head, ctxr], ignore_index=True)
+        # heads: window may cross back; ctx: the next chunk's deps
+        return (t - chunk_start) < wid, t >= chunk_start + chunk - wid
 
-    def _level2(g: pd.DataFrame) -> pd.DataFrame:
-        order = [ts] + (["event_id"] if "event_id" in g.columns else [])
-        heads = g[g["_role"] == "head"]
-        dedup = _rsum(_level2_dedup(g, order))
-        return _keep_heads(dedup, heads)
-
-    chunked = events.map_batches(_add_chunk, batch_format="pyarrow")
-    staged = chunked.groupby([key, "_chunk"]).map_groups(
-        _level1, batch_format="pandas").materialize()
-    done, boundary = _role_split(staged)
-    fixed = boundary.groupby(key).map_groups(_level2, batch_format="pandas")
-    return done.union(fixed)
+    return _context_plan(events, key, ts, chunk, _rsum, _split)

@@ -102,6 +102,43 @@ def test_write_jsonl_salt_shards(ray_session, tmp_path):
     assert not glob.glob(os.path.join(d2, ".part-*.tmp"))
 
 
+def test_publish_identical_bytes_race(tmp_path, monkeypatch):
+    """Two writers of byte-identical blocks share one content name.
+    Force both to have written their tmp before either renames: with
+    a shared tmp name the second rename finds no file
+    (FileNotFoundError); with per-writer tmp names both publish."""
+    import threading
+
+    from snorkel_ray.sources import readers
+
+    barrier = threading.Barrier(2)
+    real_replace = os.replace
+
+    def _replace_after_both_wrote(src, dst):
+        barrier.wait(timeout=30)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(readers.os, "replace", _replace_after_both_wrote)
+    out_dir = str(tmp_path)
+    paths, errors = [], []
+
+    def _writer():
+        try:
+            paths.append(readers._publish(out_dir, "part-x.jsonl", b"same\n"))
+        except Exception as e:  # surfaced by the asserts below
+            errors.append(e)
+
+    threads = [threading.Thread(target=_writer) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert paths == [os.path.join(out_dir, "part-x.jsonl")] * 2
+    assert open(paths[0], "rb").read() == b"same\n"
+    assert os.listdir(out_dir) == ["part-x.jsonl"]
+
+
 def test_read_jsonl_skips_non_dict_json(tmp_path):
     """Round-5 review: 'null', numbers and arrays are valid JSON but
     not records — crawl junk must be skipped, not crash obj.get."""

@@ -213,12 +213,13 @@ def test_sliding_presplit_matches_plain(ray_session):
 
 def test_sliding_presplit_bounds_group_size(ray_session):
     """A celebrity key's full history must never sort in one reducer:
-    level-2 groups hold only boundary rows (O(#chunks × window))."""
+    level-2 groups of the shared context plan hold only boundary rows,
+    at most 2·(window−1)·#chunks of them."""
     import ray.data as rd
 
     from snorkel_ray.stages import windows as W
 
-    n = 5000  # one hot key, ~35 events/chunk at 10-min spacing, 1D chunks
+    n, window = 5000, 3  # one hot key, 144 events/chunk at 10-min spacing
     base = pd.Timestamp("2024-01-01")
     df = pd.DataFrame({
         "user_id": 1,
@@ -228,14 +229,29 @@ def test_sliding_presplit_bounds_group_size(ray_session):
     })
     ds = rd.from_pandas(df).repartition(8)
 
-    seen = {"max": 0}
-    orig = W.sliding_window_mean
+    def _stamp(g):  # every row records the size of the group it saw
+        g["group_rows"] = len(g)
 
-    out = W.sliding_window_mean(ds, window=3, pre_split_chunk="1D").to_pandas()
+    out = W._context_plan(ds, "user_id", "ts", pd.Timedelta("1D"), _stamp,
+                          W._row_split(window - 1)).to_pandas()
+    out = out.sort_values("event_id").reset_index(drop=True)
+    assert len(out) == n
+    day = out["ts"].dt.floor("1D")
+    n_chunks = day.nunique()
+    is_head = out.groupby(day).cumcount() < window - 1
+    bound = 2 * (window - 1) * n_chunks
+    assert bound < n
+    assert out.loc[is_head, "group_rows"].max() <= bound
+    assert out.loc[~is_head, "group_rows"].max() <= 144  # one chunk
+
+    out = W.sliding_window_mean(ds, window=window,
+                                pre_split_chunk="1D").to_pandas()
     # correctness: trailing mean of consecutive ints is the middle value
     out = out.sort_values("event_id").reset_index(drop=True)
     assert out["rolling_mean"].iloc[0] == 0.0
     assert out["rolling_mean"].iloc[10] == 9.0  # mean(8, 9, 10)
+    assert (out["rolling_mean"].iloc[2:].to_numpy()
+            == np.arange(1, n - 1, dtype=np.float64)).all()
     assert len(out) == n
 
 
