@@ -1496,7 +1496,7 @@ def q_categorical_label_argmax(sf_dir: str):
     from ray.data.aggregate import Count
 
     from snorkel_ray.stages.label_model import (fit_label_model_cat,
-                                                pattern_counts_cat,
+                                                pattern_counts,
                                                 score_marginals_cat)
 
     ds = _read(sf_dir, "documents", ["n_chars"])
@@ -1513,7 +1513,7 @@ def q_categorical_label_argmax(sf_dir: str):
             off, pa.array(L.reshape(-1), pa.int8()))})
 
     labeled = ds.map_batches(_lfs, batch_format="pyarrow").materialize()
-    model = fit_label_model_cat(pattern_counts_cat(labeled), cardinality=3)
+    model = fit_label_model_cat(pattern_counts(labeled), cardinality=3)
     scored = score_marginals_cat(labeled, model)
     return (scored.groupby("y_hat").aggregate(Count(alias_name="n_docs"))
             .sort("y_hat"))
@@ -2166,7 +2166,9 @@ def q_tpch_q18(sf_dir: str):
     qty = (li.map_batches(_qty_partial, batch_format="pyarrow")
            .groupby("l_orderkey")
            .aggregate(Sum("sum_qty", alias_name="sum_qty")))
-    big = qty.map_batches(
+    # HAVING compares the duck-ROUNDED sum (as the oracle does), so
+    # accumulation-order ulp drift cannot flip membership at 250
+    big = _round_cols(qty, {"sum_qty": 2}).map_batches(
         lambda b: b.filter(pc.greater(b.column("sum_qty"), 250.0)),
         batch_format="pyarrow")
 
@@ -2180,8 +2182,7 @@ def q_tpch_q18(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     out = apply_mapping(orders, cust, "o_custkey", "c_custkey",
                         "c_name", "c_name")
-    out = _round_cols(out, {"sum_qty": 2}) \
-        .sort(["o_totalprice", "o_orderkey"], descending=[True, False]) \
+    out = out.sort(["o_totalprice", "o_orderkey"], descending=[True, False]) \
         .limit(100)
     return out.select_columns(["c_name", "o_custkey", "o_orderkey",
                                "o_orderdate", "o_totalprice", "sum_qty"])
@@ -3564,7 +3565,7 @@ def oracle_sql() -> dict[str, str]:
             JOIN lineitem ON o_orderkey = l_orderkey
             WHERE o_orderkey IN (SELECT l_orderkey FROM lineitem
                                  GROUP BY l_orderkey
-                                 HAVING sum(l_quantity) > 250)
+                                 HAVING round(sum(l_quantity), 2) > 250)
             GROUP BY c_name, o_custkey, o_orderkey, o_orderdate,
                      o_totalprice
             ORDER BY o_totalprice DESC, o_orderkey LIMIT 100""",

@@ -668,15 +668,6 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
     return routed.groupby("pair").map_groups(_verify, batch_format="pandas")
 
 
-def _union_find_labels(edges: pd.DataFrame) -> pd.DataFrame:
-    """Driver-side union-find → (node, label=min member); shared
-    implementation in canonicalize (used when the VERIFIED edge set is
-    ≪ the corpus)."""
-    from .canonicalize import union_find_labels
-
-    return union_find_labels(edges, "a", "b")
-
-
 def minhash_dedup(ds, column: str, id_column: str, *, num_perm: int = 64,
                   shingle_k: int = 3, bands: int = 16, threshold: float = 0.8,
                   seed: int = 17, driver_cc_threshold: int = 2_000_000,
@@ -710,7 +701,7 @@ def minhash_dedup(ds, column: str, id_column: str, *, num_perm: int = 64,
                                 shingle_k=shingle_k,
                                 threshold=threshold).materialize()
 
-    from .canonicalize import connected_components
+    from .canonicalize import connected_components, union_find_labels
     from .joins import apply_mapping
 
     def _ids_str(b: pa.Table) -> pa.Table:
@@ -730,7 +721,7 @@ def minhash_dedup(ds, column: str, id_column: str, *, num_perm: int = 64,
 
     if n_edges <= driver_cc_threshold:
         edf = kept.select_columns(["a", "b"]).to_pandas().astype(str)
-        comp = _union_find_labels(edf)
+        comp = union_find_labels(edf, "a", "b")
     else:
         def _edge_str(b: pa.Table) -> pa.Table:
             import pyarrow.compute as pc

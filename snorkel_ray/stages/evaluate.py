@@ -139,22 +139,11 @@ def score_vs_gold(scored, gold: pa.Table, *, threshold: float = 0.5) -> dict:
 
 def candidate_coverage(labeled) -> dict:
     """Fraction of candidates with ≥1 non-abstain vote, plus totals —
-    one pass of per-batch partials + a driver sum."""
+    a count-weighted sum over the label model's pattern table."""
+    from .label_model import _pattern_matrix, pattern_counts
 
-    def _partial(b: pa.Table) -> pa.Table:
-        L = b.column("L")
-        flat = np.asarray(L.combine_chunks().flatten() if isinstance(L, pa.ChunkedArray)
-                          else L.flatten(), dtype=np.int8)
-        n = b.num_rows
-        K = flat.size // max(n, 1) if n else 0
-        covered = int((flat.reshape(n, K) != 0).any(axis=1).sum()) if n else 0
-        return pa.table({"n": pa.array([n], pa.int64()),
-                         "covered": pa.array([covered], pa.int64())})
-
-    parts = labeled.map_batches(_partial, batch_format="pyarrow")
-    n = covered = 0
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        n += int(np.asarray(b.column("n")).sum())
-        covered += int(np.asarray(b.column("covered")).sum())
+    Lp, w = _pattern_matrix(pattern_counts(labeled))
+    n = int(w.sum())
+    covered = int(w @ (Lp != 0).any(axis=1))
     return {"n_candidates": n, "n_covered": covered,
             "coverage": covered / n if n else 0.0}

@@ -10,19 +10,26 @@ PATTERNS — with K LFs there are at most 3^K patterns and in practice a
 few hundred, so:
 
 1. [map_batches]  per-batch partial counts: pattern bytes -> n
-2. [groupby-agg]  global pattern counts (tiny all-to-all: rows ≤
+2. [driver]       streamed merge into global pattern counts (rows ≤
                   patterns × blocks, NOT candidates)
 3. [driver]       exact EM over the weighted patterns (numpy) —
                   identical result to EM over all rows
 4. [map_batches]  posteriors per candidate with the learned weights
                   captured in the task closure (broadcast once)
 
+One pattern table feeds everything: ``pattern_counts`` stores
+``vote + 1`` as one byte per LF, which covers binary votes {-1, 0, +1}
+and categorical votes {0..k} alike.  The binary and the categorical
+fit share one EM loop (``_em``) and one log-joint (``_log_joint``);
+the LF diagnostics (``lf_stats``, ``evaluate.candidate_coverage``) are
+weighted sums over the same table, not extra passes over ``L``.
+
 P/R ≥ 0.95 tolerance absorbs Gibbs-vs-EM estimator drift (SURVEY.md A4).
 
-Model: y ∈ {-1,+1}, prior π = P(y=+1); per-LF accuracy
-α_k = P(λ_k = y | λ_k ≠ 0) with abstain propensity independent of y
-(so it cancels in the posterior).  Posterior:
-P(y=+1 | λ) ∝ π · Π_{k: λ_k≠0} α_k^{[λ_k=+1]} (1-α_k)^{[λ_k=-1]}.
+Model: class prior π and a class-conditional vote table
+θ[k, c, v] = P(λ_k = v | y = c) — per-LF accuracy AND abstain
+propensity per class.  Posterior:
+P(y = c | λ) ∝ π_c · Π_k θ[k, c, λ_k].
 """
 
 from __future__ import annotations
@@ -30,20 +37,26 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+_BINARY_VOTES = (-1, 0, 1)
+
+
+def vote_matrix(batch: pa.Table) -> np.ndarray:
+    """The ``L`` list<int8> column of a batch as an (n, K) int8 matrix."""
+    L = batch.column("L")
+    flat = np.asarray(L.combine_chunks().flatten() if isinstance(L, pa.ChunkedArray)
+                      else L.flatten(), dtype=np.int8)
+    n = batch.num_rows
+    return flat.reshape(n, flat.size // n if n else 0)
+
 
 # ---------------------------------------------------------------------------
 # 1+2: pattern-count sufficient statistics
 # ---------------------------------------------------------------------------
 
 def _pattern_counts_batch(batch: pa.Table) -> pa.Table:
-    L = batch.column("L")
-    flat = np.asarray(L.combine_chunks().flatten() if isinstance(L, pa.ChunkedArray)
-                      else L.flatten(), dtype=np.int8)
-    n = batch.num_rows
-    if n == 0:
+    if batch.num_rows == 0:
         return pa.table({"pattern": pa.array([], pa.binary()), "n": pa.array([], pa.int64())})
-    K = flat.size // n
-    mat = (flat.reshape(n, K) + 1).astype(np.uint8)  # {-1,0,1} -> {0,1,2}
+    mat = (vote_matrix(batch) + 1).astype(np.uint8)  # vote v -> byte v + 1
     patterns, counts = np.unique(mat, axis=0, return_counts=True)
     return pa.table(
         {
@@ -53,12 +66,17 @@ def _pattern_counts_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def _accumulate_pattern_counts(partial) -> "pa.Table":
-    """Stream the per-block partials into an O(#patterns) driver dict —
-    NOT ``to_pandas()``: the partial stream is ≤ 3^K × num_blocks rows,
-    which at 10^12 docs (millions of blocks) would itself be billions
-    of rows; incremental accumulation keeps driver memory bounded by
-    the pattern space regardless of block count."""
+def pattern_counts(labeled) -> "pa.Table":
+    """labeled Dataset (with L column) → tiny driver-side table of
+    (pattern bytes, count), one byte ``vote + 1`` per LF, sorted by
+    pattern.  Pre-aggregated per block, then streamed into an
+    O(#patterns) driver dict (SURVEY.md A2/A3 partial+final).  Not a
+    Dataset all-to-all — an AllToAll appended to the live map chain
+    costs seconds of fixed shuffle setup for kilobytes of data — and
+    not ``to_pandas()``: the partial stream is ≤ patterns × blocks
+    rows, which at 10^12 docs (millions of blocks) would itself be
+    billions of rows."""
+    partial = labeled.map_batches(_pattern_counts_batch, batch_format="pyarrow")
     acc: dict[bytes, int] = {}
     for b in partial.iter_batches(batch_format="pyarrow"):
         if "pattern" not in b.schema.names:
@@ -71,19 +89,78 @@ def _accumulate_pattern_counts(partial) -> "pa.Table":
                      "n": pa.array([acc[k] for k in keys], pa.int64())})
 
 
-def pattern_counts(labeled) -> "pa.Table":
-    """labeled Dataset (with L column) → tiny driver-side table of
-    (pattern bytes, count). Pre-aggregated per block, then streamed
-    into a bounded driver accumulator (SURVEY.md A2/A3 partial+final;
-    no Dataset all-to-all — an AllToAll appended to the live map chain
-    costs seconds of fixed shuffle setup for kilobytes of data)."""
-    partial = labeled.map_batches(_pattern_counts_batch, batch_format="pyarrow")
-    return _accumulate_pattern_counts(partial)
+def _pattern_matrix(counts: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern table → (P, K) int8 votes and (P,) int64 counts."""
+    raw = counts.column("pattern").to_pylist()
+    if not raw:
+        return np.zeros((0, 0), np.int8), np.zeros(0, np.int64)
+    mat = np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(len(raw), -1)
+    return mat.astype(np.int8) - 1, counts.column("n").to_numpy().astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # 3: driver-side EM over weighted patterns
 # ---------------------------------------------------------------------------
+
+def _log_joint(L: np.ndarray, theta: np.ndarray, pi: np.ndarray, values) -> np.ndarray:
+    """log P(y = c, λ) for every row of an (n, K) vote matrix → (n, C);
+    ``values`` names the vote axis of θ[k, c, v]."""
+    if L.size and L.shape[1] != theta.shape[0]:
+        # without this the K-mismatch surfaces as an opaque matmul
+        # ValueError inside a Ray task (round-4 review); K=0 means the
+        # model was fit on ZERO pattern rows
+        raise ValueError(
+            f"posterior: vote matrix has K={L.shape[1]} LFs but the "
+            f"model was fit with K={theta.shape[0]}"
+            + (" — the fit sample selected zero rows (check "
+               "fit_sample_rows / fit_sample_fraction)"
+               if theta.shape[0] == 0 else ""))
+    lt = np.log(np.maximum(theta, 1e-300))
+    logp = np.tile(np.log(np.maximum(pi, 1e-300))[None, :], (L.shape[0], 1))
+    for vi, v in enumerate(values):
+        logp = logp + (L == v) @ lt[:, :, vi]
+    return logp
+
+
+def _softmax(logp: np.ndarray) -> np.ndarray:
+    e = np.exp(logp - logp.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _em(Lp: np.ndarray, w: np.ndarray, q: np.ndarray, values, *, n_iter: int,
+        tol: float, smooth: float, pi_floor: float):
+    """Exact class-conditional EM over weighted patterns: (P, K) votes
+    ``Lp`` with counts ``w`` and initial soft labels ``q`` (P, C) →
+    (θ[K, C, len(values)], π[C], health dict).  The health dict holds
+    ``n_iter_run``, ``converged`` (relative log-likelihood change below
+    ``tol``) and the final ``log_likelihood``."""
+    K, C = Lp.shape[1], q.shape[1]
+    w = w.astype(np.float64)
+    V = [(Lp == v) for v in values]
+    theta = np.full((K, C, len(values)), 1.0 / len(values))
+    pi = np.full(C, 1.0 / C)
+    ll, ll_old, it, converged = 0.0, -np.inf, 0, False
+    while it < n_iter and not converged:
+        it += 1
+        wq = w[:, None] * q
+        for vi in range(len(values)):
+            theta[:, :, vi] = V[vi].T @ wq + smooth
+        theta /= theta.sum(axis=2, keepdims=True)
+        pi = np.clip((wq.sum(axis=0) + smooth) / (w.sum() + C * smooth), pi_floor, 1.0)
+        pi = pi / pi.sum()
+        logp = _log_joint(Lp, theta, pi, values)
+        m = logp.max(axis=1, keepdims=True)
+        lse = m[:, 0] + np.log(np.exp(logp - m).sum(axis=1))
+        q = np.exp(logp - lse[:, None])
+        ll = float(w @ lse)
+        converged = abs(ll - ll_old) < tol * max(1.0, abs(ll_old))
+        ll_old = ll
+    return theta, pi, {"n_iter_run": it, "converged": bool(converged),
+                       "log_likelihood": ll}
+
+
+_NO_FIT = {"n_iter_run": 0, "converged": False, "log_likelihood": 0.0}
+
 
 def fit_label_model(counts: pa.Table, *, n_iter: int = 200, tol: float = 1e-9,
                     smooth: float = 0.2) -> dict:
@@ -96,43 +173,19 @@ def fit_label_model(counts: pa.Table, *, n_iter: int = 200, tol: float = 1e-9,
     LF that fires only on one class is itself evidence.
 
     Returns {"theta": float64[K, 2, 3] with P(λ=v|y), "pi": float,
-    "alpha": float64[K] accuracies for reporting} — a few hundred
+    "alpha": float64[K] accuracies for reporting, plus the EM health
+    ``n_iter_run``/``converged``/``log_likelihood``} — a few hundred
     floats; broadcast by closure capture into the scoring stage.
     """
-    pats = [np.frombuffer(b, dtype=np.uint8).astype(np.int8) - 1
-            for b in counts.column("pattern").to_pylist()]
-    if not pats:
-        return {"theta": np.zeros((0, 2, 3)), "pi": 0.5, "alpha": np.array([])}
-    Lp = np.stack(pats)  # (P, K) in {-1,0,1}
-    w = counts.column("n").to_numpy().astype(np.float64)  # (P,)
-    P, K = Lp.shape
-    # one-hot per vote value: V[v][p,k]; v index 0,1,2 = vote -1,0,+1
-    V = [(Lp == v) for v in (-1, 0, 1)]
-
-    # init: signed majority vote as soft labels
-    q = 1.0 / (1.0 + np.exp(-1.5 * Lp.sum(axis=1)))  # P(y=+1 | pattern)
-    pi = 0.5
-    theta = np.full((K, 2, 3), 1 / 3)  # [k, y(0:neg,1:pos), vote(-1,0,+1)]
-    ll_old = -np.inf
-    for _ in range(n_iter):
-        wq = w * q
-        wn = w * (1.0 - q)
-        for vi in range(3):
-            theta[:, 1, vi] = V[vi].T @ wq + smooth
-            theta[:, 0, vi] = V[vi].T @ wn + smooth
-        theta[:, 1, :] /= theta[:, 1, :].sum(axis=1, keepdims=True)
-        theta[:, 0, :] /= theta[:, 0, :].sum(axis=1, keepdims=True)
-        pi = float(np.clip((wq.sum() + smooth) / (w.sum() + 2 * smooth), 1e-6, 1 - 1e-6))
-        lt = np.log(theta)
-        logp_pos = np.log(pi) + sum(V[vi] @ lt[:, 1, vi] for vi in range(3))
-        logp_neg = np.log1p(-pi) + sum(V[vi] @ lt[:, 0, vi] for vi in range(3))
-        m = np.maximum(logp_pos, logp_neg)
-        lse = m + np.log(np.exp(logp_pos - m) + np.exp(logp_neg - m))
-        q = np.exp(logp_pos - lse)
-        ll = float(w @ lse)
-        if abs(ll - ll_old) < tol * max(1.0, abs(ll_old)):
-            break
-        ll_old = ll
+    Lp, w = _pattern_matrix(counts)
+    if not len(w):
+        return {"theta": np.zeros((0, 2, 3)), "pi": 0.5, "alpha": np.array([]), **_NO_FIT}
+    K = Lp.shape[1]
+    # init: signed majority vote as soft labels, P(y=+1 | pattern)
+    q = 1.0 / (1.0 + np.exp(-1.5 * Lp.sum(axis=1)))
+    theta, pi_c, health = _em(Lp, w, np.stack([1.0 - q, q], axis=1), _BINARY_VOTES,
+                              n_iter=n_iter, tol=tol, smooth=smooth, pi_floor=1e-6)
+    pi = float(pi_c[1])
 
     # Identifiability (label switching): orient so that LFs agree with
     # their own votes better than chance on average — the reference's
@@ -147,7 +200,7 @@ def fit_label_model(counts: pa.Table, *, n_iter: int = 200, tol: float = 1e-9,
         pi = 1.0 - pi
         acc_pos, acc_neg = 1 - acc_neg, 1 - acc_pos
     alpha = 0.5 * (acc_pos + acc_neg)
-    return {"theta": theta, "pi": pi, "alpha": alpha}
+    return {"theta": theta, "pi": pi, "alpha": alpha, **health}
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +211,7 @@ def posterior(L: np.ndarray, theta: np.ndarray, pi: float) -> np.ndarray:
     """P(y=+1 | λ) for an (n, K) int8 vote matrix — reference
     ``GenerativeModel.marginals`` ≈L600–700, closed form under the
     class-conditional categorical model."""
-    if L.size and L.shape[1] != theta.shape[0]:
-        # without this the K-mismatch surfaces as an opaque matmul
-        # ValueError inside a Ray task (round-4 review); K=0 means the
-        # model was fit on ZERO pattern rows
-        raise ValueError(
-            f"posterior: vote matrix has K={L.shape[1]} LFs but the "
-            f"model was fit with K={theta.shape[0]}"
-            + (" — the fit sample selected zero rows (check "
-               "fit_sample_rows / fit_sample_fraction)"
-               if theta.shape[0] == 0 else ""))
-    lt = np.log(np.maximum(theta, 1e-300))
-    logp_pos = np.full(L.shape[0], np.log(pi))
-    logp_neg = np.full(L.shape[0], np.log1p(-pi))
-    for vi, v in enumerate((-1, 0, 1)):
-        m = L == v
-        logp_pos = logp_pos + m @ lt[:, 1, vi]
-        logp_neg = logp_neg + m @ lt[:, 0, vi]
-    m = np.maximum(logp_pos, logp_neg)
-    return np.exp(logp_pos - m) / (np.exp(logp_pos - m) + np.exp(logp_neg - m))
+    return _softmax(_log_joint(L, theta, np.array([1.0 - pi, pi]), _BINARY_VOTES))[:, 1]
 
 
 def score_marginals(labeled, model: dict, *, batch_size: int | None = None):
@@ -186,12 +221,7 @@ def score_marginals(labeled, model: dict, *, batch_size: int | None = None):
     pi = float(model["pi"])
 
     def _score(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        Lc = batch.column("L")
-        flat = np.asarray(Lc.combine_chunks().flatten() if isinstance(Lc, pa.ChunkedArray)
-                          else Lc.flatten(), dtype=np.int8)
-        K = flat.size // max(n, 1)
-        p = posterior(flat.reshape(n, K), theta, pi) if n else np.array([])
+        p = posterior(vote_matrix(batch), theta, pi) if batch.num_rows else np.array([])
         return batch.append_column("p", pa.array(p.astype(np.float32), pa.float32()))
 
     return labeled.map_batches(_score, batch_format="pyarrow", batch_size=batch_size)
@@ -226,32 +256,8 @@ def load_model(path: str) -> dict:
 # ≈L40–600, snorkel/models/candidate.py ≈L1–180; the reference test
 # suite has a categorical variant, SURVEY.md §5).  Votes follow the
 # reference's categorical convention: λ ∈ {0, 1..k}, 0 = abstain.
-# Same streaming recast as the binary model: pattern counts → driver EM
-# → broadcast scoring.
+# Same pattern table, EM loop and log-joint as the binary model.
 # ---------------------------------------------------------------------------
-
-
-def _pattern_counts_batch_cat(batch: pa.Table) -> pa.Table:
-    L = batch.column("L")
-    flat = np.asarray(L.combine_chunks().flatten() if isinstance(L, pa.ChunkedArray)
-                      else L.flatten(), dtype=np.int8)
-    n = batch.num_rows
-    if n == 0:
-        return pa.table({"pattern": pa.array([], pa.binary()),
-                         "n": pa.array([], pa.int64())})
-    K = flat.size // n
-    mat = flat.reshape(n, K).astype(np.uint8)  # votes already ≥ 0
-    patterns, counts = np.unique(mat, axis=0, return_counts=True)
-    return pa.table({"pattern": pa.array([p.tobytes() for p in patterns], pa.binary()),
-                     "n": pa.array(counts.astype(np.int64), pa.int64())})
-
-
-def pattern_counts_cat(labeled) -> "pa.Table":
-    """Categorical-vote twin of ``pattern_counts`` (votes {0..k} pack
-    into uint8 bytes directly; ≤ (k+1)^K patterns, bounded per batch;
-    same streaming driver accumulator)."""
-    partial = labeled.map_batches(_pattern_counts_batch_cat, batch_format="pyarrow")
-    return _accumulate_pattern_counts(partial)
 
 
 def fit_label_model_cat(counts: pa.Table, cardinality: int, *, n_iter: int = 300,
@@ -268,76 +274,36 @@ def fit_label_model_cat(counts: pa.Table, cardinality: int, *, n_iter: int = 300
     label switching.
 
     Returns {"theta": float64[K, k, k+1], "pi": float64[k],
-    "cardinality": k}."""
+    "cardinality": k, plus the EM health ``n_iter_run``/``converged``/
+    ``log_likelihood``}."""
     C = int(cardinality)
-    pats = [np.frombuffer(b, dtype=np.uint8) for b in counts.column("pattern").to_pylist()]
-    if not pats:
+    Lp, w = _pattern_matrix(counts)
+    if not len(w):
         return {"theta": np.zeros((0, C, C + 1)), "pi": np.full(C, 1.0 / C),
-                "cardinality": C}
-    Lp = np.stack(pats).astype(np.int64)  # (P, K) in {0..C}
-    w = counts.column("n").to_numpy().astype(np.float64)
-    P, K = Lp.shape
-    V = [(Lp == v) for v in range(C + 1)]  # V[v][p, k]
+                "cardinality": C, **_NO_FIT}
 
     # init: soft majority vote anchored to vote values
-    votes_per_class = np.stack([V[c + 1].sum(axis=1) for c in range(C)], axis=1)
+    votes_per_class = np.stack([(Lp == c + 1).sum(axis=1) for c in range(C)], axis=1)
     q = np.exp(1.5 * (votes_per_class - votes_per_class.max(axis=1, keepdims=True)))
     q /= q.sum(axis=1, keepdims=True)  # (P, C)
-
-    pi = np.full(C, 1.0 / C)
-    theta = np.full((K, C, C + 1), 1.0 / (C + 1))
-    ll_old = -np.inf
-    for _ in range(n_iter):
-        wq = w[:, None] * q  # (P, C)
-        for v in range(C + 1):
-            theta[:, :, v] = V[v].T @ wq + smooth  # (K, C)
-        theta /= theta.sum(axis=2, keepdims=True)
-        pi = np.clip((wq.sum(axis=0) + smooth) / (w.sum() + C * smooth), 1e-9, 1.0)
-        pi = pi / pi.sum()
-        lt = np.log(theta)
-        logp = np.log(pi)[None, :] + sum(V[v] @ lt[:, :, v] for v in range(C + 1))
-        m = logp.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(logp - m).sum(axis=1))
-        q = np.exp(logp - lse[:, None])
-        ll = float(w @ lse)
-        if abs(ll - ll_old) < tol * max(1.0, abs(ll_old)):
-            break
-        ll_old = ll
+    theta, pi, health = _em(Lp, w, q, range(C + 1), n_iter=n_iter, tol=tol,
+                            smooth=smooth, pi_floor=1e-9)
 
     # greedy permutation: re-anchor class index c to the vote value it
     # best explains (undoes residual label switching)
     score = theta[:, :, 1:].sum(axis=0)  # (C classes, C vote values)
-    perm = np.full(C, -1, dtype=np.int64)
-    used_cls, used_vote = set(), set()
-    for _ in range(C):
-        best, bc, bv = -np.inf, -1, -1
-        for c in range(C):
-            if c in used_cls:
-                continue
-            for v in range(C):
-                if v in used_vote:
-                    continue
-                if score[c, v] > best:
-                    best, bc, bv = score[c, v], c, v
-        perm[bv] = bc
-        used_cls.add(bc)
-        used_vote.add(bv)
-    theta = theta[:, perm, :]
-    pi = pi[perm]
-    return {"theta": theta, "pi": pi, "cardinality": C}
+    perm = np.empty(C, dtype=np.int64)
+    for _ in range(C):  # first maximum in row-major order wins ties
+        c, v = np.unravel_index(np.argmax(score), score.shape)
+        perm[v] = c
+        score[c, :] = score[:, v] = -np.inf
+    return {"theta": theta[:, perm, :], "pi": pi[perm], "cardinality": C, **health}
 
 
 def posterior_cat(L: np.ndarray, theta: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """(n, K) votes in {0..k} → (n, k) class posteriors (reference
     categorical ``GenerativeModel.marginals``)."""
-    C = theta.shape[1]
-    lt = np.log(np.maximum(theta, 1e-300))
-    logp = np.tile(np.log(np.maximum(pi, 1e-300))[None, :], (L.shape[0], 1))
-    for v in range(C + 1):
-        logp = logp + (L == v) @ lt[:, :, v]
-    m = logp.max(axis=1, keepdims=True)
-    e = np.exp(logp - m)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax(_log_joint(L, theta, pi, range(theta.shape[1] + 1)))
 
 
 def score_marginals_cat(labeled, model: dict, *, batch_size: int | None = None):
@@ -349,16 +315,8 @@ def score_marginals_cat(labeled, model: dict, *, batch_size: int | None = None):
 
     def _score(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        Lc = batch.column("L")
-        flat = np.asarray(Lc.combine_chunks().flatten() if isinstance(Lc, pa.ChunkedArray)
-                          else Lc.flatten(), dtype=np.int8)
-        K = flat.size // max(n, 1)
-        if n:
-            post = posterior_cat(flat.reshape(n, K), theta, pi)
-            y_hat = post.argmax(axis=1).astype(np.int32) + 1
-        else:
-            post = np.zeros((0, C))
-            y_hat = np.zeros(0, np.int32)
+        post = posterior_cat(vote_matrix(batch), theta, pi) if n else np.zeros((0, C))
+        y_hat = post.argmax(axis=1).astype(np.int32) + 1
         off = pa.array(np.arange(0, (n + 1) * C, C, dtype=np.int32))
         pcol = pa.ListArray.from_arrays(
             off, pa.array(post.reshape(-1).astype(np.float32), pa.float32()))
@@ -372,52 +330,25 @@ def score_marginals_cat(labeled, model: dict, *, batch_size: int | None = None):
 # LF diagnostics (SURVEY.md A2: coverage / overlap / conflict)
 # ---------------------------------------------------------------------------
 
-def _lf_stats_batch(batch: pa.Table) -> pa.Table:
-    Lc = batch.column("L")
-    flat = np.asarray(Lc.combine_chunks().flatten() if isinstance(Lc, pa.ChunkedArray)
-                      else Lc.flatten(), dtype=np.int8)
-    n = batch.num_rows
-    K = flat.size // max(n, 1) if n else 0
-    M = flat.reshape(n, K) if n else np.zeros((0, 0), np.int8)
-    nz = M != 0
-    labeled_count = nz.sum(axis=1)
-    others = labeled_count[:, None] - nz  # how many OTHER LFs labeled each row
-    overlap = (nz & (others > 0)).sum(axis=0)
-    pos_any = (M == 1).any(axis=1)
-    neg_any = (M == -1).any(axis=1)
-    disagree_row = pos_any & neg_any
-    conflict = (nz & disagree_row[:, None]).sum(axis=0)
-    return pa.table(
-        {
-            "lf_idx": pa.array(np.arange(K, dtype=np.int32), pa.int32()),
-            "n_rows": pa.array(np.full(K, n, dtype=np.int64), pa.int64()),
-            "n_labeled": pa.array(nz.sum(axis=0).astype(np.int64), pa.int64()),
-            "n_overlap": pa.array(overlap.astype(np.int64), pa.int64()),
-            "n_conflict": pa.array(conflict.astype(np.int64), pa.int64()),
-        }
-    )
-
-
 def lf_stats(labeled, lf_names: list[str]) -> "pa.Table":
-    """Per-LF coverage/overlap/conflict via partial per-batch count
-    vectors, K-row partials merged on the driver (reference
-    ``lf_stats`` semantics; same no-AllToAll rationale as
-    ``pattern_counts``)."""
-    partial = labeled.map_batches(_lf_stats_batch, batch_format="pyarrow")
+    """Per-LF coverage/overlap/conflict (reference ``lf_stats``
+    semantics) as count-weighted sums over the pattern table — no pass
+    over ``L`` of its own."""
+    Lp, w = _pattern_matrix(pattern_counts(labeled))
     K = len(lf_names)
-    acc = np.zeros((K, 4), dtype=np.int64)  # rows, labeled, overlap, conflict
-    for b in partial.iter_batches(batch_format="pyarrow"):
-        if "lf_idx" not in b.schema.names or b.num_rows == 0:
-            continue
-        idx = np.asarray(b.column("lf_idx"))
-        for j, col in enumerate(("n_rows", "n_labeled", "n_overlap", "n_conflict")):
-            np.add.at(acc[:, j], idx, np.asarray(b.column(col)))
-    n = np.maximum(acc[:, 0].astype(np.float64), 1)
+    if not len(w):
+        Lp = np.zeros((0, K), np.int8)
+    elif Lp.shape[1] != K:
+        raise ValueError(f"lf_stats: L has {Lp.shape[1]} LFs but {K} names were given")
+    nz = Lp != 0
+    others = nz.sum(axis=1)[:, None] - nz  # how many OTHER LFs labeled each pattern
+    disagree = (Lp == 1).any(axis=1) & (Lp == -1).any(axis=1)
+    n = max(int(w.sum()), 1)
     return pa.table(
         {
             "lf_name": pa.array(list(lf_names), pa.string()),
-            "coverage": pa.array(acc[:, 1] / n, pa.float64()),
-            "overlap": pa.array(acc[:, 2] / n, pa.float64()),
-            "conflict": pa.array(acc[:, 3] / n, pa.float64()),
+            "coverage": pa.array((w @ nz) / n, pa.float64()),
+            "overlap": pa.array((w @ (nz & (others > 0))) / n, pa.float64()),
+            "conflict": pa.array((w @ (nz & disagree[:, None])) / n, pa.float64()),
         }
     )

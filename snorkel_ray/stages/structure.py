@@ -18,14 +18,12 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .label_model import vote_matrix
+
 
 def _moments_batch(batch: pa.Table) -> pa.Table:
-    L = batch.column("L")
-    flat = np.asarray(L.combine_chunks().flatten() if isinstance(L, pa.ChunkedArray)
-                      else L.flatten(), dtype=np.int8)
-    n = batch.num_rows
-    K = flat.size // max(n, 1) if n else 0
-    M = flat.reshape(n, K).astype(np.float64) if n else np.zeros((0, 0))
+    M = vote_matrix(batch).astype(np.float64)
+    n, K = M.shape
     nz = (M != 0).astype(np.float64)
     # agree via one K x K matmul per distinct label value: the old
     # (n, K, K) boolean broadcast materialized rows x K^2 temporaries

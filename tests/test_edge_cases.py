@@ -81,7 +81,7 @@ def test_new_ops_empty_inputs(ray_session):
     from snorkel_ray.functions.matchers import DictionaryMatch
     from snorkel_ray.stages.joins import apply_mapping
     from snorkel_ray.stages.label_model import (fit_label_model_cat,
-                                                pattern_counts_cat)
+                                                pattern_counts)
     from snorkel_ray.stages.nary import candidate_subclass, \
         extract_nary_candidates
     from snorkel_ray.stages.windows import session_windows
@@ -100,7 +100,7 @@ def test_new_ops_empty_inputs(ray_session):
     assert extract_nary_candidates(empty_sents, cls, [m, m]).count() == 0
 
     empty_l = rd.from_arrow(pa.table({"L": pa.array([], pa.list_(pa.int8()))}))
-    model = fit_label_model_cat(pattern_counts_cat(empty_l), cardinality=3)
+    model = fit_label_model_cat(pattern_counts(empty_l), cardinality=3)
     assert model["theta"].shape[0] == 0
 
     base = rd.from_items([{"k": "a"}, {"k": "b"}])

@@ -75,7 +75,7 @@ def test_categorical_label_model_recovery(ray_session):
     import ray.data as rd
 
     from snorkel_ray.stages.label_model import (fit_label_model_cat,
-                                                pattern_counts_cat,
+                                                pattern_counts,
                                                 posterior_cat)
 
     rng = np.random.default_rng(5)
@@ -97,7 +97,7 @@ def test_categorical_label_model_recovery(ray_session):
         off, pa.array(L.reshape(-1), pa.int8()))})
     ds = rd.from_arrow(tbl).repartition(8)
 
-    model = fit_label_model_cat(pattern_counts_cat(ds), cardinality=C)
+    model = fit_label_model_cat(pattern_counts(ds), cardinality=C)
     theta, pi = model["theta"], model["pi"]
     assert np.allclose(np.sort(pi)[::-1], pi_true, atol=0.05)
     for k in range(K):
@@ -145,3 +145,77 @@ def test_model_save_load_roundtrip(ray_session, tmp_path):
     a = score_marginals(ds, model).to_pandas()["p"]
     b = score_marginals(ds, loaded).to_pandas()["p"]
     assert np.allclose(sorted(a), sorted(b))
+
+
+def test_em_reports_convergence():
+    """Both fits return the EM health: iterations run, a converged
+    flag and the final log-likelihood."""
+    from snorkel_ray.stages.label_model import fit_label_model_cat
+
+    counts = counts_table(synth_L()[0])
+    model = fit_label_model(counts)
+    assert model["converged"] is True
+    assert 1 < model["n_iter_run"] < 200
+    assert np.isfinite(model["log_likelihood"]) and model["log_likelihood"] < 0
+    one = fit_label_model(counts, n_iter=1)
+    assert one["converged"] is False and one["n_iter_run"] == 1
+    # the categorical fit reports through the same loop (class 2 = -1)
+    L = synth_L()[0]
+    cat_counts = counts_table(np.where(L == -1, 2, L).astype(np.int8))
+    cat = fit_label_model_cat(cat_counts, cardinality=2)
+    assert cat["converged"] is True and 1 < cat["n_iter_run"] < 300
+    assert fit_label_model_cat(cat_counts, cardinality=2, n_iter=1)["converged"] is False
+
+
+def _l_dataset(L, blocks):
+    import ray.data as rd
+
+    n, K = L.shape
+    off = pa.array(np.arange(0, (n + 1) * K, K, dtype=np.int32))
+    return rd.from_arrow(pa.table({"L": pa.ListArray.from_arrays(
+        off, pa.array(L.reshape(-1), pa.int8()))})).repartition(blocks).materialize()
+
+
+def test_diagnostics_match_per_row_numpy(ray_session):
+    """lf_stats and candidate_coverage are derived from the pattern
+    table; over a multi-block dataset they must equal the direct
+    per-row computation on the full matrix."""
+    from snorkel_ray.stages.evaluate import candidate_coverage
+    from snorkel_ray.stages.label_model import lf_stats
+
+    rng = np.random.default_rng(11)
+    n, K = 3000, 5
+    L = rng.choice([-1, 0, 1], size=(n, K), p=[0.25, 0.5, 0.25]).astype(np.int8)
+    L[:40] = 0  # some all-abstain rows
+    ds = _l_dataset(L, 6)
+    assert ds.num_blocks() >= 4
+
+    nz = L != 0
+    others = nz.sum(axis=1)[:, None] - nz
+    disagree = (L == 1).any(axis=1) & (L == -1).any(axis=1)
+    want = {"coverage": nz.mean(axis=0),
+            "overlap": (nz & (others > 0)).mean(axis=0),
+            "conflict": (nz & disagree[:, None]).mean(axis=0)}
+    got = lf_stats(ds, [f"lf{k}" for k in range(K)]).to_pandas()
+    for col, v in want.items():
+        np.testing.assert_allclose(got[col].to_numpy(), v, rtol=0, atol=1e-12)
+
+    cov = candidate_coverage(ds)
+    covered = int(nz.any(axis=1).sum())
+    assert cov == {"n_candidates": n, "n_covered": covered, "coverage": covered / n}
+
+
+def test_categorical_pattern_counts_round_trip(ray_session):
+    """Categorical votes {0..k} share the binary table's vote + 1
+    encoding: decoding the patterns, repeated by their counts, gives
+    back the vote rows."""
+    from snorkel_ray.stages.label_model import _pattern_matrix, pattern_counts
+
+    rng = np.random.default_rng(4)
+    L = rng.integers(0, 4, size=(500, 3)).astype(np.int8)
+    Lp, w = _pattern_matrix(pattern_counts(_l_dataset(L, 4)))
+    assert w.sum() == len(L)
+    back = np.repeat(Lp, w, axis=0)
+    want = np.unique(L, axis=0, return_counts=True)
+    np.testing.assert_array_equal(np.unique(back, axis=0), want[0])
+    np.testing.assert_array_equal(w, want[1])

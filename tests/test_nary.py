@@ -154,7 +154,7 @@ def test_nary_with_categorical_label_model_e2e(ray_session):
 
     from snorkel_ray.functions.matchers import DictionaryMatch
     from snorkel_ray.stages.label_model import (fit_label_model_cat,
-                                                pattern_counts_cat,
+                                                pattern_counts,
                                                 score_marginals_cat)
     from snorkel_ray.stages.nary import candidate_subclass, \
         extract_nary_candidates
@@ -190,7 +190,7 @@ def test_nary_with_categorical_label_model_e2e(ray_session):
             off, pa.array(L.reshape(-1), pa.int8())))
 
     labeled = cands.map_batches(_lfs, batch_format="pyarrow").materialize()
-    model = fit_label_model_cat(pattern_counts_cat(labeled),
+    model = fit_label_model_cat(pattern_counts(labeled),
                                 cardinality=cls.cardinality)
     scored = score_marginals_cat(labeled, model).to_pandas()
     assert len(scored) == 30
