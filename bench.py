@@ -150,18 +150,19 @@ def run_bench() -> dict:
         lambda b: pa.table({"n": pa.array([b.num_rows], pa.int64())}),
         batch_format="pyarrow").count()
 
-    n_triples = 0
+    n_triples, fit = 0, {}
 
     def _headline():
-        nonlocal n_triples
+        nonlocal n_triples, fit
         # ≥4 blocks per CPU for balance, AND ≤5k pages per block so a
         # task's working set (html + token lists) stays bounded — too
         # few blocks at low CPU counts ballooned task heaps 3x wall time
         blocks = max(NUM_CPUS * 4, BENCH_PAGES // 5000)
         pages = rd.read_parquet(pages_path, override_num_blocks=blocks)
-        triples, _ = run_kg_pipeline(pages, at, kb["facts"],
-                                     fit_sample_rows=20_000)
+        triples, info = run_kg_pipeline(pages, at, kb["facts"])
         n_triples = triples.count()
+        fit = {k: info["model"][k] for k in
+               ("patterns", "rows", "n_iter_run", "converged", "log_likelihood")}
 
     # median of N repeats — single-run wall time varies >2x on this
     # shared sandbox (BASELINE.md protocol: repeat 3x, report median).
@@ -180,6 +181,8 @@ def run_bench() -> dict:
     results["kg_pipeline_synth"] = round(headline_sec, 3)
     results["kg_pipeline_synth_runs"] = [round(t, 3) for t, _, _ in timed_runs]
     results["kg_pipeline_synth_min"] = round(times[0], 3)
+    # what the last run's label model saw and how its EM ended
+    results["kg_pipeline_synth_fit"] = fit
     results["loadavg_per_run"] = [[round(a, 2), round(b, 2)]
                                   for _, a, b in timed_runs]
 

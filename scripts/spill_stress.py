@@ -107,8 +107,7 @@ def phase_flagship() -> dict:
 
     t0 = time.perf_counter()
     pages = rd.read_parquet(pages_path)
-    triples, _info = run_kg_pipeline(pages, at, kb["facts"],
-                                     fit_sample_rows=20_000)
+    triples, _info = run_kg_pipeline(pages, at, kb["facts"])
     n_triples = triples.count()
     wall = time.perf_counter() - t0
     out = {"phase": "flagship", "n_pages": N_PAGES,

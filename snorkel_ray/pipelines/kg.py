@@ -1,37 +1,41 @@
 """Flagship end-to-end KG-construction pipeline (north star).
 
 pages → [filter lang] → html_to_text → sentences → candidates (actor
-pool, broadcast alias dict) → labeling functions → label-model fit
-(streaming pattern-count sufficient stats + driver EM) → marginal
-scoring → entity linking (actor pool) → dedup/sort/write triples.
+pool, broadcast alias dict) → labeling functions → entity linking →
+(triple, vote-pattern) partials → label-model fit on their counts →
+score the partials → dedup/sort/write triples.
 
-This module is the ONE definition of the flagship's labeled chain
+This module is the ONE definition of the flagship: the labeled chain
 (``_kb_broadcasts`` → ``_labeled_chain`` with ``_labeled_params`` as
-its checkpoint fingerprint).  ``run_kg_pipeline`` streams it;
-``state.sharded.run_kg_pipeline_sharded`` runs the same functions per
-input shard, so sharded == streaming by construction.
+its checkpoint fingerprint) and the tail ``_triples``.
+``run_kg_pipeline`` streams both; ``state.sharded.run_kg_pipeline_sharded``
+runs the labeled chain per input shard and then the same ``_triples``,
+so sharded == streaming by construction.
 
 Reference lifecycle being recast: SURVEY.md §3 E1/E2 (parse → extract
 → label → supervise → score), with the RDBMS replaced by Dataset
 lineage + per-stage parquet checkpoints.
 
-Control leaves the Ray Data DAG exactly once: the tiny EM fit between
-the pattern-count aggregate and the scoring map (SURVEY.md A4 —
-driver-side fit over K≲10-dim statistics, weights broadcast back by
-closure capture).
+One pass, one exact fit: ``p`` depends only on a row's vote pattern,
+so the triple combiner and the label model's statistic are one
+partial aggregate (SUDAF's shared state).  Control leaves the Ray Data
+DAG once, for the tiny EM fit on the partials' pattern counts
+(SURVEY.md A4); the weights ride back by closure capture.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.candidates import extract_candidates_fused
 from ..stages.extract import extract_docs
-from ..stages.label_model import fit_label_model, pattern_counts, score_marginals
+from ..stages.label_model import fit_label_model, lf_stats, pattern_counts, score_marginals
 from ..stages.labeling import apply_lfs
 from ..stages.linking import build_link_index
-from ..stages.materialize import link_candidates, materialize_triples
+from ..stages.materialize import link_candidates, materialize_triples, triple_partials
 from ..state.checkpoint import CheckpointedPipeline, fingerprint
 from ..state.resources import broadcast_key
 
@@ -105,6 +109,59 @@ def _labeled_chain(pages, alias_ref, kb_ref, lang, cooccur_pred, cooccur_gap,
     return _chain(normal).union(_chain(giant, batch_size=1))
 
 
+def _triples(linked, threshold, out_dir=None):
+    """The flagship's tail, shared by both runners: linked rows →
+    (triple, vote-pattern) partials, the only pin → exact EM fit on
+    their pattern counts → score the partials → best witness per
+    triple.  → (triples Dataset, model, partials)."""
+    parts = triple_partials(linked).materialize()
+    model = fit_label_model(pattern_counts(parts))
+    triples = materialize_triples(score_marginals(parts, model),
+                                  threshold=threshold, out_dir=out_dir)
+    return triples, model, parts
+
+
+def _canonicalize(linked, pin: bool):
+    """Re-key subj/obj qids through the canonical entity map (groupby
+    on normalized entity keys + connected components through shared
+    qids).  A dictionary linker already anchors every linked key, so
+    this only helps corpora with colliding/unlinked surface forms —
+    hence opt-in.  ``linked`` has two consumers (the edge view and
+    apply_mapping): ``pin`` it when no stage parquet backs it."""
+    from ..stages.canonicalize import canonical_entity_map
+    from ..stages.joins import apply_mapping
+
+    def _edges_view(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "entity_key": pa.concat_arrays([
+                b.column("subj_key").combine_chunks(),
+                b.column("obj_key").combine_chunks()]),
+            "qid": pa.concat_arrays([
+                b.column("subj_qid").combine_chunks(),
+                b.column("obj_qid").combine_chunks()]),
+        })
+
+    if pin:
+        linked = linked.materialize()
+    cmap = canonical_entity_map(
+        linked.map_batches(_edges_view, batch_format="pyarrow")).materialize()
+
+    # apply_mapping broadcasts the map when it fits and falls back to a
+    # hash join when it doesn't (no driver dict of entity keys)
+    for side in ("subj", "obj"):
+        linked = apply_mapping(linked, cmap, f"{side}_key", "entity_key",
+                               "canonical_id", f"_{side}_canon",
+                               default_col=f"{side}_qid")
+
+    def _swap(b: pa.Table) -> pa.Table:
+        for side in ("subj", "obj"):
+            b = b.set_column(b.schema.get_field_index(f"{side}_qid"),
+                             f"{side}_qid", b.column(f"_{side}_canon"))
+        return b.drop_columns(["_subj_canon", "_obj_canon"])
+
+    return linked.map_batches(_swap, batch_format="pyarrow")
+
+
 def run_kg_pipeline(
     pages,
     alias_table: pa.Table,
@@ -119,7 +176,6 @@ def run_kg_pipeline(
     cooccur_pred: str | None = None,
     cooccur_gap: int = 3,
     fit_sample_rows: int | None = None,
-    fit_sample_fraction: float | None = None,
     canonicalize: bool = False,
     diagnostics: bool = False,
     giant_page_bytes: int | None = None,
@@ -128,12 +184,25 @@ def run_kg_pipeline(
     by the caller (driver contract: this function never calls
     ray.init).
 
+    One exact label-model fit over the whole corpus, in one pass of
+    the pages: the fit, the scoring and the triple dedup run on
+    (triple, vote-pattern) partials of the linked rows (``_triples``);
+    no row-level dataset is pinned.  ``fit_sample_rows`` is deprecated
+    and ignored, with a ``DeprecationWarning``.  Checkpointed stages:
+    ``labeled`` → ``triples``.  ``info``: the ``model`` (EM health and
+    the ``patterns``/``rows`` it saw), the stage summary and, with
+    ``diagnostics``, ``lf_stats`` and ``coverage`` from the partials.
+
     ``giant_page_bytes``: when set, pages whose ``html`` payload
     exceeds it are routed through their own stream with single-row
     batches (north rule: giant pages handled with explicit routing) —
     one 100 MB page then occupies one task instead of straggling a
     whole block of normal pages.  Both streams run the identical fused
-    chain and union before labeling stats."""
+    chain and union before linking."""
+    if fit_sample_rows is not None:
+        warnings.warn("run_kg_pipeline: fit_sample_rows is ignored; the label "
+                      "model is always fit exactly on the whole corpus",
+                      DeprecationWarning, stacklevel=2)
     alias_ref, kb_ref, kb_fp = _kb_broadcasts(alias_table, facts)
     cp = CheckpointedPipeline(checkpoint_dir, input_fingerprint)
     labeled, fp = cp.stage(
@@ -144,106 +213,14 @@ def run_kg_pipeline(
                                cooccur_gap, concurrency=concurrency,
                                giant_page_bytes=giant_page_bytes),
     )
-    if fit_sample_rows is not None or fit_sample_fraction is not None:
-        # one-pass mode: fit the label model on a bounded sample, then
-        # the single full streaming pass scores — no mid-pipeline
-        # materialization. This is the 100 TB shape; the default 2-pass
-        # keeps exact full-corpus fit.
-        #
-        # fit_sample_rows uses limit() — a PREFIX: cheapest (the fit
-        # pass stops reading early) but biased when the corpus is
-        # sorted/clustered by site or topic. fit_sample_fraction uses a
-        # seeded random_sample — unbiased, at the cost of the fit pass
-        # scanning the whole corpus. Pick by how your input is laid out
-        # (same tradeoff family as fit_centroids/detect_hot_keys,
-        # round-1 verdict item 7).
-        if fit_sample_fraction is not None:
-            fit_input = labeled.random_sample(fit_sample_fraction, seed=41)
-            if fit_sample_rows is not None:
-                fit_input = fit_input.limit(fit_sample_rows)
-        else:
-            fit_input = labeled.limit(fit_sample_rows)
-        counts = pattern_counts(fit_input)
-    else:
-        if checkpoint_dir is None:
-            # two consumers (stats + scoring) — pin the small/medium
-            # test dataset rather than recomputing the chain twice; at
-            # scale the parquet checkpoint IS the materialization.
-            labeled = labeled.materialize()
-        counts = pattern_counts(labeled)
-    model = fit_label_model(counts)
-
-    scored = score_marginals(labeled, model)
-    linked = link_candidates(scored, alias_ref, concurrency=concurrency)
-    linked, fp2 = cp.stage(
-        "scored_linked",
-        {"threshold": threshold, "kb_fp": kb_fp,
-         # the fitted model (hence every p) depends on the sample mode
-         "fit_sample_rows": fit_sample_rows,
-         "fit_sample_fraction": fit_sample_fraction},
-        lambda: linked, prev_fp=fp) if checkpoint_dir else (linked, fp)
-
+    linked = link_candidates(labeled, alias_ref, concurrency=concurrency)
     if canonicalize:
-        # groupby on normalized entity keys + connected-component merge
-        # (north star). With a dictionary linker every linked key is
-        # already qid-anchored, so this re-labels only keys whose
-        # clusters merge through shared qids — enable for corpora with
-        # colliding/unlinked surface forms; off by default because the
-        # dictionary path already canonicalizes and the CC shuffles the
-        # (small) distinct-edge table.
-        from ..stages.canonicalize import canonical_entity_map
-
-        def _edges_view(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "entity_key": pa.concat_arrays([
-                    b.column("subj_key").combine_chunks(),
-                    b.column("obj_key").combine_chunks()]),
-                "qid": pa.concat_arrays([
-                    b.column("subj_qid").combine_chunks(),
-                    b.column("obj_qid").combine_chunks()]),
-            })
-
-        if checkpoint_dir is None:
-            # two consumers (edge view + the apply_mapping/triples
-            # pass) — pin once; with a checkpoint the stage parquet IS
-            # the materialization (round-4 review: the score+link chain
-            # re-executed and the edge shuffle hit the live chain)
-            linked = linked.materialize()
-        cmap = canonical_entity_map(
-            linked.map_batches(_edges_view, batch_format="pyarrow")).materialize()
-
-        # apply the canonical map WITHOUT a driver dict proportional to
-        # distinct entity keys (round-1 verdict item 6): apply_mapping
-        # broadcasts the map through the object store when it fits and
-        # falls back to a hash join when it doesn't; the vectorized
-        # pandas .map replaces the old row-at-a-time substitution.
-        from ..stages.joins import apply_mapping
-
-        def _swap(col_old: str, col_new: str):
-            def _f(b: pa.Table) -> pa.Table:
-                i = b.schema.get_field_index(col_old)
-                b = b.set_column(i, col_old, b.column(col_new))
-                return b.drop_columns([col_new])
-
-            return _f
-
-        linked = apply_mapping(linked, cmap, "subj_key", "entity_key",
-                               "canonical_id", "_subj_canon",
-                               default_col="subj_qid")
-        linked = linked.map_batches(_swap("subj_qid", "_subj_canon"),
-                                    batch_format="pyarrow")
-        linked = apply_mapping(linked, cmap, "obj_key", "entity_key",
-                               "canonical_id", "_obj_canon",
-                               default_col="obj_qid")
-        linked = linked.map_batches(_swap("obj_qid", "_obj_canon"),
-                                    batch_format="pyarrow")
-
-    triples = materialize_triples(linked, threshold=threshold, out_dir=None)
+        linked = _canonicalize(linked, pin=checkpoint_dir is None)
+    triples, model, parts = _triples(linked, threshold)
     if checkpoint_dir:
         triples, _ = cp.stage(
-            "triples", {"threshold": threshold,
-                        "canonicalize": canonicalize},
-            lambda: triples, prev_fp=fp2)
+            "triples", {"threshold": threshold, "canonicalize": canonicalize},
+            lambda: triples, prev_fp=fp)
     if out_dir is not None:
         from ..state.checkpoint import atomic_write_parquet
 
@@ -252,10 +229,9 @@ def run_kg_pipeline(
     info = {"model": model, "stages": cp.summary()}
     if diagnostics:
         from ..stages.evaluate import candidate_coverage
-        from ..stages.label_model import lf_stats
         from ..stages.labeling import LFApplier
 
         lf_names = LFApplier(None).lf_names
-        info["lf_stats"] = lf_stats(labeled, lf_names).to_pandas().to_dict("records")
-        info["coverage"] = candidate_coverage(labeled)
+        info["lf_stats"] = lf_stats(parts, lf_names).to_pandas().to_dict("records")
+        info["coverage"] = candidate_coverage(parts)
     return triples, info

@@ -144,8 +144,12 @@ def exact_dedup(ds, column: str, *, keep_key: str | None = None):
                  for r in base.to_pylist()),
                 dtype=np.uint64, count=n)
         hashes = hash_col.to_pylist()
-        order = np.lexsort((np.arange(n), fps,
-                            np.asarray(ser, dtype=object),
+        # the batch's pick compares the very prefix the Min below
+        # compares, so the survivor does not depend on the blocking
+        # (a tuple sort on (ser, fp) disagrees with it once a keep_key
+        # holds a char below the 0x1f separator)
+        pre = [f"{s}\x1f{fp:016x}\x1f" for s, fp in zip(ser, fps)]
+        order = np.lexsort((np.arange(n), np.asarray(pre, dtype=object),
                             np.asarray(hashes, dtype=object)))
         kept_idx, prev = [], None
         for i in order:
@@ -154,8 +158,7 @@ def exact_dedup(ds, column: str, *, keep_key: str | None = None):
                 kept_idx.append(int(i))
         idx = pa.array(kept_idx, pa.int64())
         rows = base.take(idx).to_pylist()
-        rks = [f"{ser[i]}\x1f{fps[i]:016x}\x1f"
-               + base64.b64encode(pickle.dumps(row)).decode()
+        rks = [pre[i] + base64.b64encode(pickle.dumps(row)).decode()
                for i, row in zip(kept_idx, rows)]
         return pa.table({"content_hash": hash_col.take(idx),
                          "_rk": pa.array(rks, pa.string())})

@@ -14,8 +14,12 @@ few hundred, so:
                   patterns × blocks, NOT candidates)
 3. [driver]       exact EM over the weighted patterns (numpy) —
                   identical result to EM over all rows
-4. [map_batches]  posteriors per candidate with the learned weights
+4. [map_batches]  posteriors per row with the learned weights
                   captured in the task closure (broadcast once)
+
+The flagship folds candidate rows into (triple, vote-pattern) partials
+with a count ``n`` (``materialize.triple_partials``); ``pattern_counts``
+weights rows by ``n``, and step 4 scores the partials only.
 
 One pattern table feeds everything: ``pattern_counts`` stores
 ``vote + 1`` as one byte per LF, which covers binary votes {-1, 0, +1}
@@ -57,7 +61,9 @@ def _pattern_counts_batch(batch: pa.Table) -> pa.Table:
     if batch.num_rows == 0:
         return pa.table({"pattern": pa.array([], pa.binary()), "n": pa.array([], pa.int64())})
     mat = (vote_matrix(batch) + 1).astype(np.uint8)  # vote v -> byte v + 1
-    patterns, counts = np.unique(mat, axis=0, return_counts=True)
+    patterns, inv = np.unique(mat, axis=0, return_inverse=True)
+    w = batch.column("n").to_numpy() if "n" in batch.schema.names else None
+    counts = np.bincount(inv.reshape(-1), weights=w, minlength=len(patterns))
     return pa.table(
         {
             "pattern": pa.array([p.tobytes() for p in patterns], pa.binary()),
@@ -69,8 +75,9 @@ def _pattern_counts_batch(batch: pa.Table) -> pa.Table:
 def pattern_counts(labeled) -> "pa.Table":
     """labeled Dataset (with L column) → tiny driver-side table of
     (pattern bytes, count), one byte ``vote + 1`` per LF, sorted by
-    pattern.  Pre-aggregated per block, then streamed into an
-    O(#patterns) driver dict (SURVEY.md A2/A3 partial+final).  Not a
+    pattern; a row counts ``n`` times when the Dataset has an ``n``
+    column (``triple_partials``).  Pre-aggregated per block, then
+    streamed into an O(#patterns) driver dict (SURVEY.md A2/A3 partial+final).  Not a
     Dataset all-to-all — an AllToAll appended to the live map chain
     costs seconds of fixed shuffle setup for kilobytes of data — and
     not ``to_pandas()``: the partial stream is ≤ patterns × blocks
@@ -111,10 +118,7 @@ def _log_joint(L: np.ndarray, theta: np.ndarray, pi: np.ndarray, values) -> np.n
         # model was fit on ZERO pattern rows
         raise ValueError(
             f"posterior: vote matrix has K={L.shape[1]} LFs but the "
-            f"model was fit with K={theta.shape[0]}"
-            + (" — the fit sample selected zero rows (check "
-               "fit_sample_rows / fit_sample_fraction)"
-               if theta.shape[0] == 0 else ""))
+            f"model was fit with K={theta.shape[0]}")
     lt = np.log(np.maximum(theta, 1e-300))
     logp = np.tile(np.log(np.maximum(pi, 1e-300))[None, :], (L.shape[0], 1))
     for vi, v in enumerate(values):
@@ -133,7 +137,8 @@ def _em(Lp: np.ndarray, w: np.ndarray, q: np.ndarray, values, *, n_iter: int,
     ``Lp`` with counts ``w`` and initial soft labels ``q`` (P, C) →
     (θ[K, C, len(values)], π[C], health dict).  The health dict holds
     ``n_iter_run``, ``converged`` (relative log-likelihood change below
-    ``tol``) and the final ``log_likelihood``."""
+    ``tol``), the final ``log_likelihood``, and what the fit saw: the
+    number of distinct ``patterns`` and the ``rows`` they count."""
     K, C = Lp.shape[1], q.shape[1]
     w = w.astype(np.float64)
     V = [(Lp == v) for v in values]
@@ -156,10 +161,12 @@ def _em(Lp: np.ndarray, w: np.ndarray, q: np.ndarray, values, *, n_iter: int,
         converged = abs(ll - ll_old) < tol * max(1.0, abs(ll_old))
         ll_old = ll
     return theta, pi, {"n_iter_run": it, "converged": bool(converged),
-                       "log_likelihood": ll}
+                       "log_likelihood": ll, "patterns": len(w),
+                       "rows": int(w.sum())}
 
 
-_NO_FIT = {"n_iter_run": 0, "converged": False, "log_likelihood": 0.0}
+_NO_FIT = {"n_iter_run": 0, "converged": False, "log_likelihood": 0.0,
+           "patterns": 0, "rows": 0}
 
 
 def fit_label_model(counts: pa.Table, *, n_iter: int = 200, tol: float = 1e-9,
@@ -174,7 +181,8 @@ def fit_label_model(counts: pa.Table, *, n_iter: int = 200, tol: float = 1e-9,
 
     Returns {"theta": float64[K, 2, 3] with P(λ=v|y), "pi": float,
     "alpha": float64[K] accuracies for reporting, plus the EM health
-    ``n_iter_run``/``converged``/``log_likelihood``} — a few hundred
+    ``n_iter_run``/``converged``/``log_likelihood`` and the
+    ``patterns``/``rows`` it was fit on} — a few hundred
     floats; broadcast by closure capture into the scoring stage.
     """
     Lp, w = _pattern_matrix(counts)
@@ -275,7 +283,7 @@ def fit_label_model_cat(counts: pa.Table, cardinality: int, *, n_iter: int = 300
 
     Returns {"theta": float64[K, k, k+1], "pi": float64[k],
     "cardinality": k, plus the EM health ``n_iter_run``/``converged``/
-    ``log_likelihood``}."""
+    ``log_likelihood`` and the ``patterns``/``rows`` it was fit on}."""
     C = int(cardinality)
     Lp, w = _pattern_matrix(counts)
     if not len(w):

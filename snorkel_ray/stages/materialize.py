@@ -1,4 +1,8 @@
-"""Triple materialization: filter → link → dedup → sort → Parquet.
+"""Triple materialization: link → partials → filter → dedup → sort → Parquet.
+
+``triple_partials`` folds each block's linked rows into one row per
+(triple, vote pattern) with a count ``n``; the label model fits on
+those counts and scores only the partials.
 
 Reference analogs: candidate uniqueness via DB UNIQUE constraints
 (``snorkel/models/candidate.py`` ≈L60 — here D1/D2 hash-partition +
@@ -14,10 +18,12 @@ blocks) rows, not the full candidate stream.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..schemas import TRIPLES
 from .linking import LinkerActor
 
 TRIPLE_KEY = ["subj_qid", "pred", "obj_qid"]
@@ -80,14 +86,13 @@ _WITNESS_ASC = [True, True, True, False, True, True]
 _OUT_ORDER = TRIPLE_KEY + ["subj", "obj"]
 
 
-def _with_dedup_keys(df: pd.DataFrame) -> pd.DataFrame:
-    import numpy as np
-
+def _with_dedup_keys(df: pd.DataFrame, subj: str = "subj",
+                     obj: str = "obj") -> pd.DataFrame:
     df = df.copy()
     df["_dk_subj"] = np.where(df["subj_qid"] != "", df["subj_qid"],
-                              "t:" + df["subj"])
+                              "t:" + df[subj])
     df["_dk_obj"] = np.where(df["obj_qid"] != "", df["obj_qid"],
-                             "t:" + df["obj"])
+                             "t:" + df[obj])
     return df
 
 
@@ -109,6 +114,43 @@ def _combine_batch(batch: pa.Table) -> pa.Table:
     return pa.Table.from_pandas(_best_witness(batch.to_pandas()), preserve_index=False)
 
 
+# a triple partial keeps the triple, its witness and its votes; ``n``
+# (appended) counts the linked rows it stands for
+_PART_COLS = ["subj_text", "pred", "obj_text", "subj_qid", "obj_qid",
+              "url", "sent_stable_id", "L"]
+
+
+def _partials_batch(batch: pa.Table) -> pa.Table:
+    """One row per (dedup key, vote pattern) — the min (url,
+    sent_stable_id) row, first arrival on a tie — with the group's size
+    ``n``; ``pred == ""`` rows group by pattern alone.  Kept rows stay
+    in arrival order, so a (p, url, sent) tie later still goes to the
+    row that arrived first."""
+    from .label_model import vote_matrix
+
+    batch = batch.select(_PART_COLS)
+    df = _with_dedup_keys(batch.drop_columns(["L"]).to_pandas(),
+                          "subj_text", "obj_text")
+    df.loc[df["pred"] == "", ["_dk_subj", "_dk_obj"]] = ""
+    df["_pat"] = [v.tobytes() for v in vote_matrix(batch)]
+    df = df.sort_values(["url", "sent_stable_id"], kind="mergesort")
+    gid = df.groupby(DEDUP_KEY + ["_pat"], sort=False).ngroup().to_numpy()
+    _, first, n = np.unique(gid, return_index=True, return_counts=True)
+    rows = df.index.to_numpy()[first]
+    order = np.argsort(rows)
+    return batch.take(rows[order]).append_column("n", pa.array(n[order], pa.int64()))
+
+
+def triple_partials(linked):
+    """Linked candidates → (triple, vote-pattern) partials, the one
+    per-block aggregate behind both the label model's ``n``-weighted
+    pattern counts and the triple combiner.  ``p`` is a function of the
+    pattern alone, so the best witness of a triple is the best of its
+    per-pattern bests: ``materialize_triples`` on the scored partials
+    picks the witness it picks from the scored rows."""
+    return linked.map_batches(_partials_batch, batch_format="pyarrow")
+
+
 def _dedup_distributed(combined, schema: pa.Schema):
     """Vectorized distributed max-p dedup — the same Min-aggregate
     winner plan as ``dedup.exact_dedup`` (this path activates exactly
@@ -125,18 +167,11 @@ def _dedup_distributed(combined, schema: pa.Schema):
     3. winners DECODE their payload back into the output columns.
 
     The winning row is decoded from the single Min value per key, so
-    the plan is deterministic under lineage reconstruction (round-4
-    ADVICE medium: the previous plan tagged ``_rk`` with a per-batch
-    ``uuid4`` and consumed the keyed stream twice — a block
-    reconstructed between the two consumptions regenerated different
-    uuids and the ``_rk == _win`` equality filter silently dropped
-    every row of the affected triples).  Encoding the payload into the
-    aggregate also removes that plan's ``materialize()`` and winners
-    map-back entirely — strictly fewer passes."""
+    the plan is deterministic under lineage reconstruction and needs
+    no ``materialize()`` and no winners map-back (a per-batch ``uuid4``
+    tag consumed twice silently dropped rows of reconstructed blocks)."""
     import base64
     import pickle
-
-    import numpy as np
 
     from ray.data.aggregate import Min
 
@@ -199,19 +234,9 @@ def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None =
     def _project(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(batch.column("p"), threshold),
                        pc.not_equal(batch.column("pred"), ""))
-        t = batch.filter(keep)
-        return pa.table(
-            {
-                "subj": t.column("subj_text"),
-                "pred": t.column("pred"),
-                "obj": t.column("obj_text"),
-                "subj_qid": t.column("subj_qid"),
-                "obj_qid": t.column("obj_qid"),
-                "p": t.column("p"),
-                "url": t.column("url"),
-                "sent_stable_id": t.column("sent_stable_id"),
-            }
-        )
+        return batch.filter(keep).select(
+            ["subj_text", "pred", "obj_text", "subj_qid", "obj_qid", "p", "url",
+             "sent_stable_id"]).rename_columns(TRIPLES.names)
 
     triples = linked.map_batches(_project, batch_format="pyarrow")
     # batch_size MUST stay None: a fixed batch_size here re-batches the
@@ -223,33 +248,23 @@ def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None =
     if small_output is None:
         combined = combined.materialize()
         small_output = combined.count() <= small_output_threshold
+    import ray.data as rd
+
     if small_output:
-        import ray.data as rd
-
         df = combined.to_pandas()
-        if len(df):
-            df = _best_witness(df).sort_values(_OUT_ORDER).reset_index(drop=True)
-            out = rd.from_pandas(df)
-        else:  # schema-stable empty result
-            from ..schemas import TRIPLES
-
-            out = rd.from_arrow(TRIPLES.empty_table())
+        out = rd.from_pandas(_best_witness(df).sort_values(_OUT_ORDER)
+                             .reset_index(drop=True)) if len(df) else None
     else:
         # decode needs exact output types (from_pylist inference is
         # unsafe — CLAUDE.md uint64 pitfall); free when combined was
         # just materialized for the auto-switch count, a one-block
         # probe otherwise.  Schema-less empty input (explicit
-        # small_output=False) gets the schema-stable empty result.
+        # small_output=False) has none.
         sch = combined.schema(fetch_if_missing=True)
-        if sch is None:
-            import ray.data as rd
-
-            from ..schemas import TRIPLES
-
-            out = rd.from_arrow(TRIPLES.empty_table())
-        else:
-            out = _dedup_distributed(
-                combined, sch.base_schema).sort(_OUT_ORDER)
+        out = None if sch is None else _dedup_distributed(
+            combined, sch.base_schema).sort(_OUT_ORDER)
+    if out is None:  # schema-stable empty result
+        out = rd.from_arrow(TRIPLES.empty_table())
     if out_dir is not None:
         from ..state.checkpoint import atomic_write_parquet
 

@@ -12,8 +12,9 @@ skip-or-build step the streaming stages use — with a `_manifest.json`
 carrying the shard's lineage fingerprint and counters (rows, wall
 seconds, rows/s).  A rerun recomputes only shards whose manifest is
 missing or whose fingerprint changed.  Global (cross-shard) steps —
-label-model fit, final dedup — run after all shards are present,
-reading the shard outputs.
+for the flagship, the shared tail ``pipelines/kg.py::_triples``
+(label-model fit, scoring, final dedup) — run after all shards are
+present, reading the shard outputs.
 
 The runners define no pipeline of their own: each shard runs the
 streaming runner's functions (the flagship's labeled chain from
@@ -218,13 +219,13 @@ def run_kg_pipeline_sharded(
 ):
     """Shard-resumable flagship pipeline: per shard, the labeled chain
     of ``pipelines/kg.py`` → `labeled/shard=i/` parquet; then one global
-    fit → score → link → atomic `triples/` write (a rerun replaces it).
-    → (triples Dataset, report)."""
+    link → the streaming runner's tail ``_triples`` (partials, exact
+    fit, scoring, best witness) → atomic `triples/` write (a rerun
+    replaces it).  → (triples Dataset, report)."""
     import ray.data as rd
 
-    from ..pipelines.kg import _kb_broadcasts, _labeled_chain, _labeled_params
-    from ..stages.label_model import fit_label_model, pattern_counts, score_marginals
-    from ..stages.materialize import link_candidates, materialize_triples
+    from ..pipelines.kg import _kb_broadcasts, _labeled_chain, _labeled_params, _triples
+    from ..stages.materialize import link_candidates
 
     alias_ref, kb_ref, kb_fp = _kb_broadcasts(alias_table, facts)
     dirs, manifests = run_sharded_stage(
@@ -234,11 +235,8 @@ def run_kg_pipeline_sharded(
         params=_labeled_params(lang, cooccur_pred, cooccur_gap, kb_fp),
         input_fingerprint=input_fingerprint,
         shards=None if input_paths is None else _file_shards(input_paths, num_shards))
-    labeled = rd.read_parquet(_shard_parquet_files(dirs))
-    model = fit_label_model(pattern_counts(labeled))
-    linked = link_candidates(score_marginals(labeled, model), alias_ref)
-    triples = materialize_triples(linked, threshold=threshold,
-                                  out_dir=os.path.join(root, "triples"))
+    linked = link_candidates(rd.read_parquet(_shard_parquet_files(dirs)), alias_ref)
+    triples, model, _ = _triples(linked, threshold, out_dir=os.path.join(root, "triples"))
     return triples, {"model": model, "shards": manifests}
 
 

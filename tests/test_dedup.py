@@ -143,6 +143,27 @@ def test_exact_dedup_keep_key_ties(ray_session):
     assert len(picks) == 1  # deterministic winner
 
 
+def test_exact_dedup_survivor_independent_of_blocking(ray_session):
+    """A string keep_key may hold chars below the 0x1f separator of the
+    Min key ("a" vs "a\x05").  The batch-local pick must order them as
+    the Min does, or one block keeps a different row than three."""
+    import ray.data as rd
+
+    from snorkel_ray.stages.dedup import exact_dedup
+
+    rows = [{"id": 1, "k": "a", "text": "same"},
+            {"id": 2, "k": "a\x05", "text": "same"},
+            {"id": 3, "k": "a\x1fz", "text": "same"}]
+    kept = {}
+    for blocks in (1, 3):
+        out = exact_dedup(rd.from_items(rows, override_num_blocks=blocks),
+                          "text", keep_key="k").to_pandas()
+        assert len(out) == 1
+        kept[blocks] = int(out["id"].iloc[0])
+    # "a\x05\x1f…" < "a\x1f…": the Min's own order decides
+    assert kept == {1: 2, 3: 2}
+
+
 def test_exact_dedup_int_keep_key_ordering(ray_session):
     """Integer keep_keys (incl. negatives) must order numerically, not
     lexicographically, through the composite string sort key."""

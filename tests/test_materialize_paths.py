@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 
 def _linked_ds(ray_session):
@@ -171,3 +172,111 @@ def test_distributed_dedup_matches_small_path(ray_session):
                                small_output=False).to_pandas()
     pd.testing.assert_frame_equal(small.reset_index(drop=True),
                                   dist.reset_index(drop=True))
+
+
+def _labeled_blocks(n_blocks=5, rows=600, K=8, seed=11):
+    """Labeled candidate blocks (pre-linking) drawn from a true
+    8-LF model with 0.95 accuracy, so high-agreement vote patterns
+    saturate to the same float32 p.  10 entities in two surface forms
+    each, 3 of them missing from the alias table (unlinked ``t:``
+    keys); ``pred == ""`` rows; few (url, sent) slots, so one triple
+    has many witnesses in one sentence.  A url lives in one block, as
+    a page does in the flagship.  A last hand-made block holds an
+    arrival-order tie."""
+    from snorkel_ray.functions.ids import normalize_entity_key
+
+    rng = np.random.default_rng(seed)
+    names = [f"Entity {c}" for c in "ABCDEFGHIJ"]
+    blocks = []
+    for b in range(n_blocks):
+        y = rng.choice([-1, 1], rows)
+        fires = rng.random((rows, K)) < 0.7
+        right = rng.random((rows, K)) < 0.95
+        L = np.where(fires, np.where(right, y[:, None], -y[:, None]), 0)
+        text = {}
+        for side in ("subj", "obj"):
+            idx, upper = rng.integers(10, size=rows), rng.random(rows) < 0.5
+            text[side] = [names[i].upper() if u else names[i]
+                          for i, u in zip(idx, upper)]
+        blocks.append(pa.table({
+            "subj_text": text["subj"], "obj_text": text["obj"],
+            "subj_key": [normalize_entity_key(t) for t in text["subj"]],
+            "obj_key": [normalize_entity_key(t) for t in text["obj"]],
+            "pred": rng.choice(["born_in", "works_for", ""], rows,
+                               p=[0.45, 0.45, 0.1]).tolist(),
+            "url": [f"b{b}u{i}" for i in rng.integers(8, size=rows)],
+            "sent_stable_id": [f"s{i}" for i in rng.integers(3, size=rows)],
+            "L": pa.array([list(r) for r in L.astype(np.int8)],
+                          pa.list_(pa.int8())),
+        }))
+    # one triple whose best witness is decided by arrival order alone:
+    # two saturated patterns, and the min (url, sent) in both of them
+    # (rows 3 and 4) arrives after the other pattern's first row
+    sat, sat2 = [1] * K, [1] * (K - 1) + [0]
+    blocks.append(pa.table({
+        "subj_text": ["Entity A", "Entity A", "ENTITY A", "Entity A"],
+        "obj_text": ["Entity B"] * 4,
+        "subj_key": ["entity a"] * 4, "obj_key": ["entity b"] * 4,
+        "pred": ["born_in"] * 4,
+        "url": ["a/u9", "a/u9", "a/u0", "a/u0"],
+        "sent_stable_id": ["s0"] * 4,
+        "L": pa.array([sat2, sat, sat, sat2], pa.list_(pa.int8())),
+    }))
+    alias = pa.table({"alias": names[:7],
+                      "entity_qid": [f"Q{i}" for i in range(7)],
+                      "prior": pa.array([1.0] * 7, pa.float32())})
+    return blocks, alias
+
+
+def _ipc_bytes(ds) -> bytes:
+    import ray
+
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs())).combine_chunks()
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+@pytest.mark.parametrize("small_output", [True, False])
+def test_triples_tail_equals_row_level_plan(ray_session, monkeypatch, small_output):
+    """kg._triples (link → (triple, vote-pattern) partials → fit on
+    their n-weighted counts → score the partials → best witness) must
+    give byte-identical triples to the row-level plan: fit on every
+    labeled row, score every row, link, materialize."""
+    import functools
+
+    import ray.data as rd
+
+    from snorkel_ray.pipelines import kg
+    from snorkel_ray.stages.label_model import (fit_label_model, pattern_counts,
+                                                score_marginals)
+    from snorkel_ray.stages.materialize import (_with_dedup_keys, link_candidates,
+                                                materialize_triples)
+
+    blocks, alias = _labeled_blocks()
+    labeled = rd.from_arrow(blocks)
+    ref_model = fit_label_model(pattern_counts(labeled))
+    linked = link_candidates(score_marginals(labeled, ref_model), alias).materialize()
+    ref = materialize_triples(linked, threshold=0.5, small_output=small_output)
+
+    # the data holds every case the tail has to get right
+    df = _with_dedup_keys(linked.to_pandas(), "subj_text", "obj_text")
+    df = df[df["pred"] != ""]
+    df["pat"] = df["L"].map(lambda v: bytes(np.asarray(v, np.int8) + 1))
+    assert df.loc[df["p"] == np.float32(1.0), "pat"].nunique() >= 2  # p ties
+    assert (df["subj_qid"] == "").any() and df["_dk_subj"].str.startswith("t:").any()
+    wit = df[df["p"] >= 0.5].groupby(["_dk_subj", "pred", "_dk_obj", "p", "url",
+                                       "sent_stable_id"])["subj_text"].nunique()
+    assert (wit > 1).any()  # tied witnesses that differ in the output
+    won = ref.to_pandas().query("url == 'a/u0'")
+    assert won["subj"].tolist() == ["ENTITY A"] and won["p"].tolist() == [1.0]
+
+    monkeypatch.setattr(kg, "materialize_triples",
+                        functools.partial(materialize_triples, small_output=small_output))
+    got, model, parts = kg._triples(link_candidates(labeled, alias), 0.5)
+    assert _ipc_bytes(got) == _ipc_bytes(ref)
+    assert np.array_equal(model["theta"], ref_model["theta"])
+    assert model["pi"] == ref_model["pi"]
+    assert model["rows"] == sum(b.num_rows for b in blocks) > parts.count()
+    assert model["patterns"] >= 20

@@ -4,6 +4,7 @@ Ray-session-backed tests (SURVEY.md §5 items 3/4)."""
 import os
 import shutil
 
+import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -35,6 +36,7 @@ def test_resume_skips_and_is_identical(ray_session, kb, tmp_path):
     args = (pages_dataset(150, SEED), alias_table(kb), kb["facts"])
     t1, i1 = run_kg_pipeline(*args, checkpoint_dir=ckpt)
     df1 = t1.to_pandas().sort_values(["subj_qid", "pred", "obj_qid"]).reset_index(drop=True)
+    assert [s["stage"] for s in i1["stages"]] == ["labeled", "triples"]
     assert all(not s["skipped"] for s in i1["stages"])
 
     # simulate a killed run resuming: manifests exist -> all stages skip
@@ -45,7 +47,6 @@ def test_resume_skips_and_is_identical(ray_session, kb, tmp_path):
 
     # partial checkpoint (kill after stage 1): later stages recompute,
     # stage 1 skips, output identical
-    shutil.rmtree(os.path.join(ckpt, "scored_linked"))
     shutil.rmtree(os.path.join(ckpt, "triples"))
     t3, i3 = run_kg_pipeline(*args, checkpoint_dir=ckpt)
     df3 = t3.to_pandas().sort_values(["subj_qid", "pred", "obj_qid"]).reset_index(drop=True)
@@ -53,10 +54,10 @@ def test_resume_skips_and_is_identical(ray_session, kb, tmp_path):
     assert flags["labeled"] is True and flags["triples"] is False
     assert df1.equals(df3)
 
-    # param change invalidates downstream stage fingerprints
+    # a threshold change rebuilds only the triples stage
     t4, i4 = run_kg_pipeline(*args, checkpoint_dir=ckpt, threshold=0.6)
     flags = {s["stage"]: s["skipped"] for s in i4["stages"]}
-    assert flags["labeled"] is True and flags["scored_linked"] is False
+    assert flags["labeled"] is True and flags["triples"] is False
 
 
 def test_mentions_and_linking(ray_session, kb):
@@ -184,14 +185,39 @@ def test_giant_page_routing_preserves_output(ray_session, kb):
         b[["subj_qid", "pred", "obj_qid"]])
 
 
-def test_fit_sample_fraction_mode(ray_session, kb):
-    """Unbiased one-pass fit: random_sample fraction instead of the
-    prefix limit — quality unchanged on the synthetic corpus."""
-    triples, _ = run_kg_pipeline(pages_dataset(200, SEED), alias_table(kb),
-                                 kb["facts"], fit_sample_fraction=0.5)
-    got = pa.Table.from_pandas(triples.to_pandas())
-    res = evaluate_triples(got, expected_triples(200, SEED))
-    assert res["precision"] >= 0.95 and res["recall"] >= 0.95
+def test_default_path_pins_no_row_level_table(ray_session, kb, monkeypatch):
+    """The default path fits, scores and dedups on (triple,
+    vote-pattern) partials: every Dataset it materialize()s is the
+    partials or the combined triples, never a row-level labeled or
+    linked table.  The deprecated fit_sample_rows changes nothing."""
+    from ray.data import Dataset
+
+    from snorkel_ray.schemas import TRIPLES
+    from snorkel_ray.stages.materialize import _PART_COLS
+
+    pinned: list[list[str]] = []
+    orig = Dataset.materialize
+
+    def spy(self, *a, **kw):
+        out = orig(self, *a, **kw)
+        pinned.append(sorted(out.schema().names))
+        return out
+
+    monkeypatch.setattr(Dataset, "materialize", spy)
+    triples, info = run_kg_pipeline(pages_dataset(120, SEED), alias_table(kb),
+                                    kb["facts"])
+    got = triples.to_pandas()
+    parts, combined = sorted(_PART_COLS + ["n"]), sorted(TRIPLES.names)
+    assert parts in pinned, pinned
+    for cols in pinned:
+        assert cols in (parts, combined), f"pinned a row-level table: {cols}"
+    model = info["model"]
+    assert model["patterns"] >= 1 and model["rows"] > len(got) > 0
+
+    with pytest.warns(DeprecationWarning, match="fit_sample_rows"):
+        again, _ = run_kg_pipeline(pages_dataset(120, SEED), alias_table(kb),
+                                   kb["facts"], fit_sample_rows=10)
+    pd.testing.assert_frame_equal(again.to_pandas(), got)
 
 
 def test_cc_distributed_long_chain_converges(ray_session):
@@ -217,7 +243,7 @@ def test_cc_distributed_long_chain_converges(ray_session):
 
 
 def test_checkpoint_invalidates_on_kb_change(ray_session, tmp_path):
-    """Round-4 review: the labeled/scored checkpoints fingerprint the
+    """Round-4 review: the labeled/triples checkpoints fingerprint the
     alias table and facts KB — editing either must recompute, not
     silently serve stale parquet."""
     from snorkel_ray.pipelines.kg import run_kg_pipeline
