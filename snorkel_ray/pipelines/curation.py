@@ -162,6 +162,8 @@ def curate_docs(docs, *, column: str = "text", id_column: str = "doc_id",
     else:
         import tempfile
 
+        import ray.data as rd
+
         from ..state.checkpoint import atomic_write_parquet
 
         ds = annotate_docs(
@@ -180,7 +182,8 @@ def curate_docs(docs, *, column: str = "text", id_column: str = "doc_id",
                 f"curate_docs: work_dir {work_dir!r} is not empty — it "
                 "is replaced wholesale; pass a fresh directory")
         out_dir = work_dir or tempfile.mkdtemp(prefix="snorkel_ray_curation_")
-        ds = atomic_write_parquet(ds, out_dir)
+        atomic_write_parquet(ds, out_dir)
+        ds = rd.read_parquet(out_dir)
 
     # --- exact dedup among funnel survivors (bounded shuffle on the
     # 128-bit content hash; winner = MIN id, deterministic) ------------

@@ -1,9 +1,11 @@
 """Flagship end-to-end KG-construction pipeline (north star).
 
-pages → [filter lang] → html_to_text → sentences → candidates (actor
-pool, broadcast alias dict) → labeling functions → entity linking →
+pages → [filter lang] → html_to_text → sentences → candidates
+(broadcast alias dict) → labeling functions → entity linking →
 (triple, vote-pattern) partials → label-model fit on their counts →
-score the partials → dedup/sort/write triples.
+score the partials → dedup/sort/write triples.  LF application and
+linking run on elastic tasks, or as actor pools when the caller sets
+``concurrency`` (``state.resources.stateful_map``).
 
 This module is the ONE definition of the flagship: the labeled chain
 (``_kb_broadcasts`` → ``_labeled_chain`` with ``_labeled_params`` as
@@ -11,6 +13,9 @@ its checkpoint fingerprint) and the tail ``_triples``.
 ``run_kg_pipeline`` streams both; ``state.sharded.run_kg_pipeline_sharded``
 runs the labeled chain per input shard and then the same ``_triples``,
 so sharded == streaming by construction.
+
+Checkpointed stages: ``labeled`` (one ``_skip_or_build`` step, as each
+shard of the sharded runner takes); the tail is one pass over it.
 
 Reference lifecycle being recast: SURVEY.md §3 E1/E2 (parse → extract
 → label → supervise → score), with the RDBMS replaced by Dataset
@@ -25,6 +30,7 @@ DAG once, for the tiny EM fit on the partials' pattern counts
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import pyarrow as pa
@@ -36,7 +42,7 @@ from ..stages.label_model import fit_label_model, lf_stats, pattern_counts, scor
 from ..stages.labeling import apply_lfs
 from ..stages.linking import build_link_index
 from ..stages.materialize import link_candidates, materialize_triples, triple_partials
-from ..state.checkpoint import CheckpointedPipeline, fingerprint
+from ..state.checkpoint import CODE_VERSION, _skip_or_build, fingerprint
 from ..state.resources import broadcast_key
 
 
@@ -73,11 +79,11 @@ def _labeled_chain(pages, alias_ref, kb_ref, lang, cooccur_pred, cooccur_gap,
     one map fn) skips the Arrow list<string> sentence columns the
     separate sentence stage built only to be to_pylist()-ed back (the
     tokenizer-stage scaling fix, BASELINE.md "Per-stage scaling audit").
-    An explicit ``concurrency`` requests bounded actor pools; the
-    elastic-task default ignores it.  With ``giant_page_bytes`` set,
-    oversized pages run the same chain in their own single-row-batch
-    stream, unioned before the labeled output."""
-    as_tasks = concurrency is None
+    An explicit ``concurrency`` runs LF application as an actor pool
+    of that size; the fused map stays on tasks.  With
+    ``giant_page_bytes`` set, oversized pages run the same chain in
+    their own single-row-batch stream, unioned before the labeled
+    output."""
 
     def _lang_filter(b: pa.Table) -> pa.Table:
         return b.filter(pc.equal(b.column("lang"), lang))
@@ -98,7 +104,6 @@ def _labeled_chain(pages, alias_ref, kb_ref, lang, cooccur_pred, cooccur_gap,
             ),
             kb_ref,
             concurrency=concurrency,
-            as_tasks=as_tasks,
         )
 
     if giant_page_bytes is None:
@@ -188,10 +193,14 @@ def run_kg_pipeline(
     the pages: the fit, the scoring and the triple dedup run on
     (triple, vote-pattern) partials of the linked rows (``_triples``);
     no row-level dataset is pinned.  ``fit_sample_rows`` is deprecated
-    and ignored, with a ``DeprecationWarning``.  Checkpointed stages:
-    ``labeled`` → ``triples``.  ``info``: the ``model`` (EM health and
-    the ``patterns``/``rows`` it saw), the stage summary and, with
-    ``diagnostics``, ``lf_stats`` and ``coverage`` from the partials.
+    and ignored, with a ``DeprecationWarning``.  ``concurrency`` runs
+    LF application and linking as actor pools of that size.
+    ``checkpoint_dir``: the labeled chain is checkpointed there and
+    skipped on a rerun with a matching fingerprint.  ``info``: the
+    ``model`` (EM health and the ``patterns``/``rows`` it saw),
+    ``stages`` (the labeled manifest's ``stage``/``skipped``/``rows``/
+    ``wall_sec`` when checkpointed) and, with ``diagnostics``,
+    ``lf_stats`` and ``coverage`` from the partials.
 
     ``giant_page_bytes``: when set, pages whose ``html`` payload
     exceeds it are routed through their own stream with single-row
@@ -204,29 +213,34 @@ def run_kg_pipeline(
                       "model is always fit exactly on the whole corpus",
                       DeprecationWarning, stacklevel=2)
     alias_ref, kb_ref, kb_fp = _kb_broadcasts(alias_table, facts)
-    cp = CheckpointedPipeline(checkpoint_dir, input_fingerprint)
-    labeled, fp = cp.stage(
-        "labeled",
-        {**_labeled_params(lang, cooccur_pred, cooccur_gap, kb_fp),
-         "giant_page_bytes": giant_page_bytes},
-        lambda: _labeled_chain(pages, alias_ref, kb_ref, lang, cooccur_pred,
-                               cooccur_gap, concurrency=concurrency,
-                               giant_page_bytes=giant_page_bytes),
-    )
+
+    def _build():
+        return _labeled_chain(pages, alias_ref, kb_ref, lang, cooccur_pred,
+                              cooccur_gap, concurrency=concurrency,
+                              giant_page_bytes=giant_page_bytes)
+
+    if checkpoint_dir is None:
+        labeled, stages = _build(), []
+    else:
+        import ray.data as rd
+
+        params = {**_labeled_params(lang, cooccur_pred, cooccur_gap, kb_fp),
+                  "giant_page_bytes": giant_page_bytes}
+        final = os.path.join(checkpoint_dir, "labeled")
+        m = _skip_or_build(
+            final,
+            fingerprint(input_fingerprint, "labeled", sorted(params.items()),
+                        CODE_VERSION),
+            _build,
+            {"stage": "labeled", "params": {k: repr(v) for k, v in params.items()}})
+        stages = [{k: m.get(k) for k in ("stage", "skipped", "rows", "wall_sec")}]
+        labeled = rd.read_parquet(final)
     linked = link_candidates(labeled, alias_ref, concurrency=concurrency)
     if canonicalize:
         linked = _canonicalize(linked, pin=checkpoint_dir is None)
-    triples, model, parts = _triples(linked, threshold)
-    if checkpoint_dir:
-        triples, _ = cp.stage(
-            "triples", {"threshold": threshold, "canonicalize": canonicalize},
-            lambda: triples, prev_fp=fp)
-    if out_dir is not None:
-        from ..state.checkpoint import atomic_write_parquet
+    triples, model, parts = _triples(linked, threshold, out_dir=out_dir)
 
-        triples = atomic_write_parquet(triples, out_dir)
-
-    info = {"model": model, "stages": cp.summary()}
+    info = {"model": model, "stages": stages}
     if diagnostics:
         from ..stages.evaluate import candidate_coverage
         from ..stages.labeling import LFApplier

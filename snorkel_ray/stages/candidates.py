@@ -4,11 +4,11 @@ Reference: ``CandidateExtractor`` (``snorkel/candidates.py`` ≈L90–220)
 runs matchers over candidate spaces per sentence, takes the
 ``itertools.product`` across arities, filters self/nested relations and
 inserts unique Candidate rows keyed by their Span args.  Here the whole
-thing is ONE shuffle-free ``map_batches`` stage over sentences: an
-actor pool holding the alias token index (broadcast once via
-``ray.put``) detects mentions and pairs them within the sentence in the
-same pass — mentions never need to be co-located by a groupby because
-they are born co-located.
+thing is ONE shuffle-free ``map_batches`` stage over sentences: each
+worker builds the alias token index once (the table is broadcast once
+via ``ray.put``; ``state.resources.stateful_map``), detects mentions
+and pairs them within the sentence in the same pass — mentions never
+need to be co-located by a groupby because they are born co-located.
 
 Pairing spec:
 - ordered pairs with subj strictly before obj (templates and English
@@ -30,7 +30,7 @@ import pyarrow as pa
 
 from ..functions.ids import normalize_entity_key
 from ..functions.predicates import detect_predicate
-from .mentions import build_alias_index
+from .mentions import MentionDetector
 
 CANDIDATE_COLUMNS = [
     "cand_stable_id", "doc_id", "url", "sent_idx", "sent_stable_id", "pred",
@@ -40,17 +40,13 @@ CANDIDATE_COLUMNS = [
 ]
 
 
-class CandidateExtractor:
+class CandidateExtractor(MentionDetector):
+    """Mention sweep (``MentionDetector._scan``) + in-sentence pairing."""
+
     def __init__(self, alias_ref, *, max_gap: int = 12,
                  cooccur_pred: str | None = None, cooccur_gap: int = 3,
                  both_orders: bool = False):
-        import ray
-
-        table = alias_ref if isinstance(alias_ref, pa.Table) else ray.get(alias_ref)
-        idx = build_alias_index(table)
-        self.index = idx["index"]
-        self.max_len = idx["max_len"]
-        self.first_tokens = idx["first_tokens"]
+        super().__init__(alias_ref)
         self.max_gap = max_gap
         # optional generic predicate for trigger-less nearby pairs —
         # used by corpora without a trigger lexicon (e.g. co-occurrence
@@ -64,28 +60,6 @@ class CandidateExtractor:
         # and the built-in LF set is direction-aware-forward; doubling
         # candidate volume at 10^12 docs needs direction-aware LFs.
         self.both_orders = both_orders
-
-    # same greedy longest-match sweep as MentionDetector (kept local so
-    # the fused stage has no cross-module state)
-    def _scan(self, words, folded):
-        out = []
-        i, L = 0, len(words)
-        while i < L:
-            if folded[i] not in self.first_tokens:
-                i += 1
-                continue
-            hit = None
-            for n in range(min(self.max_len, L - i), 0, -1):
-                v = self.index.get(tuple(folded[i : i + n]))
-                if v is not None:
-                    hit = (i, i + n - 1)
-                    break
-            if hit:
-                out.append(hit)
-                i = hit[1] + 1
-            else:
-                i += 1
-        return out
 
     def _process_sentence(self, o: dict, doc_id, url: str, sent_idx: int,
                           sid: str, a0: int, text: str, words: list[str],
@@ -223,22 +197,6 @@ class CandidateExtractor:
         )
 
 
-# Per-worker-process instance cache for the task path: the alias index
-# builds once per Ray worker process (not per task/batch) — stateless
-# tasks with amortized state, fully elastic across the session's CPUs.
-# An actor pool caps the stage (and everything fused into it — the
-# whole extract→sentences→candidates chain) at the pool size; for this
-# light state (a dict of a few hundred aliases) tasks are strictly
-# better. Use `as_tasks=False` only when the state is genuinely heavy.
-_EXTRACTOR_CACHE: dict = {}
-
-
-def _cache_key(ref) -> str:
-    from ..state.resources import broadcast_key
-
-    return broadcast_key(ref)
-
-
 def extract_candidates_fused(docs, alias_ref, *, max_gap: int = 12,
                              cooccur_pred: str | None = None,
                              cooccur_gap: int = 3, both_orders: bool = False,
@@ -247,51 +205,29 @@ def extract_candidates_fused(docs, alias_ref, *, max_gap: int = 12,
     sentence split + tokenize + mention scan + pairing fused, skipping
     the intermediate Arrow sentence table entirely.  Same output rows
     as ``extract_candidates(split_docs_to_sentences(docs), ...)`` —
-    asserted by test_pipeline's fused-parity test."""
+    asserted by test_pipeline's fused-parity test.  Elastic tasks
+    only: the alias index is light state, and a pool would cap the
+    whole extract→candidates→LFs chain fused into this stage."""
+    from ..state.resources import broadcast_key, stateful_map
+
     kwargs = {"max_gap": max_gap, "cooccur_pred": cooccur_pred,
               "cooccur_gap": cooccur_gap, "both_orders": both_orders}
-    key = ("fused", _cache_key(alias_ref), max_gap, cooccur_pred, cooccur_gap,
-           both_orders)
-
-    def _extract(batch: pa.Table) -> pa.Table:
-        from ..state.resources import cache_get_or_build
-
-        inst = cache_get_or_build(_EXTRACTOR_CACHE, key,
-                                  lambda: CandidateExtractor(alias_ref, **kwargs))
-        return inst.process_docs(batch)
-
-    return docs.map_batches(_extract, batch_format="pyarrow",
-                            batch_size=batch_size)
+    return stateful_map(
+        docs, lambda: CandidateExtractor(alias_ref, **kwargs).process_docs,
+        key=(broadcast_key(alias_ref), *kwargs.values()), batch_size=batch_size)
 
 
 def extract_candidates(sentences, alias_ref, *, max_gap: int = 12,
                        cooccur_pred: str | None = None, cooccur_gap: int = 3,
                        both_orders: bool = False,
-                       concurrency=None, batch_size: int | None = None,
-                       as_tasks: bool = True):
+                       concurrency=None, batch_size: int | None = None):
+    """sentences → candidates; an actor pool when ``concurrency`` is
+    set, elastic tasks otherwise (``state.resources.stateful_map``)."""
+    from ..state.resources import broadcast_key, stateful_map
+
     kwargs = {"max_gap": max_gap, "cooccur_pred": cooccur_pred,
               "cooccur_gap": cooccur_gap, "both_orders": both_orders}
-    if as_tasks:
-        key = (_cache_key(alias_ref), max_gap, cooccur_pred, cooccur_gap, both_orders)
-
-        def _extract(batch: pa.Table) -> pa.Table:
-            from ..state.resources import cache_get_or_build
-
-            inst = cache_get_or_build(_EXTRACTOR_CACHE, key,
-                                      lambda: CandidateExtractor(alias_ref, **kwargs))
-            return inst(batch)
-
-        return sentences.map_batches(_extract, batch_format="pyarrow",
-                                     batch_size=batch_size)
-    if concurrency is None:
-        from ..state.resources import pool_concurrency
-
-        concurrency = pool_concurrency()
-    return sentences.map_batches(
-        CandidateExtractor,
-        fn_constructor_args=(alias_ref,),
-        fn_constructor_kwargs=kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return stateful_map(
+        sentences, lambda: CandidateExtractor(alias_ref, **kwargs),
+        key=(broadcast_key(alias_ref), *kwargs.values()),
+        concurrency=concurrency, batch_size=batch_size)

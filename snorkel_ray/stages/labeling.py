@@ -226,35 +226,11 @@ class LFApplier:
         return batch.append_column("L", L)
 
 
-_APPLIER_CACHE: dict = {}
+def apply_lfs(candidates, kb_ref=None, *, batch_size: int | None = None, concurrency=None):
+    """LF application: elastic tasks with a per-worker-process
+    LFApplier (light state — compiled LF set + broadcast KB dict), or
+    an actor pool of ``concurrency`` when it is set."""
+    from ..state.resources import broadcast_key, stateful_map
 
-
-def apply_lfs(candidates, kb_ref=None, *, batch_size: int | None = None, concurrency=None,
-              as_tasks: bool = True):
-    """LF application. Default: elastic tasks with a per-worker-process
-    LFApplier cache (light state — compiled LF set + broadcast KB dict);
-    pass ``as_tasks=False`` for an explicit actor pool."""
-    if as_tasks:
-        from ..state.resources import broadcast_key
-
-        key = broadcast_key(kb_ref)
-
-        def _apply(batch: pa.Table) -> pa.Table:
-            from ..state.resources import cache_get_or_build
-
-            inst = cache_get_or_build(_APPLIER_CACHE, key, lambda: LFApplier(kb_ref))
-            return inst(batch)
-
-        return candidates.map_batches(_apply, batch_format="pyarrow",
-                                      batch_size=batch_size)
-    if concurrency is None:
-        from ..state.resources import pool_concurrency
-
-        concurrency = pool_concurrency()
-    return candidates.map_batches(
-        LFApplier,
-        fn_constructor_args=(kb_ref,),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return stateful_map(candidates, lambda: LFApplier(kb_ref), key=broadcast_key(kb_ref),
+                        concurrency=concurrency, batch_size=batch_size)

@@ -1,12 +1,13 @@
-"""Entity-link scoring with a shared alias dictionary in an actor pool.
+"""Entity-link scoring with a shared alias dictionary.
 
 North-star stage (BASELINE.json): "entity-link scoring with a shared
 alias dictionary hosted in an actor pool".  Reference ancestry is the
 CDR tutorial's CTD dictionaries captured in matcher closures
 (``snorkel/matchers.py`` ≈L80–150, SURVEY.md T2/J4) — a per-process
-copy there; here the table is ``ray.put`` ONCE and each `LinkerActor`
-builds its normalized-key index in ``__init__`` (zero-copy plasma read
-per node, never re-shipped per batch).
+copy there; here the table is ``ray.put`` ONCE and each worker builds
+its normalized-key index once (zero-copy plasma read per node, never
+re-shipped per batch): per task process by default, per actor when
+``concurrency`` asks for the pool (``state.resources.stateful_map``).
 
 Link rule (deterministic): normalized surface key → candidate
 (qid, prior) list; best prior wins, ties by smaller qid; unknown keys
@@ -38,9 +39,9 @@ def build_link_index(alias_table: pa.Table) -> dict[str, tuple[str, float]]:
 
 
 class LinkerActor:
-    """``map_batches(LinkerActor, fn_constructor_args=(alias_ref,), concurrency=N)``
-    over any table with an ``entity_key`` column (mentions or
-    candidates); appends ``qid`` and ``link_score``."""
+    """Batch stage behind ``link_mentions`` (and, with both prefixes,
+    ``materialize.link_candidates``) over any table with an
+    ``entity_key`` column; appends ``qid`` and ``link_score``."""
 
     def __init__(self, alias_ref, key_column: str = "entity_key",
                  out_prefix: str = ""):
@@ -85,14 +86,11 @@ class LinkerActor:
 
 
 def link_mentions(mentions, alias_ref, *, concurrency=None, batch_size: int = 4096):
-    if concurrency is None:
-        from ..state.resources import pool_concurrency
+    """mentions → + ``qid``/``link_score``: elastic tasks with a
+    per-worker link index (light state, CLAUDE.md rule 2), or an actor
+    pool of ``concurrency`` when it is set."""
+    from ..state.resources import broadcast_key, stateful_map
 
-        concurrency = pool_concurrency()
-    return mentions.map_batches(
-        LinkerActor,
-        fn_constructor_args=(alias_ref,),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return stateful_map(mentions, lambda: LinkerActor(alias_ref),
+                        key=broadcast_key(alias_ref), concurrency=concurrency,
+                        batch_size=batch_size)

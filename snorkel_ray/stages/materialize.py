@@ -42,38 +42,15 @@ class _BothLinker(LinkerActor):
         return batch
 
 
-_LINKER_CACHE: dict = {}
+def link_candidates(scored, alias_ref, *, concurrency=None, batch_size: int | None = None):
+    """Append subj_qid/obj_qid (+ link scores) to scored candidates:
+    elastic tasks with a per-worker-process linker (the alias link
+    index is small), or an actor pool of ``concurrency`` when it is
+    set."""
+    from ..state.resources import broadcast_key, stateful_map
 
-
-def link_candidates(scored, alias_ref, *, concurrency=None, batch_size: int | None = None,
-                    as_tasks: bool = True):
-    """Append subj_qid/obj_qid (+ link scores) to scored candidates.
-    Default: elastic tasks with a per-worker-process linker cache (the
-    alias link index is small); ``as_tasks=False`` for an actor pool."""
-    if as_tasks:
-        from ..state.resources import broadcast_key
-
-        key = broadcast_key(alias_ref)
-
-        def _link(batch: pa.Table) -> pa.Table:
-            from ..state.resources import cache_get_or_build
-
-            inst = cache_get_or_build(_LINKER_CACHE, key, lambda: _BothLinker(alias_ref))
-            return inst(batch)
-
-        return scored.map_batches(_link, batch_format="pyarrow",
-                                  batch_size=batch_size)
-    if concurrency is None:
-        from ..state.resources import pool_concurrency
-
-        concurrency = pool_concurrency()
-    return scored.map_batches(
-        _BothLinker,
-        fn_constructor_args=(alias_ref,),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return stateful_map(scored, lambda: _BothLinker(alias_ref), key=broadcast_key(alias_ref),
+                        concurrency=concurrency, batch_size=batch_size)
 
 
 # dedup identity: the qid when linked, the SURFACE TEXT when not —
@@ -151,6 +128,20 @@ def triple_partials(linked):
     return linked.map_batches(_partials_batch, batch_format="pyarrow")
 
 
+_FIELD_END = "\x00\x01"
+
+
+def _order_field(v: str) -> str:
+    """One field of a composite ``Min`` key: ``\\x00`` escaped as
+    ``\\x00\\x02``, then ended by ``\\x00\\x01``.  The terminator
+    sorts below every character a field can continue with, so the
+    concatenation orders exactly like the tuple of fields (a bare
+    separator does not: with ``\\x1f``, url "a\\x05" would sort before
+    "a").  Base64 has no ``\\x00``, so the last ``_FIELD_END`` ends
+    the last field."""
+    return v.replace("\x00", "\x00\x02") + _FIELD_END
+
+
 def _dedup_distributed(combined, schema: pa.Schema):
     """Vectorized distributed max-p dedup — the same Min-aggregate
     winner plan as ``dedup.exact_dedup`` (this path activates exactly
@@ -159,9 +150,12 @@ def _dedup_distributed(combined, schema: pa.Schema):
     tax EACH — CLAUDE.md perf rule 5; round-4 review):
 
     1. per row: composite dedup key ``_dk`` + winner string ``_rk`` =
-       sortkey(−p) · url · sent · base64(pickle(row)) — the prefix
-       orders candidates exactly like ``_best_witness``; the payload
-       suffix only decides exact (p, url, sent) ties, deterministically;
+       sortkey(−p) · url · sent · base64(pickle(row)), each of the
+       first three fields ``_order_field``-encoded so the string
+       orders exactly like the (−p, url, sent) tuple ``_best_witness``
+       sorts by — whatever characters a url or sentence id holds; the
+       payload suffix only decides exact (p, url, sent) ties,
+       deterministically;
     2. ``groupby(_dk).aggregate(Min(_rk))`` — ONE shuffle of the
        combined partials, one surviving value per distinct triple;
     3. winners DECODE their payload back into the output columns.
@@ -184,7 +178,7 @@ def _dedup_distributed(combined, schema: pa.Schema):
         neg_p = pa.array(-df["p"].to_numpy(dtype=np.float64))
         payload = df.drop(columns=["_dk_subj", "_dk_obj"])
         recs = payload.to_dict("records")
-        rk = [f"{pk}\x1f{u}\x1f{s}\x1f"
+        rk = [_order_field(pk) + _order_field(u) + _order_field(s)
               + base64.b64encode(pickle.dumps(rec)).decode()
               for pk, u, s, rec in
               zip(_sort_key_strings(neg_p), df["url"],
@@ -196,16 +190,20 @@ def _dedup_distributed(combined, schema: pa.Schema):
     winners = keyed.groupby("_dk").aggregate(Min("_rk", alias_name="_win"))
 
     def _decode(b: pa.Table) -> pa.Table:
-        rows = [pickle.loads(base64.b64decode(s.rsplit("\x1f", 1)[1]))
+        rows = [pickle.loads(base64.b64decode(s.rsplit(_FIELD_END, 1)[1]))
                 for s in b.column("_win").to_pylist()]
         return pa.Table.from_pylist(rows, schema=schema)
 
     return winners.map_batches(_decode, batch_format="pyarrow")
 
 
-def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None = None,
-                        small_output: bool | None = None,
-                        small_output_threshold: int = 5_000_000):
+# the final dedup of the combined partials runs on the driver up to
+# this many rows (a distinct-triple set that fits driver memory), and
+# distributed beyond it — a 10^12-doc KG's does not fit a driver
+_DRIVER_DEDUP_ROWS = 5_000_000
+
+
+def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None = None):
     """scored+linked candidates → deduped, sorted triples Dataset
     (written to ``out_dir`` when given; partitioned parquet).
 
@@ -213,23 +211,21 @@ def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None =
     one max-p witness per triple key per batch), so at most
     (distinct triples × blocks) rows survive to the final phase.
 
-    ``small_output=None`` (default) AUTO-SWITCHES on the combined
-    partials' row count (round-2 verdict item 2: the caller should not
-    have to know whether the distinct-triple set fits a driver — a
-    10^12-doc KG's does not).  The partials are materialized either
-    way (they are consumed in full next), so the ``count()`` is a
-    metadata read, not an extra pass.
+    The final phase switches on the combined partials' row count
+    (round-2 verdict item 2: the caller should not have to know
+    whether the distinct-triple set fits a driver).  The partials are
+    materialized either way (they are consumed in full next), so the
+    ``count()`` is a metadata read, not an extra pass.
 
-    ``small_output=True``: the combined partials (≤ distinct triples ×
-    blocks rows) stream to the DRIVER for the final dedup+sort in
-    pandas.  Right whenever the distinct-triple set fits driver memory
-    (≲5M rows).  No AllToAll of any kind — measured on this Ray
-    version, even a ``repartition(1)`` appended to a live map chain
-    forces bulk materialization of the whole upstream through the
-    object store (58s plan → 209s at 4 CPUs).  ``False``: the
-    distributed path — hash-partition by triple key (groupby +
-    per-group max-p) and range-sort.
+    Up to ``_DRIVER_DEDUP_ROWS``: the combined partials stream to the
+    DRIVER for the final dedup+sort in pandas.  No AllToAll of any
+    kind — measured on this Ray version, even a ``repartition(1)``
+    appended to a live map chain forces bulk materialization of the
+    whole upstream through the object store (58s plan → 209s at 4
+    CPUs).  Beyond it: the distributed path — a Min-aggregate winner
+    per triple key (``_dedup_distributed``) and a range sort.
     """
+    import ray.data as rd
 
     def _project(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(batch.column("p"), threshold),
@@ -244,22 +240,15 @@ def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None =
     # 5x wall time on the 40k-page bench (1.9s -> 10.2s at 32 CPUs) —
     # per-block combining dedups nearly as well with zero rebatching
     # (CLAUDE.md perf rule 3)
-    combined = triples.map_batches(_combine_batch, batch_format="pyarrow")
-    if small_output is None:
-        combined = combined.materialize()
-        small_output = combined.count() <= small_output_threshold
-    import ray.data as rd
-
-    if small_output:
+    combined = triples.map_batches(_combine_batch, batch_format="pyarrow").materialize()
+    if combined.count() <= _DRIVER_DEDUP_ROWS:
         df = combined.to_pandas()
         out = rd.from_pandas(_best_witness(df).sort_values(_OUT_ORDER)
                              .reset_index(drop=True)) if len(df) else None
     else:
         # decode needs exact output types (from_pylist inference is
-        # unsafe — CLAUDE.md uint64 pitfall); free when combined was
-        # just materialized for the auto-switch count, a one-block
-        # probe otherwise.  Schema-less empty input (explicit
-        # small_output=False) has none.
+        # unsafe — CLAUDE.md uint64 pitfall), free here because
+        # combined is materialized; schema-less empty input has none
         sch = combined.schema(fetch_if_missing=True)
         out = None if sch is None else _dedup_distributed(
             combined, sch.base_schema).sort(_OUT_ORDER)
@@ -268,7 +257,8 @@ def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None =
     if out_dir is not None:
         from ..state.checkpoint import atomic_write_parquet
 
-        out = atomic_write_parquet(out, out_dir)
+        atomic_write_parquet(out, out_dir)
+        out = rd.read_parquet(out_dir)
     return out
 
 

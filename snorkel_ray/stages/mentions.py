@@ -4,9 +4,9 @@ Reference analog: ``Ngrams`` + ``DictionaryMatch`` applied per sentence
 (``snorkel/candidates.py`` ≈L20–90, ``snorkel/matchers.py`` ≈L80–150),
 i.e. the CDR tutorial's dictionary-tagging path.  The alias dictionary
 is the *small side* of the lookup (SURVEY.md J4/T2): the driver
-``ray.put``s the alias table ONCE, each actor builds its token-trie
-index in ``__init__`` (once per actor, never per batch), and every
-batch does a pure in-memory sweep — no shuffle, no per-batch reship.
+``ray.put``s the alias table ONCE, each worker (or pool actor) builds
+its token-trie index once, never per batch, and every batch does a
+pure in-memory sweep — no shuffle, no per-batch reship.
 
 Matching spec: left-to-right greedy longest-match over the token
 sequence (casefolded token tuples), which equals the reference's
@@ -51,9 +51,9 @@ def build_alias_index(alias_table: pa.Table) -> dict:
 
 
 class MentionDetector:
-    """Actor-pool stage: ``map_batches(MentionDetector, fn_constructor_args=(ref,),
-    concurrency=N)``.  ``ref`` is a ``ray.ObjectRef`` to the alias table
-    (zero-copy shared per node) or the table itself (tests)."""
+    """Batch stage behind ``detect_mentions``.  ``alias_ref`` is a
+    ``ray.ObjectRef`` to the alias table (zero-copy shared per node) or
+    the table itself (tests)."""
 
     def __init__(self, alias_ref):
         import ray
@@ -64,8 +64,9 @@ class MentionDetector:
         self.max_len = idx["max_len"]
         self.first_tokens = idx["first_tokens"]
 
-    def _scan(self, words: list[str], folded: list[str]) -> list[tuple[int, int, str, float]]:
-        """→ [(word_start, word_end_inclusive, qid, prior)] greedy longest-match."""
+    def _scan(self, words: list[str], folded: list[str]) -> list[tuple[int, int]]:
+        """→ [(word_start, word_end_inclusive)] greedy longest-match
+        (also the mention sweep of ``candidates.CandidateExtractor``)."""
         out = []
         i, L = 0, len(words)
         while i < L:
@@ -74,10 +75,8 @@ class MentionDetector:
                 continue
             hit = None
             for n in range(min(self.max_len, L - i), 0, -1):
-                key = tuple(folded[i : i + n])
-                v = self.index.get(key)
-                if v is not None:
-                    hit = (i, i + n - 1, v[0], v[1])
+                if tuple(folded[i : i + n]) in self.index:
+                    hit = (i, i + n - 1)
                     break
             if hit:
                 out.append(hit)
@@ -104,7 +103,7 @@ class MentionDetector:
                 continue
             folded = [w.casefold() for w in words]
             offs = offs_col[r]
-            for ws, we, _qid, _prior in self._scan(words, folded):
+            for ws, we in self._scan(words, folded):
                 cs = offs[ws]
                 ce = offs[we] + len(words[we])
                 text = texts[r][cs:ce]
@@ -139,15 +138,11 @@ class MentionDetector:
 
 
 def detect_mentions(sentences, alias_ref, *, concurrency=None, batch_size: int | None = None):
-    if concurrency is None:
-        from ..state.resources import pool_concurrency
+    """sentences → mentions: elastic tasks with a per-worker alias
+    index (light state, CLAUDE.md rule 2), or an actor pool of
+    ``concurrency`` when it is set."""
+    from ..state.resources import broadcast_key, stateful_map
 
-        concurrency = pool_concurrency()
-    """sentences → mentions via an actor pool holding the alias index."""
-    return sentences.map_batches(
-        MentionDetector,
-        fn_constructor_args=(alias_ref,),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return stateful_map(sentences, lambda: MentionDetector(alias_ref),
+                        key=broadcast_key(alias_ref), concurrency=concurrency,
+                        batch_size=batch_size)

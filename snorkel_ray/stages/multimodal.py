@@ -120,22 +120,20 @@ class FrameSampler:
 
 
 def decode_images(ds, *, fake: bool = False, batch_size: int = 64, concurrency=None):
-    if concurrency is None:
-        from ..state.resources import pool_concurrency
+    """Actor pool (codec set up once per actor).  Small batch_size on
+    purpose: binary payloads are the widest rows in any corpus;
+    batch × concurrency must fit worker heap."""
+    from ..state.resources import pool_concurrency, stateful_map
 
-        concurrency = pool_concurrency()
-    """Small batch_size on purpose: binary payloads are the widest rows
-    in any corpus; batch × concurrency must fit worker heap."""
-    return ds.map_batches(ImageDecoder, fn_constructor_kwargs={"fake": fake},
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+    return stateful_map(ds, lambda: ImageDecoder(fake=fake),
+                        concurrency=concurrency or pool_concurrency(),
+                        batch_size=batch_size)
 
 
 def sample_frames(ds, *, n_frames: int = 3, batch_size: int = 64, concurrency=None):
-    if concurrency is None:
-        from ..state.resources import pool_concurrency
+    """Actor pool, like :func:`decode_images`."""
+    from ..state.resources import pool_concurrency, stateful_map
 
-        concurrency = pool_concurrency()
-    return ds.map_batches(FrameSampler, fn_constructor_kwargs={"n_frames": n_frames},
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+    return stateful_map(ds, lambda: FrameSampler(n_frames),
+                        concurrency=concurrency or pool_concurrency(),
+                        batch_size=batch_size)

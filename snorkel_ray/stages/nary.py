@@ -193,7 +193,6 @@ class NaryCandidateExtractor:
         return pa.table(cols)
 
 
-_NARY_CACHE: dict = {}
 import itertools as _it
 
 _NARY_CALL_SEQ = _it.count()
@@ -206,11 +205,11 @@ def extract_nary_candidates(sentences, cand_class: CandidateClass,
                             symmetric_relations: bool = False,
                             batch_size: int | None = None):
     """sentences Dataset → n-ary candidate Dataset (struct col per arg).
-    Elastic tasks with a per-worker-process extractor cache, same as
-    the binary path."""
+    Elastic tasks with a per-worker-process extractor, same as the
+    binary path."""
     import os
 
-    from ..state.resources import cache_get_or_build
+    from ..state.resources import stateful_map
 
     kwargs = dict(space=space, self_relations=self_relations,
                   nested_relations=nested_relations,
@@ -220,15 +219,9 @@ def extract_nary_candidates(sentences, cand_class: CandidateClass,
     # across this call's tasks — no stale-cache collisions, full reuse
     # within the stage
     key = (cand_class, f"{os.getpid()}:{next(_NARY_CALL_SEQ)}")
-
-    def _extract(batch: pa.Table) -> pa.Table:
-        inst = cache_get_or_build(
-            _NARY_CACHE, key,
-            lambda: NaryCandidateExtractor(cand_class, matchers, **kwargs))
-        return inst(batch)
-
-    return sentences.map_batches(_extract, batch_format="pyarrow",
-                                 batch_size=batch_size)
+    return stateful_map(
+        sentences, lambda: NaryCandidateExtractor(cand_class, matchers, **kwargs),
+        key=key, batch_size=batch_size)
 
 
 def extract_pretagged_nary(tagged, cand_class: CandidateClass,

@@ -8,7 +8,8 @@ model once per ``UDF`` process (``snorkel/udf.py`` ≈L60–100).
 Here a Parser is any object with:
 
 - ``heavy: bool`` — True → actor pool (model loaded once per actor in
-  ``__init__``), False → elastic tasks with a per-process cache;
+  ``__init__``), False → elastic tasks (the parser ships in the task
+  closure);
 - ``__call__(docs_batch: pa.Table) -> pa.Table`` mapping the docs
   schema to the sentences schema (``schemas.SENTENCES``).
 
@@ -57,10 +58,6 @@ def parse_docs(docs, parser: Parser | None = None, *, batch_size: int | None = N
     if parser is None:
         parser = RuleParser()
     if getattr(parser, "heavy", False):
-        if concurrency is None:
-            from ..state.resources import pool_concurrency
-
-            concurrency = pool_concurrency()
         # heavy state is built ONCE PER ACTOR via a builder callable:
         # zero-arg parser classes build in __init__ (the protocol
         # default); parsers with constructor arguments must provide
@@ -85,16 +82,10 @@ def parse_docs(docs, parser: Parser | None = None, *, batch_size: int | None = N
                     "instance so each actor can build its own state")
             builder = cls
 
-        class _ParserActor:
-            def __init__(self, b):
-                self.parser = b()
+        from ..state.resources import pool_concurrency, stateful_map
 
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                return self.parser(batch)
-
-        return docs.map_batches(_ParserActor, fn_constructor_args=(builder,),
-                                batch_format="pyarrow", batch_size=batch_size,
-                                concurrency=concurrency)
+        return stateful_map(docs, builder, concurrency=concurrency or pool_concurrency(),
+                            batch_size=batch_size)
 
     # light parser: the object itself ships in the task closure (small
     # by contract — heavy=False means no model payload)

@@ -67,27 +67,17 @@ class PiiRedactor:
         return batch
 
 
-_REDACTOR_CACHE: dict = {}
-
-
 def redact_pii(ds, column: str = "text", *,
                patterns: dict[str, tuple[str, str]] | None = None,
                stats: bool = False, batch_size: int | None = None):
     """Scrub PII from ``column``; see :class:`PiiRedactor`."""
+    from ..state.resources import stateful_map
+
     # insertion ORDER is part of the redactor's semantics (phone can
     # eat digit runs inside an address), so the cache key must keep it
     # (round-4 review: sorting let two differently-ordered pattern
     # dicts share one worker-cached redactor)
     key = (column, stats,
            tuple(patterns.items()) if patterns is not None else None)
-
-    def _redact(b: pa.Table) -> pa.Table:
-        from ..state.resources import cache_get_or_build
-
-        inst = cache_get_or_build(
-            _REDACTOR_CACHE, key,
-            lambda: PiiRedactor(column, patterns, stats))
-        return inst(b)
-
-    return ds.map_batches(_redact, batch_format="pyarrow",
-                          batch_size=batch_size)
+    return stateful_map(ds, lambda: PiiRedactor(column, patterns, stats), key=key,
+                        batch_size=batch_size)

@@ -56,8 +56,8 @@ def add_token_tags(sentences, tagger: Callable[[list[str]], tuple[list[str], lis
     ner_tags)``, both parallel to ``words``.  Downstream,
     ``RegexMatchEach(attrib='ner_tags')`` / ``PersonMatcher`` etc. run
     on the real arrays (round-1 verdict item 10).  Stateless tasks —
-    swap in an actor pool (``map_batches(Cls, concurrency=...)``) when
-    the tagger loads a heavy model."""
+    move to ``state.resources.stateful_map`` with ``concurrency`` (an
+    actor pool) when the tagger loads a heavy model."""
 
     def _tag(batch: pa.Table) -> pa.Table:
         words_col = batch.column("words").to_pylist()

@@ -4,7 +4,7 @@ counting, document fingerprinting.
 Brief-mandated family (no direct reference analog; nearest ancestry is
 the LF helper string utilities, ``snorkel/lf_helpers.py`` ≈L1–150).
 All are stateless vectorized ``map_batches`` stages; the language-ID
-profile table and stopword sets are compiled once per actor.
+profile table and stopword sets are compiled once per worker.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def analyze_batch(texts: list) -> dict[str, np.ndarray]:
 
 
 class TextAnalyzer:
-    """Actor-pool stage appending lang_pred / quality / token counts /
+    """Batch stage appending lang_pred / quality / token counts /
     fingerprint columns to any table with ``text`` (vectorized batch
     kernel; see :func:`analyze_batch`)."""
 
@@ -233,30 +233,14 @@ class TextAnalyzer:
         return out
 
 
-_ANALYZER_CACHE: dict = {}
-
-
 def analyze_text(ds, *, column: str = "text", batch_size: int | None = None,
-                 concurrency=None, as_tasks: bool = True):
-    """Default: elastic tasks with a per-worker analyzer cache — the
-    state (compiled regex profiles) is light, and an actor pool would
-    cap whatever chain this fuses into (CLAUDE.md rule 2).  Pass
-    ``as_tasks=False`` to pin an actor pool (e.g. if a model-backed
-    analyzer replaces the heuristics)."""
-    if as_tasks:
-        def _analyze(batch: pa.Table) -> pa.Table:
-            from ..state.resources import cache_get_or_build
+                 concurrency=None):
+    """Default: elastic tasks with a per-worker analyzer — the state
+    (compiled regex profiles) is light, and an actor pool would cap
+    whatever chain this fuses into (CLAUDE.md rule 2).  Set
+    ``concurrency`` for an actor pool (e.g. if a model-backed analyzer
+    replaces the heuristics)."""
+    from ..state.resources import stateful_map
 
-            inst = cache_get_or_build(_ANALYZER_CACHE, column,
-                                      lambda: TextAnalyzer(column))
-            return inst(batch)
-
-        return ds.map_batches(_analyze, batch_format="pyarrow",
-                              batch_size=batch_size)
-    if concurrency is None:
-        from ..state.resources import pool_concurrency
-
-        concurrency = pool_concurrency()
-    return ds.map_batches(TextAnalyzer, fn_constructor_kwargs={"column": column},
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+    return stateful_map(ds, lambda: TextAnalyzer(column), key=column,
+                        concurrency=concurrency, batch_size=batch_size)

@@ -2,15 +2,19 @@
 
 The reference's only checkpoint is the RDBMS itself — every
 ``UDFRunner.apply`` commits ORM rows and ``clear=True`` wipes a stage
-(``snorkel/udf.py`` ≈L40–150).  Here each stage writes partitioned
-Parquet under ``<root>/<stage>/`` plus ``_manifest.json`` recording the
-stage's FINGERPRINT (hash of input fingerprint + stage name + params +
-code version), row count and counters.  A rerun recomputes a stage only
-when its fingerprint changed; otherwise it re-opens the parquet
-(lineage-accurate skip).  Writes are atomic: data lands in
-``<stage>.tmp/`` and is renamed over the final dir before the manifest
-is written, so a killed run can never leave a half-stage that passes
-the fingerprint check (FIXTURES.md F7).
+(``snorkel/udf.py`` ≈L40–150).  Here a checkpointed stage — the
+flagship's ``labeled`` stage (``pipelines/kg.py``) and each shard of
+the sharded runners (``state/sharded.py``) — goes through the one step
+``_skip_or_build``: it writes partitioned Parquet under its dir plus
+``_manifest.json`` recording the stage's FINGERPRINT (hash of input
+fingerprint + stage name + params + code version), row count, wall
+time and counters.  A rerun recomputes a stage only when its
+fingerprint changed; otherwise the caller re-opens the parquet
+(lineage-accurate skip).  Writes are atomic (``atomic_write_parquet``,
+the one parquet writer): data lands in ``<stage>.tmp/`` and is renamed
+over the final dir before the manifest is written, so a killed run can
+never leave a half-stage that passes the fingerprint check
+(FIXTURES.md F7).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
 
 CODE_VERSION = "3"  # bump to invalidate all checkpoints on semantic change
 
@@ -46,39 +49,23 @@ def _ensure_parquet_dir(tmp: str, ds) -> None:
     pq.write_table(schema.empty_table(), os.path.join(tmp, "empty.parquet"))
 
 
-def atomic_write_parquet(ds, out_dir: str):
-    """Overwrite-safe parquet write: data lands in ``<out_dir>.tmp`` and
-    replaces the final dir in one rename.  ``write_parquet`` alone uses
-    per-run unique filenames, so writing twice to the same dir APPENDS a
-    full duplicate part-file set — a resumed/repeated run would silently
-    double the persisted artifact (round-1 ADVICE, verified on ray
-    2.49.2).  Returns a Dataset re-opened from the final dir."""
-    import ray.data as rd
-
-    tmp = out_dir.rstrip("/") + ".tmp"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    ds.write_parquet(tmp)
-    _ensure_parquet_dir(tmp, ds)
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-    os.replace(tmp, out_dir)
-    return rd.read_parquet(out_dir)
-
-
-def atomic_stage_write(ds, final: str) -> int:
-    """Shared atomic stage write (round-5 review: CheckpointedPipeline
-    and the sharded runner carried drifting copies): write to
-    ``<final>.tmp`` on an EXPLICIT LocalFileSystem (concurrent driver
-    threads race pyarrow/fsspec filesystem inference — the documented
-    fsspec-http crash the sharded copy fixed and this copy had not),
-    count rows from the written file metadata (no recompute), clear +
-    rename into place.  → row count."""
+def atomic_write_parquet(ds, out_dir: str) -> int:
+    """THE overwrite-safe parquet write (stage and shard checkpoints,
+    ``materialize_triples(out_dir=...)``, the curation work dir): data
+    lands in ``<out_dir>.tmp`` and replaces the final dir in one
+    rename.  ``write_parquet`` alone uses per-run unique filenames, so
+    writing twice to the same dir APPENDS a full duplicate part-file
+    set — a resumed/repeated run would silently double the persisted
+    artifact (round-1 ADVICE, verified on ray 2.49.2).  The write uses
+    an EXPLICIT LocalFileSystem: concurrent driver threads (the sharded
+    runner) race pyarrow/fsspec filesystem inference.  → row count,
+    read from the written files' footers (no recompute); a caller that
+    needs a Dataset re-opens ``out_dir``."""
     import pyarrow.parquet as pq
 
     from pyarrow.fs import LocalFileSystem
 
-    tmp = final + ".tmp"
+    tmp = out_dir.rstrip("/") + ".tmp"
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
     ds.write_parquet(tmp, filesystem=LocalFileSystem())
@@ -87,9 +74,9 @@ def atomic_stage_write(ds, final: str) -> int:
     for f in os.listdir(tmp):
         if f.endswith(".parquet"):
             rows += pq.ParquetFile(os.path.join(tmp, f)).metadata.num_rows
-    if os.path.exists(final):
-        shutil.rmtree(final)
-    os.replace(tmp, final)
+    if os.path.exists(out_dir):
+        shutil.rmtree(out_dir)
+    os.replace(tmp, out_dir)
     return rows
 
 
@@ -126,7 +113,8 @@ def fingerprint(*parts: object) -> str:
 
 def _skip_or_build(final: str, fp: str, build, fields: dict) -> dict:
     """THE skip-or-build step of every checkpointed stage dir (the
-    streaming stages and each shard of the sharded runners).
+    streaming runner's ``labeled`` stage and each shard of the sharded
+    runners).
 
     A ``_manifest.json`` whose fingerprint equals ``fp`` means the dir
     is complete: return it with ``skipped=True``.  Otherwise clear a
@@ -141,7 +129,7 @@ def _skip_or_build(final: str, fp: str, build, fields: dict) -> dict:
     if os.path.exists(final):
         shutil.rmtree(final)
     t0 = time.perf_counter()
-    rows = atomic_stage_write(build(), final)
+    rows = atomic_write_parquet(build(), final)
     wall = time.perf_counter() - t0
     m = {"fingerprint": fp, **fields, "rows": rows,
          "wall_sec": round(wall, 3),
@@ -149,52 +137,3 @@ def _skip_or_build(final: str, fp: str, build, fields: dict) -> dict:
          "code_version": CODE_VERSION, "skipped": False}
     write_manifest(mpath, m)
     return m
-
-
-@dataclass
-class StageResult:
-    name: str
-    fingerprint: str
-    path: str | None
-    rows: int | None
-    skipped: bool
-
-
-@dataclass
-class CheckpointedPipeline:
-    """Orchestrates a linear chain of Dataset stages with skip-on-match.
-
-    ``root=None`` disables checkpointing entirely (stages just run);
-    used by unit tests and by purely-streaming invocations.
-    """
-
-    root: str | None
-    input_fingerprint: str
-    log: list[StageResult] = field(default_factory=list)
-
-    def stage(self, name: str, params: dict, build, prev_fp: str | None = None):
-        """Run (or skip) one stage.
-
-        ``build()`` must return a ``ray.data.Dataset``. Returns
-        ``(dataset, stage_fingerprint)``. When checkpointing is on, the
-        returned dataset reads from the stage's parquet dir — i.e. the
-        stage is a pipeline barrier, which is exactly what makes it a
-        resume point.
-        """
-        import ray.data as rd
-
-        fp = fingerprint(prev_fp or self.input_fingerprint, name, sorted(params.items()),
-                         CODE_VERSION)
-        if self.root is None:
-            ds = build()
-            self.log.append(StageResult(name, fp, None, None, False))
-            return ds, fp
-
-        final = os.path.join(self.root, name)
-        m = _skip_or_build(final, fp, build, {
-            "stage": name, "params": {k: repr(v) for k, v in params.items()}})
-        self.log.append(StageResult(name, fp, final, m["rows"], m["skipped"]))
-        return rd.read_parquet(final), fp
-
-    def summary(self) -> list[dict]:
-        return [{"stage": r.name, "skipped": r.skipped, "rows": r.rows} for r in self.log]

@@ -1,11 +1,17 @@
-"""Actor-pool sizing against the live Ray session.
+"""Broadcast-state stages and actor-pool sizing against the live Ray
+session.
 
-A pooled ``map_batches`` stage that reserves every CPU starves the
-task-based stages (reads, stateless maps) — on a 4-CPU test session two
-pools at min=2 deadlock the whole pipeline (observed; the streaming
-executor does not reclaim pre-started pool actors).  Rule: each pool
-gets at most ``frac`` of session CPUs, min 1, and pools always leave
-≥1 CPU free for task operators.
+``stateful_map`` is the one place a broadcast-state stage (alias
+index, LF set, compiled patterns, a parser model) is run either on
+elastic tasks — the default, because a pool caps everything fused into
+it (CLAUDE.md rule 2) — or, with ``concurrency`` set, as an actor pool.
+
+A pooled stage that reserves every CPU starves the task-based stages
+(reads, stateless maps) — on a 4-CPU test session two pools at min=2
+deadlock the whole pipeline (observed; the streaming executor does not
+reclaim pre-started pool actors).  Rule: each pool gets at most
+``frac`` of session CPUs, min 1, and pools always leave ≥1 CPU free
+for task operators (``pool_concurrency``).
 """
 
 from __future__ import annotations
@@ -78,6 +84,56 @@ def pool_concurrency(frac: float = 0.25) -> tuple[int, int]:
     hi = max(1, min(int(cpus * frac), cpus - 1))
     # NOTE: a 1-CPU session necessarily gets (1, 1) — the pool takes
     # the only CPU, so mixing a pooled stage with task stages there
-    # can starve; library defaults use as_tasks=True precisely so a
+    # can starve; light-state stages default to tasks precisely so a
     # pool is always an explicit caller choice
     return (max(1, hi // 2), hi)
+
+
+# per-worker-process instances of ``stateful_map`` stages: one bounded
+# dict per stage, so two stages keyed by the same broadcast (the
+# candidate extractor and the linker both key by the alias table) never
+# serve each other's callable, and one stage's churn never evicts the
+# instances of the stages fused next to it
+_STAGE_CACHES: dict[str, dict] = {}
+
+
+def _stage_instance(stage: str, key, build):
+    """This worker process's callable for (``stage``, ``key``).  It is
+    module-level on purpose: cloudpickle ships a nested task function
+    by value, together with a COPY of each module global it names, so
+    a cache dict named inside the task closure starts empty in every
+    task; a module function travels by reference and reaches the
+    worker's real ``_STAGE_CACHES``."""
+    return cache_get_or_build(_STAGE_CACHES.setdefault(stage, {}), key, build)
+
+
+class _Pooled:
+    """Actor-pool form of ``stateful_map``: ``build()`` runs once per
+    actor."""
+
+    def __init__(self, build):
+        self.fn = build()
+
+    def __call__(self, batch):
+        return self.fn(batch)
+
+
+def stateful_map(ds, build, *, key=None, concurrency=None, batch_size=None):
+    """``ds.map_batches`` of the callable ``build()`` returns (pyarrow
+    batches), built once per worker process (tasks, the default) or
+    once per actor (``concurrency`` set: an actor pool of that size).
+
+    ``key`` must capture everything the built state depends on besides
+    the stage itself (``broadcast_key`` of a broadcast, the options);
+    a worker serves one stage's callable for equal keys.  The stage
+    namespace is ``build``'s qualified name, taken on the driver."""
+    if concurrency is not None:
+        return ds.map_batches(_Pooled, fn_constructor_args=(build,),
+                              batch_format="pyarrow", batch_size=batch_size,
+                              concurrency=concurrency)
+    stage = f"{build.__module__}.{build.__qualname__}"
+
+    def _task(batch):
+        return _stage_instance(stage, key, build)(batch)
+
+    return ds.map_batches(_task, batch_format="pyarrow", batch_size=batch_size)

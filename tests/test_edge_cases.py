@@ -229,22 +229,23 @@ def test_round4_third_review_guards(ray_session, tmp_path):
     assert "hot" in merged.counts  # true count 12 must be present
 
     # 4. corrupt manifest -> recompute, not JSONDecodeError
-    from snorkel_ray.state.checkpoint import CheckpointedPipeline
+    from snorkel_ray.state.checkpoint import _skip_or_build
 
-    root = str(tmp_path / "ckpt")
-    pipe = CheckpointedPipeline(root=root, input_fingerprint="v1")
-    ds, fp = pipe.stage("s1", {}, lambda: rd.from_items(
-        [{"a": 1}, {"a": 2}]))
-    assert ds.count() == 2
-    mpath = f"{root}/s1/_manifest.json"
+    final = str(tmp_path / "ckpt" / "s1")
+
+    def build():
+        return rd.from_items([{"a": 1}, {"a": 2}])
+
+    m = _skip_or_build(final, "fp1", build, {"stage": "s1"})
+    assert m["rows"] == 2 and m["skipped"] is False
+    mpath = f"{final}/_manifest.json"
     with open(mpath, "w") as f:
         f.write('{"fingerprint": "tru')  # truncated write
-    pipe2 = CheckpointedPipeline(root=root, input_fingerprint="v1")
-    ds2, _ = pipe2.stage("s1", {}, lambda: rd.from_items(
-        [{"a": 1}, {"a": 2}]))
-    assert ds2.count() == 2
-    assert pipe2.log[-1].skipped is False  # recomputed
-    assert json.load(open(mpath))["fingerprint"] == fp
+    m2 = _skip_or_build(final, "fp1", build, {"stage": "s1"})
+    assert m2["skipped"] is False and m2["rows"] == 2  # recomputed
+    assert json.load(open(mpath))["fingerprint"] == "fp1"
+    assert rd.read_parquet(final).count() == 2
+    assert _skip_or_build(final, "fp1", build, {"stage": "s1"})["skipped"] is True
 
     # 5. hash-shard fallback invalidates on input size change
     from snorkel_ray.state.sharded import run_sharded_stage

@@ -21,15 +21,25 @@ def _linked_ds(ray_session):
     return rd.from_items(rows).repartition(8)
 
 
-def test_small_and_distributed_dedup_agree(ray_session):
+def _final_dedup_on(monkeypatch, driver: bool) -> None:
+    """Force ``materialize_triples``' final dedup onto the driver path
+    or the distributed path, whatever the row count."""
+    from snorkel_ray.stages import materialize
+
+    monkeypatch.setattr(materialize, "_DRIVER_DEDUP_ROWS", 10**12 if driver else -1)
+
+
+def test_small_and_distributed_dedup_agree(ray_session, monkeypatch):
     from snorkel_ray.stages.materialize import materialize_triples
 
     ds = _linked_ds(ray_session)
 
+    _final_dedup_on(monkeypatch, driver=True)
     small = materialize_triples(ds.map_batches(_rename, batch_format="pyarrow"),
-                                threshold=0.5, small_output=True).to_pandas()
+                                threshold=0.5).to_pandas()
+    _final_dedup_on(monkeypatch, driver=False)
     dist = materialize_triples(ds.map_batches(_rename, batch_format="pyarrow"),
-                               threshold=0.5, small_output=False).to_pandas()
+                               threshold=0.5).to_pandas()
     small_s = small.sort_values(["subj_qid", "pred", "obj_qid"]).reset_index(drop=True)
     dist_s = dist.sort_values(["subj_qid", "pred", "obj_qid"]).reset_index(drop=True)
     assert small_s[["subj_qid", "pred", "obj_qid", "p"]].equals(
@@ -38,24 +48,31 @@ def test_small_and_distributed_dedup_agree(ray_session):
     assert small_s.groupby(["subj_qid", "pred", "obj_qid"]).size().max() == 1
 
 
-def test_materialize_auto_switch(ray_session):
-    """small_output=None (the default) must route on the combined
-    partial count: tiny threshold → distributed path, default
-    threshold → driver path, identical output either way (round-2
-    verdict item 2)."""
-    from snorkel_ray.stages.materialize import materialize_triples
+def test_materialize_auto_switch(ray_session, monkeypatch):
+    """The final dedup routes on the combined partial count: the
+    default ``_DRIVER_DEDUP_ROWS`` → driver path, a count above it →
+    distributed path, identical output either way (round-2 verdict
+    item 2)."""
+    from snorkel_ray.stages import materialize
 
     ds = _linked_ds(ray_session)
+    calls = []
+    dist_plan = materialize._dedup_distributed
+    monkeypatch.setattr(materialize, "_dedup_distributed",
+                        lambda *a: calls.append(1) or dist_plan(*a))
 
-    def run(**kw):
-        out = materialize_triples(
+    def run():
+        out = materialize.materialize_triples(
             ds.map_batches(_rename, batch_format="pyarrow"),
-            threshold=0.5, **kw).to_pandas()
+            threshold=0.5).to_pandas()
         return out.sort_values(["subj_qid", "pred", "obj_qid"]) \
             .reset_index(drop=True)
 
     auto_small = run()  # count << 5M → driver path
-    auto_dist = run(small_output_threshold=1)  # forces distributed path
+    assert calls == []
+    monkeypatch.setattr(materialize, "_DRIVER_DEDUP_ROWS", 1)
+    auto_dist = run()  # count > 1 → distributed path
+    assert calls == [1]
     cols = ["subj_qid", "pred", "obj_qid", "p", "url", "sent_stable_id"]
     assert auto_small[cols].equals(auto_dist[cols])
     assert auto_small.groupby(["subj_qid", "pred", "obj_qid"]).size().max() == 1
@@ -114,7 +131,7 @@ def test_lsh_bucket_pairs_standalone(ray_session):
     assert len(pairs) == len(pairs.drop_duplicates(["a", "b"]))
 
 
-def test_unlinked_triples_do_not_collapse(ray_session):
+def test_unlinked_triples_do_not_collapse(ray_session, monkeypatch):
     """Round-4 review: distinct facts whose entities are all unlinked
     (qid '') used to collapse under the shared ('', pred, '') dedup
     key — the small and distributed paths must both keep them apart,
@@ -135,16 +152,17 @@ def test_unlinked_triples_do_not_collapse(ray_session):
         "sent_stable_id": ["s1", "s2", "s3"],
     })
     ds = rd.from_pandas(rows).repartition(2)
-    for force in (True, False):
-        out = (materialize_triples(ds, threshold=0.5, small_output=force)
+    for driver in (True, False):
+        _final_dedup_on(monkeypatch, driver)
+        out = (materialize_triples(ds, threshold=0.5)
                .to_pandas().sort_values(["subj", "obj"]).reset_index(drop=True))
-        assert len(out) == 2, (force, out)
+        assert len(out) == 2, (driver, out)
         assert out.subj.tolist() == ["Alice", "Bob"]
         # max-p witness survives for the duplicated fact
         assert out[out.subj == "Alice"].url.tolist() == ["u1"]
 
 
-def test_distributed_dedup_matches_small_path(ray_session):
+def test_distributed_dedup_matches_small_path(ray_session, monkeypatch):
     """The vectorized Min-aggregate distributed plan must emit exactly
     the driver-merge plan's rows (values AND deterministic order)."""
     import numpy as np
@@ -166,10 +184,10 @@ def test_distributed_dedup_matches_small_path(ray_session):
         "sent_stable_id": [f"s{i}" for i in range(n)],
     })
     ds = rd.from_pandas(rows).repartition(5)
-    small = materialize_triples(ds, threshold=0.5,
-                                small_output=True).to_pandas()
-    dist = materialize_triples(ds, threshold=0.5,
-                               small_output=False).to_pandas()
+    _final_dedup_on(monkeypatch, driver=True)
+    small = materialize_triples(ds, threshold=0.5).to_pandas()
+    _final_dedup_on(monkeypatch, driver=False)
+    dist = materialize_triples(ds, threshold=0.5).to_pandas()
     pd.testing.assert_frame_equal(small.reset_index(drop=True),
                                   dist.reset_index(drop=True))
 
@@ -238,14 +256,13 @@ def _ipc_bytes(ds) -> bytes:
     return sink.getvalue().to_pybytes()
 
 
-@pytest.mark.parametrize("small_output", [True, False])
-def test_triples_tail_equals_row_level_plan(ray_session, monkeypatch, small_output):
+@pytest.mark.parametrize("driver", [True, False])
+def test_triples_tail_equals_row_level_plan(ray_session, monkeypatch, driver):
     """kg._triples (link → (triple, vote-pattern) partials → fit on
     their n-weighted counts → score the partials → best witness) must
     give byte-identical triples to the row-level plan: fit on every
-    labeled row, score every row, link, materialize."""
-    import functools
-
+    labeled row, score every row, link, materialize — on either final
+    dedup path."""
     import ray.data as rd
 
     from snorkel_ray.pipelines import kg
@@ -254,11 +271,12 @@ def test_triples_tail_equals_row_level_plan(ray_session, monkeypatch, small_outp
     from snorkel_ray.stages.materialize import (_with_dedup_keys, link_candidates,
                                                 materialize_triples)
 
+    _final_dedup_on(monkeypatch, driver)
     blocks, alias = _labeled_blocks()
     labeled = rd.from_arrow(blocks)
     ref_model = fit_label_model(pattern_counts(labeled))
     linked = link_candidates(score_marginals(labeled, ref_model), alias).materialize()
-    ref = materialize_triples(linked, threshold=0.5, small_output=small_output)
+    ref = materialize_triples(linked, threshold=0.5)
 
     # the data holds every case the tail has to get right
     df = _with_dedup_keys(linked.to_pandas(), "subj_text", "obj_text")
@@ -272,11 +290,42 @@ def test_triples_tail_equals_row_level_plan(ray_session, monkeypatch, small_outp
     won = ref.to_pandas().query("url == 'a/u0'")
     assert won["subj"].tolist() == ["ENTITY A"] and won["p"].tolist() == [1.0]
 
-    monkeypatch.setattr(kg, "materialize_triples",
-                        functools.partial(materialize_triples, small_output=small_output))
     got, model, parts = kg._triples(link_candidates(labeled, alias), 0.5)
     assert _ipc_bytes(got) == _ipc_bytes(ref)
     assert np.array_equal(model["theta"], ref_model["theta"])
     assert model["pi"] == ref_model["pi"]
     assert model["rows"] == sum(b.num_rows for b in blocks) > parts.count()
     assert model["patterns"] >= 20
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+def test_witness_is_independent_of_blocking(ray_session, monkeypatch, n_blocks):
+    """At equal p the witness is the min (url, sent_stable_id) TUPLE on
+    both final dedup paths, however the rows are blocked — also when a
+    url or sentence id holds a control character that sorts below the
+    old ``\\x1f`` key separator."""
+    import pandas as pd
+    import ray.data as rd
+
+    from snorkel_ray.stages.materialize import materialize_triples
+
+    def row(k, url, sent):
+        return {"subj_text": f"S{k}", "pred": "rel", "obj_text": f"O{k}",
+                "subj_qid": f"Q{k}", "obj_qid": f"R{k}", "p": 0.9,
+                "url": url, "sent_stable_id": sent}
+
+    # per triple: (the tuple-min witness, a rival), rivals blocked first
+    pairs = [(row(0, "a", "s"), row(0, "a\x05", "s")),
+             (row(1, "b", "s"), row(1, "b", "s\x01")),
+             (row(2, "c", "s\x02"), row(2, "c\x1e", "s"))]
+    want = pd.DataFrame([w for w, _ in pairs])[["url", "sent_stable_id"]]
+    rivals = pa.Table.from_pylist([r for _, r in pairs])
+    winners = pa.Table.from_pylist([w for w, _ in pairs])
+    tables = ([pa.concat_tables([rivals, winners])] if n_blocks == 1 else
+              [rivals, winners.slice(0, 2), winners.slice(2)])
+    for driver in (True, False):
+        _final_dedup_on(monkeypatch, driver)
+        out = materialize_triples(rd.from_arrow(tables), threshold=0.5).to_pandas()
+        pd.testing.assert_frame_equal(
+            out[["url", "sent_stable_id"]].reset_index(drop=True), want,
+            obj=f"witness (driver={driver}, blocks={n_blocks})")

@@ -2,7 +2,6 @@
 Ray-session-backed tests (SURVEY.md §5 items 3/4)."""
 
 import os
-import shutil
 
 import pandas as pd
 import pyarrow as pa
@@ -30,34 +29,77 @@ def test_e2e_golden_triples(ray_session, kb):
     assert res["recall"] >= 0.95, res
 
 
-def test_resume_skips_and_is_identical(ray_session, kb, tmp_path):
+def _sorted(triples) -> pd.DataFrame:
+    return triples.to_pandas().sort_values(["subj_qid", "pred", "obj_qid"]) \
+        .reset_index(drop=True)
+
+
+def test_resume_skips_and_is_identical(ray_session, kb, tmp_path, monkeypatch):
+    """The labeled stage is the one checkpoint: a rerun with a matching
+    manifest never calls the labeled chain, reports the stage's rows
+    and wall time, and gives identical triples."""
+    from snorkel_ray.pipelines import kg
+
     ckpt = str(tmp_path / "ckpt")
     os.makedirs(ckpt)
     args = (pages_dataset(150, SEED), alias_table(kb), kb["facts"])
+    calls = []
+    chain = kg._labeled_chain
+    monkeypatch.setattr(kg, "_labeled_chain",
+                        lambda *a, **kw: calls.append(1) or chain(*a, **kw))
+
     t1, i1 = run_kg_pipeline(*args, checkpoint_dir=ckpt)
-    df1 = t1.to_pandas().sort_values(["subj_qid", "pred", "obj_qid"]).reset_index(drop=True)
-    assert [s["stage"] for s in i1["stages"]] == ["labeled", "triples"]
-    assert all(not s["skipped"] for s in i1["stages"])
+    df1 = _sorted(t1)
+    [s1] = i1["stages"]
+    assert s1["stage"] == "labeled" and s1["skipped"] is False
+    assert s1["rows"] > len(df1) > 0 and s1["wall_sec"] > 0
+    assert calls == [1]
 
-    # simulate a killed run resuming: manifests exist -> all stages skip
+    # simulate a killed run resuming: the manifest matches -> skip
     t2, i2 = run_kg_pipeline(*args, checkpoint_dir=ckpt)
-    df2 = t2.to_pandas().sort_values(["subj_qid", "pred", "obj_qid"]).reset_index(drop=True)
-    assert all(s["skipped"] for s in i2["stages"]), i2["stages"]
-    assert df1.equals(df2)
+    assert i2["stages"] == [{**s1, "skipped": True}]
+    assert calls == [1]  # the chain was never built again
+    assert df1.equals(_sorted(t2))
 
-    # partial checkpoint (kill after stage 1): later stages recompute,
-    # stage 1 skips, output identical
-    shutil.rmtree(os.path.join(ckpt, "triples"))
+    # killed between the data rename and the manifest write: rebuilt
+    os.remove(os.path.join(ckpt, "labeled", "_manifest.json"))
     t3, i3 = run_kg_pipeline(*args, checkpoint_dir=ckpt)
-    df3 = t3.to_pandas().sort_values(["subj_qid", "pred", "obj_qid"]).reset_index(drop=True)
-    flags = {s["stage"]: s["skipped"] for s in i3["stages"]}
-    assert flags["labeled"] is True and flags["triples"] is False
-    assert df1.equals(df3)
+    assert i3["stages"][0]["skipped"] is False and calls == [1, 1]
+    assert df1.equals(_sorted(t3))
 
-    # a threshold change rebuilds only the triples stage
+    # threshold is not a labeled param: the tail reruns on the parquet
+    # and matches a streaming run at that threshold
     t4, i4 = run_kg_pipeline(*args, checkpoint_dir=ckpt, threshold=0.6)
-    flags = {s["stage"]: s["skipped"] for s in i4["stages"]}
-    assert flags["labeled"] is True and flags["triples"] is False
+    assert i4["stages"][0]["skipped"] is True and calls == [1, 1]
+    monkeypatch.setattr(kg, "_labeled_chain", chain)
+    t5, i5 = run_kg_pipeline(*args, threshold=0.6)
+    assert i5["stages"] == []
+    assert _sorted(t4).equals(_sorted(t5))
+
+
+def test_pool_form_runs_lfs_and_linking_as_pools(ray_session, kb, monkeypatch):
+    """``concurrency`` reaches both the LF stage and the linking stage
+    of the flagship as actor pools, and the triples equal the default
+    (elastic-task) run's."""
+    from ray.data import Dataset
+
+    seen = []
+    orig = Dataset.map_batches
+
+    def spy(self, fn, *a, **kw):
+        build = (kw.get("fn_constructor_args") or (None,))[0]
+        seen.append((getattr(build, "__qualname__", ""), kw.get("concurrency")))
+        return orig(self, fn, *a, **kw)
+
+    monkeypatch.setattr(Dataset, "map_batches", spy)
+    args = (pages_dataset(120, SEED), alias_table(kb), kb["facts"])
+    base, _ = run_kg_pipeline(*args)
+    assert all(c is None for _, c in seen), seen
+    seen.clear()
+    pooled, _ = run_kg_pipeline(*args, concurrency=(1, 1))
+    pools = {q.split(".")[0]: c for q, c in seen if c is not None}
+    assert pools == {"apply_lfs": (1, 1), "link_candidates": (1, 1)}, seen
+    pd.testing.assert_frame_equal(pooled.to_pandas(), base.to_pandas())
 
 
 def test_mentions_and_linking(ray_session, kb):
@@ -243,9 +285,9 @@ def test_cc_distributed_long_chain_converges(ray_session):
 
 
 def test_checkpoint_invalidates_on_kb_change(ray_session, tmp_path):
-    """Round-4 review: the labeled/triples checkpoints fingerprint the
-    alias table and facts KB — editing either must recompute, not
-    silently serve stale parquet."""
+    """Round-4 review: the labeled checkpoint fingerprints the alias
+    table and facts KB — editing either must recompute, not silently
+    serve stale parquet."""
     from snorkel_ray.pipelines.kg import run_kg_pipeline
     from snorkel_ray.synth import alias_table, build_kb, pages_dataset
 
@@ -260,7 +302,7 @@ def test_checkpoint_invalidates_on_kb_change(ray_session, tmp_path):
                                kb["facts"], checkpoint_dir=root)
     assert all(s["skipped"] for s in info2["stages"])
 
-    # a fact edit invalidates the labeled stage (and its descendants)
+    # a fact edit invalidates the labeled stage
     facts2 = list(kb["facts"]) + [("Qx", "born_in", "Qy")]
     _, info3 = run_kg_pipeline(pages_dataset(120, 42), alias_table(kb),
                                facts2, checkpoint_dir=root)
