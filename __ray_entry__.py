@@ -1164,9 +1164,9 @@ def q_cumulative_sum(sf_dir: str):
 
 
 def q_cumulative_sum_chunked(sf_dir: str):
-    """Same running total through the hot-key-safe two-level plan
-    (within-chunk cumsum + per-key prefix-summed chunk totals joined
-    back as ONE additive carry) — identical SQL oracle."""
+    """Same running total through the hot-key-safe carry plan
+    (within-chunk running sum + per-key prefix-summed chunk totals
+    joined back as ONE additive carry) — identical SQL oracle."""
     from snorkel_ray.stages.windows import cumulative_sum
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
@@ -1203,12 +1203,11 @@ def q_event_value_lag(sf_dir: str):
     return out.map_batches(_proj, batch_format="pyarrow").sort("event_id")
 
 
-def q_asof_last_click(sf_dir: str):
-    """Backward as-of join (time-series enrichment): every non-click
-    event gets the value of the user's most recent click at-or-before
-    its timestamp — checked against DuckDB's native ASOF LEFT JOIN.
-    Right side pre-aggregated to one row per (user, ts) so the match
-    is well-defined on both engines."""
+def _asof_clicks(sf_dir: str, out_col: str, **kw):
+    """Every non-click event as-of joined to the user's clicks
+    (``asof_join(**kw)``), the click value landing in ``out_col``.
+    The click side is pre-aggregated to one row per (user, ts) —
+    ``max(value)`` — so the match is well-defined on both engines."""
     from ray.data.aggregate import Max
 
     from snorkel_ray.stages.joins import asof_join
@@ -1233,77 +1232,29 @@ def q_asof_last_click(sf_dir: str):
              .groupby(["user_id", "ts"])
              .aggregate(Max("value", alias_name="value")))
     out = asof_join(left, right, "user_id", "ts", ["value"],
-                    rename={"value": "last_click_value"})
-    return (out.select_columns(["event_id", "last_click_value"])
-            .sort("event_id"))
+                    rename={"value": out_col}, **kw)
+    return out.select_columns(["event_id", out_col]).sort("event_id")
+
+
+def q_asof_last_click(sf_dir: str):
+    """Backward as-of join (time-series enrichment): every non-click
+    event gets the value of the user's most recent click at-or-before
+    its timestamp — checked against DuckDB's native ASOF LEFT JOIN."""
+    return _asof_clicks(sf_dir, "last_click_value")
 
 
 def q_asof_last_click_chunked(sf_dir: str):
     """The same as-of join through the hot-key-safe two-level plan
     (pre_split_chunk) — hash-checked against the identical ASOF JOIN
     oracle, proving the chunked plan exact on real data."""
-    from ray.data.aggregate import Max
-
-    from snorkel_ray.stages.joins import asof_join
-
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts",
-                                  "event_type", "value"])
-
-    def _nonclick(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "user_id": b.column("user_id"),
-            "ts": b.column("ts"),
-        }).filter(pc.not_equal(b.column("event_type"), "click"))
-
-    def _click(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.equal(b.column("event_type"), "click"))
-        return pa.table({"user_id": t.column("user_id"),
-                         "ts": t.column("ts"), "value": t.column("value")})
-
-    left = ev.map_batches(_nonclick, batch_format="pyarrow")
-    right = (ev.map_batches(_click, batch_format="pyarrow")
-             .groupby(["user_id", "ts"])
-             .aggregate(Max("value", alias_name="value")))
-    out = asof_join(left, right, "user_id", "ts", ["value"],
-                    rename={"value": "last_click_value"},
-                    pre_split_chunk="1D")
-    return (out.select_columns(["event_id", "last_click_value"])
-            .sort("event_id"))
+    return _asof_clicks(sf_dir, "last_click_value", pre_split_chunk="1D")
 
 
 def q_asof_next_click(sf_dir: str):
     """Forward as-of join (r5): every non-click event gets the value
     of the user's NEXT click at-or-after its timestamp — checked
     against DuckDB's native ASOF LEFT JOIN with <=."""
-    from ray.data.aggregate import Max
-
-    from snorkel_ray.stages.joins import asof_join
-
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts",
-                                  "event_type", "value"])
-
-    def _nonclick(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_id": b.column("event_id"),
-            "user_id": b.column("user_id"),
-            "ts": b.column("ts"),
-        }).filter(pc.not_equal(b.column("event_type"), "click"))
-
-    def _click(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.equal(b.column("event_type"), "click"))
-        return pa.table({"user_id": t.column("user_id"),
-                         "ts": t.column("ts"), "value": t.column("value")})
-
-    left = ev.map_batches(_nonclick, batch_format="pyarrow")
-    right = (ev.map_batches(_click, batch_format="pyarrow")
-             .groupby(["user_id", "ts"])
-             .aggregate(Max("value", alias_name="value")))
-    out = asof_join(left, right, "user_id", "ts", ["value"],
-                    rename={"value": "next_click_value"},
-                    direction="forward")
-    return (out.select_columns(["event_id", "next_click_value"])
-            .sort("event_id"))
+    return _asof_clicks(sf_dir, "next_click_value", direction="forward")
 
 
 def q_order_price_histogram(sf_dir: str):

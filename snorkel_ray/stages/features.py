@@ -100,34 +100,33 @@ def build_feature_vocab(candidates, *, feature_fn: FeatureFn = default_candidate
     return {name: i for i, name in enumerate(buf.column("name").to_pylist())}
 
 
-_VOCAB_CACHE: dict = {}
-
-
 def featurize(candidates, vocab: dict[str, int], *,
               feature_fn: FeatureFn = default_candidate_features,
               batch_size: int | None = None):
     """Pass 2: broadcast vocab → per-candidate sorted feature-id lists
     (the reference's sparse Feature EAV rows become one list<int32>
-    column).  Elastic tasks with a per-worker-process vocab cache
-    (CLAUDE.md rules 2-3: an actor pool would cap the fused chain, and
-    a fixed batch_size would re-batch it)."""
+    column).  A ``stateful_map`` stage: elastic tasks fetch the vocab
+    once per worker process (CLAUDE.md rules 2-3: an actor pool would
+    cap the fused chain, and a fixed batch_size would re-batch it)."""
     import ray
 
+    from ..state.resources import stateful_map
+
     v_ref = ray.put(vocab)
-    key = v_ref.hex()
 
-    def _featurize(batch: pa.Table) -> pa.Table:
-        from ..state.resources import cache_get_or_build
+    def build():
+        local_vocab = ray.get(v_ref)
 
-        local_vocab = cache_get_or_build(_VOCAB_CACHE, key,
-                                         lambda: ray.get(v_ref))
-        rows = _feature_rows(batch, feature_fn)
-        feats = []
-        for row in rows:
-            ids = {local_vocab[n] for n in feature_fn(row) if n in local_vocab}
-            feats.append(sorted(ids))
-        return batch.append_column(
-            "feature_ids", pa.array(feats, pa.list_(pa.int32())))
+        def _featurize(batch: pa.Table) -> pa.Table:
+            feats = []
+            for row in _feature_rows(batch, feature_fn):
+                ids = {local_vocab[n] for n in feature_fn(row) if n in local_vocab}
+                feats.append(sorted(ids))
+            return batch.append_column(
+                "feature_ids", pa.array(feats, pa.list_(pa.int32())))
 
-    return candidates.map_batches(_featurize, batch_format="pyarrow",
-                                  batch_size=batch_size)
+        return _featurize
+
+    # one put per call, so the ref also keys this call's feature_fn
+    return stateful_map(candidates, build, key=v_ref.hex(),
+                        batch_size=batch_size)

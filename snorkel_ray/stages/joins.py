@@ -84,6 +84,17 @@ def semi_join(ds, keys, key_col: str, keys_col: str | None = None, *,
     return marked.map_batches(_post, batch_format="pyarrow")
 
 
+def _last_at_or_before(mask: np.ndarray) -> np.ndarray:
+    """Per position, the index of the last ``True`` at or before it
+    (-1: none)."""
+    return np.maximum.accumulate(np.where(mask, np.arange(len(mask)), -1))
+
+
+def _gather(col: pd.Series, src: np.ndarray) -> pd.Series:
+    """``col``'s values at positions ``src``, null where ``src`` < 0."""
+    return col.iloc[np.maximum(src, 0)].reset_index(drop=True).where(src >= 0)
+
+
 def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
               rename: dict[str, str] | None = None,
               pre_split_chunk: str | None = "auto",
@@ -95,30 +106,30 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
     ``ASOF LEFT JOIN`` semantics with ``>=`` resp. ``<=`` — the
     standard time-series enrichment the Dataset API lacks).  Both
     directions are inclusive at equal timestamps and share every plan
-    below; forward mirrors the per-group sort order and fill direction
-    (bfill, reverse chunk scan).
+    below; forward is the time-mirror (descending sort, reverse chunk
+    scan).  The match is a ROW: a matched right row whose value is
+    null attaches null — it does not fall through to an older row.
 
     Plan: tag both sides, union, ONE hash-partitioned groupby on the
-    key, per-group time sort + forward-fill of the right values onto
-    left rows — no row-by-row probing, no repeated right-side scans.
-    At equal timestamps the right row wins first (inclusive match),
-    matching DuckDB.  ``right`` must be unique per (key, ts) — ties
-    there have no defined winner on either engine; pre-aggregate.
+    key; per group one fill (``_fill``) sorts by time and gathers each
+    left row's matched right row — no row-by-row probing, no repeated
+    right-side scans.  At equal timestamps the right row wins first
+    (inclusive match), matching DuckDB.  ``right`` must be unique per
+    (key, ts) — ties there have no defined winner on either engine;
+    pre-aggregate.
 
     Default partitioning: one key's rows fit a reducer (same contract
     as the default sliding/session windows).  ``pre_split_chunk``
-    (e.g. "1D") switches to the hot-key-safe two-level plan: per
-    ``(key, time-chunk)`` groups fill within-chunk matches; each
-    chunk's LAST right row becomes a boundary summary, a per-key scan
-    over the summary table (O(#chunks) rows per key, ≪ events)
-    computes every chunk's carry-in, and unmatched left rows get it
-    via ``apply_mapping`` on (key, chunk) — a celebrity key's full
-    history never sorts in one reducer.  Exact: a left row with no
-    within-chunk match joins the latest right row of any earlier
-    chunk, which is by construction that chunk's summary row."""
+    (e.g. "1D") switches to the hot-key-safe ``windows._carry_plan``:
+    per ``(key, time-chunk)`` the same fill settles every left row
+    with an in-chunk match, and the chunk's boundary right row (its
+    last; its first for forward) is its carry row.  Every other left
+    row matches, by construction, the boundary row of the nearest
+    strictly earlier (later) chunk that has one.  A celebrity key's
+    full history never sorts in one reducer."""
     import pyarrow.compute as pc
 
-    from .windows import _resolve_chunk
+    from .windows import _carry_plan, _resolve_chunk
 
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be 'backward' or 'forward', "
@@ -130,6 +141,7 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
 
     rename = rename or {c: c for c in value_cols}
     out_cols = [rename[c] for c in value_cols]
+    rcols = ["_r_" + oc for oc in out_cols]
 
     def _pa_type(t):
         # Dataset.schema() yields numpy/python types for pandas-backed
@@ -147,194 +159,101 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
     ltype = {n: _pa_type(t) for n, t in zip(lschema.names, lschema.types)}
     rtype = {n: _pa_type(t) for n, t in zip(rschema.names, rschema.types)}
     # integer right values ride the pandas group stages AS STRINGS:
-    # null-padding + ffill upcasts int columns to float64, which
-    # corrupts values ≥ 2^53 (round-4 review — the same id-corruption
-    # mode apply_mapping already guards); strings survive exactly and
-    # _restore_types casts them back
+    # null-padding upcasts int columns to float64, which corrupts
+    # values ≥ 2^53 (the same id-corruption mode apply_mapping
+    # already guards); strings survive exactly and _finish casts
+    # them back
     _carry_type = {c: (pa.string() if pa.types.is_integer(rtype[c])
                        else rtype[c]) for c in value_cols}
 
+    # both sides tag into ONE column order (union needs it): the left
+    # columns, then the right values, then ``_side`` (0 right, 1 left)
     def _tag_left(b: pa.Table) -> pa.Table:
-        t = b
-        for c, oc in zip(value_cols, out_cols):
-            t = t.append_column("_r_" + oc,
-                                pa.nulls(b.num_rows, _carry_type[c]))
-        return t.append_column("_side", pa.array(
-            np.ones(b.num_rows, np.int8), pa.int8()))
+        cols = {c: b.column(c) for c in left_names}
+        for c, rc in zip(value_cols, rcols):
+            cols[rc] = pa.nulls(b.num_rows, _carry_type[c])
+        cols["_side"] = pa.array(np.ones(b.num_rows, np.int8), pa.int8())
+        return pa.table(cols)
 
     def _tag_right(b: pa.Table) -> pa.Table:
-        cols = {key: b.column(key), ts: b.column(ts)}
-        for c in left_names:
-            if c not in (key, ts):
-                cols[c] = pa.nulls(b.num_rows, ltype[c])
-        for c, oc in zip(value_cols, out_cols):
+        cols = {c: (b.column(c) if c in (key, ts)
+                    else pa.nulls(b.num_rows, ltype[c])) for c in left_names}
+        for c, rc in zip(value_cols, rcols):
             col = b.column(c)
-            cols["_r_" + oc] = (pc.cast(col, pa.string())
-                                if _carry_type[c] == pa.string()
-                                and col.type != pa.string() else col)
+            cols[rc] = (pc.cast(col, pa.string())
+                        if _carry_type[c] == pa.string()
+                        and col.type != pa.string() else col)
         cols["_side"] = pa.array(np.zeros(b.num_rows, np.int8), pa.int8())
-        return pa.table({c: cols[c] for c in
-                         left_names + ["_r_" + oc for oc in out_cols]
-                         + ["_side"]})
-
-    def _reorder(b: pa.Table) -> pa.Table:
-        want = left_names + ["_r_" + oc for oc in out_cols] + ["_side"]
-        return pa.table({c: b.column(c) for c in want})
+        return pa.table(cols)
 
     tagged = (left.map_batches(_tag_left, batch_format="pyarrow")
-              .map_batches(_reorder, batch_format="pyarrow")
               .union(right.map_batches(_tag_right, batch_format="pyarrow")))
 
-    def _restore_types(b: pa.Table) -> pa.Table:
+    def _finish(b: pa.Table) -> pa.Table:
         # pandas upcast the null-padded left int columns to float64
         # through the group stage; cast back (values are integral).
         # Out columns restore to the RIGHT side's original types too
         # (ints come back from the string carry; float32/timestamps
         # from their pandas-widened forms)
-        import pyarrow.compute as pc
-
-        cols = {}
-        for c in left_names:
-            col = b.column(c)
-            cols[c] = pc.cast(col, ltype[c]) if col.type != ltype[c] else col
-        for c, oc in zip(value_cols, out_cols):
-            col = b.column(oc)
-            cols[oc] = (pc.cast(col, rtype[c])
-                        if col.type != rtype[c] else col)
-        return pa.table(cols)
-
-    if pre_split_chunk is not None:
-        return _asof_chunked(tagged, key, ts, out_cols, pre_split_chunk,
-                             _restore_types, direction)
+        cols = {c: (b.column(c), ltype[c]) for c in left_names}
+        for c, oc, rc in zip(value_cols, out_cols, rcols):
+            cols[oc] = (b.column(rc), rtype[c])
+        return pa.table({n: pc.cast(col, t) if col.type != t else col
+                         for n, (col, t) in cols.items()})
 
     fwd = direction == "forward"
 
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        # backward: right first at equal ts, ffill down.
-        # forward: right AFTER left at equal ts, bfill up — both
-        # inclusive matches.
-        g = g.sort_values([ts, "_side"],
-                          ascending=[True, not fwd], kind="mergesort")
-        for oc in out_cols:
-            g["_r_" + oc] = (g["_r_" + oc].bfill() if fwd
-                             else g["_r_" + oc].ffill())
-        out = g[g["_side"] == 1].drop(columns=["_side"])
-        return out.rename(columns={"_r_" + oc: oc for oc in out_cols})
+    def _fill(g: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray]:
+        # time order, mirrored for forward; a right row sorts before a
+        # left row at equal ts (the inclusive match), so in this order
+        # a left row's match is the LAST right row at or before it.
+        # → (sorted g with every left row's rcols gathered from its
+        # matched right row, each row's match position or -1)
+        g = g.sort_values([ts, "_side"], ascending=[not fwd, True],
+                          kind="mergesort").reset_index(drop=True)
+        src = _last_at_or_before(g["_side"].to_numpy() == 0)
+        for rc in rcols:
+            g[rc] = _gather(g[rc], src)
+        return g, src
 
-    merged = tagged.groupby(key).map_groups(_merge, batch_format="pandas")
-    return merged.map_batches(_restore_types, batch_format="pyarrow")
+    if pre_split_chunk is None:
+        def _merge(g: pd.DataFrame) -> pd.DataFrame:
+            g, _ = _fill(g)
+            return g[g["_side"] == 1]
 
+        return (tagged.groupby(key).map_groups(_merge, batch_format="pandas")
+                .map_batches(_finish, batch_format="pyarrow"))
 
-def _asof_chunked(tagged, key: str, ts: str, out_cols: list[str],
-                  pre_split_chunk: str, restore_types,
-                  direction: str = "backward"):
-    """Two-level as-of plan over the tagged union (see ``asof_join``).
+    def _level1(g: pd.DataFrame) -> pd.DataFrame:
+        g, src = _fill(g)
+        left_rows = (g["_side"] == 1).to_numpy()
+        roles = np.where(src[left_rows] >= 0, "done", "head")
+        # the carry row is the match of the chunk's last row in fill
+        # order: its boundary right row, or (src -1, no right row) the
+        # last left row, whose rcols are all null
+        carry = g.iloc[[src[-1]]].assign(_role="carry", _has=src[-1] >= 0)
+        return pd.concat([g[left_rows].assign(_role=roles, _has=False), carry],
+                         ignore_index=True)
 
-    Level 1 (groups bounded by chunk width × event rate): within-chunk
-    ffill; left rows split into settled ('done') vs pre-first-right
-    ('head'); one 'ctx' summary per chunk with right rows (its last
-    right values) and one 'need' marker per chunk with heads.
-    Level 2 (O(#chunks) rows per key): per-key scan of ctx/need rows
-    in chunk order — each need chunk's carry = the latest ctx of a
-    STRICTLY earlier chunk ('need' sorts before 'ctx' within a chunk,
-    so a chunk's own summary never fills its heads).  Heads then pick
-    up the carry via ``apply_mapping`` on the (key, chunk) composite
-    (broadcast under its limit, hash join above).
-
-    ``direction='forward'`` is the exact time-mirror: within-chunk
-    bfill, 'head' = left rows AFTER the chunk's last right, 'ctx' =
-    the chunk's FIRST right row, and the level-2 scan runs in reverse
-    chunk order so a need chunk's carry is the earliest ctx of a
-    strictly LATER chunk."""
-    import pyarrow.compute as pc
-
-    from .windows import _chunk_map, _ck_map
-
-    fwd = direction == "forward"
-    rcols = ["_r_" + oc for oc in out_cols]
-
-    def _l1(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([ts, "_side"],
-                          ascending=[True, not fwd], kind="mergesort")
-        side = g["_side"].to_numpy()
+    def _scan(c: pd.DataFrame) -> pd.DataFrame:
+        # forward scans chunks latest first; the shift keeps a chunk's
+        # own carry-out out of its carry-in
         if fwd:
-            # a right row at-or-after (positional reverse cumsum)
-            g["_seen"] = np.cumsum((side == 0)[::-1])[::-1] > 0
-        else:
-            g["_seen"] = np.cumsum(side == 0) > 0
+            c = c.iloc[::-1].reset_index(drop=True)
+        src = _last_at_or_before(c["_has"].to_numpy(dtype=bool))
+        src = np.concatenate([[-1], src[:-1]])
+        return c[[key, "_chunk"]].assign(
+            **{"_in" + rc: _gather(c[rc], src) for rc in rcols})
+
+    def _apply(b: pa.Table) -> pa.Table:
         for rc in rcols:
-            g[rc] = g[rc].bfill() if fwd else g[rc].ffill()
-        left_rows = g[g["_side"] == 1]
-        done = left_rows[left_rows["_seen"]].copy()
-        done["_role"] = "done"
-        head = left_rows[~left_rows["_seen"]].copy()
-        head[rcols] = None
-        head["_role"] = "head"
-        parts = [done, head]
-        rights = g[g["_side"] == 0]
-        if len(rights):
-            # the chunk's boundary right row: last for backward
-            # (carry-out), first for forward (carry-back)
-            ctx = rights.iloc[[0 if fwd else -1]].copy()
-            ctx["_role"] = "ctx"
-            parts.append(ctx)
-        if len(head):
-            need = head.iloc[[0]].copy()
-            need["_role"] = "need"
-            parts.append(need)
-        return pd.concat(parts, ignore_index=True).drop(columns=["_seen"])
+            b = b.set_column(b.schema.get_field_index(rc), rc,
+                             b.column("_in" + rc))
+        return b.drop_columns(["_in" + rc for rc in rcols])
 
-    def _l2(g: pd.DataFrame) -> pd.DataFrame:
-        # 'need' (0) sorts before 'ctx' (1) within a chunk: heads must
-        # not see their own chunk's summary.  Forward scans chunks in
-        # REVERSE order so ffill carries a later chunk's first right
-        # back to earlier need chunks.
-        g = g.copy()
-        g["_rs"] = (g["_role"] == "ctx").astype(int)
-        g = g.sort_values(["_chunk", "_rs"],
-                          ascending=[not fwd, True], kind="mergesort")
-        for rc in rcols:
-            g[rc] = g[rc].ffill()
-        need = g[g["_role"] == "need"]
-        out = need[[key, "_chunk"] + rcols].copy()
-        return out
-
-    staged = (tagged.map_batches(_chunk_map(ts, pd.Timedelta(pre_split_chunk)),
-                                 batch_format="pyarrow")
-              .groupby([key, "_chunk"])
-              .map_groups(_l1, batch_format="pandas")
-              .materialize())  # consumed by done/head/boundary splits
-
-    def _role(want):
-        def _f(b: pa.Table) -> pa.Table:
-            return b.filter(pc.is_in(b.column("_role"),
-                                     value_set=pa.array(list(want))))
-
-        return _f
-
-    done = staged.map_batches(_role({"done"}), batch_format="pyarrow")
-    heads = staged.map_batches(_role({"head"}), batch_format="pyarrow")
-    boundary = staged.map_batches(_role({"ctx", "need"}),
-                                  batch_format="pyarrow")
-    carry = boundary.groupby(key).map_groups(_l2, batch_format="pandas")
-
-    heads = heads.map_batches(_ck_map(key), batch_format="pyarrow") \
-        .drop_columns(rcols)
-    carry = carry.map_batches(_ck_map(key), batch_format="pyarrow").materialize()
-    for rc in rcols:
-        heads = apply_mapping(heads, carry, "_ck", "_ck", rc, rc)
-
-    def _clean(b: pa.Table) -> pa.Table:
-        keep = [c for c in b.schema.names
-                if c not in ("_role", "_chunk", "_ck", "_side")]
-        t = pa.table({c: b.column(c) for c in keep})
-        return t.rename_columns([c[3:] if c.startswith("_r_") else c
-                                 for c in t.schema.names])
-
-    filled = heads.map_batches(_clean, batch_format="pyarrow")
-    done = done.map_batches(_clean, batch_format="pyarrow")
-    return (done.union(filled)
-            .map_batches(restore_types, batch_format="pyarrow"))
+    return (_carry_plan(tagged, key, ts, pd.Timedelta(pre_split_chunk),
+                        _level1, _scan, _apply)
+            .map_batches(_finish, batch_format="pyarrow"))
 
 
 def range_join(left, intervals, key: str, ts: str, start: str, end: str, *,

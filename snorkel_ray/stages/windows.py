@@ -26,9 +26,16 @@ Partitioning contracts (hot-key story, round-1 verdict item 9):
   chunks' heads depend on); every other row settles.  A per-key fix-up
   recomputes the heads over heads ∪ context only — O(#chunks × window)
   rows per key, never the key's full history in one group.
-- **cumulative sum**: every row settles with ONE additive carry, so its
-  level 2 is a prefix sum over per-chunk totals joined back on the
-  (key, chunk) composite instead of the context plan.
+- **cumulative sum / as-of join** (``joins.asof_join``): a row
+  settles from its own chunk plus ONE carry-in summarizing all earlier
+  chunks, so they share the second skeleton, ``_carry_plan``: one
+  carry row per (key, chunk), a per-key scan over those rows only,
+  the carry-in joined back on the (key, chunk) composite.
+
+Nulls follow SQL: the additive windows (cumulative and time-range
+sum) skip null values, and a result is null only while its frame holds
+no non-null value (``_running_sum``, a running non-null count — not a
+cumsum over NaN, which poisons every later row).
 
 Ordering identity is ``(ts, event_id)`` — one stable sort
 (``_sorted``); exactly one event per key per (ts, event_id) is
@@ -64,7 +71,7 @@ def _resolve_chunk(events, key: str, ts: str, pre_split_chunk,
 
 def _chunk_map(ts: str, chunk: pd.Timedelta):
     """Batch map appending ``_chunk = floor(ts, chunk)``: the time
-    chunk of every two-level plan (windows and ``joins.asof_join``)."""
+    chunk of every two-level plan."""
 
     def _add_chunk(b: pa.Table) -> pa.Table:
         c = b.column(ts).to_pandas().dt.floor(chunk)
@@ -74,8 +81,8 @@ def _chunk_map(ts: str, chunk: pd.Timedelta):
 
 
 def _ck_map(key: str):
-    """Batch map appending ``_ck``, the (key, chunk) composite string a
-    per-chunk carry joins back on via ``joins.apply_mapping``."""
+    """Batch map appending ``_ck``, the (key, chunk) composite string
+    ``_carry_plan`` joins the carry-in back on."""
 
     def _ck(b: pa.Table) -> pa.Table:
         k = pc.cast(b.column(key), pa.string())
@@ -151,6 +158,65 @@ def _context_plan(events, key: str, ts: str, chunk: pd.Timedelta,
     fixed = (staged.map_batches(_role(False), batch_format="pyarrow")
              .groupby(key).map_groups(_level2, batch_format="pandas"))
     return done.union(fixed)
+
+
+def _carry_plan(events, key: str, ts: str, chunk: pd.Timedelta,
+                level1, scan, apply):
+    """The two-level hot-key plan of every single-carry keyed op
+    (cumulative sum, both as-of directions).
+
+    1. Per ``(key, chunk)`` group: ``level1(g)`` sorts, computes the
+       in-chunk result and marks every row's ``_role``: ``done`` (the
+       row is settled) or ``head`` (it needs the carry-in), plus
+       exactly one ``carry`` row holding the chunk's carry-out.
+    2. Per ``key`` over the carry rows only (O(#chunks) rows), in
+       chunk order: ``scan(c)`` returns ``key``, ``_chunk`` and the
+       carry-in columns — each chunk's EXCLUSIVE carry-in.
+    3. Every carry-in column joins onto the heads on the (key, chunk)
+       composite via ``joins.apply_mapping`` (broadcast under its
+       limit, hash join above); ``apply(b)`` folds it in.
+
+    Roles are an explicit column, never a sentinel value: a null
+    carry-out is legal (a chunk of null values, a null right value)."""
+    from .joins import apply_mapping
+
+    def _scan(c: pd.DataFrame) -> pd.DataFrame:
+        return scan(c.sort_values("_chunk", kind="mergesort")
+                    .reset_index(drop=True))
+
+    def _role(role: str, drop: list[str]):
+        def _filter(b: pa.Table) -> pa.Table:
+            return b.filter(pc.equal(b.column("_role"), role)).drop_columns(drop)
+
+        return _filter
+
+    staged = (events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow")
+              .groupby([key, "_chunk"])
+              .map_groups(level1, batch_format="pandas")
+              .materialize())  # consumed three times: done, heads, carry
+    done = staged.map_batches(_role("done", ["_role", "_chunk"]),
+                              batch_format="pyarrow")
+    carry = (staged.map_batches(_role("carry", ["_role"]), batch_format="pyarrow")
+             .groupby(key).map_groups(_scan, batch_format="pandas")
+             .map_batches(_ck_map(key), batch_format="pyarrow")
+             .materialize())
+    if carry.count() == 0:  # no (key, chunk) group, so no head either
+        return done
+    heads = (staged.map_batches(_role("head", ["_role"]), batch_format="pyarrow")
+             .map_batches(_ck_map(key), batch_format="pyarrow"))
+    for c in carry.columns():
+        if c not in (key, "_chunk", "_ck"):
+            heads = apply_mapping(heads, carry, "_ck", "_ck", c, c)
+    fixed = heads.map_batches(
+        lambda b: apply(b.drop_columns(["_chunk", "_ck"])),
+        batch_format="pyarrow")
+    return done.union(fixed)
+
+
+def _running_sum(v: pd.Series) -> pd.Series:
+    """SQL's running ``SUM``: null values are skipped, and the sum is
+    null only while no non-null value has been seen."""
+    return v.fillna(0).cumsum().where(v.notna().cumsum() > 0)
 
 
 def _row_split(k: int, lead: bool = False):
@@ -309,21 +375,15 @@ def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
                    value: str = "value", out: str = "cum_value",
                    pre_split_chunk: str | None = "auto"):
     """Per-key running total in (ts, event_id) order — SQL
-    ``SUM(value) OVER (PARTITION BY key ORDER BY ts)``.
+    ``SUM(value) OVER (PARTITION BY key ORDER BY ts)``: null values
+    are skipped, and the total is null until the first non-null one.
 
-    Default: one group per key (in-memory sort + cumsum).
+    Default: one group per key (in-memory sort + running sum).
     ``pre_split_chunk`` (e.g. "1D") switches to the hot-key-safe
-    two-level plan — simpler than the context plan because every row
-    settles with ONE additive carry:
-
-    1. Per ``(key, time-chunk)`` group: sort, WITHIN-chunk cumsum;
-       emit one summary row (the chunk's total) per chunk.
-    2. Per ``key`` over the summary table only (O(#chunks) rows ≪
-       events): exclusive prefix-sum of chunk totals = each chunk's
-       carry-in.
-    3. Carry joins back on the (key, chunk) composite via
-       ``joins.apply_mapping`` (broadcast under its limit, hash join
-       above) and adds to the within-chunk cumsum.
+    ``_carry_plan`` — every row settles with ONE additive carry: all
+    rows are heads, a chunk's carry-out is its total (its last row's
+    running sum), and its carry-in, the running sum of the earlier
+    chunks' totals, adds to each row's within-chunk running sum.
 
     Exact for float64 up to addition reassociation ACROSS chunks (the
     carry is added as one term instead of element-wise); within a
@@ -332,52 +392,30 @@ def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk)
 
     def _cum(g: pd.DataFrame) -> None:
-        g[out] = g[value].cumsum()
+        g[out] = _running_sum(g[value])
 
     if pre_split_chunk is None:
         return _per_key(events, key, ts, _cum)
 
-    from .joins import apply_mapping
-
     def _level1(g: pd.DataFrame) -> pd.DataFrame:
         g = _sorted(g, ts)
         _cum(g)
-        total = g.iloc[[-1]].copy()
-        total["_total"] = g[out].iloc[-1]
-        g["_total"] = np.nan
-        return pd.concat([g, total], ignore_index=True)
+        return pd.concat([g.assign(_role="head"),
+                          g.iloc[[-1]].assign(_role="carry")],
+                         ignore_index=True)
 
-    def _level2(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("_chunk")
-        return pd.DataFrame({
-            key: g[key],
-            "_chunk": g["_chunk"],
-            "_carry": g["_total"].cumsum().shift(1, fill_value=0.0),
-        })
+    def _scan(c: pd.DataFrame) -> pd.DataFrame:
+        return c[[key, "_chunk"]].assign(_carry=_running_sum(c[out].shift(1)))
 
-    chunk = pd.Timedelta(pre_split_chunk)
-    staged = (events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow")
-              .groupby([key, "_chunk"])
-              .map_groups(_level1, batch_format="pandas")
-              .materialize())  # rows + summaries both consumed
-    rows = staged.map_batches(
-        lambda b: b.filter(pc.is_null(b.column("_total")))
-        .drop_columns(["_total"]), batch_format="pyarrow")
-    totals = staged.map_batches(
-        lambda b: b.filter(pc.is_valid(b.column("_total"))),
-        batch_format="pyarrow")
-    carry = (totals.groupby(key).map_groups(_level2, batch_format="pandas")
-             .map_batches(_ck_map(key), batch_format="pyarrow"))
-    rows = rows.map_batches(_ck_map(key), batch_format="pyarrow")
-    rows = apply_mapping(rows, carry, "_ck", "_ck", "_carry", "_carry")
+    def _apply(b: pa.Table) -> pa.Table:
+        own, carry = (pc.cast(b.column(c), pa.float64()) for c in (out, "_carry"))
+        fixed = pc.if_else(pc.is_null(own), carry,
+                           pc.add(own, pc.coalesce(carry, 0.0)))
+        return (b.set_column(b.schema.get_field_index(out), out, fixed)
+                .drop_columns(["_carry"]))
 
-    def _apply_carry(b: pa.Table) -> pa.Table:
-        i = b.schema.get_field_index(out)
-        fixed = pc.add(b.column(out), b.column("_carry"))
-        return (b.set_column(i, out, fixed)
-                .drop_columns(["_carry", "_ck", "_chunk"]))
-
-    return rows.map_batches(_apply_carry, batch_format="pyarrow")
+    return _carry_plan(events, key, ts, pd.Timedelta(pre_split_chunk),
+                       _level1, _scan, _apply)
 
 
 def time_range_sum(events, *, key: str = "user_id", ts: str = "ts",
@@ -389,7 +427,8 @@ def time_range_sum(events, *, key: str = "user_id", ts: str = "ts",
     PRECEDING AND CURRENT ROW)``: each row sums every row of its key
     with ``ts ∈ [row.ts − width, row.ts]`` (inclusive both ends; rows
     sharing the exact ts are peers and all included, per SQL RANGE
-    semantics — ties need no tiebreak column).
+    semantics — ties need no tiebreak column).  Null values are
+    skipped; a row whose frame holds no non-null value gets null.
 
     Default ``"auto"`` probes for hot keys (min chunk width = 16 × the
     window width).  The chunked plan is the shared ``_context_plan``
@@ -404,10 +443,12 @@ def time_range_sum(events, *, key: str = "user_id", ts: str = "ts",
     def _rsum(g: pd.DataFrame) -> None:
         t = g[ts].to_numpy()
         v = g[value].to_numpy(dtype=np.float64)
-        cs = np.concatenate([[0.0], np.cumsum(v)])
+        ok = ~np.isnan(v)  # nulls skip, as in _running_sum
+        cs = np.concatenate([[0.0], np.cumsum(np.where(ok, v, 0.0))])
+        cn = np.concatenate([[0], np.cumsum(ok)])
         lo = np.searchsorted(t, t - wid, side="left")
         hi = np.searchsorted(t, t, side="right")  # include ts peers
-        g[out] = cs[hi] - cs[lo]
+        g[out] = np.where(cn[hi] > cn[lo], cs[hi] - cs[lo], np.nan)
 
     # auto: a chunk must be MUCH wider than the window or the
     # boundary set (fraction ~2*width/chunk of every key's rows) eats

@@ -57,19 +57,6 @@ def broadcast_key(obj) -> str:
     return "py:" + h.hexdigest()
 
 
-def cache_get_or_build(cache: dict, key, build):
-    """Bounded per-worker-process instance cache: evict everything when
-    a new key would exceed the cap (pipelines reuse one broadcast per
-    stage, so the working set is tiny; unbounded growth across many
-    pipelines on a long-lived worker is the failure mode)."""
-    inst = cache.get(key)
-    if inst is None:
-        if len(cache) >= _CACHE_CAP:
-            cache.clear()
-        inst = cache[key] = build()
-    return inst
-
-
 def pool_concurrency(frac: float = 0.25) -> tuple[int, int]:
     """(min, max) actor-pool size for one stage: max = frac × session
     CPUs clamped to [1, cpus - 1]; min = half of max so pools ramp
@@ -103,8 +90,19 @@ def _stage_instance(stage: str, key, build):
     by value, together with a COPY of each module global it names, so
     a cache dict named inside the task closure starts empty in every
     task; a module function travels by reference and reaches the
-    worker's real ``_STAGE_CACHES``."""
-    return cache_get_or_build(_STAGE_CACHES.setdefault(stage, {}), key, build)
+    worker's real ``_STAGE_CACHES``.
+
+    Each stage's cache is bounded: everything is evicted when a new key
+    would exceed the cap (pipelines reuse one broadcast per stage, so
+    the working set is tiny; unbounded growth across many pipelines on
+    a long-lived worker is the failure mode)."""
+    cache = _STAGE_CACHES.setdefault(stage, {})
+    inst = cache.get(key)
+    if inst is None:
+        if len(cache) >= _CACHE_CAP:
+            cache.clear()
+        inst = cache[key] = build()
+    return inst
 
 
 class _Pooled:

@@ -162,6 +162,32 @@ def test_asof_join_empty_right(ray_session):
     assert out["px"].isna().all()
 
 
+def test_carry_plan_empty_inputs(ray_session):
+    """The chunked carry plan with no (key, chunk) group at all, and
+    with an empty right side: no error, LEFT join semantics kept."""
+    import pandas as pd
+    import ray.data as rd
+
+    from snorkel_ray.stages.joins import asof_join
+    from snorkel_ray.stages.windows import cumulative_sum
+
+    none = pd.DataFrame({"k": pd.array([], dtype="str"),
+                         "ts": pd.array([], dtype="datetime64[ns]"),
+                         "px": pd.array([], dtype="float64")})
+    assert len(cumulative_sum(rd.from_pandas(none), key="k", value="px",
+                              pre_split_chunk="1D").to_pandas()) == 0
+    empty = rd.from_pandas(none)
+    assert len(asof_join(rd.from_pandas(none[["k", "ts"]]), empty, "k", "ts",
+                         ["px"], pre_split_chunk="1D").to_pandas()) == 0
+    left = rd.from_pandas(pd.DataFrame({
+        "id": [1, 2], "k": ["a", "b"],
+        "ts": pd.to_datetime(["2024-01-01", "2024-01-03"])}))
+    for direction in ("backward", "forward"):
+        out = asof_join(left, empty, "k", "ts", ["px"], direction=direction,
+                        pre_split_chunk="1D").to_pandas()
+        assert sorted(out["id"]) == [1, 2] and out["px"].isna().all()
+
+
 def test_grouped_topk_k_exceeds_group(ray_session):
     import pandas as pd
     import ray.data as rd

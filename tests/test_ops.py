@@ -730,17 +730,22 @@ def test_asof_join_forward_semantics(ray_session):
         asof_join(left, right, "k", "ts", ["px"], direction="nearest")
 
 
-def test_asof_join_forward_chunked_matches_duckdb(ray_session):
-    """Forward chunked plan vs plain plan vs DuckDB's native
-    ASOF LEFT JOIN with <= — all three must agree on sparse data where
-    the carry chases matches several chunks ahead."""
+def _asof_matches_duckdb(direction: str, seed: int) -> None:
+    """Plain plan, chunked plan and DuckDB's native ASOF LEFT JOIN
+    must agree on sparse data where the carry chases matches several
+    chunks away, with null right values: a null-valued match attaches
+    null and never falls through to an older (newer) right row.  Two
+    hand-built keys put a null right row at a chunk boundary — "hb"
+    for backward, "hf" its forward mirror — each left row there
+    expecting [5.0, null, null]."""
     import duckdb
     import pandas as pd
+    import pyarrow as pa
     import ray.data as rd
 
     from snorkel_ray.stages.joins import asof_join
 
-    rng = np.random.default_rng(29)
+    rng = np.random.default_rng(seed)
     base = pd.Timestamp("2024-01-01")
     lrows, rrows = [], []
     eid = 0
@@ -751,23 +756,54 @@ def test_asof_join_forward_chunked_matches_duckdb(ray_session):
             lrows.append({"id": eid, "k": f"u{uid}", "ts": t})
             eid += 1
             if rng.random() < 0.15:
+                px = None if rng.random() < 0.3 else float(rng.uniform(0, 100))
                 rrows.append({"k": f"u{uid}",
-                              "ts": t + pd.Timedelta(seconds=30),
-                              "px": float(rng.uniform(0, 100))})
+                              "ts": t + pd.Timedelta(seconds=30), "px": px})
+    h = pd.Timedelta("1h")
+    fwd_t = base + pd.Timedelta("2D") + 20 * h
+    rrows += [{"k": "hb", "ts": base, "px": 5.0},
+              {"k": "hb", "ts": base + 2 * h, "px": None},
+              {"k": "hf", "ts": fwd_t, "px": 5.0},
+              {"k": "hf", "ts": fwd_t - 2 * h, "px": None}]
+    hand = {"hb": [base + h, base + 3 * h, base + 30 * h],
+            "hf": [fwd_t - h, fwd_t - 3 * h, fwd_t - 30 * h]}
+    for k, times in hand.items():
+        for t in times:
+            lrows.append({"id": eid, "k": k, "ts": t})
+            eid += 1
     ldf, rdf = pd.DataFrame(lrows), pd.DataFrame(rrows)
     left = rd.from_pandas(ldf).repartition(4)
     right = rd.from_pandas(rdf).repartition(3)
 
-    exp = duckdb.sql("""
-        SELECT l.id, r.px FROM ldf l
-        ASOF LEFT JOIN rdf r ON l.k = r.k AND l.ts <= r.ts
+    lt, rt = pa.Table.from_pandas(ldf), pa.Table.from_pandas(rdf)
+    op = "<=" if direction == "forward" else ">="
+    exp = duckdb.sql(f"""
+        SELECT l.id, l.k, r.px FROM lt l
+        ASOF LEFT JOIN rt r ON l.k = r.k AND l.ts {op} r.ts
         ORDER BY l.id""").df()
+    mirror = "hf" if direction == "forward" else "hb"
+    want = exp.loc[exp["k"] == mirror, "px"].tolist()
+    assert want[0] == 5.0 and pd.isna(want[1]) and pd.isna(want[2]), want
 
     for chunk in (None, "1D"):
         got = (asof_join(left, right, "k", "ts", ["px"],
-                         direction="forward", pre_split_chunk=chunk)
+                         direction=direction, pre_split_chunk=chunk)
                .to_pandas().sort_values("id").reset_index(drop=True))
+        assert len(got) == len(exp)
         eq = ((got["px"] == exp["px"])
               | (got["px"].isna() & exp["px"].isna()))
-        assert eq.all(), f"mismatch with pre_split_chunk={chunk}"
-    assert exp["px"].isna().sum() > 0  # the no-later-right case occurs
+        assert eq.all(), f"mismatch with pre_split_chunk={chunk}: " \
+                         f"{got[~eq].head().to_dict('records')}"
+    # the no-match case and the null-valued match both occur
+    assert exp["px"].isna().sum() > 0
+    assert rdf["px"].isna().sum() > 2
+
+
+def test_asof_join_forward_chunked_matches_duckdb(ray_session):
+    """Forward chunked plan vs plain plan vs DuckDB ``l.ts <= r.ts``."""
+    _asof_matches_duckdb("forward", 29)
+
+
+def test_asof_join_backward_chunked_matches_duckdb(ray_session):
+    """Backward chunked plan vs plain plan vs DuckDB ``l.ts >= r.ts``."""
+    _asof_matches_duckdb("backward", 13)

@@ -98,3 +98,38 @@ def test_pool_builds_once_per_actor(ray_session, tmp_path):
     out = stateful_map(ds, lambda: _logged(log, "a"), concurrency=(1, 1)).to_pandas()
     assert len(out) == 60 and set(out["a"]) == {"a"}
     assert len(_builds(str(tmp_path))) == 1
+
+
+def _vocab_fetched(log_dir, vocab):
+    _logged(log_dir, "vocab")
+    return vocab
+
+
+class _LoggedVocab(dict):
+    """A vocab whose every deserialization — one per ``ray.get`` in a
+    worker — records the worker's pid."""
+
+    def __reduce__(self):
+        return _vocab_fetched, (self.log_dir, dict(self))
+
+
+def test_featurize_fetches_vocab_once_per_worker_process(ray_session, tmp_path):
+    """``featurize`` is a ``stateful_map`` stage: its vocab is fetched
+    once per worker process, not once per task (a cache dict named in
+    the task closure would ship as a fresh copy with every task)."""
+    import ray.data as rd
+
+    from snorkel_ray.stages.features import featurize
+
+    row = {"between_text": "w x", "gap": 1, "subj_text": "A",
+           "obj_text": "b", "pre_text": "p q", "pred": ""}
+    ds = rd.from_items([dict(row, i=i) for i in range(120)]).repartition(24)
+    vocab = _LoggedVocab({"GAP_1": 0, "BETW_w": 1, "NOPE": 2})
+    vocab.log_dir = str(tmp_path)
+    out = featurize(ds, vocab).to_pandas()
+    assert len(out) == 120
+    assert all(list(f) == [0, 1] for f in out["feature_ids"])
+    fetches = _builds(str(tmp_path))
+    assert fetches, "the vocab was never fetched in a worker"
+    assert len(fetches) == len({tuple(f) for f in fetches}), fetches
+    assert len(fetches) < 24, fetches

@@ -428,6 +428,93 @@ def test_cumulative_sum_plain_and_chunked_parity(ray_session):
                                rtol=1e-12)
 
 
+def _null_events(seed: int) -> pd.DataFrame:
+    """Events for the SQL-null tests: every user's first value is
+    null, so is the first and last value of every (user, day) chunk,
+    user 2 has an all-null day, and user "ex" is the hand case
+    [1, NULL, 2, 3] at 0/10/20/200 min."""
+    rng = np.random.default_rng(seed)
+    base = pd.Timestamp("2024-01-01")
+    rows = []
+    for uid in range(3):
+        t = base
+        for _ in range(150):
+            t = t + pd.Timedelta(minutes=int(rng.integers(5, 400)))
+            v = None if rng.random() < 0.2 else float(rng.uniform(0, 10))
+            rows.append({"user_id": f"u{uid}", "ts": t, "value": v})
+    rows += [{"user_id": "ex", "ts": base + pd.Timedelta(minutes=m), "value": v}
+             for m, v in [(0, 1.0), (10, None), (20, 2.0), (200, 3.0)]]
+    df = pd.DataFrame(rows)
+    df["event_id"] = np.arange(len(df))
+    day = df["ts"].dt.floor("1D")
+    grp = df.groupby(["user_id", day])["ts"]
+    edge = ((df["ts"] == grp.transform("min")) | (df["ts"] == grp.transform("max"))
+            | (df["ts"] == df.groupby("user_id")["ts"].transform("min")))
+    whole_day = (df["user_id"] == "u2") & (day == base + pd.Timedelta("3D"))
+    df.loc[(edge | whole_day) & (df["user_id"] != "ex"), "value"] = np.nan
+    return df
+
+
+def _assert_sql_equal(got: pd.DataFrame, exp: pd.DataFrame, col: str) -> None:
+    got = got.sort_values("event_id").reset_index(drop=True)
+    assert len(got) == len(exp)
+    assert (got[col].isna() == exp[col].isna()).all(), \
+        got[got[col].isna() != exp[col].isna()].head().to_dict("records")
+    ok = exp[col].notna()
+    np.testing.assert_allclose(got.loc[ok, col], exp.loc[ok, col], rtol=1e-9)
+
+
+def test_cumulative_sum_nulls_match_duckdb(ray_session):
+    """Nulls follow SQL on both plans: a null value is skipped, and
+    the running total is null only before the first non-null value
+    (DuckDB ``SUM(value) OVER (PARTITION BY user_id ORDER BY ts)``)."""
+    import duckdb
+    import pyarrow as pa
+    import ray.data as rd
+
+    from snorkel_ray.stages.windows import cumulative_sum
+
+    df = _null_events(3)
+    t = pa.Table.from_pandas(df)
+    exp = duckdb.sql("""
+        SELECT event_id, user_id, SUM(value) OVER (
+            PARTITION BY user_id ORDER BY ts, event_id
+            ROWS UNBOUNDED PRECEDING) AS cum_value
+        FROM t ORDER BY event_id""").df()
+    assert exp.loc[exp.user_id == "ex", "cum_value"].tolist() == [1, 1, 3, 6]
+    assert exp["cum_value"].isna().sum() >= 3  # the leading nulls
+    ds = rd.from_pandas(df).repartition(4)
+    for chunk in (None, "1D"):
+        _assert_sql_equal(cumulative_sum(ds, pre_split_chunk=chunk).to_pandas(),
+                          exp, "cum_value")
+
+
+def test_time_range_sum_nulls_match_duckdb(ray_session):
+    """``time_range_sum`` skips null values on both plans; a row whose
+    1h frame holds only nulls gets null (DuckDB ``RANGE BETWEEN
+    INTERVAL 1 HOUR PRECEDING AND CURRENT ROW``)."""
+    import duckdb
+    import pyarrow as pa
+    import ray.data as rd
+
+    from snorkel_ray.stages.windows import time_range_sum
+
+    df = _null_events(5)
+    t = pa.Table.from_pandas(df.assign(ts=df["ts"].astype("datetime64[us]")))
+    exp = duckdb.sql("""
+        SELECT event_id, user_id, SUM(value) OVER (
+            PARTITION BY user_id ORDER BY ts
+            RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)
+            AS range_sum
+        FROM t ORDER BY event_id""").df()
+    assert exp.loc[exp.user_id == "ex", "range_sum"].tolist() == [1, 1, 3, 3]
+    assert exp["range_sum"].isna().sum() >= 3
+    ds = rd.from_pandas(df).repartition(4)
+    for chunk in (None, "1D"):
+        _assert_sql_equal(time_range_sum(ds, width="1h", pre_split_chunk=chunk)
+                          .to_pandas(), exp, "range_sum")
+
+
 def test_space_saving_exact_and_approx(ray_session):
     """Capacity >= distinct: exact counts, zero err.  Tiny capacity on
     a skewed stream: the true heavy hitter is still reported and its
@@ -662,3 +749,54 @@ def test_auto_probe_declines_degenerate_chunking():
     df2 = df.assign(ts=np.arange(n, dtype=np.float64))
     assert auto_pre_split_chunk(
         ray.data.from_pandas(df2), "user_id", "ts") is None
+
+
+# the chunk helpers and the skeleton functions allowed to use them
+_CHUNK_USERS = {
+    "_chunk_map": {"windows._context_plan", "windows._carry_plan",
+                   "windows.session_windows"},
+    "_ck_map": {"windows._carry_plan"},
+}
+
+
+def _chunk_refs(src: str, module: str) -> set[tuple[str, str]]:
+    """(helper, enclosing top-level function) for every reference to a
+    chunk helper in one module's source, imports included; the
+    helpers' own definitions are not references."""
+    import ast
+
+    out = set()
+    for top in ast.parse(src).body:
+        owner = f"{module}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            out |= {(n, owner) for n in names if n in _CHUNK_USERS}
+    return out
+
+
+def test_chunked_plans_are_the_two_skeletons():
+    """A keyed op chunks only through ``windows._context_plan`` or
+    ``windows._carry_plan`` (``session_windows`` merges sessions, not
+    rows): a third hand-rolled two-level plan, in ``joins.py`` too,
+    fails here (CLAUDE.md)."""
+    import os
+
+    import snorkel_ray
+
+    probe = ("from .windows import _chunk_map, _ck_map\n"
+             "def plan(ds):\n    return ds.map_batches(_ck_map('k'))\n")
+    assert _chunk_refs(probe, "joins") == {
+        ("_chunk_map", "joins.<module>"), ("_ck_map", "joins.<module>"),
+        ("_ck_map", "joins.plan")}
+    root = os.path.dirname(snorkel_ray.__file__)
+    bad = set()
+    for dirpath, _, files in os.walk(root):
+        for f in files:
+            if f.endswith(".py"):
+                path = os.path.join(dirpath, f)
+                refs = _chunk_refs(open(path).read(), f[:-3])
+                bad |= {(n, o) for n, o in refs if o not in _CHUNK_USERS[n]}
+    assert not bad, sorted(bad)
