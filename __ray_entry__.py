@@ -1417,23 +1417,26 @@ def q_lf_keyword_coverage(sf_dir: str):
 
     kws = ["spark", "query", "stream"]
 
+    names = sorted(f"lf_contains_{kw}" for kw in kws)
+
     def _lf(b: pa.Table) -> pa.Table:
         # vectorized per-LF coverage: word-boundary regex over the
         # whole column per keyword (equivalent to token membership on
-        # space-separated text)
-        rows_lf, rows_n = [], []
+        # space-separated text); one row per block, one column per LF
+        cols = {}
         for kw in kws:
             fired = pc.match_substring_regex(
                 b.column("text"), f"(^|\\s){kw}(\\s|$)")
-            rows_lf.append(f"lf_contains_{kw}")
-            rows_n.append(int(pc.sum(pc.cast(fired, pa.int64())).as_py() or 0))
-        return pa.table({"lf_name": pa.array(rows_lf, pa.string()),
-                         "n_fired": pa.array(rows_n, pa.int64())})
+            cols[f"lf_contains_{kw}"] = pa.array(
+                [pc.sum(pc.cast(fired, pa.int64())).as_py() or 0], pa.int64())
+        return pa.table(cols)
 
+    # a global Sum, not groupby("lf_name"): three keys hash into mostly
+    # empty partitions, which the groupby emits as schema-less blocks
     ds = _read(sf_dir, "documents", ["text"])
-    return (ds.map_batches(_lf, batch_format="pyarrow")
-            .groupby("lf_name").aggregate(Sum("n_fired", alias_name="n_fired"))
-            .sort("lf_name"))
+    res = ds.map_batches(_lf, batch_format="pyarrow").aggregate(*(Sum(n) for n in names))
+    return pa.table({"lf_name": pa.array(names, pa.string()),
+                     "n_fired": pa.array([res[f"sum({n})"] for n in names], pa.int64())})
 
 
 def q_categorical_label_argmax(sf_dir: str):
@@ -1444,7 +1447,7 @@ def q_categorical_label_argmax(sf_dir: str):
     argmax provably equals the fired class, which makes the whole
     categorical pipeline (SURVEY.md A4 categorical variant)
     SQL-checkable."""
-    from ray.data.aggregate import Count
+    from ray.data.aggregate import Sum
 
     from snorkel_ray.stages.label_model import (fit_label_model_cat,
                                                 pattern_counts,
@@ -1466,8 +1469,18 @@ def q_categorical_label_argmax(sf_dir: str):
     labeled = ds.map_batches(_lfs, batch_format="pyarrow").materialize()
     model = fit_label_model_cat(pattern_counts(labeled), cardinality=3)
     scored = score_marginals_cat(labeled, model)
-    return (scored.groupby("y_hat").aggregate(Count(alias_name="n_docs"))
-            .sort("y_hat"))
+
+    def _per_class(b: pa.Table) -> pa.Table:
+        n = np.bincount(np.asarray(b.column("y_hat")), minlength=4)
+        return pa.table({f"n{c}": pa.array([n[c]], pa.int64()) for c in (1, 2, 3)})
+
+    # a global Sum, not groupby("y_hat") (see q_lf_keyword_coverage);
+    # like the oracle, only classes that occur
+    res = scored.map_batches(_per_class, batch_format="pyarrow").aggregate(
+        *(Sum(f"n{c}") for c in (1, 2, 3)))
+    classes = [c for c in (1, 2, 3) if res[f"sum(n{c})"]]
+    return pa.table({"y_hat": pa.array(classes, pa.int64()),
+                     "n_docs": pa.array([res[f"sum(n{c})"] for c in classes], pa.int64())})
 
 
 # --- embeddings / similarity ------------------------------------------------

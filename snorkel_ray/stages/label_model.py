@@ -9,7 +9,7 @@ statistics of the independent-LF model are the COUNTS OF DISTINCT VOTE
 PATTERNS — with K LFs there are at most 3^K patterns and in practice a
 few hundred, so:
 
-1. [map_batches]  per-batch partial counts: pattern bytes -> n
+1. [task/block]   per-block partial counts: pattern bytes -> n
 2. [driver]       streamed merge into global pattern counts (rows ≤
                   patterns × blocks, NOT candidates)
 3. [driver]       exact EM over the weighted patterns (numpy) —
@@ -37,6 +37,8 @@ P(y = c | λ) ∝ π_c · Π_k θ[k, c, λ_k].
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -72,25 +74,62 @@ def _pattern_counts_batch(batch: pa.Table) -> pa.Table:
     )
 
 
+def _count_block(block) -> pa.Table:
+    from ray.data.block import BlockAccessor
+
+    return _pattern_counts_batch(BlockAccessor.for_block(block).to_arrow())
+
+
+@functools.cache
+def _count_task():
+    import ray
+
+    return ray.remote(_count_block)
+
+
+# count tasks in flight at once: enough to keep the next task queued
+# while the driver merges, few enough that a lazy input's blocks are
+# freed as they are counted
+_IN_FLIGHT = 4
+
+
 def pattern_counts(labeled) -> "pa.Table":
     """labeled Dataset (with L column) → tiny driver-side table of
     (pattern bytes, count), one byte ``vote + 1`` per LF, sorted by
     pattern; a row counts ``n`` times when the Dataset has an ``n``
-    column (``triple_partials``).  Pre-aggregated per block, then
-    streamed into an O(#patterns) driver dict (SURVEY.md A2/A3 partial+final).  Not a
-    Dataset all-to-all — an AllToAll appended to the live map chain
-    costs seconds of fixed shuffle setup for kilobytes of data — and
-    not ``to_pandas()``: the partial stream is ≤ patterns × blocks
-    rows, which at 10^12 docs (millions of blocks) would itself be
-    billions of rows."""
-    partial = labeled.map_batches(_pattern_counts_batch, batch_format="pyarrow")
+    column (``triple_partials``).
+
+    A decomposable partial + merge (SUDAF; SURVEY.md A2/A3): one small
+    remote task per block (``_pattern_counts_batch``), whose
+    O(#patterns) result is merged into a driver dict.  The blocks come
+    from ``iter_internal_ref_bundles``, so a materialized Dataset (the
+    flagship's pinned partials) runs no Ray Data job at all, and a lazy
+    one streams through its chain once; at most ``_IN_FLIGHT`` tasks
+    hold a block at a time and each ref is dropped once counted, so a
+    lazy input pins nothing row-proportional.  Not a Dataset
+    all-to-all (an AllToAll appended to a live map chain costs seconds
+    of fixed shuffle setup for kilobytes of data) and not
+    ``to_pandas()``."""
+    import ray
+
+    count = _count_task()
     acc: dict[bytes, int] = {}
-    for b in partial.iter_batches(batch_format="pyarrow"):
-        if "pattern" not in b.schema.names:
-            continue
-        for p, n in zip(b.column("pattern").to_pylist(),
-                        b.column("n").to_pylist()):
-            acc[p] = acc.get(p, 0) + n
+
+    def merge(refs) -> None:
+        for t in ray.get(refs):
+            for p, n in zip(t.column("pattern").to_pylist(), t.column("n").to_pylist()):
+                acc[p] = acc.get(p, 0) + n
+
+    pending: list = []
+    for bundle in labeled.iter_internal_ref_bundles():
+        for block_ref, meta in bundle.blocks:
+            if meta.num_rows == 0:
+                continue
+            pending.append(count.remote(block_ref))
+            if len(pending) >= _IN_FLIGHT:
+                done, pending = ray.wait(pending, num_returns=1)
+                merge(done)
+    merge(pending)
     keys = sorted(acc)
     return pa.table({"pattern": pa.array(keys, pa.binary()),
                      "n": pa.array([acc[k] for k in keys], pa.int64())})

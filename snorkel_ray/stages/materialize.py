@@ -19,7 +19,6 @@ blocks) rows, not the full candidate stream.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -58,37 +57,59 @@ def link_candidates(scored, alias_ref, *, concurrency=None, batch_size: int | No
 # (round-4 review: ('', pred, '') keyed every unlinked triple)
 DEDUP_KEY = ["_dk_subj", "pred", "_dk_obj"]
 _WITNESS_ORDER = DEDUP_KEY + ["p", "url", "sent_stable_id"]
-_WITNESS_ASC = [True, True, True, False, True, True]
+_WITNESS_DIR = ["ascending"] * 3 + ["descending"] + ["ascending"] * 2
 # deterministic output order; subj/obj break ties among unlinked rows
 _OUT_ORDER = TRIPLE_KEY + ["subj", "obj"]
 
 
-def _with_dedup_keys(df: pd.DataFrame, subj: str = "subj",
-                     obj: str = "obj") -> pd.DataFrame:
-    df = df.copy()
-    df["_dk_subj"] = np.where(df["subj_qid"] != "", df["subj_qid"],
-                              "t:" + df[subj])
-    df["_dk_obj"] = np.where(df["obj_qid"] != "", df["obj_qid"],
-                             "t:" + df[obj])
-    return df
+def _dedup_keys(t: pa.Table, subj: str = "subj", obj: str = "obj") -> pa.Table:
+    """The ``DEDUP_KEY`` columns of ``t``: per side the qid when
+    linked, "t:" + the surface text when not; both sides "" when
+    ``pred`` is "" (not a triple: such rows group by their other keys
+    alone)."""
+    pred = t.column("pred")
+    no_pred = pc.equal(pred, "")
+
+    def side(qid: str, text: str):
+        q = t.column(qid)
+        dk = pc.if_else(pc.not_equal(q, ""), q,
+                        pc.binary_join_element_wise("t:", t.column(text), ""))
+        return pc.if_else(no_pred, "", dk)
+
+    return pa.table({"_dk_subj": side("subj_qid", subj), "pred": pred,
+                     "_dk_obj": side("obj_qid", obj)})
 
 
-def _best_witness(df: pd.DataFrame) -> pd.DataFrame:
+def _first_per_group(keys: pa.Table, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per distinct row of ``keys``: the row that comes first in
+    ``order`` (a stable sort's indices) and the group's size, in
+    ``order``'s order of those rows.  Arrow groups and sorts strings
+    by their bytes; pandas does not (it factorizes an object string
+    with an embedded NUL as if cut there, so "b\\x00x" and "b" would
+    fall into one group)."""
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    g = keys.append_column("_rank", pa.array(rank)).group_by(
+        keys.column_names, use_threads=False).aggregate([("_rank", "min"), ("_rank", "count")])
+    first = g.column("_rank_min").to_numpy()
+    by_rank = np.argsort(first)
+    return order[first[by_rank]], g.column("_rank_count").to_numpy()[by_rank]
+
+
+def _best_witness(t: pa.Table) -> pa.Table:
     """One row per dedup key: max p, ties broken by (url,
     sent_stable_id) — DETERMINISTIC regardless of block arrival order
     (a bare idxmax picks whichever tied witness arrived first and makes
-    reruns differ in the witness columns)."""
-    df = _with_dedup_keys(df)
-    df = df.sort_values(_WITNESS_ORDER, ascending=_WITNESS_ASC, kind="mergesort")
-    return (df.groupby(DEDUP_KEY, sort=False).head(1)
-            .drop(columns=["_dk_subj", "_dk_obj"]))
-
-
-def _combine_batch(batch: pa.Table) -> pa.Table:
-    """Per-batch combiner: keep the best witness per triple key."""
-    if batch.num_rows == 0:
-        return batch
-    return pa.Table.from_pandas(_best_witness(batch.to_pandas()), preserve_index=False)
+    reruns differ in the witness columns).  Also the per-batch
+    combiner of ``materialize_triples``."""
+    if not t.num_rows:
+        return t
+    keys = _dedup_keys(t)
+    order = pc.sort_indices(
+        pa.Table.from_arrays(keys.columns + [t.column(c) for c in _WITNESS_ORDER[3:]],
+                             names=_WITNESS_ORDER),
+        sort_keys=list(zip(_WITNESS_ORDER, _WITNESS_DIR))).to_numpy()
+    return t.take(_first_per_group(keys, order)[0])
 
 
 # a triple partial keeps the triple, its witness and its votes; ``n``
@@ -106,16 +127,13 @@ def _partials_batch(batch: pa.Table) -> pa.Table:
     from .label_model import vote_matrix
 
     batch = batch.select(_PART_COLS)
-    df = _with_dedup_keys(batch.drop_columns(["L"]).to_pandas(),
-                          "subj_text", "obj_text")
-    df.loc[df["pred"] == "", ["_dk_subj", "_dk_obj"]] = ""
-    df["_pat"] = [v.tobytes() for v in vote_matrix(batch)]
-    df = df.sort_values(["url", "sent_stable_id"], kind="mergesort")
-    gid = df.groupby(DEDUP_KEY + ["_pat"], sort=False).ngroup().to_numpy()
-    _, first, n = np.unique(gid, return_index=True, return_counts=True)
-    rows = df.index.to_numpy()[first]
-    order = np.argsort(rows)
-    return batch.take(rows[order]).append_column("n", pa.array(n[order], pa.int64()))
+    keys = _dedup_keys(batch, "subj_text", "obj_text").append_column(
+        "_pat", pa.array([v.tobytes() for v in vote_matrix(batch)], pa.binary()))
+    order = pc.sort_indices(batch, sort_keys=[("url", "ascending"),
+                                              ("sent_stable_id", "ascending")]).to_numpy()
+    rows, n = _first_per_group(keys, order)
+    by_row = np.argsort(rows)
+    return batch.take(rows[by_row]).append_column("n", pa.array(n[by_row], pa.int64()))
 
 
 def triple_partials(linked):
@@ -149,7 +167,10 @@ def _dedup_distributed(combined, schema: pa.Schema):
     groups, where a per-group ``map_groups`` pays ~0.1 ms of pandas
     tax EACH — CLAUDE.md perf rule 5; round-4 review):
 
-    1. per row: composite dedup key ``_dk`` + winner string ``_rk`` =
+    1. per row: composite dedup key ``_dk`` (the ``DEDUP_KEY`` fields,
+       each ``\\x00``-escaped as in ``_order_field`` and joined by
+       ``_FIELD_END``, so distinct keys stay distinct whatever the
+       surface text holds) + winner string ``_rk`` =
        sortkey(−p) · url · sent · base64(pickle(row)), each of the
        first three fields ``_order_field``-encoded so the string
        orders exactly like the (−p, url, sent) tuple ``_best_witness``
@@ -172,19 +193,18 @@ def _dedup_distributed(combined, schema: pa.Schema):
     from .dedup import _sort_key_strings
 
     def _keys(b: pa.Table) -> pa.Table:
-        df = _with_dedup_keys(b.to_pandas())
-        dk = (df["_dk_subj"] + "\x1f" + df["pred"] + "\x1f"
-              + df["_dk_obj"])
+        dk = pc.binary_join_element_wise(
+            *(pc.replace_substring(c, "\x00", "\x00\x02") for c in _dedup_keys(b).columns),
+            _FIELD_END)
+        df = b.to_pandas()
         neg_p = pa.array(-df["p"].to_numpy(dtype=np.float64))
-        payload = df.drop(columns=["_dk_subj", "_dk_obj"])
-        recs = payload.to_dict("records")
+        recs = df.to_dict("records")
         rk = [_order_field(pk) + _order_field(u) + _order_field(s)
               + base64.b64encode(pickle.dumps(rec)).decode()
               for pk, u, s, rec in
               zip(_sort_key_strings(neg_p), df["url"],
                   df["sent_stable_id"], recs)]
-        return pa.table({"_dk": pa.array(dk.tolist(), pa.string()),
-                         "_rk": pa.array(rk, pa.string())})
+        return pa.table({"_dk": dk, "_rk": pa.array(rk, pa.string())})
 
     keyed = combined.map_batches(_keys, batch_format="pyarrow")
     winners = keyed.groupby("_dk").aggregate(Min("_rk", alias_name="_win"))
@@ -218,7 +238,7 @@ def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None =
     ``count()`` is a metadata read, not an extra pass.
 
     Up to ``_DRIVER_DEDUP_ROWS``: the combined partials stream to the
-    DRIVER for the final dedup+sort in pandas.  No AllToAll of any
+    DRIVER for the final dedup+sort in Arrow.  No AllToAll of any
     kind — measured on this Ray version, even a ``repartition(1)``
     appended to a live map chain forces bulk materialization of the
     whole upstream through the object store (58s plan → 209s at 4
@@ -240,11 +260,16 @@ def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None =
     # 5x wall time on the 40k-page bench (1.9s -> 10.2s at 32 CPUs) —
     # per-block combining dedups nearly as well with zero rebatching
     # (CLAUDE.md perf rule 3)
-    combined = triples.map_batches(_combine_batch, batch_format="pyarrow").materialize()
+    combined = triples.map_batches(_best_witness, batch_format="pyarrow").materialize()
     if combined.count() <= _DRIVER_DEDUP_ROWS:
-        df = combined.to_pandas()
-        out = rd.from_pandas(_best_witness(df).sort_values(_OUT_ORDER)
-                             .reset_index(drop=True)) if len(df) else None
+        import ray
+
+        parts = [t for t in ray.get(combined.to_arrow_refs()) if t.num_rows]
+        out = None
+        if parts:
+            best = _best_witness(pa.concat_tables(parts))
+            out = rd.from_arrow(best.take(pc.sort_indices(
+                best, sort_keys=[(c, "ascending") for c in _OUT_ORDER])))
     else:
         # decode needs exact output types (from_pylist inference is
         # unsafe — CLAUDE.md uint64 pitfall), free here because

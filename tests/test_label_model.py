@@ -219,3 +219,95 @@ def test_categorical_pattern_counts_round_trip(ray_session):
     want = np.unique(L, axis=0, return_counts=True)
     np.testing.assert_array_equal(np.unique(back, axis=0), want[0])
     np.testing.assert_array_equal(w, want[1])
+
+
+def _lazy(ds):
+    """The same rows behind a Ray Data operator that has not run."""
+    return ds.map_batches(lambda b: b, batch_format="pyarrow")
+
+
+def _weighted_dataset(L, n_col, blocks):
+    import ray.data as rd
+
+    n, K = L.shape
+    off = pa.array(np.arange(0, (n + 1) * K, K, dtype=np.int32))
+    tbl = pa.table({"L": pa.ListArray.from_arrays(off, pa.array(L.reshape(-1), pa.int8())),
+                    "n": pa.array(n_col, pa.int64())})
+    return rd.from_arrow(tbl).repartition(blocks).materialize()
+
+
+def test_pattern_counts_lazy_equals_materialized(ray_session):
+    """One code path for both inputs: a lazy chain and its materialized
+    twin give identical tables for binary and categorical votes,
+    n-weighted partials, an empty Dataset and a schema-less empty
+    block next to typed ones."""
+    import ray.data as rd
+
+    from snorkel_ray.stages.label_model import pattern_counts
+
+    rng = np.random.default_rng(8)
+    binary = rng.choice([-1, 0, 1], size=(2000, 4)).astype(np.int8)
+    categorical = rng.integers(0, 4, size=(1500, 3)).astype(np.int8)
+    weights = rng.integers(1, 9, size=800)
+    empty = rd.from_arrow(pa.table({"L": pa.array([], pa.list_(pa.int8()))}))
+    typed = _l_dataset(binary[:300], 2)
+    cases = {
+        "binary": _l_dataset(binary, 5),
+        "categorical": _l_dataset(categorical, 3),
+        "weighted": _weighted_dataset(binary[:800], weights, 4),
+        "empty": empty,
+        "schema-less block": rd.from_arrow(
+            [pa.table({})] + [ray_session.get(r) for r in typed.to_arrow_refs()]),
+    }
+    for name, ds in cases.items():
+        got, lazy = pattern_counts(ds), pattern_counts(_lazy(ds))
+        assert got.equals(lazy), name
+        assert got.schema == pa.schema([("pattern", pa.binary()), ("n", pa.int64())]), name
+    assert pattern_counts(cases["empty"]).num_rows == 0
+    assert pattern_counts(cases["weighted"]).column("n").to_numpy().sum() == weights.sum()
+    assert pattern_counts(cases["schema-less block"]).equals(pattern_counts(typed))
+
+
+def test_pattern_counts_runs_no_ray_data_job_on_a_materialized_input(ray_session, monkeypatch):
+    """On a materialized Dataset the counts are plain per-block tasks:
+    no Ray Data operator and no streaming executor.  A lazy input is
+    streamed through its chain exactly once."""
+    import ray.data as rd
+    from ray.data._internal.plan import ExecutionPlan
+
+    from snorkel_ray.stages.label_model import pattern_counts
+
+    rng = np.random.default_rng(9)
+    ds = _l_dataset(rng.choice([-1, 0, 1], size=(1000, 3)).astype(np.int8), 4)
+    lazy = _lazy(ds)
+    want = pattern_counts(ds)
+
+    executors = []
+    create = ExecutionPlan.create_executor
+    monkeypatch.setattr(ExecutionPlan, "create_executor",
+                        lambda self: executors.append(self) or create(self))
+
+    def forbidden(*a, **k):
+        raise AssertionError("pattern_counts ran a Ray Data operator")
+
+    with monkeypatch.context() as m:
+        m.setattr(rd.Dataset, "map_batches", forbidden)
+        m.setattr(rd.Dataset, "iter_batches", forbidden)
+        assert pattern_counts(ds).equals(want)
+    assert executors == []
+    assert pattern_counts(lazy).equals(want)
+    assert len(executors) == 1
+
+
+def test_diagnostics_are_the_same_on_lazy_inputs(ray_session):
+    """lf_stats and candidate_coverage read the same pattern table from
+    a lazy chain as from its materialized twin."""
+    from snorkel_ray.stages.evaluate import candidate_coverage
+    from snorkel_ray.stages.label_model import lf_stats
+
+    rng = np.random.default_rng(12)
+    L = rng.choice([-1, 0, 1], size=(1200, 4), p=[0.2, 0.6, 0.2]).astype(np.int8)
+    ds = _l_dataset(L, 3)
+    names = [f"lf{k}" for k in range(4)]
+    assert lf_stats(_lazy(ds), names).equals(lf_stats(ds, names))
+    assert candidate_coverage(_lazy(ds)) == candidate_coverage(ds)

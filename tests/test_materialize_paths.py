@@ -263,12 +263,13 @@ def test_triples_tail_equals_row_level_plan(ray_session, monkeypatch, driver):
     give byte-identical triples to the row-level plan: fit on every
     labeled row, score every row, link, materialize — on either final
     dedup path."""
+    import ray
     import ray.data as rd
 
     from snorkel_ray.pipelines import kg
     from snorkel_ray.stages.label_model import (fit_label_model, pattern_counts,
                                                 score_marginals)
-    from snorkel_ray.stages.materialize import (_with_dedup_keys, link_candidates,
+    from snorkel_ray.stages.materialize import (_dedup_keys, link_candidates,
                                                 materialize_triples)
 
     _final_dedup_on(monkeypatch, driver)
@@ -279,7 +280,10 @@ def test_triples_tail_equals_row_level_plan(ray_session, monkeypatch, driver):
     ref = materialize_triples(linked, threshold=0.5)
 
     # the data holds every case the tail has to get right
-    df = _with_dedup_keys(linked.to_pandas(), "subj_text", "obj_text")
+    lt = pa.concat_tables(ray.get(linked.to_arrow_refs()))
+    df = lt.to_pandas()
+    dk = _dedup_keys(lt, "subj_text", "obj_text")
+    df["_dk_subj"], df["_dk_obj"] = dk["_dk_subj"].to_pylist(), dk["_dk_obj"].to_pylist()
     df = df[df["pred"] != ""]
     df["pat"] = df["L"].map(lambda v: bytes(np.asarray(v, np.int8) + 1))
     assert df.loc[df["p"] == np.float32(1.0), "pat"].nunique() >= 2  # p ties
@@ -329,3 +333,69 @@ def test_witness_is_independent_of_blocking(ray_session, monkeypatch, n_blocks):
         pd.testing.assert_frame_equal(
             out[["url", "sent_stable_id"]].reset_index(drop=True), want,
             obj=f"witness (driver={driver}, blocks={n_blocks})")
+
+
+def test_nul_in_text_keeps_triples_apart_in_partials():
+    """Two unlinked triples whose subject text differs only after a NUL
+    (the extractor keeps a NUL of the page) are two partials, not one;
+    pandas' factorize once read both as "Acme"."""
+    from snorkel_ray.stages.materialize import _partials_batch
+
+    batch = pa.table({
+        "subj_text": ["Acme\x00 Corp", "Acme", "Acme\x00 Corp"],
+        "pred": ["founded_by"] * 3, "obj_text": ["Bob"] * 3,
+        "subj_qid": [""] * 3, "obj_qid": ["Q1"] * 3,
+        "url": ["u2", "u1", "u3"], "sent_stable_id": ["s"] * 3,
+        "L": pa.array([[1, 0]] * 3, pa.list_(pa.int8())),
+    })
+    out = _partials_batch(batch)
+    assert out.column("subj_text").to_pylist() == ["Acme\x00 Corp", "Acme"]
+    assert out.column("n").to_pylist() == [2, 1]
+    assert out.column("url").to_pylist() == ["u2", "u1"]
+
+
+@pytest.mark.parametrize("rival_first", [True, False])
+def test_nul_in_text_keeps_triples_apart_on_the_driver(ray_session, monkeypatch, rival_first):
+    """The driver's final dedup keeps two unlinked triples that differ
+    only after a NUL apart, and picks the min-url witness of a tie
+    whatever the arrival order when the urls differ only after a NUL."""
+    import ray.data as rd
+
+    from snorkel_ray.stages.materialize import materialize_triples
+
+    def row(subj, url):
+        return {"subj_text": subj, "pred": "rel", "obj_text": "O", "subj_qid": "",
+                "obj_qid": "R", "p": 0.9, "url": url, "sent_stable_id": "s"}
+
+    rows = [row("Acme\x00 Corp", "u\x00b"), row("Acme", "u"), row("Acme\x00 Corp", "u")]
+    if not rival_first:
+        rows = rows[::-1]
+    _final_dedup_on(monkeypatch, True)
+    out = materialize_triples(rd.from_arrow([pa.Table.from_pylist([r]) for r in rows]),
+                              threshold=0.5).take_all()
+    assert [r["subj"] for r in out] == ["Acme", "Acme\x00 Corp"]
+    assert [r["url"] for r in out] == ["u", "u"]
+
+
+def test_separator_in_text_keeps_triples_apart(ray_session, monkeypatch):
+    """Two unlinked triples whose surface texts, joined with a "\\x1f"
+    separator, spell the same string are two triples on both final
+    dedup paths (the distributed key once joined its fields with
+    "\\x1f" and kept one of them)."""
+    import ray.data as rd
+
+    from snorkel_ray.stages.materialize import materialize_triples
+
+    def row(subj, obj):
+        return {"subj_text": subj, "pred": "rel", "obj_text": obj, "subj_qid": "",
+                "obj_qid": "", "p": 0.9, "url": "u", "sent_stable_id": "s"}
+
+    ds = rd.from_arrow(pa.Table.from_pylist(
+        [row("a\x1frel\x1ft:b", "c"), row("a", "b\x1frel\x1ft:c"),
+         row("a\x00", "b"), row("a", "\x00b")]))
+    for driver in (True, False):
+        _final_dedup_on(monkeypatch, driver)
+        out = materialize_triples(ds, threshold=0.5).take_all()
+        assert sorted((r["subj"], r["obj"]) for r in out) == [
+            ("a", "\x00b"), ("a", "b\x1frel\x1ft:c"), ("a\x00", "b"),
+            ("a\x1frel\x1ft:b", "c")], driver
