@@ -14,6 +14,12 @@ from __future__ import annotations
 import hashlib
 import unicodedata
 
+# the ASCII characters Python's ``str.split()`` and ``\s`` treat as
+# whitespace, as an RE2 class body
+ASCII_SPACE = r" \t\n\r\x0b\x0c\x1c-\x1f"
+# characters ``normalize_entity_key`` strips at the edges
+_KEY_STRIP = " \t\n'\"`,;:!?()[]"
+
 
 def doc_id_of_url(url: str) -> int:
     """Deterministic uint64 id for a url (blake2b-8; no PYTHONHASHSEED)."""
@@ -37,7 +43,20 @@ def normalize_entity_key(text: str) -> str:
     s = unicodedata.normalize("NFKC", text).casefold()
     s = s.replace(".", "")
     s = " ".join(s.split())
-    return s.strip(" \t\n'\"`,;:!?()[]")
+    return s.strip(_KEY_STRIP)
+
+
+def normalize_entity_keys_ascii(texts):
+    """``normalize_entity_key`` over an Arrow string array of ASCII
+    texts, in Arrow: NFKC is the identity on ASCII and ``utf8_lower``
+    equals ``casefold`` there; after the whitespace collapse every
+    edge whitespace is a space, which ``_KEY_STRIP`` holds, so one
+    trim does both of Python's strips."""
+    import pyarrow.compute as pc
+
+    s = pc.replace_substring(pc.utf8_lower(texts), ".", "")
+    s = pc.replace_substring_regex(s, f"[{ASCII_SPACE}]+", " ")
+    return pc.utf8_trim(s, _KEY_STRIP)
 
 
 def hash64(s: str) -> int:

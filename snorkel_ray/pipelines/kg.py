@@ -38,10 +38,10 @@ import pyarrow.compute as pc
 
 from ..stages.candidates import extract_candidates_fused
 from ..stages.extract import extract_docs
-from ..stages.label_model import fit_label_model, lf_stats, pattern_counts, score_marginals
+from ..stages.label_model import fit_label_model, lf_stats, pattern_counts
 from ..stages.labeling import apply_lfs
 from ..stages.linking import build_link_index
-from ..stages.materialize import link_candidates, materialize_triples, triple_partials
+from ..stages.materialize import link_candidates, triple_partials, triples_from_partials
 from ..state.checkpoint import CODE_VERSION, _skip_or_build, fingerprint
 from ..state.resources import broadcast_key
 
@@ -118,11 +118,16 @@ def _triples(linked, threshold, out_dir=None):
     """The flagship's tail, shared by both runners: linked rows →
     (triple, vote-pattern) partials, the only pin → exact EM fit on
     their pattern counts → score the partials → best witness per
-    triple.  → (triples Dataset, model, partials)."""
+    triple.  → (triples Dataset, model, partials).
+
+    After the pin, the counts and the per-block scoring and witness
+    pick are plain tasks over the pinned blocks
+    (``label_model.pattern_counts``,
+    ``materialize.triples_from_partials``): no Ray Data job runs
+    unless the final dedup goes distributed or ``out_dir`` is written."""
     parts = triple_partials(linked).materialize()
     model = fit_label_model(pattern_counts(parts))
-    triples = materialize_triples(score_marginals(parts, model),
-                                  threshold=threshold, out_dir=out_dir)
+    triples = triples_from_partials(parts, model, threshold=threshold, out_dir=out_dir)
     return triples, model, parts
 
 

@@ -21,16 +21,51 @@ Pairing spec:
 
 Sentence context is denormalized into the candidate row (SURVEY.md J1):
 LFs read columns, never join back to sentences.
+
+The fused docs path (``process_docs``) is columnar: after a per-doc
+``split_sentences``, every sentence that is ASCII and holds no NUL
+(all synth and benchmark sentences) is tokenized, scanned, paired and
+turned into the 18 columns by Arrow kernels over the whole block
+(``_fast_rows``); Python runs only the greedy longest-match over the
+alias first-token hits.  Any other sentence goes through the
+per-sentence ``_process_sentence``, which the sentence-table path
+(``__call__``) also runs and which is the oracle the fast path is
+tested against row for row, order included (tests/test_candidates.py)
+— change the two together.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.ids import normalize_entity_key
-from ..functions.predicates import detect_predicate
+from ..functions.ids import (ASCII_SPACE, construct_stable_id, normalize_entity_key,
+                             normalize_entity_keys_ascii)
+from ..functions.predicates import TRIGGERS, detect_predicate
 from .mentions import MentionDetector
+
+# ``sentences.tokenize``'s pattern for an ASCII sentence, in RE2 with
+# Python's ASCII classes spelled out (``\w`` = ``[0-9A-Za-z_]``, ``\s``
+# = ``ASCII_SPACE``); the group is one token
+_W = "0-9A-Za-z_"
+_TOKEN_RE2 = rf"([{_W}]+(?:[-'][{_W}]+)*|[^{_W}{ASCII_SPACE}])"
+
+
+def _join_ranges(values: pa.Array, starts: np.ndarray, ends: np.ndarray,
+                 sep: str) -> pa.Array:
+    """Row i: ``sep.join(values[starts[i]:ends[i]])``."""
+    lens = ends - starts
+    offs = np.concatenate([[0], np.cumsum(lens)])
+    idx = np.repeat(starts - offs[:-1], lens) + np.arange(offs[-1])
+    return pc.binary_join(pa.ListArray.from_arrays(pa.array(offs, pa.int32()),
+                                                   values.take(pa.array(idx, pa.int64()))), sep)
+
+
+def _digits(v: np.ndarray) -> pa.Array:
+    """Integers as decimal strings (``str(int)``)."""
+    return pc.cast(pa.array(v, pa.int64()), pa.string())
+
 
 CANDIDATE_COLUMNS = [
     "cand_stable_id", "doc_id", "url", "sent_idx", "sent_stable_id", "pred",
@@ -47,6 +82,8 @@ class CandidateExtractor(MentionDetector):
                  cooccur_pred: str | None = None, cooccur_gap: int = 3,
                  both_orders: bool = False):
         super().__init__(alias_ref)
+        self._first_arr = pa.array(sorted(self.first_tokens), pa.string())
+        self._alias_keys = pa.array(sorted(" ".join(k) for k in self.index), pa.string())
         self.max_gap = max_gap
         # optional generic predicate for trigger-less nearby pairs —
         # used by corpora without a trigger lexicon (e.g. co-occurrence
@@ -148,28 +185,186 @@ class CandidateExtractor(MentionDetector):
         return self._to_table(o)
 
     def process_docs(self, batch: pa.Table) -> pa.Table:
-        """FUSED docs → candidates: split + tokenize + pair inside one
-        batch fn, never constructing the intermediate Arrow
-        ``list<string>`` sentence columns (they were built only to be
-        ``to_pylist()``-ed right back in the fused chain — measured as
-        the stage that stops scaling past ~16 workers, BASELINE.md
-        round-2 audit).  The standalone sentence table path remains for
-        consumers that need it."""
-        from ..functions.ids import construct_stable_id
+        """FUSED docs → candidates: split, tokenize and pair inside one
+        batch fn, never building the Arrow ``list<string>`` sentence
+        columns of the standalone sentence table.
+
+        Sentences are split per doc in Python (``split_sentences``);
+        everything after that is columnar over the block's sentences
+        (``_fast_rows``) for every sentence that is ASCII and holds no
+        NUL.  Any other sentence runs ``_process_sentence``, which is
+        also the oracle the fast path is tested against.  Rows come out
+        in the per-sentence order: doc, sentence, subj, obj, each ``r``
+        row right after its ``f`` row."""
         from .sentences import split_sentences, tokenize
 
-        doc_ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        urls = batch.column("url").to_pylist()
-        texts = batch.column("text").to_pylist()
-        o: dict[str, list] = {k: [] for k in CANDIDATE_COLUMNS}
-        for did, url, text in zip(doc_ids, urls, texts):
+        doc_ids = pc.cast(batch.column("doc_id").combine_chunks(), pa.uint64())
+        urls = batch.column("url").combine_chunks()
+        s_doc, s_idx, s_abs, s_text = [], [], [], []
+        for d, text in enumerate(batch.column("text").to_pylist()):
             for idx, (abs_start, sent) in enumerate(split_sentences(text)):
+                s_doc.append(d)
+                s_idx.append(idx)
+                s_abs.append(abs_start)
+                s_text.append(sent)
+        sents = pa.array(s_text, pa.string())
+        fast = pc.and_(pc.string_is_ascii(sents),
+                       pc.invert(pc.match_substring(sents, "\x00"))).to_numpy(zero_copy_only=False)
+        f_sent = np.flatnonzero(fast)
+        s_doc, s_idx, s_abs = (np.asarray(v, np.int64) for v in (s_doc, s_idx, s_abs))
+        out, row_sent = self._fast_rows(sents.take(f_sent), s_doc[f_sent], s_idx[f_sent],
+                                        s_abs[f_sent], doc_ids, urls)
+        row_sent = f_sent[row_sent]
+        slow = np.flatnonzero(~fast)
+        if len(slow):
+            o: dict[str, list] = {k: [] for k in CANDIDATE_COLUMNS}
+            slow_sent = []
+            for s in slow.tolist():
+                sent, d, a0 = s_text[s], int(s_doc[s]), int(s_abs[s])
+                url = urls[d].as_py()
                 words, offs = tokenize(sent)
-                sid = construct_stable_id(url, "sentence", abs_start,
-                                          abs_start + len(sent))
-                self._process_sentence(o, did, url, idx, sid, abs_start,
-                                       sent, words, offs)
-        return self._to_table(o)
+                before = len(o["doc_id"])
+                self._process_sentence(o, doc_ids[d].as_py(), url, int(s_idx[s]),
+                                       construct_stable_id(url, "sentence", a0, a0 + len(sent)),
+                                       a0, sent, words, offs)
+                slow_sent += [s] * (len(o["doc_id"]) - before)
+            # a sentence's rows all come from one path, so a stable sort
+            # on the sentence restores the per-sentence order
+            order = np.argsort(np.concatenate([row_sent, slow_sent]), kind="stable")
+            out = pa.concat_tables([out, self._to_table(o)]).take(order)
+        return out
+
+    def _fast_rows(self, sents: pa.Array, s_doc, s_idx, s_abs, doc_ids: pa.Array,
+                   urls: pa.Array) -> tuple[pa.Table, np.ndarray]:
+        """``_process_sentence`` over ASCII, NUL-free ``sents`` (with
+        their doc row, index and doc offset), in Arrow → (candidate
+        rows, the position in ``sents`` of each row's sentence).
+
+        Tokenize: one RE2 pass wraps every token in NULs, so splitting
+        on NUL gives alternating gap/token pieces per sentence and the
+        offsets are cumulative piece lengths.  Only sentences with two
+        or more first-token hits reach Python, for the greedy
+        longest-match over their hit positions; pairs, texts, keys,
+        predicates and ids are built over integer indices."""
+        n = len(sents)
+        pieces = pc.split_pattern(
+            pc.replace_substring_regex(sents, _TOKEN_RE2, "\x00\\1\x00"), "\x00")
+        flat = pieces.flatten()
+        p_off = pieces.offsets.to_numpy().astype(np.int64)
+        p_off -= p_off[0]
+        n_tok = (np.diff(p_off) - 1) // 2
+        tok_first = np.concatenate([[0], np.cumsum(n_tok)])
+        tok_sent = np.repeat(np.arange(n), n_tok)
+        # token t of sentence s is piece p_off[s] + 2t + 1
+        tok_piece = p_off[tok_sent] + 2 * (np.arange(tok_first[-1]) - tok_first[tok_sent]) + 1
+        plen = pc.binary_length(flat).to_numpy().astype(np.int64)
+        cum = np.concatenate([[0], np.cumsum(plen)])
+        tok_off = cum[tok_piece] - cum[p_off[tok_sent]]
+        folded = pc.utf8_lower(flat.take(tok_piece))
+
+        hit = pc.is_in(folded, value_set=self._first_arr).to_numpy(zero_copy_only=False)
+        g = np.flatnonzero(hit & (np.bincount(tok_sent[hit], minlength=n) >= 2)[tok_sent])
+        m_ws, m_we = self._scan_hits(folded, g, tok_first[tok_sent[g] + 1])
+
+        # pairs (i, j), i before j in one sentence, in (i, j) order
+        m_sent = tok_sent[m_ws]
+        pi, pj = [], []
+        for dist in range(1, len(m_ws)):
+            same = np.flatnonzero(m_sent[dist:] == m_sent[:-dist])
+            if not len(same):
+                break
+            pi.append(same)
+            pj.append(same + dist)
+        pi = np.concatenate(pi) if pi else np.zeros(0, np.int64)
+        pj = np.concatenate(pj) if pj else np.zeros(0, np.int64)
+        m_text = _join_ranges(flat, tok_piece[m_ws], tok_piece[m_we] + 1, "")
+        m_key = normalize_entity_keys_ascii(m_text)
+        key_code = pc.dictionary_encode(m_key).indices.to_numpy()
+        gap = m_ws[pj] - m_we[pi] - 1
+        keep = (gap <= self.max_gap) & (key_code[pi] != key_code[pj])
+        order = np.lexsort((pj[keep], pi[keep]))
+        pi, pj, gap = pi[keep][order], pj[keep][order], gap[keep][order]
+
+        between = _join_ranges(folded, m_we[pi] + 1, m_ws[pj], " ")
+        names = ["", *TRIGGERS]
+        code = np.zeros(len(pi), np.int64)
+        for k, rgx in enumerate(TRIGGERS.values(), 1):
+            todo = np.flatnonzero(code == 0)
+            if not len(todo):
+                break
+            found = pc.match_substring_regex(between.take(todo), rgx.pattern)
+            code[todo[found.to_numpy(zero_copy_only=False)]] = k
+        if self.cooccur_pred:
+            names.append(self.cooccur_pred)
+            code[(code == 0) & (gap <= self.cooccur_gap)] = len(names) - 1
+
+        # rows: one per pair, or an f row then an r row per pair
+        if self.both_orders:
+            rp = np.repeat(np.arange(len(pi)), 2)
+            a = np.stack([pi, pj], 1).reshape(-1)
+            b = np.stack([pj, pi], 1).reshape(-1)
+            direction = pa.array(["f", "r"] * len(pi), pa.string())
+        else:
+            rp, a, b, direction = np.arange(len(pi)), pi, pj, "f"
+        row_sent = m_sent[a]
+        doc = s_doc[row_sent]
+        url = urls.take(doc)
+        a0 = s_abs[row_sent]
+        sent_text = sents.take(row_sent)
+        sent_end = a0 + pc.binary_length(sent_text).to_numpy()
+        m_wsr = m_ws - tok_first[m_sent]
+        m_wer = m_we - tok_first[m_sent]
+        pred = pa.array(names, pa.string()).take(code[rp])
+        cand_id = pc.binary_join_element_wise(
+            url, "::cand:", _digits(a0 + tok_off[m_ws[pi]][rp]), ":",
+            _digits(a0 + (tok_off + plen[tok_piece])[m_we[pj]][rp]), ":",
+            pa.array([nm or "none" for nm in names], pa.string()).take(code[rp]), ":",
+            direction, "")
+        sid = pc.binary_join_element_wise(url, "::sentence:", _digits(a0), ":",
+                                          _digits(sent_end), "")
+        pre = _join_ranges(folded, tok_first[m_sent[pi]], m_ws[pi], " ")
+        return pa.table({
+            "cand_stable_id": cand_id,
+            "doc_id": doc_ids.take(doc),
+            "url": url,
+            "sent_idx": pa.array(s_idx[row_sent], pa.int32()),
+            "sent_stable_id": sid,
+            "pred": pred,
+            "subj_text": m_text.take(a),
+            "subj_key": m_key.take(a),
+            "subj_word_start": pa.array(m_wsr[a], pa.int32()),
+            "subj_word_end": pa.array(m_wer[a], pa.int32()),
+            "obj_text": m_text.take(b),
+            "obj_key": m_key.take(b),
+            "obj_word_start": pa.array(m_wsr[b], pa.int32()),
+            "obj_word_end": pa.array(m_wer[b], pa.int32()),
+            "gap": pa.array(gap[rp], pa.int32()),
+            "between_text": between.take(rp),
+            "pre_text": pre.take(rp),
+            "sent_text": sent_text,
+        }), row_sent
+
+    def _scan_hits(self, folded: pa.Array, g: np.ndarray, end: np.ndarray):
+        """``MentionDetector._scan`` over the hit positions ``g`` only
+        (global token indices of alias first tokens; ``end``: the end
+        of each one's sentence) → (first, last) global token index of
+        each mention, in order.  The alias lookups run in Arrow: an
+        ASCII token holds no whitespace, so a space-joined n-gram
+        stands for its token tuple."""
+        longest = np.zeros(len(g), np.int64)
+        for k in range(1, self.max_len + 1):
+            ok = np.flatnonzero(g + k <= end)
+            grams = _join_ranges(folded, g[ok], g[ok] + k, " ")
+            found = pc.is_in(grams, value_set=self._alias_keys).to_numpy(zero_copy_only=False)
+            longest[ok[found]] = k
+        ws, we = [], []
+        cursor = 0
+        for gi, k in zip(g.tolist(), longest.tolist()):
+            if k and gi >= cursor:  # a match not inside the previous mention
+                ws.append(gi)
+                we.append(gi + k - 1)
+                cursor = gi + k
+        return np.asarray(ws, np.int64), np.asarray(we, np.int64)
 
     @staticmethod
     def _to_table(o: dict) -> pa.Table:

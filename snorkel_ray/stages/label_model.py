@@ -87,12 +87,6 @@ def _count_task():
     return ray.remote(_count_block)
 
 
-# count tasks in flight at once: enough to keep the next task queued
-# while the driver merges, few enough that a lazy input's blocks are
-# freed as they are counted
-_IN_FLIGHT = 4
-
-
 def pattern_counts(labeled) -> "pa.Table":
     """labeled Dataset (with L column) → tiny driver-side table of
     (pattern bytes, count), one byte ``vote + 1`` per LF, sorted by
@@ -101,35 +95,22 @@ def pattern_counts(labeled) -> "pa.Table":
 
     A decomposable partial + merge (SUDAF; SURVEY.md A2/A3): one small
     remote task per block (``_pattern_counts_batch``), whose
-    O(#patterns) result is merged into a driver dict.  The blocks come
-    from ``iter_internal_ref_bundles``, so a materialized Dataset (the
-    flagship's pinned partials) runs no Ray Data job at all, and a lazy
-    one streams through its chain once; at most ``_IN_FLIGHT`` tasks
-    hold a block at a time and each ref is dropped once counted, so a
-    lazy input pins nothing row-proportional.  Not a Dataset
-    all-to-all (an AllToAll appended to a live map chain costs seconds
-    of fixed shuffle setup for kilobytes of data) and not
-    ``to_pandas()``."""
+    O(#patterns) result is merged into a driver dict.  The tasks come
+    from ``state.resources.block_tasks``, so a materialized Dataset
+    (the flagship's pinned partials) runs no Ray Data job at all, a
+    lazy one streams through its chain once, and a lazy input pins
+    nothing row-proportional.  Not a Dataset all-to-all (an AllToAll
+    appended to a live map chain costs seconds of fixed shuffle setup
+    for kilobytes of data) and not ``to_pandas()``."""
     import ray
 
-    count = _count_task()
+    from ..state.resources import block_tasks
+
     acc: dict[bytes, int] = {}
-
-    def merge(refs) -> None:
-        for t in ray.get(refs):
-            for p, n in zip(t.column("pattern").to_pylist(), t.column("n").to_pylist()):
-                acc[p] = acc.get(p, 0) + n
-
-    pending: list = []
-    for bundle in labeled.iter_internal_ref_bundles():
-        for block_ref, meta in bundle.blocks:
-            if meta.num_rows == 0:
-                continue
-            pending.append(count.remote(block_ref))
-            if len(pending) >= _IN_FLIGHT:
-                done, pending = ray.wait(pending, num_returns=1)
-                merge(done)
-    merge(pending)
+    for ref in block_tasks(labeled, _count_task()):
+        t = ray.get(ref)
+        for p, n in zip(t.column("pattern").to_pylist(), t.column("n").to_pylist()):
+            acc[p] = acc.get(p, 0) + n
     keys = sorted(acc)
     return pa.table({"pattern": pa.array(keys, pa.binary()),
                      "n": pa.array([acc[k] for k in keys], pa.int64())})
@@ -266,12 +247,14 @@ def score_marginals(labeled, model: dict, *, batch_size: int | None = None):
     map; weights ride in the serialized closure once)."""
     theta = np.asarray(model["theta"], dtype=np.float64)
     pi = float(model["pi"])
+    return labeled.map_batches(lambda b: append_p(b, theta, pi), batch_format="pyarrow",
+                               batch_size=batch_size)
 
-    def _score(batch: pa.Table) -> pa.Table:
-        p = posterior(vote_matrix(batch), theta, pi) if batch.num_rows else np.array([])
-        return batch.append_column("p", pa.array(p.astype(np.float32), pa.float32()))
 
-    return labeled.map_batches(_score, batch_format="pyarrow", batch_size=batch_size)
+def append_p(batch: pa.Table, theta: np.ndarray, pi: float) -> pa.Table:
+    """``batch`` with float32 ``p`` = P(y = +1 | its votes) appended."""
+    p = posterior(vote_matrix(batch), theta, pi) if batch.num_rows else np.array([])
+    return batch.append_column("p", pa.array(p.astype(np.float32), pa.float32()))
 
 
 def save_model(model: dict, path: str) -> None:

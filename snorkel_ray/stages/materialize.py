@@ -18,6 +18,8 @@ blocks) rows, not the full candidate stream.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -223,68 +225,112 @@ def _dedup_distributed(combined, schema: pa.Schema):
 _DRIVER_DEDUP_ROWS = 5_000_000
 
 
-def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None = None):
-    """scored+linked candidates → deduped, sorted triples Dataset
-    (written to ``out_dir`` when given; partitioned parquet).
+def _project(batch: pa.Table, threshold: float) -> pa.Table:
+    """Scored rows with ``p >= threshold`` and a ``pred``, as
+    ``TRIPLES`` columns."""
+    keep = pc.and_(pc.greater_equal(batch.column("p"), threshold),
+                   pc.not_equal(batch.column("pred"), ""))
+    return batch.filter(keep).select(
+        ["subj_text", "pred", "obj_text", "subj_qid", "obj_qid", "p", "url",
+         "sent_stable_id"]).rename_columns(TRIPLES.names)
 
-    Dedup is two-phase either way: a per-batch combiner first (keeps
-    one max-p witness per triple key per batch), so at most
-    (distinct triples × blocks) rows survive to the final phase.
 
-    The final phase switches on the combined partials' row count
-    (round-2 verdict item 2: the caller should not have to know
-    whether the distinct-triple set fits a driver).  The partials are
-    materialized either way (they are consumed in full next), so the
-    ``count()`` is a metadata read, not an extra pass.
+def _final_dedup(refs: list, rows: int, out_dir: str | None):
+    """The final phase of the two-phase dedup: per-block witness
+    tables (``refs``, ``rows`` in all) → one deduped, sorted triples
+    Dataset, written to ``out_dir`` when given.
 
-    Up to ``_DRIVER_DEDUP_ROWS``: the combined partials stream to the
-    DRIVER for the final dedup+sort in Arrow.  No AllToAll of any
-    kind — measured on this Ray version, even a ``repartition(1)``
-    appended to a live map chain forces bulk materialization of the
-    whole upstream through the object store (58s plan → 209s at 4
-    CPUs).  Beyond it: the distributed path — a Min-aggregate winner
-    per triple key (``_dedup_distributed``) and a range sort.
-    """
+    Up to ``_DRIVER_DEDUP_ROWS``: the tables come to the DRIVER for
+    the final dedup+sort in Arrow.  No AllToAll of any kind — measured
+    on this Ray version, even a ``repartition(1)`` appended to a live
+    map chain forces bulk materialization of the whole upstream
+    through the object store (58s plan → 209s at 4 CPUs).  Beyond it:
+    the distributed path — a Min-aggregate winner per triple key
+    (``_dedup_distributed``) and a range sort."""
+    import ray
     import ray.data as rd
 
-    def _project(batch: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.greater_equal(batch.column("p"), threshold),
-                       pc.not_equal(batch.column("pred"), ""))
-        return batch.filter(keep).select(
-            ["subj_text", "pred", "obj_text", "subj_qid", "obj_qid", "p", "url",
-             "sent_stable_id"]).rename_columns(TRIPLES.names)
-
-    triples = linked.map_batches(_project, batch_format="pyarrow")
-    # batch_size MUST stay None: a fixed batch_size here re-batches the
-    # live fused chain (buffer + split between operators) and measured
-    # 5x wall time on the 40k-page bench (1.9s -> 10.2s at 32 CPUs) —
-    # per-block combining dedups nearly as well with zero rebatching
-    # (CLAUDE.md perf rule 3)
-    combined = triples.map_batches(_best_witness, batch_format="pyarrow").materialize()
-    if combined.count() <= _DRIVER_DEDUP_ROWS:
-        import ray
-
-        parts = [t for t in ray.get(combined.to_arrow_refs()) if t.num_rows]
-        out = None
-        if parts:
-            best = _best_witness(pa.concat_tables(parts))
-            out = rd.from_arrow(best.take(pc.sort_indices(
-                best, sort_keys=[(c, "ascending") for c in _OUT_ORDER])))
+    if not rows:  # schema-stable empty result
+        out = rd.from_arrow(TRIPLES.empty_table())
+    elif rows <= _DRIVER_DEDUP_ROWS:
+        best = _best_witness(pa.concat_tables([t for t in ray.get(refs) if t.num_rows]))
+        out = rd.from_arrow(best.take(pc.sort_indices(
+            best, sort_keys=[(c, "ascending") for c in _OUT_ORDER])))
     else:
         # decode needs exact output types (from_pylist inference is
-        # unsafe — CLAUDE.md uint64 pitfall), free here because
-        # combined is materialized; schema-less empty input has none
-        sch = combined.schema(fetch_if_missing=True)
-        out = None if sch is None else _dedup_distributed(
-            combined, sch.base_schema).sort(_OUT_ORDER)
-    if out is None:  # schema-stable empty result
-        out = rd.from_arrow(TRIPLES.empty_table())
+        # unsafe — CLAUDE.md uint64 pitfall)
+        combined = rd.from_arrow_refs(refs)
+        out = _dedup_distributed(combined, combined.schema(fetch_if_missing=True).base_schema
+                                 ).sort(_OUT_ORDER)
     if out_dir is not None:
         from ..state.checkpoint import atomic_write_parquet
 
         atomic_write_parquet(out, out_dir)
         out = rd.read_parquet(out_dir)
     return out
+
+
+def materialize_triples(linked, *, threshold: float = 0.5, out_dir: str | None = None):
+    """scored+linked candidates → deduped, sorted triples Dataset
+    (written to ``out_dir`` when given; partitioned parquet).
+
+    Dedup is two-phase: a per-batch combiner first (keeps one max-p
+    witness per triple key per batch), so at most (distinct triples ×
+    blocks) rows survive to the final phase (``_final_dedup``), which
+    switches on their row count (round-2 verdict item 2: the caller
+    should not have to know whether the distinct-triple set fits a
+    driver).  The combined witnesses are materialized either way (they
+    are consumed in full next), so the ``count()`` is a metadata read,
+    not an extra pass."""
+    # batch_size MUST stay None: a fixed batch_size here re-batches the
+    # live fused chain (buffer + split between operators) and measured
+    # 5x wall time on the 40k-page bench (1.9s -> 10.2s at 32 CPUs) —
+    # per-block combining dedups nearly as well with zero rebatching
+    # (CLAUDE.md perf rule 3)
+    combined = linked.map_batches(lambda b: _best_witness(_project(b, threshold)),
+                                  batch_format="pyarrow").materialize()
+    return _final_dedup(combined.to_arrow_refs(), combined.count(), out_dir)
+
+
+def _witness_block(block, theta: np.ndarray, pi: float, threshold: float):
+    """One block of triple partials → (its scored, projected best
+    witnesses, their row count)."""
+    from ray.data.block import BlockAccessor
+
+    from .label_model import append_p
+
+    t = _best_witness(_project(
+        append_p(BlockAccessor.for_block(block).to_arrow(), theta, pi), threshold))
+    return t, t.num_rows
+
+
+@functools.cache
+def _witness_task():
+    import ray
+
+    return ray.remote(num_returns=2)(_witness_block)
+
+
+def triples_from_partials(parts, model: dict, *, threshold: float = 0.5,
+                          out_dir: str | None = None):
+    """Pinned (triple, vote-pattern) partials + the fitted label model
+    → the triples of ``materialize_triples(score_marginals(parts,
+    model), ...)``, with no Ray Data job: one plain task per block
+    (``state.resources.block_tasks``) scores, projects and keeps the
+    block's best witnesses, and returns them with their row count, so
+    the final dedup's driver/distributed switch is decided before any
+    table is fetched (SUDAF's mergeable partials, as
+    ``label_model.pattern_counts`` merges its counts)."""
+    import ray
+
+    from ..state.resources import block_tasks
+
+    theta = np.asarray(model["theta"], dtype=np.float64)
+    refs, rows = [], 0
+    for ref, n in block_tasks(parts, _witness_task(), theta, float(model["pi"]), threshold):
+        rows += ray.get(n)
+        refs.append(ref)
+    return _final_dedup(refs, rows, out_dir)
 
 
 def evaluate_triples(got: pa.Table, golden: pa.Table) -> dict:

@@ -6,6 +6,10 @@ index, LF set, compiled patterns, a parser model) is run either on
 elastic tasks — the default, because a pool caps everything fused into
 it (CLAUDE.md rule 2) — or, with ``concurrency`` set, as an actor pool.
 
+``block_tasks`` is the one walk of a Dataset's blocks with plain Ray
+tasks: a small per-block statistic of a pinned Dataset then costs no
+Ray Data job (CLAUDE.md perf rule 7).
+
 A pooled stage that reserves every CPU starves the task-based stages
 (reads, stateless maps) — on a 4-CPU test session two pools at min=2
 deadlock the whole pipeline (observed; the streaming executor does not
@@ -135,3 +139,34 @@ def stateful_map(ds, build, *, key=None, concurrency=None, batch_size=None):
         return _stage_instance(stage, key, build)(batch)
 
     return ds.map_batches(_task, batch_format="pyarrow", batch_size=batch_size)
+
+
+# plain block tasks in flight at once: enough to keep the next task
+# queued while the driver merges, few enough that a lazy input's blocks
+# are freed as they are consumed
+_IN_FLIGHT = 4
+
+
+def block_tasks(ds, task, *args):
+    """Yield ``task.remote(block_ref, *args)`` for every non-empty
+    block of ``ds``, in block order: one plain Ray task per block, no
+    Ray Data operator.
+
+    The blocks come from ``iter_internal_ref_bundles``, so a
+    materialized Dataset runs no Ray Data job at all and a lazy one
+    streams through its chain once.  Each block ref is dropped once its
+    task is submitted, and at most ``_IN_FLIGHT`` tasks are submitted
+    ahead of the consumer, which must ``ray.get`` (part of) each
+    yielded result before it asks for the next — so a lazy input pins
+    nothing row-proportional."""
+    from collections import deque
+
+    pending: deque = deque()
+    for bundle in ds.iter_internal_ref_bundles():
+        for block_ref, meta in bundle.blocks:
+            if meta.num_rows == 0:
+                continue
+            pending.append(task.remote(block_ref, *args))
+            if len(pending) >= _IN_FLIGHT:
+                yield pending.popleft()
+    yield from pending

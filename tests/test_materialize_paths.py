@@ -399,3 +399,58 @@ def test_separator_in_text_keeps_triples_apart(ray_session, monkeypatch):
         assert sorted((r["subj"], r["obj"]) for r in out) == [
             ("a", "\x00b"), ("a", "b\x1frel\x1ft:c"), ("a\x00", "b"),
             ("a\x1frel\x1ft:b", "c")], driver
+
+
+def test_triples_tail_runs_no_ray_data_job_after_the_pin(ray_session, monkeypatch):
+    """Once ``kg._triples`` has pinned the partials, the counts, the
+    scoring and the per-block witness pick are plain tasks: no
+    streaming executor starts.  Forcing the distributed final dedup
+    (``_DRIVER_DEDUP_ROWS = 0``) gives the same triples, byte for
+    byte."""
+    import ray.data as rd
+    from ray.data._internal.plan import ExecutionPlan
+
+    from snorkel_ray.pipelines import kg
+    from snorkel_ray.stages import materialize
+
+    executors, pins = [], []
+    create = ExecutionPlan.create_executor
+    monkeypatch.setattr(ExecutionPlan, "create_executor",
+                        lambda self: executors.append(self) or create(self))
+    pin = rd.Dataset.materialize
+
+    def spy(self):
+        out = pin(self)
+        pins.append(len(executors))
+        return out
+
+    monkeypatch.setattr(rd.Dataset, "materialize", spy)
+    blocks, alias = _labeled_blocks()
+    got, _, parts = kg._triples(materialize.link_candidates(rd.from_arrow(blocks), alias), 0.5)
+    assert pins == [len(executors)] and parts.num_blocks() > 1
+    want = _ipc_bytes(got)
+
+    calls = []
+    dedup = materialize._dedup_distributed
+    monkeypatch.setattr(materialize, "_dedup_distributed",
+                        lambda *a: calls.append(1) or dedup(*a))
+    monkeypatch.setattr(materialize, "_DRIVER_DEDUP_ROWS", 0)
+    dist, _, _ = kg._triples(materialize.link_candidates(rd.from_arrow(blocks), alias), 0.5)
+    assert calls == [1] and _ipc_bytes(dist) == want
+
+
+@pytest.mark.parametrize("driver", [True, False])
+def test_empty_triples_keep_the_schema(ray_session, monkeypatch, driver):
+    """A tail that keeps no triple returns an empty Dataset with the
+    ``TRIPLES`` schema on either final dedup path."""
+    import ray.data as rd
+
+    from snorkel_ray.pipelines import kg
+    from snorkel_ray.schemas import TRIPLES
+    from snorkel_ray.stages.materialize import link_candidates
+
+    _final_dedup_on(monkeypatch, driver)
+    blocks, alias = _labeled_blocks(n_blocks=2, rows=50)
+    got, _, _ = kg._triples(link_candidates(rd.from_arrow(blocks), alias), 1.5)
+    assert got.count() == 0
+    assert got.schema().base_schema == TRIPLES

@@ -1,7 +1,9 @@
 """E2E golden triples, resume, mentions/linking/canonicalization — the
 Ray-session-backed tests (SURVEY.md §5 items 3/4)."""
 
+import json
 import os
+import sys
 
 import pandas as pd
 import pyarrow as pa
@@ -168,27 +170,28 @@ def test_canonicalize_and_diagnostics_modes(ray_session, kb):
     assert "lf_trigger" in names and "lf_negation" in names
 
 
-def test_fused_candidates_parity(ray_session):
+def test_fused_candidates_parity(ray_session, monkeypatch):
     """extract_candidates_fused(docs) must emit exactly the rows of
-    extract_candidates(split_docs_to_sentences(docs)) — the fused path
-    skips the intermediate Arrow sentence columns, nothing else."""
+    extract_candidates(split_docs_to_sentences(docs)), in the same
+    order — the fused path skips the intermediate Arrow sentence
+    columns, nothing else (order included: the triple partials break
+    witness ties by arrival order)."""
+    from ray.data import DataContext
+
     from snorkel_ray.stages.candidates import extract_candidates, \
         extract_candidates_fused
     from snorkel_ray.stages.extract import extract_docs
     from snorkel_ray.stages.sentences import split_docs_to_sentences
     from snorkel_ray.synth import alias_table, build_kb, pages_dataset
 
+    monkeypatch.setattr(DataContext.get_current().execution_options, "preserve_order", True)
     kb = build_kb(42)
     at = alias_table(kb)
     docs = extract_docs(pages_dataset(120, 42)).materialize()
 
-    via_sentences = extract_candidates(split_docs_to_sentences(docs), at) \
-        .to_pandas().sort_values("cand_stable_id").reset_index(drop=True)
-    fused = extract_candidates_fused(docs, at) \
-        .to_pandas().sort_values("cand_stable_id").reset_index(drop=True)
+    via_sentences = extract_candidates(split_docs_to_sentences(docs), at).to_pandas()
+    fused = extract_candidates_fused(docs, at).to_pandas()
     assert len(fused) == len(via_sentences) > 0
-    import pandas as pd
-
     pd.testing.assert_frame_equal(fused, via_sentences)
 
 
@@ -325,3 +328,28 @@ def test_linker_null_keys(ray_session):
     qids, _ = linker.link_keys([real_key, None, real_key])
     assert qids[0] != "" and qids[1] == "" and qids[2] == qids[0]
     assert linker.link_keys([None, None])[0] == ["", ""]
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+KG_GOLDEN = os.path.join(_ROOT, "tests", "golden", "kg_pipeline_sf0.01.json")
+
+
+def test_kg_pipeline_contract_matches_golden(ray_session):
+    """The flagship contract query (``q_kg_pipeline_sf`` at sf0.01: 90
+    triples, all-ASCII docs, ``cooccur_pred="near"``) gives the frozen
+    triples under the driver gate's strict stringified value hash
+    (``scripts/check_contract.py``'s ``canon`` + ``value_hash``)."""
+    sys.path[:0] = [_ROOT, os.path.join(_ROOT, "scripts")]
+    try:
+        import __ray_entry__ as entry
+        from check_contract import canon, to_df, value_hash
+    finally:
+        del sys.path[:2]
+
+    with open(KG_GOLDEN) as f:
+        golden = json.load(f)
+    df = canon(to_df(entry.q_kg_pipeline_sf("/root/testdata/sf0.01")))
+    assert {c: str(t) for c, t in df.dtypes.items()} == golden["dtypes"]
+    assert {c: df[c].astype(str).tolist() for c in df.columns} == golden["columns"]
+    assert len(df) == golden["rows"] == 90
+    assert value_hash(df) == golden["value_hash"]

@@ -1,6 +1,6 @@
 """``state.resources.stateful_map``: the one task/pool fork of every
 broadcast-state stage, and the structure rule that keeps it the only
-one."""
+one; likewise ``block_tasks``, the one walk of a Dataset's blocks."""
 
 import ast
 import os
@@ -48,6 +48,32 @@ def test_only_stateful_map_forks_tasks_and_pools():
                     bad[os.path.relpath(path, root)] = found
     assert not bad, bad
     assert _forks(open(allowed).read())  # the one fork is where the rule says
+
+
+def _block_walks(src: str) -> list[str]:
+    """Hand-rolled walks of a Dataset's blocks in one module's source:
+    any use of ``iter_internal_ref_bundles``."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Attribute) and node.attr == "iter_internal_ref_bundles"]
+
+
+def test_only_block_tasks_walks_blocks():
+    """A per-block statistic over a Dataset's blocks calls
+    ``block_tasks``; no other module walks ``iter_internal_ref_bundles``
+    itself (CLAUDE.md perf rule 7)."""
+    assert _block_walks("for b in ds.iter_internal_ref_bundles():\n    pass\n")
+    root = os.path.dirname(snorkel_ray.__file__)
+    allowed = os.path.join(root, "state", "resources.py")
+    bad = {}
+    for dirpath, _, files in os.walk(root):
+        for f in files:
+            path = os.path.join(dirpath, f)
+            if f.endswith(".py") and path != allowed:
+                found = _block_walks(open(path).read())
+                if found:
+                    bad[os.path.relpath(path, root)] = found
+    assert not bad, bad
+    assert len(_block_walks(open(allowed).read())) == 1
 
 
 def _builds(log_dir):
