@@ -12,6 +12,7 @@ Ray is initialised by the driver BEFORE this module is imported: no
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 from collections.abc import Callable
@@ -114,6 +115,11 @@ def _grouped_sum_partial(keys: list[str], cols):
         return pa.Table.from_pandas(out, preserve_index=False)
 
     return _f
+
+
+def _add_pairs(acc: tuple, part: tuple) -> tuple:
+    """``fold_blocks`` merge of per-block (sum, count) partials."""
+    return acc[0] + part[0], acc[1] + part[1]
 
 
 def _round_cols(ds, spec: dict[str, int]):
@@ -370,19 +376,17 @@ def q_decontaminate_docs(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from snorkel_ray.stages.decontaminate import flag_contaminated
+    from snorkel_ray.state.resources import fold_blocks
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
-    def _needles(b: pa.Table) -> pa.Table:
+    def _needles(b: pa.Table) -> list[str]:
         ids = np.asarray(b.column("doc_id"))
         texts = b.column("text").to_pylist()
-        ngs = [" ".join(t.split(" ")[:3])
-               for i, t in zip(ids, texts) if i % 97 == 0]
-        return pa.table({"ng": pa.array(ngs, pa.string())})
+        return [" ".join(t.split(" ")[:3])
+                for i, t in zip(ids, texts) if i % 97 == 0]
 
-    needles = sorted(
-        r["ng"] for r in
-        ds.map_batches(_needles, batch_format="pyarrow").take_all())
+    needles = sorted(fold_blocks(ds, _needles, operator.iadd, []))
 
     def _train(b: pa.Table) -> pa.Table:
         return b.filter(pa.array(np.asarray(b.column("doc_id")) % 97 != 0))
@@ -1966,6 +1970,7 @@ def q_tpch_q6(sf_dir: str):
     import pyarrow.dataset as pds
 
     from snorkel_ray.functions.exprs import duck_round
+    from snorkel_ray.state.resources import fold_blocks
 
     ds = _read(sf_dir, "lineitem",
                ["l_extendedprice", "l_discount", "l_quantity", "l_shipdate"],
@@ -1976,13 +1981,11 @@ def q_tpch_q6(sf_dir: str):
                & (pds.field("l_discount") <= 0.07)
                & (pds.field("l_quantity") < 24.0))
 
-    def _partial(b: pa.Table) -> pa.Table:
-        rev = float(np.dot(np.asarray(b.column("l_extendedprice")),
-                           np.asarray(b.column("l_discount"))))
-        return pa.table({"revenue": pa.array([rev], pa.float64())})
+    def _partial(b: pa.Table) -> float:
+        return float(np.dot(np.asarray(b.column("l_extendedprice")),
+                            np.asarray(b.column("l_discount"))))
 
-    parts = ds.map_batches(_partial, batch_format="pyarrow").take_all()
-    total = float(sum(r["revenue"] for r in parts))
+    total = fold_blocks(ds, _partial, operator.add, 0.0)
     return pa.table({"revenue": pa.array([duck_round(total, 2)],
                                          pa.float64())})
 
@@ -2082,6 +2085,7 @@ def q_tpch_q14(sf_dir: str):
 
     from snorkel_ray.functions.exprs import duck_round
     from snorkel_ray.stages.joins import apply_mapping
+    from snorkel_ray.state.resources import fold_blocks
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
@@ -2092,19 +2096,14 @@ def q_tpch_q14(sf_dir: str):
     li = apply_mapping(li, part, "l_partkey", "p_partkey",
                        "p_type", "p_type")
 
-    def _partial(b: pa.Table) -> pa.Table:
+    def _partial(b: pa.Table) -> np.ndarray:
         rev = (np.asarray(b.column("l_extendedprice"))
                * (1.0 - np.asarray(b.column("l_discount"))))
         promo = np.asarray(pc.equal(pc.fill_null(b.column("p_type"), ""),
                                     "PROMO"))
-        return pa.table({
-            "promo": pa.array([float(rev[promo].sum())], pa.float64()),
-            "total": pa.array([float(rev.sum())], pa.float64()),
-        })
+        return np.array([rev[promo].sum(), rev.sum()])
 
-    parts = li.map_batches(_partial, batch_format="pyarrow").take_all()
-    promo = float(sum(r["promo"] for r in parts))
-    total = float(sum(r["total"] for r in parts))
+    promo, total = fold_blocks(li, _partial, np.add, np.zeros(2)).tolist()
     pct = 100.0 * promo / total if total else None
     return pa.table({"promo_pct": pa.array([duck_round(pct, 4)],
                                            pa.float64())})
@@ -2218,6 +2217,7 @@ def q_tpch_q19(sf_dir: str):
 
     from snorkel_ray.functions.exprs import duck_round
     from snorkel_ray.stages.joins import apply_mapping, semi_join
+    from snorkel_ray.state.resources import fold_blocks
 
     clauses = [("Brand#12", 1, 15, 1.0, 11.0),
                ("Brand#15", 10, 30, 10.0, 20.0),
@@ -2248,11 +2248,9 @@ def q_tpch_q19(sf_dir: str):
                      & (qty >= q_lo) & (qty <= q_hi))
         rev = (np.asarray(b.column("l_extendedprice"))[mask]
                * (1.0 - np.asarray(b.column("l_discount"))[mask]))
-        return pa.table({"revenue": pa.array([float(rev.sum())],
-                                             pa.float64())})
+        return float(rev.sum())
 
-    parts = li.map_batches(_partial, batch_format="pyarrow").take_all()
-    total = float(sum(r["revenue"] for r in parts))
+    total = fold_blocks(li, _partial, operator.add, 0.0)
     return pa.table({"revenue": pa.array([duck_round(total, 2)],
                                          pa.float64())})
 
@@ -2307,20 +2305,18 @@ def q_tpch_q22(sf_dir: str):
     from ray.data.aggregate import Count, Sum
 
     from snorkel_ray.stages.joins import semi_join
+    from snorkel_ray.state.resources import fold_blocks
 
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey", "c_acctbal"])
 
-    def _avg_partial(b: pa.Table) -> pa.Table:
+    def _avg_partial(b: pa.Table) -> tuple[float, int]:
         bal = np.asarray(b.column("c_acctbal"))
         pos = bal[bal > 0.0]
-        return pa.table({"s": pa.array([float(pos.sum())], pa.float64()),
-                         "n": pa.array([int(len(pos))], pa.int64())})
+        return float(pos.sum()), len(pos)
 
-    parts = cust.map_batches(_avg_partial,
-                             batch_format="pyarrow").take_all()
-    tot_n = sum(r["n"] for r in parts)
-    avg_bal = (sum(r["s"] for r in parts) / tot_n) if tot_n else 0.0
+    tot_s, tot_n = fold_blocks(cust, _avg_partial, _add_pairs, (0.0, 0))
+    avg_bal = tot_s / tot_n if tot_n else 0.0
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus"],
                    filter=pds.field("o_orderstatus") == "O")
@@ -2481,6 +2477,7 @@ def q_tpch_q15(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from snorkel_ray.stages.joins import apply_mapping
+    from snorkel_ray.state.resources import fold_blocks
 
     li = _read(sf_dir, "lineitem",
                ["l_suppkey", "l_extendedprice", "l_discount",
@@ -2503,13 +2500,9 @@ def q_tpch_q15(sf_dir: str):
     # supplier-sized aggregate so lineitem is scanned once (review r5)
     rev = _round_cols(rev, {"total_revenue": 2}).materialize()
 
-    def _max_partial(b: pa.Table) -> pa.Table:
-        v = np.asarray(b.column("total_revenue"))
-        m = float(v.max()) if len(v) else float("-inf")
-        return pa.table({"m": pa.array([m], pa.float64())})
-
-    parts = rev.map_batches(_max_partial, batch_format="pyarrow").take_all()
-    best = max((r["m"] for r in parts), default=float("-inf"))
+    best = fold_blocks(
+        rev, lambda b: float(np.asarray(b.column("total_revenue")).max()),
+        max, float("-inf"))
     top = rev.map_batches(
         lambda b: b.filter(pc.equal(b.column("total_revenue"), best)),
         batch_format="pyarrow")
@@ -2537,6 +2530,7 @@ def q_tpch_q17(sf_dir: str):
 
     from snorkel_ray.functions.exprs import duck_round
     from snorkel_ray.stages.joins import apply_mapping, semi_join
+    from snorkel_ray.state.resources import fold_blocks
 
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"],
                  filter=pds.field("p_brand") == "Brand#12")
@@ -2563,14 +2557,12 @@ def q_tpch_q17(sf_dir: str):
         batch_format="pyarrow")
     li = apply_mapping(li, thr, "l_partkey", "l_partkey", "thr", "thr")
 
-    def _sum_partial(b: pa.Table) -> pa.Table:
+    def _sum_partial(b: pa.Table) -> float:
         mask = pc.less(b.column("l_quantity"), b.column("thr"))
-        kept = np.asarray(b.column("l_extendedprice"))[
-            np.asarray(pc.fill_null(mask, False))]
-        return pa.table({"s": pa.array([float(kept.sum())], pa.float64())})
+        return float(np.asarray(b.column("l_extendedprice"))[
+            np.asarray(pc.fill_null(mask, False))].sum())
 
-    parts = li.map_batches(_sum_partial, batch_format="pyarrow").take_all()
-    total = float(sum(r["s"] for r in parts))
+    total = fold_blocks(li, _sum_partial, operator.add, 0.0)
     return pa.table({"avg_yearly": pa.array([duck_round(total / 7.0, 2)],
                                             pa.float64())})
 
@@ -2733,6 +2725,7 @@ def q_tpch_q11(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from snorkel_ray.functions.exprs import duck_round
+    from snorkel_ray.state.resources import fold_blocks
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
 
@@ -2748,13 +2741,10 @@ def q_tpch_q11(sf_dir: str):
     # part-count-sized aggregate so lineitem is scanned once (review r5)
     per_part = _round_cols(per_part, {"value": 2}).materialize()
 
-    totals = per_part.map_batches(
-        lambda b: pa.table({"s": pa.array(
-            [float(np.asarray(b.column("value")).sum())], pa.float64()),
-            "n": pa.array([len(b)], pa.int64())}),
-        batch_format="pyarrow").take_all()
-    n = sum(r["n"] for r in totals)
-    cut = duck_round(1.5 * sum(r["s"] for r in totals) / n, 2) if n else 0.0
+    s, n = fold_blocks(
+        per_part, lambda b: (float(np.asarray(b.column("value")).sum()), len(b)),
+        _add_pairs, (0.0, 0))
+    cut = duck_round(1.5 * s / n, 2) if n else 0.0
     out = per_part.map_batches(
         lambda b: b.filter(pc.greater(b.column("value"), cut)),
         batch_format="pyarrow")
@@ -2936,10 +2926,11 @@ def q_embedding_dim_stats(sf_dir: str):
     shuffle and zero per-row Python for a column that would explode
     rows×dim ways if actually unnested."""
     from snorkel_ray.functions.exprs import duck_round
+    from snorkel_ray.state.resources import fold_blocks
 
     ds = _read(sf_dir, "embeddings", ["embedding"])
 
-    def _partial(b: pa.Table) -> pa.Table:
+    def _partial(b: pa.Table) -> tuple[np.ndarray, int]:
         # null/empty lists contribute nothing, exactly like SQL unnest
         # (review r5: a null row used to trip the raggedness check)
         col = b.column("embedding")
@@ -2949,23 +2940,22 @@ def q_embedding_dim_stats(sf_dir: str):
         flat = np.asarray(col.flatten(), dtype=np.float64)
         widths = np.diff(np.asarray(col.offsets))
         if len(widths) == 0:
-            return pa.table({"dim": pa.array([], pa.int64()),
-                             "s": pa.array([], pa.float64()),
-                             "n": pa.array([], pa.int64())})
+            return np.zeros(0), 0
         d = int(widths[0])
         if not (widths == d).all():
             raise ValueError("ragged embedding lists")
         mat = flat.reshape(-1, d)
-        return pa.table({"dim": np.arange(1, d + 1, dtype=np.int64),
-                         "s": mat.sum(axis=0),
-                         "n": np.full(d, mat.shape[0], dtype=np.int64)})
+        return mat.sum(axis=0), mat.shape[0]
 
-    parts = ds.map_batches(_partial, batch_format="pyarrow").take_all()
-    acc: dict[int, list] = {}
-    for r in parts:
-        e = acc.setdefault(r["dim"], [0.0, 0])
-        e[0] += r["s"]
-        e[1] += r["n"]
+    def _add(acc: dict[int, list], part: tuple[np.ndarray, int]) -> dict:
+        sums, n = part
+        for dim, s in enumerate(sums.tolist(), 1):
+            e = acc.setdefault(dim, [0.0, 0])
+            e[0] += s
+            e[1] += n
+        return acc
+
+    acc = fold_blocks(ds, _partial, _add, {})
     dims = sorted(acc)
     return pa.table({
         "dim": pa.array(dims, pa.int64()),

@@ -2,6 +2,11 @@
 __ray_entry__.queries() entry at sf0.01 and compare against
 oracle_sql() via DuckDB (row count + sorted-column value equality).
 
+Every ``ok`` line also shows the query's Ray-side wall seconds and
+the value hash of its canonicalized result, so two runs (say, before
+and after a change) can be compared for identical results, rows-only
+queries included.
+
 Usage: python scripts/check_contract.py [sf_dir] [--only q1,q2,...]
 """
 
@@ -9,6 +14,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 
 import duckdb
 import numpy as np
@@ -109,14 +115,16 @@ def main() -> int:
         if only is not None and name not in only:
             continue
         n_run += 1
+        t0 = time.perf_counter()
         try:
             ray_df = to_df(fn(sf_dir))
         except Exception as e:
             print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
             n_fail += 1
             continue
+        stamp = f"[{time.perf_counter() - t0:.2f}s {value_hash(canon(ray_df))}]"
         if name not in oracles:
-            print(f"ok   {name}: rows-only ({len(ray_df)} rows)")
+            print(f"ok   {name}: rows-only ({len(ray_df)} rows) {stamp}")
             continue
         try:
             sql_df = con.execute(oracles[name]).df()
@@ -131,7 +139,7 @@ def main() -> int:
             print("  sql:", sql_df.head(3).to_dict("records"))
             n_fail += 1
         else:
-            print(f"ok   {name}: {len(ray_df)} rows match oracle")
+            print(f"ok   {name}: {len(ray_df)} rows match oracle {stamp}")
     ray.shutdown()
     print(f"\n{n_run - n_fail}/{n_run} passed")
     return 1 if n_fail else 0

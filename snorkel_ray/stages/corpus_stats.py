@@ -249,10 +249,12 @@ def ngram_counts(ds, column: str = "text", n: int = 2):
 def top_ngrams(ds, column: str = "text", n: int = 2, k: int = 20) -> pa.Table:
     """Exact global top-``k`` n-grams by ``(count desc, ngram asc)``.
 
-    No global sort: the summed count table streams through a per-batch
-    partial top-k, and the driver merges ≤ k rows per block (the
-    ``bottom_k_sample`` shape).  Returns an in-memory ``pa.Table``
-    (k rows by definition)."""
+    No global sort: each block of the summed count table keeps its
+    partial top-k, and the driver merges ≤ k rows per block
+    (``state.resources.fold_blocks``; the ``bottom_k_sample`` shape).
+    Returns an in-memory ``pa.Table`` (k rows by definition)."""
+    from ..state.resources import fold_blocks
+
     counts = ngram_counts(ds, column, n)
 
     def _take_k(t: pa.Table) -> pa.Table:
@@ -261,12 +263,11 @@ def top_ngrams(ds, column: str = "text", n: int = 2, k: int = 20) -> pa.Table:
         order = np.lexsort((grams, -cnt))[:k]
         return t.take(pa.array(order))
 
-    buf: pa.Table | None = None
-    for b in (counts.map_batches(_take_k, batch_format="pyarrow")
-              .iter_batches(batch_format="pyarrow")):
+    def _merge(buf: pa.Table | None, b: pa.Table) -> pa.Table:
         buf = b if buf is None else pa.concat_tables([buf, b])
-        if buf.num_rows > 4 * k:
-            buf = _take_k(buf)
+        return _take_k(buf) if buf.num_rows > 4 * k else buf
+
+    buf = fold_blocks(counts, _take_k, _merge, None)
     if buf is None:
         return pa.table({"ngram": pa.array([], pa.string()),
                          "n": pa.array([], pa.int64())})
@@ -282,9 +283,9 @@ def tfidf_scores(ds, terms: list[str], *, column: str = "text",
 
     Two streaming passes, NO shuffle:
 
-    1. **DF pass**: each batch emits one partial row per query term
-       with the count of member docs (a k-row combiner) plus one
-       doc-count row; the driver folds k × blocks tiny rows.
+    1. **DF pass**: each block counts its member docs per query term
+       plus its doc count; the driver sums the k + 1 counts per block
+       (``state.resources.fold_blocks``).
     2. **score pass**: ``idf`` is quantized to integer micros
        (``round(ln(N/df) · 1e6)``) so the per-doc score
        ``Σ tf(term) · idf_micro(term)`` is an INTEGER sum — float
@@ -299,30 +300,24 @@ def tfidf_scores(ds, terms: list[str], *, column: str = "text",
     import math
 
     from ..functions.exprs import duck_round
+    from ..state.resources import fold_blocks
 
     terms = list(terms)
     if not all(terms):
-        # "" is the per-batch doc-count row of the df partials below
+        # no token is empty, so "" could only ever score nothing
         raise ValueError("empty-string query terms are reserved")
 
-    def _df_partial(b: pa.Table) -> pa.Table:
+    def _df_partial(b: pa.Table) -> np.ndarray:
         toks = [set(_tokens(t)) for t in b.column(column).to_pylist()]
-        out_t = terms + [""]  # "" row carries the batch's doc count
-        out_n = [sum(1 for s in toks if term in s) for term in terms]
-        out_n.append(len(toks))
-        return pa.table({"term": pa.array(out_t, pa.string()),
-                         "df": pa.array(out_n, pa.int64())})
+        # last entry: the block's doc count
+        return np.array([sum(1 for s in toks if term in s) for term in terms]
+                        + [len(toks)], dtype=np.int64)
 
+    dfs = fold_blocks(ds, _df_partial, np.add, np.zeros(len(terms) + 1, np.int64))
     df_tot = {t: 0 for t in terms}
-    n_docs = 0
-    for bb in (ds.map_batches(_df_partial, batch_format="pyarrow")
-               .iter_batches(batch_format="pyarrow")):
-        for t, d in zip(bb.column("term").to_pylist(),
-                        bb.column("df").to_pylist()):
-            if t == "":
-                n_docs += d
-            else:
-                df_tot[t] += d
+    for t, d in zip(terms, dfs):
+        df_tot[t] += int(d)
+    n_docs = int(dfs[-1])
 
     idf_i = {t: int(duck_round(math.log(n_docs / df_tot[t]) * idf_micro, 0))
              for t in terms if df_tot[t] > 0 and n_docs > 0}

@@ -150,73 +150,62 @@ def collect_eval_ngrams(ds, text_col: str, *, n: int = 8,
                         max_ngrams: int = 100_000) -> list[str]:
     """Distinct space-joined word n-grams of a (small) eval Dataset.
 
-    Derived distributed (explode per batch, global distinct via
-    groupby) and then collected — the collect is bounded by
-    ``max_ngrams`` (raises above it) because the RESULT is about to be
-    broadcast as substring needles; for eval sets too big for that,
-    use :func:`eval_ngram_hashes` / :func:`build_eval_bloom` instead.
+    Each block's distinct n-grams are merged into one set on the
+    driver (``state.resources.fold_blocks``) — the result is
+    driver-sized by contract (it becomes broadcast needles), so a
+    groupby shuffle here would only cap the fused chain.  The set is
+    bounded by ``max_ngrams`` (raises above it);
+    for eval sets too big for that, use :func:`eval_ngram_hashes` /
+    :func:`build_eval_bloom` instead.
     """
-    def _explode(b: pa.Table) -> pa.Table:
-        out: list[str] = []
+    from ..state.resources import fold_blocks
+
+    def _explode(b: pa.Table) -> set[str]:
+        out: set[str] = set()
         for t in b.column(text_col).to_pylist():
             if t:
-                out.extend(_ngram_strings(t, n))
-        return pa.table({"ng": pa.array(sorted(set(out)), pa.string())})
+                out.update(_ngram_strings(t, n))
+        return out
 
-    # driver set-merge of the per-batch distinct partials — the result
-    # is driver-sized by contract (it becomes broadcast needles), so a
-    # groupby shuffle here only capped the fused chain (CLAUDE.md perf
-    # rule 1; round-4 review; eval_ngram_hashes below already used the
-    # driver-merge shape)
-    seen: set[str] = set()
-    for b in (ds.map_batches(_explode, batch_format="pyarrow")
-              .iter_batches(batch_format="pyarrow")):
-        seen.update(b.column("ng").to_pylist())
+    def _union(seen: set[str], part: set[str]) -> set[str]:
+        seen |= part
         if len(seen) > max_ngrams:
             raise ValueError(
                 f"eval n-gram set exceeds max_ngrams={max_ngrams}; "
                 "use eval_ngram_hashes/build_eval_bloom for large eval sets")
-    return sorted(seen)
+        return seen
+
+    return sorted(fold_blocks(ds, _explode, _union, set()))
 
 
 def eval_ngram_hashes(ds, text_col: str, *, n: int = 8) -> np.ndarray:
-    """Sorted distinct uint64 n-gram hashes of the eval set (streamed
-    per-batch partials; the driver holds only the distinct set, which
-    is bounded by the eval corpus size)."""
-    def _hashes(b: pa.Table) -> pa.Table:
-        hs = _shingle_hashes_batch(b.column(text_col).to_pylist(), n)
-        flat = np.unique(np.concatenate(hs)) if hs else \
-            np.zeros(0, dtype=np.uint64)
-        return pa.table({"h": pa.array(flat, pa.uint64())})
+    """Sorted distinct uint64 n-gram hashes of the eval set (per-block
+    distinct partials unioned on the driver, which holds only the
+    distinct set — bounded by the eval corpus size)."""
+    from ..state.resources import fold_blocks
 
-    parts = []
-    for b in (ds.map_batches(_hashes, batch_format="pyarrow")
-              .iter_batches(batch_format="pyarrow")):
-        parts.append(np.asarray(b.column("h"), dtype=np.uint64))
-    if not parts:
-        return np.zeros(0, dtype=np.uint64)
-    return np.unique(np.concatenate(parts))
+    def _hashes(b: pa.Table) -> np.ndarray:
+        return np.unique(np.concatenate(
+            _shingle_hashes_batch(b.column(text_col).to_pylist(), n)))
+
+    return fold_blocks(ds, _hashes, np.union1d, np.zeros(0, dtype=np.uint64))
 
 
 def build_eval_bloom(ds, text_col: str, *, n: int = 8,
                      n_items_hint: int = 1_000_000,
                      fpp: float = 1e-3) -> BloomFilter:
-    """Distributed Bloom build: each batch produces a partial filter
-    (the packed bit array as one row), merged on the driver by OR —
-    the driver never sees the n-grams, only ``m/8``-byte bitsets."""
-    def _partial(b: pa.Table) -> pa.Table:
-        bf = BloomFilter(n_items_hint, fpp)
-        hs = _shingle_hashes_batch(b.column(text_col).to_pylist(), n)
-        if hs:
-            bf.add_hashes(np.concatenate(hs))
-        return pa.table({"bits": pa.array([bf.bits.tobytes()], pa.binary())})
+    """Distributed Bloom build: each block produces a partial filter,
+    merged on the driver by OR (``state.resources.fold_blocks``) — the
+    driver never sees the n-grams, only ``m/8``-byte bitsets."""
+    from ..state.resources import fold_blocks
 
-    out = BloomFilter(n_items_hint, fpp)
-    for b in (ds.map_batches(_partial, batch_format="pyarrow")
-              .iter_batches(batch_format="pyarrow")):
-        for payload in b.column("bits").to_pylist():
-            out.bits |= np.frombuffer(payload, dtype=np.uint64)
-    return out
+    def _partial(b: pa.Table) -> BloomFilter:
+        bf = BloomFilter(n_items_hint, fpp)
+        bf.add_hashes(np.concatenate(
+            _shingle_hashes_batch(b.column(text_col).to_pylist(), n)))
+        return bf
+
+    return fold_blocks(ds, _partial, BloomFilter.merge, BloomFilter(n_items_hint, fpp))
 
 
 # ---------------------------------------------------------------------------

@@ -74,18 +74,16 @@ def load_marginals(path: str):
 def score_vs_gold(scored, gold: pa.Table, *, threshold: float = 0.5) -> dict:
     """P/R/F1 + error sets vs a gold table (cand_stable_id, label∈{-1,1}).
 
-    Gold is the small side (reference loads it into a dict too):
-    broadcast via ``ray.put`` and joined inside ``map_batches`` — a
-    no-shuffle semi-join; the confusion counts come back through one
-    tiny global aggregate (partial + final)."""
-    import ray
+    Gold is the small side (reference loads it into a dict too): it
+    ships once with the per-block partial and is joined there — a
+    no-shuffle semi-join; the confusion counts and error sets are
+    summed on the driver (``state.resources.fold_blocks``)."""
+    from ..state.resources import fold_blocks
 
-    gmap = dict(zip(gold.column("cand_stable_id").to_pylist(),
-                    gold.column("label").to_pylist()))
-    g_ref = ray.put(gmap)
+    g = dict(zip(gold.column("cand_stable_id").to_pylist(),
+                 gold.column("label").to_pylist()))
 
-    def _confusion(b: pa.Table) -> pa.Table:
-        g = ray.get(g_ref)
+    def _confusion(b: pa.Table) -> dict:
         ids = b.column("cand_stable_id").to_pylist()
         p = b.column("p").to_numpy(zero_copy_only=False)
         tp = fp = tn = fn = 0
@@ -106,31 +104,25 @@ def score_vs_gold(scored, gold: pa.Table, *, threshold: float = 0.5) -> dict:
                 fn_ids.append(cid)
             else:
                 tn += 1
-        return pa.table({"tp": pa.array([tp], pa.int64()),
-                         "fp": pa.array([fp], pa.int64()),
-                         "tn": pa.array([tn], pa.int64()),
-                         "fn": pa.array([fn], pa.int64()),
-                         "tp_ids": pa.array([tp_ids], pa.list_(pa.string())),
-                         "fp_ids": pa.array([fp_ids], pa.list_(pa.string())),
-                         "fn_ids": pa.array([fn_ids], pa.list_(pa.string()))})
+        return {"tp": tp, "fp": fp, "tn": tn, "fn": fn,
+                "tp_ids": tp_ids, "fp_ids": fp_ids, "fn_ids": fn_ids}
 
-    parts = scored.map_batches(_confusion, batch_format="pyarrow")
-    counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
-    ids = {"tp_ids": [], "fp_ids": [], "fn_ids": []}
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        for c in counts:
-            counts[c] += int(np.asarray(b.column(c)).sum())
-        for c in ids:  # error sets are bounded by error count (ref semantics)
-            for lst in b.column(c).to_pylist():
-                ids[c].extend(lst)
-    tp, fp, tn, fn = counts["tp"], counts["fp"], counts["tn"], counts["fn"]
+    def _add(acc: dict, part: dict) -> dict:
+        for c in acc:  # error sets are bounded by error count (ref semantics)
+            acc[c] += part[c]
+        return acc
+
+    acc = fold_blocks(scored, _confusion, _add,
+                      {"tp": 0, "fp": 0, "tn": 0, "fn": 0,
+                       "tp_ids": [], "fp_ids": [], "fn_ids": []})
+    tp, fp, tn, fn = acc["tp"], acc["fp"], acc["tn"], acc["fn"]
     prec = tp / (tp + fp) if tp + fp else 0.0
     rec = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
     return {"tp": tp, "fp": fp, "tn": tn, "fn": fn,
             "precision": prec, "recall": rec, "f1": f1,
-            "tp_ids": ids["tp_ids"], "fp_ids": ids["fp_ids"],
-            "fn_ids": ids["fn_ids"]}
+            "tp_ids": acc["tp_ids"], "fp_ids": acc["fp_ids"],
+            "fn_ids": acc["fn_ids"]}
 
 
 # ---------------------------------------------------------------------------

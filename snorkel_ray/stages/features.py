@@ -61,6 +61,8 @@ def build_feature_vocab(candidates, *, feature_fn: FeatureFn = default_candidate
     (ids ordered by (-count, name): deterministic)."""
     from ray.data.aggregate import Sum
 
+    from ..state.resources import fold_blocks
+
     def _names(batch: pa.Table) -> pa.Table:
         counts: dict[str, int] = {}
         for row in _feature_rows(batch, feature_fn):
@@ -74,26 +76,24 @@ def build_feature_vocab(candidates, *, feature_fn: FeatureFn = default_candidate
 
     agg = (candidates.map_batches(_names, batch_format="pyarrow")
            .groupby("name").aggregate(Sum("n", alias_name="n")))
-    # top-max_vocab via per-batch partial top-k + driver merge (the
-    # corpus_stats.top_ngrams shape): the old distributed sort+limit
-    # appended a second AllToAll over the distinct-name table purely to
-    # take the cap (CLAUDE.md perf rule 1; round-4 review)
-    filtered = agg.map_batches(
-        lambda b: b.filter(pc.greater_equal(b.column("n"), min_count)),
-        batch_format="pyarrow")
-
+    # top-max_vocab via per-block partial top-k + driver merge
+    # (``state.resources.fold_blocks``; the corpus_stats.top_ngrams
+    # shape): a distributed sort+limit would append a second AllToAll
+    # over the distinct-name table purely to take the cap
     def _take_k(t: pa.Table) -> pa.Table:
         cnt = np.asarray(t.column("n"))
         names = np.asarray(t.column("name"))
         order = np.lexsort((names, -cnt))[:max_vocab]
         return t.take(pa.array(order))
 
-    buf: pa.Table | None = None
-    for b in (filtered.map_batches(_take_k, batch_format="pyarrow")
-              .iter_batches(batch_format="pyarrow")):
+    def _partial(b: pa.Table) -> pa.Table:
+        return _take_k(b.filter(pc.greater_equal(b.column("n"), min_count)))
+
+    def _merge(buf: pa.Table | None, b: pa.Table) -> pa.Table:
         buf = b if buf is None else pa.concat_tables([buf, b])
-        if buf.num_rows > 2 * max_vocab:
-            buf = _take_k(buf)
+        return _take_k(buf) if buf.num_rows > 2 * max_vocab else buf
+
+    buf = fold_blocks(agg, _partial, _merge, None)
     if buf is None or buf.num_rows == 0:
         return {}
     buf = _take_k(buf)

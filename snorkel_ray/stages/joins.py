@@ -235,15 +235,17 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
         return pd.concat([g[left_rows].assign(_role=roles, _has=False), carry],
                          ignore_index=True)
 
-    def _scan(c: pd.DataFrame) -> pd.DataFrame:
+    def _scan(c: pd.DataFrame) -> pa.Table:
         # forward scans chunks latest first; the shift keeps a chunk's
         # own carry-out out of its carry-in
         if fwd:
             c = c.iloc[::-1].reset_index(drop=True)
         src = _last_at_or_before(c["_has"].to_numpy(dtype=bool))
         src = np.concatenate([[-1], src[:-1]])
-        return c[[key, "_chunk"]].assign(
-            **{"_in" + rc: _gather(c[rc], src) for rc in rcols})
+        # typed here, as cumulative_sum's scan: Ray would turn an
+        # all-NaN carry-in into Arrow's null type
+        return pa.Table.from_pandas(c[[key, "_chunk"]].assign(
+            **{"_in" + rc: _gather(c[rc], src) for rc in rcols}), preserve_index=False)
 
     def _apply(b: pa.Table) -> pa.Table:
         for rc in rcols:

@@ -38,8 +38,6 @@ P(y = c | λ) ∝ π_c · Π_k θ[k, c, λ_k].
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pyarrow as pa
 
@@ -60,8 +58,6 @@ def vote_matrix(batch: pa.Table) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pattern_counts_batch(batch: pa.Table) -> pa.Table:
-    if batch.num_rows == 0:
-        return pa.table({"pattern": pa.array([], pa.binary()), "n": pa.array([], pa.int64())})
     mat = (vote_matrix(batch) + 1).astype(np.uint8)  # vote v -> byte v + 1
     patterns, inv = np.unique(mat, axis=0, return_inverse=True)
     w = batch.column("n").to_numpy() if "n" in batch.schema.names else None
@@ -74,17 +70,10 @@ def _pattern_counts_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def _count_block(block) -> pa.Table:
-    from ray.data.block import BlockAccessor
-
-    return _pattern_counts_batch(BlockAccessor.for_block(block).to_arrow())
-
-
-@functools.cache
-def _count_task():
-    import ray
-
-    return ray.remote(_count_block)
+def _add_counts(acc: dict, t: pa.Table) -> dict:
+    for p, n in zip(t.column("pattern").to_pylist(), t.column("n").to_pylist()):
+        acc[p] = acc.get(p, 0) + n
+    return acc
 
 
 def pattern_counts(labeled) -> "pa.Table":
@@ -95,22 +84,16 @@ def pattern_counts(labeled) -> "pa.Table":
 
     A decomposable partial + merge (SUDAF; SURVEY.md A2/A3): one small
     remote task per block (``_pattern_counts_batch``), whose
-    O(#patterns) result is merged into a driver dict.  The tasks come
-    from ``state.resources.block_tasks``, so a materialized Dataset
+    O(#patterns) result is merged into a driver dict.  It runs on
+    ``state.resources.fold_blocks``, so a materialized Dataset
     (the flagship's pinned partials) runs no Ray Data job at all, a
     lazy one streams through its chain once, and a lazy input pins
     nothing row-proportional.  Not a Dataset all-to-all (an AllToAll
     appended to a live map chain costs seconds of fixed shuffle setup
     for kilobytes of data) and not ``to_pandas()``."""
-    import ray
+    from ..state.resources import fold_blocks
 
-    from ..state.resources import block_tasks
-
-    acc: dict[bytes, int] = {}
-    for ref in block_tasks(labeled, _count_task()):
-        t = ray.get(ref)
-        for p, n in zip(t.column("pattern").to_pylist(), t.column("n").to_pylist()):
-            acc[p] = acc.get(p, 0) + n
+    acc = fold_blocks(labeled, _pattern_counts_batch, _add_counts, {})
     keys = sorted(acc)
     return pa.table({"pattern": pa.array(keys, pa.binary()),
                      "n": pa.array([acc[k] for k in keys], pa.int64())})

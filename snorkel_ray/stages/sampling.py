@@ -87,10 +87,12 @@ def hash_sample(ds, id_col: str, fraction: float, *, seed: int = 0):
 def bottom_k_sample(ds, id_col: str, k: int, *, seed: int = 0) -> pa.Table:
     """The k rows with the smallest ``(hash, id)`` — a uniform
     without-replacement sample, identical no matter how the data is
-    partitioned. Per-batch partial bottom-k, then a driver merge over
-    ≤ k rows per block (the same partial-top-k shape as
-    ``similarity.brute_force_topk``). Returns an in-memory
-    ``pyarrow.Table`` (a sample is small by definition)."""
+    partitioned. Per-block partial bottom-k, then a driver merge over
+    ≤ k rows per block (``state.resources.fold_blocks``; the same
+    partial-top-k shape as ``similarity.brute_force_topk``). Returns an
+    in-memory ``pyarrow.Table`` (a sample is small by definition)."""
+    from ..state.resources import fold_blocks
+
     def _take_k(t: pa.Table) -> pa.Table:
         h = np.asarray(t.column("_h"))
         ids = np.asarray(t.column(id_col))
@@ -98,18 +100,15 @@ def bottom_k_sample(ds, id_col: str, k: int, *, seed: int = 0) -> pa.Table:
         return t.take(pa.array(order))
 
     def _partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column("_h", pa.array([], pa.uint64()))
         h = knuth_hash(np.asarray(b.column(id_col)), seed)
-        out = b.append_column("_h", pa.array(h, pa.uint64()))
-        return _take_k(out)
+        return _take_k(b.append_column("_h", pa.array(h, pa.uint64())))
 
-    buf: pa.Table | None = None
-    for b in (ds.map_batches(_partial, batch_format="pyarrow")
-              .iter_batches(batch_format="pyarrow")):
+    def _merge(buf: pa.Table | None, b: pa.Table) -> pa.Table:
         buf = b if buf is None else pa.concat_tables([buf, b])
-        if buf.num_rows > 4 * k:          # compact: never hold > 4k+k rows
-            buf = _take_k(buf)
+        # compact: never hold > 4k+k rows
+        return _take_k(buf) if buf.num_rows > 4 * k else buf
+
+    buf = fold_blocks(ds, _partial, _merge, None)
     if buf is None:
         return pa.table({})
     return _take_k(buf).drop_columns(["_h"])

@@ -162,12 +162,12 @@ def kmeans_fit_full(ds, *, vec_column: str = "embedding",
     assignment, centroids re-normalized) — the iterative-algorithm
     pattern at scale.  Per iteration ONE streaming pass, NO shuffle:
 
-    1. centroids broadcast once via ``ray.put``;
-    2. each batch computes its argmax assignment and reduces itself to
-       at most k partial rows (float64 per-centroid vector sums +
-       counts) inside ``map_batches`` — the combiner;
-    3. the driver merges k × num_blocks tiny partial rows
-       (``iter_batches``, never the data) and updates the centroids.
+    1. centroids ship once per iteration with the per-block partial;
+    2. each block computes its argmax assignment and reduces itself to
+       float64 per-centroid vector sums + counts — the combiner;
+    3. the driver sums the (k × dim) partials in block order
+       (``state.resources.fold_blocks``, never the data) and updates
+       the centroids.
 
     Converges like the classic algorithm; empty clusters keep their
     previous centroid.  Returns (centroids, info) with per-iteration
@@ -175,7 +175,7 @@ def kmeans_fit_full(ds, *, vec_column: str = "embedding",
     to the sampled ``fit_centroids`` warm start (good seeds cut
     full-data iterations — at 100 TB each saved iteration is a full
     corpus read)."""
-    import ray
+    from ..state.resources import fold_blocks
 
     C = init if init is not None else fit_centroids(
         ds, vec_column=vec_column, n_centroids=n_centroids, seed=seed)
@@ -186,49 +186,26 @@ def kmeans_fit_full(ds, *, vec_column: str = "embedding",
     # NameError (ADVICE r3)
     agg_n = np.zeros(k, dtype=np.int64)
 
-    def _make_partial(c_ref):
-        def _partial(batch: pa.Table) -> pa.Table:
-            Cm = ray.get(c_ref)
-            vecs = np.asarray(batch.column(vec_column).to_pylist(),
-                              dtype=np.float32)
-            if len(vecs) == 0:
-                return pa.table({
-                    "cid": pa.array([], pa.int32()),
-                    "vsum": pa.array([], pa.list_(pa.float64())),
-                    "n": pa.array([], pa.int64())})
-            X = _norm(vecs)
+    def _reduce(Cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def _partial(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+            X = _norm(np.asarray(batch.column(vec_column).to_pylist(),
+                                 dtype=np.float32))
             assign = np.argmax(X @ Cm.T, axis=1)
-            cids = np.unique(assign)
-            sums = np.zeros((len(cids), X.shape[1]), dtype=np.float64)
-            counts = np.zeros(len(cids), dtype=np.int64)
-            for j, c in enumerate(cids):
+            sums = np.zeros((k, dim), dtype=np.float64)
+            counts = np.zeros(k, dtype=np.int64)
+            for c in np.unique(assign):
                 m = assign == c
-                sums[j] = X[m].sum(axis=0, dtype=np.float64)
-                counts[j] = int(m.sum())
-            offs = pa.array(np.arange(0, (len(cids) + 1) * X.shape[1],
-                                      X.shape[1], dtype=np.int32))
-            return pa.table({
-                "cid": pa.array(cids.astype(np.int32)),
-                "vsum": pa.ListArray.from_arrays(
-                    offs, pa.array(sums.reshape(-1), pa.float64())),
-                "n": pa.array(counts)})
-        return _partial
+                sums[c] = X[m].sum(axis=0, dtype=np.float64)
+                counts[c] = int(m.sum())
+            return sums, counts
 
-    def _reduce(partial_fn):
-        agg_sum = np.zeros((k, dim), dtype=np.float64)
-        agg_n = np.zeros(k, dtype=np.int64)
-        for b in ds.map_batches(partial_fn, batch_format="pyarrow") \
-                   .iter_batches(batch_format="pyarrow"):
-            cids = b.column("cid").to_numpy(zero_copy_only=False)
-            vs = np.asarray(b.column("vsum").to_pylist(), dtype=np.float64)
-            ns = b.column("n").to_numpy(zero_copy_only=False)
-            if len(cids):
-                np.add.at(agg_sum, cids, vs)
-                np.add.at(agg_n, cids, ns)
-        return agg_sum, agg_n
+        return fold_blocks(ds, _partial,
+                           lambda acc, p: (acc[0] + p[0], acc[1] + p[1]),
+                           (np.zeros((k, dim), dtype=np.float64),
+                            np.zeros(k, dtype=np.int64)))
 
     for it in range(n_iter):
-        agg_sum, agg_n = _reduce(_make_partial(ray.put(C)))
+        agg_sum, agg_n = _reduce(C)
 
         newC = C.copy()
         nonempty = agg_n > 0
@@ -245,7 +222,7 @@ def kmeans_fit_full(ds, *, vec_column: str = "embedding",
         # cluster_sizes lag one iteration (they are the assignment
         # counts under the centroids that PRODUCED the returned C —
         # ADVICE r3)
-        _, agg_n = _reduce(_make_partial(ray.put(C)))
+        _, agg_n = _reduce(C)
 
     return C, {"iterations": len(shifts), "max_shift_per_iter": shifts,
                "cluster_sizes": agg_n.tolist(),

@@ -1,7 +1,8 @@
 """Mergeable sketches (SURVEY.md A10 — optional/beyond-reference).
 
 HyperLogLog approximate distinct count and a KLL-style quantile
-sketch: one sketch per batch, merged on the driver — the canonical
+sketch: one sketch per block, merged on the driver
+(``state.resources.fold_blocks``) — the canonical
 partial+final shape for 100 TB statistics where the exact computation
 (an all-to-all ``unique``, or a per-group in-memory sort for
 quantiles) would not fit one reducer.
@@ -10,7 +11,6 @@ quantiles) would not fit one reducer.
 from __future__ import annotations
 
 import hashlib
-import pickle
 
 import numpy as np
 import pyarrow as pa
@@ -68,13 +68,6 @@ class HLL:
             if zeros:
                 e = m * np.log(m / zeros)
         return e
-
-    def serialize(self) -> bytes:
-        return bytes([self.p]) + self.registers.tobytes()
-
-    @classmethod
-    def deserialize(cls, b: bytes) -> "HLL":
-        return cls(b[0], np.frombuffer(b[1:], dtype=np.uint8).copy())
 
 
 class KLL:
@@ -157,52 +150,33 @@ class KLL:
     def quantiles(self, qs) -> list[float]:
         return [self.quantile(q) for q in qs]
 
-    def serialize(self) -> bytes:
-        return pickle.dumps((self.k, self._seed, self.n,
-                             [lv.tolist() for lv in self.levels]))
-
-    @classmethod
-    def deserialize(cls, b: bytes) -> "KLL":
-        k, seed, n, levels = pickle.loads(b)
-        return cls(k, seed, [np.asarray(lv, np.float64) for lv in levels], n)
-
 
 def approx_quantiles(ds, column: str, qs, *, k: int = 256) -> list[float]:
-    """Distributed approximate quantiles: per-batch KLL partials
-    (serialized sketch rows) merged streaming on the driver — no
-    per-group sort, no all-to-all, bounded memory everywhere."""
+    """Distributed approximate quantiles: one KLL sketch per block,
+    merged streaming on the driver — no per-group sort, no all-to-all,
+    bounded memory everywhere."""
+    from ..state.resources import fold_blocks
 
-    def _sketch(batch: pa.Table) -> pa.Table:
+    def _sketch(batch: pa.Table) -> KLL:
         s = KLL(k)
         s.add_batch(batch.column(column).to_numpy(zero_copy_only=False))
-        return pa.table({"sketch": pa.array([s.serialize()], pa.binary())})
+        return s
 
-    parts = ds.map_batches(_sketch, batch_format="pyarrow")
-    acc = KLL(k)
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        for blob in b.column("sketch").to_pylist():
-            acc = acc.merge(KLL.deserialize(blob))
-    return acc.quantiles(qs)
+    return fold_blocks(ds, _sketch, KLL.merge, KLL(k)).quantiles(qs)
 
 
 def approx_distinct(ds, column: str, *, p: int = 12) -> float:
-    """Distributed approximate distinct count: per-batch HLL partials
-    (serialized sketch rows) merged on the driver. Standard error
-    ≈ 1.04/sqrt(2^p) (~1.6% at p=12)."""
+    """Distributed approximate distinct count: one HLL sketch per
+    block, merged on the driver. Standard error ≈ 1.04/sqrt(2^p)
+    (~1.6% at p=12)."""
+    from ..state.resources import fold_blocks
 
-    def _sketch(batch: pa.Table) -> pa.Table:
+    def _sketch(batch: pa.Table) -> HLL:
         h = HLL(p)
         h.add_batch(batch.column(column).to_pylist())
-        return pa.table({"sketch": pa.array([h.serialize()], pa.binary())})
+        return h
 
-    parts = ds.map_batches(_sketch, batch_format="pyarrow")
-    acc = HLL(p)
-    # streamed merge: one sketch row per block; never materialize the
-    # partial stream (at millions of blocks even sketch rows add up)
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        for blob in b.column("sketch").to_pylist():
-            acc = acc.merge(HLL.deserialize(blob))
-    return acc.estimate()
+    return fold_blocks(ds, _sketch, HLL.merge, HLL(p)).estimate()
 
 
 class SpaceSaving:
@@ -282,21 +256,19 @@ def heavy_hitters(ds, column: str, *, k: int = 10, capacity: int = 4096):
 
     Returns a pyarrow Table (value, n, err) in (n desc, value asc)
     order."""
-    import pandas as pd
+    from ..state.resources import fold_blocks
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _partial(batch: pa.Table) -> tuple[list, list]:
         vc = (batch.select([column]).to_pandas()[column]
               .value_counts(dropna=True))
-        return pa.table({"v": pa.array(vc.index),
-                         "c": pa.array(vc.to_numpy(), pa.int64())})
+        return pa.array(vc.index).to_pylist(), vc.tolist()
 
-    acc = SpaceSaving(capacity)
-    for b in ds.map_batches(_partial, batch_format="pyarrow") \
-               .iter_batches(batch_format="pyarrow"):
-        for v, c in zip(b.column("v").to_pylist(),
-                        b.column("c").to_pylist()):
+    def _update(acc: SpaceSaving, vc: tuple[list, list]) -> SpaceSaving:
+        for v, c in zip(*vc):
             acc.update(v, c)
-    top = acc.topk(k)
+        return acc
+
+    top = fold_blocks(ds, _partial, _update, SpaceSaving(capacity)).topk(k)
     return pa.table({column: pa.array([t[0] for t in top]),
                      "n": pa.array([t[1] for t in top], pa.int64()),
                      "err": pa.array([t[2] for t in top], pa.int64())})

@@ -4,8 +4,9 @@ Reference: ``DependencySelector.select(L, threshold)``
 (``snorkel/learning/structure/gen_learning.py`` ≈L1–300) learns LF-LF
 dependency edges via pseudolikelihood + L1 over the full matrix.
 Recast per SURVEY.md: only second-moment statistics are needed — the
-K×K agreement/co-fire matrices stream as per-batch numpy partials
-through one tiny aggregate, and the selection rule runs on the driver.
+K×K agreement/co-fire matrices are per-block numpy partials summed on
+the driver (``state.resources.fold_blocks``), and the selection rule
+runs there too.
 
 Selection rule (deterministic): for each LF pair (j, k), excess
 agreement beyond independence
@@ -21,7 +22,7 @@ import pyarrow as pa
 from .label_model import vote_matrix
 
 
-def _moments_batch(batch: pa.Table) -> pa.Table:
+def _moments_batch(batch: pa.Table) -> dict:
     M = vote_matrix(batch).astype(np.float64)
     n, K = M.shape
     nz = (M != 0).astype(np.float64)
@@ -39,42 +40,26 @@ def _moments_batch(batch: pa.Table) -> pa.Table:
         Nv = (M == v).astype(np.float64)
         agree += Nv.T @ Nv
     cofire = nz.T @ nz
-    fire = nz.sum(axis=0)
-    return pa.table({
-        "n": pa.array([n], pa.int64()),
-        "K": pa.array([K], pa.int32()),
-        "fire": pa.array([fire.tolist()], pa.list_(pa.float64())),
-        "agree": pa.array([agree.reshape(-1).tolist()], pa.list_(pa.float64())),
-        "cofire": pa.array([cofire.reshape(-1).tolist()], pa.list_(pa.float64())),
-    })
+    return {"n": n, "fire": nz.sum(axis=0), "agree": agree, "cofire": cofire}
+
+
+def _add_moments(acc: dict, m: dict) -> dict:
+    if not len(m["fire"]):  # K = 0: no LF voted in this block
+        return acc
+    if not len(acc["fire"]):
+        return m
+    return {k: acc[k] + m[k] for k in acc}
 
 
 def lf_moments(labeled) -> dict:
-    """→ {"n", "fire"[K], "agree"[K,K], "cofire"[K,K]} — tree-reduced
-    partials; payload is O(K²) floats regardless of corpus size."""
-    parts = labeled.map_batches(_moments_batch, batch_format="pyarrow")
-    n, K = 0, 0
-    fire = agree = cofire = None
-    # streamed accumulation — one O(K²) partial row per block; never
-    # materialize the whole partial stream on the driver
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        for i in range(b.num_rows):
-            k = int(b.column("K")[i].as_py())
-            if k == 0:
-                continue
-            if fire is None:
-                K = k
-                fire = np.zeros(K)
-                agree = np.zeros((K, K))
-                cofire = np.zeros((K, K))
-            n += int(b.column("n")[i].as_py())
-            fire += np.asarray(b.column("fire")[i].as_py())
-            agree += np.asarray(b.column("agree")[i].as_py()).reshape(K, K)
-            cofire += np.asarray(b.column("cofire")[i].as_py()).reshape(K, K)
-    if fire is None:
-        return {"n": 0, "fire": np.zeros(0), "agree": np.zeros((0, 0)),
-                "cofire": np.zeros((0, 0))}
-    return {"n": n, "fire": fire, "agree": agree, "cofire": cofire}
+    """→ {"n", "fire"[K], "agree"[K,K], "cofire"[K,K]} — per-block
+    partials summed on the driver in block order; payload is O(K²)
+    floats per block regardless of corpus size."""
+    from ..state.resources import fold_blocks
+
+    return fold_blocks(labeled, _moments_batch, _add_moments,
+                       {"n": 0, "fire": np.zeros(0), "agree": np.zeros((0, 0)),
+                        "cofire": np.zeros((0, 0))})
 
 
 def select_dependencies(labeled, *, threshold: float = 0.2,

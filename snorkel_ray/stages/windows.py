@@ -404,8 +404,13 @@ def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
                           g.iloc[[-1]].assign(_role="carry")],
                          ignore_index=True)
 
-    def _scan(c: pd.DataFrame) -> pd.DataFrame:
-        return c[[key, "_chunk"]].assign(_carry=_running_sum(c[out].shift(1)))
+    def _scan(c: pd.DataFrame) -> pa.Table:
+        # typed here: Ray turns an all-NaN float column (a key's lone
+        # chunk) into Arrow's null type, which the carry join's pandas
+        # concat then warns about
+        return pa.Table.from_pandas(
+            c[[key, "_chunk"]].assign(_carry=_running_sum(c[out].shift(1))),
+            preserve_index=False)
 
     def _apply(b: pa.Table) -> pa.Table:
         own, carry = (pc.cast(b.column(c), pa.float64()) for c in (out, "_carry"))

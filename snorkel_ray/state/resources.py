@@ -10,6 +10,9 @@ it (CLAUDE.md rule 2) — or, with ``concurrency`` set, as an actor pool.
 tasks: a small per-block statistic of a pinned Dataset then costs no
 Ray Data job (CLAUDE.md perf rule 7).
 
+``fold_blocks`` runs every keyless partial aggregate on that walk: a
+partial per block, merged on the driver in block order.
+
 A pooled stage that reserves every CPU starves the task-based stages
 (reads, stateless maps) — on a 4-CPU test session two pools at min=2
 deadlock the whole pipeline (observed; the streaming executor does not
@@ -19,6 +22,8 @@ for task operators (``pool_concurrency``).
 """
 
 from __future__ import annotations
+
+import functools
 
 _CACHE_CAP = 4
 
@@ -170,3 +175,35 @@ def block_tasks(ds, task, *args):
             if len(pending) >= _IN_FLIGHT:
                 yield pending.popleft()
     yield from pending
+
+
+def _fold_block(block, partial):
+    from ray.data.block import BlockAccessor
+
+    return partial(BlockAccessor.for_block(block).to_arrow())
+
+
+@functools.cache
+def _fold_task():
+    import ray
+
+    return ray.remote(_fold_block)
+
+
+def fold_blocks(ds, partial, merge, acc):
+    """A keyless decomposable aggregate of ``ds`` (SUDAF's accumulate +
+    merge): ``partial(block)`` runs on every non-empty block as a
+    ``pyarrow.Table``, one plain task per block (``block_tasks``), and
+    may return any picklable object; the driver folds
+    ``acc = merge(acc, result)`` in block order and returns ``acc``.
+
+    ``partial`` is put in the object store once, so what its closure
+    captures (a vocab, centroids, a gold map) ships once per call, not
+    once per task.  Empty blocks are never passed to ``partial``, so
+    an input with no rows returns ``acc`` unchanged."""
+    import ray
+
+    fn = ray.put(partial)
+    for ref in block_tasks(ds, _fold_task(), fn):
+        acc = merge(acc, ray.get(ref))
+    return acc

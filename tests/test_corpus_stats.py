@@ -137,7 +137,7 @@ def test_tfidf_scores(ray_session):
     assert out["score"].tolist() == [
         2 * idf_d, idf_f, 0.0, 2 * idf_d + 2 * idf_f]
     # a term absent from the corpus contributes nothing (df=0)
-    # "" would collide with the doc-count row; a ValueError, unlike an
-    # assert, survives python -O
+    # "" is refused (no token is empty); a ValueError, unlike an assert,
+    # survives python -O
     with pytest.raises(ValueError, match="reserved"):
         tfidf_scores(docs, ["data", ""])

@@ -270,17 +270,21 @@ def test_pattern_counts_lazy_equals_materialized(ray_session):
 
 def test_pattern_counts_runs_no_ray_data_job_on_a_materialized_input(ray_session, monkeypatch):
     """On a materialized Dataset the counts are plain per-block tasks:
-    no Ray Data operator and no streaming executor.  A lazy input is
-    streamed through its chain exactly once."""
+    no Ray Data operator and no streaming executor, and the same holds
+    for every ``fold_blocks`` aggregate (a KLL sketch here).  A lazy
+    input is streamed through its chain exactly once."""
     import ray.data as rd
     from ray.data._internal.plan import ExecutionPlan
 
     from snorkel_ray.stages.label_model import pattern_counts
+    from snorkel_ray.stages.sketches import approx_quantiles
 
     rng = np.random.default_rng(9)
     ds = _l_dataset(rng.choice([-1, 0, 1], size=(1000, 3)).astype(np.int8), 4)
     lazy = _lazy(ds)
     want = pattern_counts(ds)
+    values = rd.from_arrow(pa.table({"v": rng.normal(size=3000)})).repartition(3).materialize()
+    want_q = approx_quantiles(values, "v", [0.1, 0.5, 0.9])
 
     executors = []
     create = ExecutionPlan.create_executor
@@ -288,12 +292,13 @@ def test_pattern_counts_runs_no_ray_data_job_on_a_materialized_input(ray_session
                         lambda self: executors.append(self) or create(self))
 
     def forbidden(*a, **k):
-        raise AssertionError("pattern_counts ran a Ray Data operator")
+        raise AssertionError("a fold ran a Ray Data operator")
 
     with monkeypatch.context() as m:
         m.setattr(rd.Dataset, "map_batches", forbidden)
         m.setattr(rd.Dataset, "iter_batches", forbidden)
         assert pattern_counts(ds).equals(want)
+        assert approx_quantiles(values, "v", [0.1, 0.5, 0.9]) == want_q
     assert executors == []
     assert pattern_counts(lazy).equals(want)
     assert len(executors) == 1

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from snorkel_ray.functions import exprs
 from snorkel_ray.stages.text_analysis import (
@@ -799,11 +800,13 @@ def _asof_matches_duckdb(direction: str, seed: int) -> None:
     assert rdf["px"].isna().sum() > 2
 
 
+@pytest.mark.filterwarnings("error::FutureWarning")
 def test_asof_join_forward_chunked_matches_duckdb(ray_session):
     """Forward chunked plan vs plain plan vs DuckDB ``l.ts <= r.ts``."""
     _asof_matches_duckdb("forward", 29)
 
 
+@pytest.mark.filterwarnings("error::FutureWarning")
 def test_asof_join_backward_chunked_matches_duckdb(ray_session):
     """Backward chunked plan vs plain plan vs DuckDB ``l.ts >= r.ts``."""
     _asof_matches_duckdb("backward", 13)

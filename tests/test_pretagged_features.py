@@ -116,10 +116,9 @@ def test_agreement_counts_nonbinary_votes(ray_session):
 
     L = [[2, 2], [2, 2], [0, 2], [1, 2]]
     batch = pa.table({"L": pa.array(L, pa.list_(pa.int8()))})
-    out = _moments_batch(batch)
-    agree = out.column("agree")[0].as_py()  # K=2 -> flattened 2x2
+    agree = _moments_batch(batch)["agree"]  # K=2 -> 2x2
     # pairs agreeing on value 2: rows 0,1 -> agree[0,1] == 2
-    assert agree[1] == 2.0
+    assert agree[0, 1] == 2.0
     # self-agreement diagonals count every nonzero vote (LF0 fires on
     # 3 rows: 2,2,1; LF1 on all 4)
-    assert agree[0] == 3.0 and agree[3] == 4.0
+    assert agree[0, 0] == 3.0 and agree[1, 1] == 4.0

@@ -1,6 +1,7 @@
 """``state.resources.stateful_map``: the one task/pool fork of every
 broadcast-state stage, and the structure rule that keeps it the only
-one; likewise ``block_tasks``, the one walk of a Dataset's blocks."""
+one; likewise ``block_tasks``, the one walk of a Dataset's blocks, and
+``fold_blocks``, the one driver merge of per-block partials."""
 
 import ast
 import os
@@ -74,6 +75,60 @@ def test_only_block_tasks_walks_blocks():
                     bad[os.path.relpath(path, root)] = found
     assert not bad, bad
     assert len(_block_walks(open(allowed).read())) == 1
+
+
+def _driver_merges(src: str) -> list[str]:
+    """Hand-rolled driver merges of a Dataset's partials in one
+    module's source: any ``.iter_batches(`` or ``.take_all(`` call."""
+    return [f"{node.func.attr} at line {node.lineno}" for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("iter_batches", "take_all")]
+
+
+def test_only_fold_blocks_merges_partials():
+    """A keyless partial aggregate calls ``fold_blocks``; no module
+    (``__ray_entry__.py`` included) pulls partials back through
+    ``iter_batches`` or ``take_all`` itself.
+    The one exception is the discriminative model's training iterator,
+    which streams rows to SGD and merges nothing."""
+    assert len(_driver_merges("for b in ds.map_batches(f).iter_batches():\n    pass\n"
+                              "rows = ds.take_all()\n"
+                              "ds.iter_batches\n")) == 2
+    pkg = os.path.dirname(snorkel_ray.__file__)
+    repo = os.path.dirname(pkg)
+    exempt = {os.path.join("snorkel_ray", "stages", "disc_model.py"): 1}
+    sources = [os.path.join(dirpath, f) for dirpath, _, files in os.walk(pkg)
+               for f in files if f.endswith(".py")]
+    sources.append(os.path.join(repo, "__ray_entry__.py"))
+    bad = {}
+    for path in sources:
+        rel = os.path.relpath(path, repo)
+        found = _driver_merges(open(path).read())
+        if len(found) != exempt.get(rel, 0):
+            bad[rel] = found
+    assert not bad, bad
+
+
+def test_fold_blocks_merges_every_non_empty_block_in_order(ray_session):
+    """``fold_blocks`` folds one partial per non-empty block, in block
+    order on a materialized input, and the same partials on its lazy
+    twin; the partial's closure state ships with it."""
+    import ray.data as rd
+
+    from snorkel_ray.state.resources import fold_blocks
+
+    def block(lo, hi):
+        return pa.table({"x": pa.array(range(lo, hi), pa.int64())})
+
+    offset = 1000
+    ds = rd.from_arrow([block(0, 3), block(3, 3), pa.table({}), block(3, 7), block(7, 8)])
+    firsts = [fold_blocks(d, lambda b: [b.column("x")[0].as_py() + offset],
+                          lambda acc, p: acc + p, [])
+              for d in (ds, ds.map_batches(lambda b: b, batch_format="pyarrow"))]
+    assert firsts[0] == [1000, 1003, 1007]
+    # a lazy chain's blocks arrive in the order its executor emits them
+    assert sorted(firsts[1]) == firsts[0]
+    assert fold_blocks(rd.from_arrow(block(0, 0)), len, max, -1) == -1
 
 
 def _builds(log_dir):

@@ -1,5 +1,6 @@
 """Set operations (INTERSECT/EXCEPT distinct) and GROUPING SETS."""
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
@@ -154,6 +155,24 @@ def test_setops_signed_zero_matches_sql():
     right = ray.data.from_arrow(
         pa.table({"x": pa.array([0.0], pa.float64())}))
     assert intersect_distinct(left, right, ["x"]).count() == 1
+
+
+def test_setops_distinct_collapses_signed_zero_and_nan_payloads_across_blocks():
+    # the distinct step groups on the raw float column (``_setop``), not
+    # on the normalized key: -0.0 / 0.0 and two NaN payloads sit in
+    # different blocks, and Ray's hash aggregate must still collapse
+    # each pair, or INTERSECT/EXCEPT would return duplicate rows
+    nan_a, nan_b = np.array([0x7FF8000000000000, 0x7FF8000000000001],
+                            np.uint64).view(np.float64)
+    assert nan_a.tobytes() != nan_b.tobytes()
+    left = ray.data.from_arrow([
+        pa.table({"x": pa.array([-0.0, nan_a], pa.float64())}),
+        pa.table({"x": pa.array([0.0, nan_b], pa.float64())})])
+    right = ray.data.from_arrow(pa.table({"x": pa.array([0.0], pa.float64())}))
+    inter = intersect_distinct(left, right, ["x"]).to_pandas()["x"].tolist()
+    assert len(inter) == 1 and inter[0] == 0.0
+    exc = except_distinct(left, right, ["x"]).to_pandas()["x"].tolist()
+    assert len(exc) == 1 and np.isnan(exc[0])
 
 
 from hypothesis import given, settings
