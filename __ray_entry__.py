@@ -99,22 +99,11 @@ def _read(sf_dir: str, table: str, columns=None, filter=None):
 
 # --- aggregations -----------------------------------------------------------
 
-def _grouped_sum_partial(keys: list[str], cols):
-    """``map_batches`` combiner factory shared by the TPC-H queries:
-    per-batch ``groupby(keys).sum()`` over the columns produced by
-    ``cols(batch) -> dict[str, np.ndarray]`` (keys included).  This is
-    the free pre-shuffle combine step — each block ships one row per
-    distinct key, so the following ``groupby().aggregate(Sum(...))``
-    shuffles partials, never raw rows (review r5: one helper instead
-    of nine copy-pasted closures)."""
-
-    def _f(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        out = pd.DataFrame(cols(b)).groupby(keys, as_index=False).sum()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return _f
+def _revenue(b: pa.Table) -> np.ndarray:
+    """A lineitem block's discounted revenue per line,
+    ``l_extendedprice · (1 − l_discount)``."""
+    return (np.asarray(b.column("l_extendedprice"))
+            * (1.0 - np.asarray(b.column("l_discount"))))
 
 
 def _add_pairs(acc: tuple, part: tuple) -> tuple:
@@ -506,11 +495,12 @@ def q_tpch_q3(sf_dir: str):
     segment, orders before / shipments after 1998-01-01, top 10
     orders by revenue.  Plan: count-gated semi-join prunes orders to
     the segment's custkeys, lineitem pre-aggregates revenue per
-    orderkey INSIDE map_batches (combiner) before the single hash
+    orderkey per block (``combine_by_key``) before the single hash
     join, final groupby + tiny sort."""
     from ray.data.aggregate import Sum
 
     from snorkel_ray.stages.joins import semi_join
+    from snorkel_ray.state.resources import combine_by_key
 
     import pyarrow.dataset as pds
 
@@ -522,17 +512,13 @@ def q_tpch_q3(sf_dir: str):
                    < np.datetime64("1998-01-01", "us"))
     orders = semi_join(orders, cust, "o_custkey", "c_custkey")
 
-    _rev_partial = _grouped_sum_partial(
-        ["l_orderkey"],
-        lambda b: {"l_orderkey": np.asarray(b.column("l_orderkey")),
-                   "revenue": np.asarray(b.column("l_extendedprice"))
-                   * (1.0 - np.asarray(b.column("l_discount")))})
-
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
-               filter=pds.field("l_shipdate")
-               > np.datetime64("1998-01-01", "us")) \
-        .map_batches(_rev_partial, batch_format="pyarrow")
+    li = combine_by_key(
+        _read(sf_dir, "lineitem",
+              ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+              filter=pds.field("l_shipdate") > np.datetime64("1998-01-01", "us")),
+        ["l_orderkey"], {"revenue": "sum"},
+        lambda b: pa.table({"l_orderkey": b.column("l_orderkey"),
+                            "revenue": _revenue(b)}))
     joined = li.join(orders.select_columns(["o_orderkey", "o_orderdate"]),
                      join_type="inner", num_partitions=8,
                      on=("l_orderkey",), right_on=("o_orderkey",))
@@ -557,6 +543,7 @@ def q_tpch_q5(sf_dir: str):
     import pyarrow.parquet as pq
 
     from snorkel_ray.stages.joins import apply_mapping
+    from snorkel_ray.state.resources import combine_by_key
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
     region = pq.read_table(f"{sf_dir}/region.parquet")
@@ -584,25 +571,21 @@ def q_tpch_q5(sf_dir: str):
         pc.is_valid(b.column("c_nationkey"))), batch_format="pyarrow") \
         .select_columns(["o_orderkey", "c_nationkey"])
 
-    def _asia_rev(b: pa.Table) -> dict:
+    def _asia_rev(b: pa.Table) -> pa.Table:
         b = b.filter(pc.is_in(b.column("s_nationkey"),
                               value_set=pa.array(sorted(asia_nations),
                                                  pa.int64())))
-        rev = (np.asarray(b.column("l_extendedprice"))
-               * (1.0 - np.asarray(b.column("l_discount"))))
-        return {"l_orderkey": np.asarray(b.column("l_orderkey")),
-                "s_nationkey": np.asarray(b.column("s_nationkey")),
-                "revenue": rev}
-
-    _li_partial = _grouped_sum_partial(["l_orderkey", "s_nationkey"],
-                                       _asia_rev)
+        return pa.table({"l_orderkey": b.column("l_orderkey"),
+                         "s_nationkey": b.column("s_nationkey"),
+                         "revenue": _revenue(b)})
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
     li = apply_mapping(li, _read(sf_dir, "supplier",
                                  ["s_suppkey", "s_nationkey"]),
                        "l_suppkey", "s_suppkey", "s_nationkey", "s_nationkey")
-    li = li.map_batches(_li_partial, batch_format="pyarrow")
+    li = combine_by_key(li, ["l_orderkey", "s_nationkey"], {"revenue": "sum"},
+                        _asia_rev)
     joined = li.join(orders, join_type="inner", num_partitions=8,
                      on=("l_orderkey",), right_on=("o_orderkey",))
     joined = joined.map_batches(lambda b: b.filter(
@@ -766,8 +749,8 @@ def q_events_range_join(sf_dir: str):
 
 def q_event_user_distinct(sf_dir: str):
     """Exact count(DISTINCT user_id) per event type — the three-step
-    skew-safe plan (per-batch pair dedup → pair-keyed shuffle → key
-    count)."""
+    skew-safe plan (distinct (type, user) pairs, deduplicated per
+    block first → key count)."""
     from snorkel_ray.stages.reshape import grouped_count_distinct
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
@@ -1548,8 +1531,6 @@ def q_word_count_salted(sf_dir: str):
 def q_sentence_split_counts(sf_dir: str):
     """Sentence splitter over documents (plain text, no terminators →
     exactly one sentence per doc; the oracle proves no over-split)."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.sentences import split_sentences
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
@@ -1631,12 +1612,13 @@ def q_tpch_q10(sf_dir: str):
     lineitem(R) × nation, top 20 customers by lost revenue in a
     quarter).  Plan: pruned reads push the date window and returnflag
     into the parquet scan; lineitem pre-aggregates revenue per
-    orderkey inside map_batches (combiner) before ONE hash join to the
+    orderkey per block (``combine_by_key``) before ONE hash join to the
     date-windowed orders; the per-customer aggregate joins the tiny
     customer×nation dim broadcast-side; final 20-row sort."""
     from ray.data.aggregate import Sum
 
     from snorkel_ray.stages.joins import apply_mapping, semi_join
+    from snorkel_ray.state.resources import combine_by_key
 
     import pyarrow.dataset as pds
 
@@ -1647,17 +1629,13 @@ def q_tpch_q10(sf_dir: str):
                    & (pds.field("o_orderdate")
                       < np.datetime64("1996-04-01", "us")))
 
-    _rev_partial = _grouped_sum_partial(
-        ["l_orderkey"],
-        lambda b: {"l_orderkey": np.asarray(b.column("l_orderkey")),
-                   "revenue": np.asarray(b.column("l_extendedprice"))
-                   * (1.0 - np.asarray(b.column("l_discount")))})
-
-    li = _read(sf_dir, "lineitem",
-               ["l_orderkey", "l_extendedprice", "l_discount",
-                "l_returnflag"],
-               filter=pds.field("l_returnflag") == "R") \
-        .map_batches(_rev_partial, batch_format="pyarrow")
+    li = combine_by_key(
+        _read(sf_dir, "lineitem",
+              ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
+              filter=pds.field("l_returnflag") == "R"),
+        ["l_orderkey"], {"revenue": "sum"},
+        lambda b: pa.table({"l_orderkey": b.column("l_orderkey"),
+                            "revenue": _revenue(b)}))
     li = semi_join(li, orders, "l_orderkey", "o_orderkey")
     joined = li.join(orders.select_columns(["o_orderkey", "o_custkey"]),
                      join_type="inner", num_partitions=8,
@@ -1995,15 +1973,16 @@ def q_tpch_q4(sf_dir: str):
     have ≥1 line shipped after the order date (the correlated EXISTS).
     Plan: the date window prunes orders at the scan; their keys prune
     lineitem via the count-gated semi-join; per-orderkey MAX(shipdate)
-    partials combine inside map_batches before one small groupby; the
-    EXISTS becomes max_ship > o_orderdate after an apply_mapping
-    lookup.  Timestamps ride as int64 µs so the broadcast-map path
-    never round-trips datetime dtypes."""
+    partials combine per block before one small groupby
+    (``fold_by_key``); the EXISTS becomes max_ship > o_orderdate after
+    an apply_mapping lookup.  Timestamps ride as int64 µs so the
+    broadcast-map path never round-trips datetime dtypes."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Count, Max
+    from ray.data.aggregate import Count
 
     from snorkel_ray.stages.joins import apply_mapping, semi_join
+    from snorkel_ray.state.resources import fold_by_key
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"],
@@ -2014,20 +1993,11 @@ def q_tpch_q4(sf_dir: str):
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
     li = semi_join(li, orders, "l_orderkey", "o_orderkey")
 
-    def _max_partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({
-            "l_orderkey": np.asarray(b.column("l_orderkey")),
-            "max_ship": np.asarray(pc.cast(b.column("l_shipdate"),
-                                           pa.int64())),
-        })
-        out = df.groupby("l_orderkey", as_index=False).max()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    li_max = (li.map_batches(_max_partial, batch_format="pyarrow")
-              .groupby("l_orderkey")
-              .aggregate(Max("max_ship", alias_name="max_ship")))
+    li_max = fold_by_key(
+        li, ["l_orderkey"], {"max_ship": "max"},
+        lambda b: pa.table({"l_orderkey": b.column("l_orderkey"),
+                            "max_ship": pc.cast(b.column("l_shipdate"),
+                                                pa.int64())}))
     marked = apply_mapping(orders, li_max, "o_orderkey", "l_orderkey",
                            "max_ship", "max_ship")
 
@@ -2049,7 +2019,7 @@ def q_tpch_q12(sf_dir: str):
     l_returnflag and "late" means shipped after the order date): one
     hash join at line grain (the correlated l_shipdate > o_orderdate
     predicate cannot pre-aggregate), then vectorized CASE sums."""
-    from ray.data.aggregate import Sum
+    from snorkel_ray.state.resources import fold_by_key
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_returnflag", "l_shipdate"])
@@ -2058,22 +2028,18 @@ def q_tpch_q12(sf_dir: str):
     joined = li.join(orders, join_type="inner", num_partitions=8,
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def _late_cols(b: pa.Table) -> dict:
+    def _late_cols(b: pa.Table) -> pa.Table:
         b = b.filter(pc.greater(b.column("l_shipdate"),
                                 b.column("o_orderdate")))
         high = pc.is_in(b.column("o_orderpriority"),
                         value_set=pa.array(["1-URGENT", "2-HIGH"]))
         hi = np.asarray(pc.cast(high, pa.int64()))
-        return {"l_returnflag": np.asarray(b.column("l_returnflag")),
-                "high_line_count": hi, "low_line_count": 1 - hi}
+        return pa.table({"l_returnflag": b.column("l_returnflag"),
+                         "high_line_count": hi, "low_line_count": 1 - hi})
 
-    _flags = _grouped_sum_partial(["l_returnflag"], _late_cols)
-
-    return (joined.map_batches(_flags, batch_format="pyarrow")
-            .groupby("l_returnflag")
-            .aggregate(Sum("high_line_count", alias_name="high_line_count"),
-                       Sum("low_line_count", alias_name="low_line_count"))
-            .sort("l_returnflag"))
+    return fold_by_key(joined, ["l_returnflag"],
+                       {"high_line_count": "sum", "low_line_count": "sum"},
+                       _late_cols).sort("l_returnflag")
 
 
 def q_tpch_q14(sf_dir: str):
@@ -2111,24 +2077,17 @@ def q_tpch_q14(sf_dir: str):
 
 def q_tpch_q18(sf_dir: str):
     """TPC-H Q18 (large-volume customers): per-orderkey quantity
-    partials combine inside map_batches before the groupby; the HAVING
-    filter shrinks the result to the qualifying handful BEFORE any
-    join; orders then customer names attach via count-gated mapping
-    joins; final tiny sort."""
-    from ray.data.aggregate import Sum
-
+    partials combine per block before the groupby (``fold_by_key``);
+    the HAVING filter shrinks the result to the qualifying handful
+    BEFORE any join; orders then customer names attach via count-gated
+    mapping joins; final tiny sort."""
     from snorkel_ray.stages.joins import apply_mapping
+    from snorkel_ray.state.resources import fold_by_key
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-
-    _qty_partial = _grouped_sum_partial(
-        ["l_orderkey"],
-        lambda b: {"l_orderkey": np.asarray(b.column("l_orderkey")),
-                   "sum_qty": np.asarray(b.column("l_quantity"))})
-
-    qty = (li.map_batches(_qty_partial, batch_format="pyarrow")
-           .groupby("l_orderkey")
-           .aggregate(Sum("sum_qty", alias_name="sum_qty")))
+    qty = fold_by_key(li, ["l_orderkey"], {"sum_qty": "sum"},
+                      lambda b: pa.table({"l_orderkey": b.column("l_orderkey"),
+                                          "sum_qty": b.column("l_quantity")}))
     # HAVING compares the duck-ROUNDED sum (as the oracle does), so
     # accumulation-order ulp drift cannot flip membership at 250
     big = _round_cols(qty, {"sum_qty": 2}).map_batches(
@@ -2371,12 +2330,11 @@ def q_tpch_q7(sf_dir: str):
     ``apply_mapping`` each), the two-nation filter shrinks BOTH
     dimension sides before lineitem is touched, lineitem prunes via
     count-gated semi-joins and picks up supp/cust nation + o_custkey
-    through mapping joins (hash path automatically for the large
+    orders through mapping joins (hash path automatically for the large
     orders side), and the (supp, cust, year) revenue aggregates ride
-    per-batch pandas combiners before one small groupby."""
-    from ray.data.aggregate import Sum
-
+    per-block combiners before one small groupby (``fold_by_key``)."""
     from snorkel_ray.stages.joins import apply_mapping, semi_join
+    from snorkel_ray.state.resources import fold_by_key
 
     n1, n2 = "NATION_1", "NATION_2"
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
@@ -2408,22 +2366,17 @@ def q_tpch_q7(sf_dir: str):
     li = apply_mapping(li, cust, "o_custkey", "c_custkey",
                        "cust_nation", "cust_nation")
 
-    def _pair_vol(b: pa.Table) -> dict:
+    def _pair_vol(b: pa.Table) -> pa.Table:
         sn = np.asarray(b.column("supp_nation"))
         cn = np.asarray(b.column("cust_nation"))
         mask = ((sn == n1) & (cn == n2)) | ((sn == n2) & (cn == n1))
-        vol = (np.asarray(b.column("l_extendedprice"))
-               * (1.0 - np.asarray(b.column("l_discount"))))[mask]
         yr = np.asarray(pc.year(b.column("l_shipdate")))[mask]
-        return {"supp_nation": sn[mask], "cust_nation": cn[mask],
-                "l_year": yr.astype(np.int64), "revenue": vol}
+        return pa.table({"supp_nation": sn[mask], "cust_nation": cn[mask],
+                         "l_year": yr.astype(np.int64),
+                         "revenue": _revenue(b)[mask]})
 
-    _partial = _grouped_sum_partial(
-        ["supp_nation", "cust_nation", "l_year"], _pair_vol)
-
-    out = (li.map_batches(_partial, batch_format="pyarrow")
-           .groupby(["supp_nation", "cust_nation", "l_year"])
-           .aggregate(Sum("revenue", alias_name="revenue")))
+    out = fold_by_key(li, ["supp_nation", "cust_nation", "l_year"],
+                      {"revenue": "sum"}, _pair_vol)
     out = _round_cols(out, {"revenue": 2})
     return out.sort(["supp_nation", "cust_nation", "l_year"])
 
@@ -2431,27 +2384,23 @@ def q_tpch_q7(sf_dir: str):
 def q_tpch_q13(sf_dir: str):
     """TPC-H Q13 (customer order-count distribution — an aggregate of
     an aggregate over a filtered LEFT OUTER join): per-custkey count
-    partials combine per batch before the first groupby; customers
+    partials combine per block before the first groupby; customers
     with no qualifying order enter as count 0 via the mapping join's
     null → fill; the second groupby runs over the (distinct counts)-
     sized histogram."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     from snorkel_ray.stages.joins import apply_mapping
+    from snorkel_ray.state.resources import fold_by_key
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
                    filter=pds.field("o_orderpriority") != "1-URGENT")
-
-    _cnt_partial = _grouped_sum_partial(
-        ["o_custkey"],
-        lambda b: {"o_custkey": np.asarray(b.column("o_custkey")),
-                   "c_count": np.ones(len(b), dtype=np.int64)})
-
-    counts = (orders.map_batches(_cnt_partial, batch_format="pyarrow")
-              .groupby("o_custkey")
-              .aggregate(Sum("c_count", alias_name="c_count")))
+    counts = fold_by_key(
+        orders, ["o_custkey"], {"c_count": "sum"},
+        lambda b: pa.table({"o_custkey": b.column("o_custkey"),
+                            "c_count": np.ones(len(b), dtype=np.int64)}))
     cust = _read(sf_dir, "customer", ["c_custkey"])
     cust = apply_mapping(cust, counts, "c_custkey", "o_custkey",
                          "c_count", "c_count")
@@ -2474,10 +2423,8 @@ def q_tpch_q15(sf_dir: str):
     row(s) pick up s_name via the mapping join."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.stages.joins import apply_mapping
-    from snorkel_ray.state.resources import fold_blocks
+    from snorkel_ray.state.resources import fold_blocks, fold_by_key
 
     li = _read(sf_dir, "lineitem",
                ["l_suppkey", "l_extendedprice", "l_discount",
@@ -2486,16 +2433,10 @@ def q_tpch_q15(sf_dir: str):
                        >= np.datetime64("1996-01-01", "us"))
                & (pds.field("l_shipdate") < np.datetime64("1996-04-01", "us")))
 
-    _rev_partial = _grouped_sum_partial(
-        ["s_suppkey"],
-        lambda b: {"s_suppkey": np.asarray(b.column("l_suppkey")),
-                   "total_revenue":
-                       np.asarray(b.column("l_extendedprice"))
-                       * (1.0 - np.asarray(b.column("l_discount")))})
-
-    rev = (li.map_batches(_rev_partial, batch_format="pyarrow")
-           .groupby("s_suppkey")
-           .aggregate(Sum("total_revenue", alias_name="total_revenue")))
+    rev = fold_by_key(
+        li, ["s_suppkey"], {"total_revenue": "sum"},
+        lambda b: pa.table({"s_suppkey": b.column("l_suppkey"),
+                            "total_revenue": _revenue(b)}))
     # consumed twice (global max, then the equality filter): pin the
     # supplier-sized aggregate so lineitem is scanned once (review r5)
     rev = _round_cols(rev, {"total_revenue": 2}).materialize()
@@ -2526,11 +2467,9 @@ def q_tpch_q17(sf_dir: str):
     only the part-count-sized aggregate would be pin-safe)."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.functions.exprs import duck_round
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import fold_blocks
+    from snorkel_ray.state.resources import fold_blocks, fold_by_key
 
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"],
                  filter=pds.field("p_brand") == "Brand#12")
@@ -2538,15 +2477,11 @@ def q_tpch_q17(sf_dir: str):
                ["l_partkey", "l_quantity", "l_extendedprice"])
     li = semi_join(li, part, "l_partkey", "p_partkey")
 
-    _avg_partial = _grouped_sum_partial(
-        ["l_partkey"],
-        lambda b: {"l_partkey": np.asarray(b.column("l_partkey")),
-                   "s": np.asarray(b.column("l_quantity")),
-                   "n": np.ones(len(b), dtype=np.int64)})
-
-    agg = (li.map_batches(_avg_partial, batch_format="pyarrow")
-           .groupby("l_partkey")
-           .aggregate(Sum("s", alias_name="s"), Sum("n", alias_name="n")))
+    agg = fold_by_key(
+        li, ["l_partkey"], {"s": "sum", "n": "sum"},
+        lambda b: pa.table({"l_partkey": b.column("l_partkey"),
+                            "s": b.column("l_quantity"),
+                            "n": np.ones(len(b), dtype=np.int64)}))
     thr = agg.map_batches(
         lambda b: pa.table({
             "l_partkey": b.column("l_partkey"),
@@ -2581,6 +2516,7 @@ def q_tpch_q21(sf_dir: str):
     from ray.data.aggregate import Count, Max, Sum
 
     from snorkel_ray.stages.joins import apply_mapping, semi_join
+    from snorkel_ray.state.resources import fold_by_key
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate",
                                       "o_orderstatus"],
@@ -2596,18 +2532,15 @@ def q_tpch_q21(sf_dir: str):
     li = apply_mapping(li, orders, "l_orderkey", "o_orderkey",
                        "o_date", "o_date")
 
-    def _late_lines(b: pa.Table) -> dict:
+    def _late_lines(b: pa.Table) -> pa.Table:
         ship = np.asarray(pc.cast(b.column("l_shipdate"), pa.int64()))
         late = (ship > np.asarray(b.column("o_date"))).astype(np.int64)
-        return {"okey": np.asarray(b.column("l_orderkey")),
-                "skey": np.asarray(b.column("l_suppkey")),
-                "late_lines": late}
+        return pa.table({"okey": b.column("l_orderkey"),
+                         "skey": b.column("l_suppkey"),
+                         "late_lines": late})
 
-    _pair_partial = _grouped_sum_partial(["okey", "skey"], _late_lines)
-
-    pairs = (li.map_batches(_pair_partial, batch_format="pyarrow")
-             .groupby(["okey", "skey"])
-             .aggregate(Sum("late_lines", alias_name="late_lines")))
+    pairs = fold_by_key(li, ["okey", "skey"], {"late_lines": "sum"},
+                        _late_lines)
 
     def _flags(b: pa.Table) -> pa.Table:
         late = pc.greater(b.column("late_lines"), 0)
@@ -2656,11 +2589,10 @@ def q_tpch_q8(sf_dir: str):
     synth names): customers restrict to one region through two tiny
     broadcast mappings BEFORE lineitem is touched; one line×orders
     hash join carries (custkey, orderdate); supplier nation rides a
-    mapping join; per-batch (year, nation-share, total) partials →
-    one small groupby → vectorized ratio."""
-    from ray.data.aggregate import Sum
-
+    mapping join; per-block (year, nation-share, total) partials →
+    one small groupby (``fold_by_key``) → vectorized ratio."""
     from snorkel_ray.stages.joins import apply_mapping, semi_join
+    from snorkel_ray.state.resources import fold_by_key
 
     nation = _read(sf_dir, "nation",
                    ["n_nationkey", "n_name", "n_regionkey"])
@@ -2688,21 +2620,16 @@ def q_tpch_q8(sf_dir: str):
     joined = apply_mapping(joined, supp, "l_suppkey", "s_suppkey",
                            "supp_nation", "supp_nation")
 
-    def _share_cols(b: pa.Table) -> dict:
-        vol = (np.asarray(b.column("l_extendedprice"))
-               * (1.0 - np.asarray(b.column("l_discount"))))
+    def _share_cols(b: pa.Table) -> pa.Table:
+        vol = _revenue(b)
         nation_vol = np.where(
             np.asarray(pc.equal(pc.fill_null(b.column("supp_nation"), ""),
                                 "NATION_1")), vol, 0.0)
         yr = np.asarray(pc.year(b.column("o_orderdate")), dtype=np.int64)
-        return {"o_year": yr, "num": nation_vol, "den": vol}
+        return pa.table({"o_year": yr, "num": nation_vol, "den": vol})
 
-    _partial = _grouped_sum_partial(["o_year"], _share_cols)
-
-    agg = (joined.map_batches(_partial, batch_format="pyarrow")
-           .groupby("o_year")
-           .aggregate(Sum("num", alias_name="num"),
-                      Sum("den", alias_name="den")))
+    agg = fold_by_key(joined, ["o_year"], {"num": "sum", "den": "sum"},
+                      _share_cols)
 
     def _ratio(b: pa.Table) -> pa.Table:
         return pa.table({"o_year": b.column("o_year"),
@@ -2722,21 +2649,14 @@ def q_tpch_q11(sf_dir: str):
     the driver (one float broadcast back); HAVING compares
     duck-ROUNDED values on both sides so accumulation-order ulp drift
     can never flip membership at the threshold."""
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.functions.exprs import duck_round
-    from snorkel_ray.state.resources import fold_blocks
+    from snorkel_ray.state.resources import fold_blocks, fold_by_key
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
-
-    _partial = _grouped_sum_partial(
-        ["l_partkey"],
-        lambda b: {"l_partkey": np.asarray(b.column("l_partkey")),
-                   "value": np.asarray(b.column("l_extendedprice"))})
-
-    per_part = (li.map_batches(_partial, batch_format="pyarrow")
-                .groupby("l_partkey")
-                .aggregate(Sum("value", alias_name="value")))
+    per_part = fold_by_key(
+        li, ["l_partkey"], {"value": "sum"},
+        lambda b: pa.table({"l_partkey": b.column("l_partkey"),
+                            "value": b.column("l_extendedprice")}))
     # consumed twice (totals, then the HAVING filter): pin the
     # part-count-sized aggregate so lineitem is scanned once (review r5)
     per_part = _round_cols(per_part, {"value": 2}).materialize()
@@ -2777,12 +2697,12 @@ def q_tpch_q9(sf_dir: str):
     part-name predicate rides the scan and prunes lineitem via the
     semi-join; retailprice, supplier nation, and order date all attach
     via count-gated mapping joins (dates as int64 µs); (nation, year)
-    profit partials combine per batch before one small groupby."""
+    profit partials combine per block before one small groupby
+    (``fold_by_key``)."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.stages.joins import apply_mapping, semi_join
+    from snorkel_ray.state.resources import fold_by_key
 
     part = _read(sf_dir, "part", ["p_partkey", "p_name", "p_retailprice"],
                  filter=pc.match_substring(pds.field("p_name"), "red"))
@@ -2809,22 +2729,17 @@ def q_tpch_q9(sf_dir: str):
     li = apply_mapping(li, orders, "l_orderkey", "o_orderkey",
                        "o_date", "o_date")
 
-    def _profit_cols(b: pa.Table) -> dict:
-        amount = (np.asarray(b.column("l_extendedprice"))
-                  * (1.0 - np.asarray(b.column("l_discount")))
-                  - np.asarray(b.column("p_retailprice")) * 0.6
+    def _profit_cols(b: pa.Table) -> pa.Table:
+        amount = (_revenue(b) - np.asarray(b.column("p_retailprice")) * 0.6
                   * np.asarray(b.column("l_quantity")))
         yr = np.asarray(pc.year(pc.cast(b.column("o_date"),
                                         pa.timestamp("us"))),
                         dtype=np.int64)
-        return {"nation": np.asarray(b.column("nation")),
-                "o_year": yr, "sum_profit": amount}
+        return pa.table({"nation": b.column("nation"),
+                         "o_year": yr, "sum_profit": amount})
 
-    _partial = _grouped_sum_partial(["nation", "o_year"], _profit_cols)
-
-    out = (li.map_batches(_partial, batch_format="pyarrow")
-           .groupby(["nation", "o_year"])
-           .aggregate(Sum("sum_profit", alias_name="sum_profit")))
+    out = fold_by_key(li, ["nation", "o_year"], {"sum_profit": "sum"},
+                      _profit_cols)
     out = _round_cols(out, {"sum_profit": 2})
     return out.sort(["nation", "o_year"], descending=[False, True])
 
@@ -2837,9 +2752,10 @@ def q_tpch_q20(sf_dir: str):
     second tiny groupby) → semi-join back onto supplier."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     from snorkel_ray.stages.joins import semi_join
+    from snorkel_ray.state.resources import fold_by_key
 
     part = _read(sf_dir, "part", ["p_partkey", "p_name"],
                  filter=pc.match_substring(pds.field("p_name"), "red"))
@@ -2847,15 +2763,11 @@ def q_tpch_q20(sf_dir: str):
                                     "l_quantity"])
     li = semi_join(li, part, "l_partkey", "p_partkey")
 
-    _pair_partial = _grouped_sum_partial(
-        ["l_suppkey", "l_partkey"],
-        lambda b: {"l_suppkey": np.asarray(b.column("l_suppkey")),
-                   "l_partkey": np.asarray(b.column("l_partkey")),
-                   "qty": np.asarray(b.column("l_quantity"))})
-
-    pairs = (li.map_batches(_pair_partial, batch_format="pyarrow")
-             .groupby(["l_suppkey", "l_partkey"])
-             .aggregate(Sum("qty", alias_name="qty")))
+    pairs = fold_by_key(
+        li, ["l_suppkey", "l_partkey"], {"qty": "sum"},
+        lambda b: pa.table({"l_suppkey": b.column("l_suppkey"),
+                            "l_partkey": b.column("l_partkey"),
+                            "qty": b.column("l_quantity")}))
     excess = pairs.map_batches(
         lambda b: b.filter(pc.greater(b.column("qty"), 80.0)),
         batch_format="pyarrow")
@@ -2871,31 +2783,23 @@ def q_tpch_q2(sf_dir: str):
     """TPC-H Q2 (minimum-cost supplier per part, ties kept; adapted —
     no partsupp, so the part↔supplier relation is lineitem's distinct
     pairs and "cost" is s_acctbal): distinct (partkey, suppkey) pairs
-    via a pair-keyed groupby (per-batch dedup combiner first), acctbal
+    (``fold_by_key`` with no aggregate: each block dedups first), acctbal
     attaches by mapping join, the per-part minimum is a vectorized Min
     aggregate mapped BACK onto the pairs, and the equality filter
     compares the exact stored float both engines read from parquet —
     no arithmetic, so no ulp hazard."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Count, Min
+    from ray.data.aggregate import Min
 
     from snorkel_ray.stages.joins import apply_mapping, semi_join
+    from snorkel_ray.state.resources import fold_by_key
 
     part = _read(sf_dir, "part", ["p_partkey", "p_size"],
                  filter=pds.field("p_size") == 10)
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
     li = semi_join(li, part, "l_partkey", "p_partkey")
-
-    def _dedup(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = b.to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    pairs = (li.map_batches(_dedup, batch_format="pyarrow")
-             .groupby(["l_partkey", "l_suppkey"])
-             .aggregate(Count(alias_name="_n")).drop_columns(["_n"]))
+    pairs = fold_by_key(li, ["l_partkey", "l_suppkey"], {})
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name", "s_acctbal"])
     pairs = apply_mapping(pairs, supp, "l_suppkey", "s_suppkey",
                           "s_acctbal", "s_acctbal")
@@ -2971,19 +2875,15 @@ def q_order_share_of_customer(sf_dir: str):
     key)``): per-custkey sum partials → one small groupby → the totals
     map BACK via the count-gated mapping join → vectorized ratio.  A
     hot customer ships one partial row per block, never its orders."""
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.stages.joins import apply_mapping
+    from snorkel_ray.state.resources import fold_by_key
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice"])
-    _tot_partial = _grouped_sum_partial(
-        ["o_custkey"],
-        lambda b: {"o_custkey": np.asarray(b.column("o_custkey")),
-                   "cust_total": np.asarray(b.column("o_totalprice"))})
-    totals = (orders.map_batches(_tot_partial, batch_format="pyarrow")
-              .groupby("o_custkey")
-              .aggregate(Sum("cust_total", alias_name="cust_total")))
+    totals = fold_by_key(
+        orders, ["o_custkey"], {"cust_total": "sum"},
+        lambda b: pa.table({"o_custkey": b.column("o_custkey"),
+                            "cust_total": b.column("o_totalprice")}))
     out = apply_mapping(orders, totals, "o_custkey", "o_custkey",
                         "cust_total", "cust_total")
     out = out.map_batches(

@@ -167,38 +167,23 @@ def canonical_entity_map(linked_mentions, *, num_partitions: int = 16):
     promise C:<key> singleton rows that were never emitted)."""
     import pyarrow.compute as pc
 
+    from ..state.resources import fold_by_key
+
     def _edges(b: pa.Table) -> pa.Table:
-        keys = b.column("entity_key")
-        qids = b.column("qid")
-        linked = pc.not_equal(qids, "")
-        t = pa.table({"entity_key": keys, "qid": qids}).filter(linked)
+        t = b.filter(pc.not_equal(b.column("qid"), ""))
         # qid nodes carry a \x00 prefix, surface keys \x01: the
         # component min-label is ALWAYS a prefixed qid, for every
         # possible key charset (a bare "!" prefix lost to keys starting
         # with space/control chars < 0x21 — round-4 review)
-        out = pa.table({"src": pc.binary_join_element_wise(
-            pa.array(["\x00"] * t.num_rows, pa.string()), t.column("qid"), ""),
-            "dst": pc.binary_join_element_wise(
-            pa.array(["\x01"] * t.num_rows, pa.string()),
-            t.column("entity_key"), "")})
-        # per-batch distinct combiner: mentions repeat the same
-        # (qid, key) edge constantly, so dedup BEFORE the edge shuffle
-        # (CLAUDE.md perf rule 1 — don't feed the AllToAll the full
-        # mention stream when a tiny distinct set suffices)
-        # schema pinned: from_pandas on an all-unlinked (empty) batch
-        # would infer null-typed columns (round-4 review)
-        return pa.Table.from_pandas(
-            out.to_pandas().drop_duplicates(), schema=out.schema,
-            preserve_index=False)
+        return pa.table({
+            "src": pc.binary_join_element_wise("\x00", t.column("qid"), ""),
+            "dst": pc.binary_join_element_wise("\x01", t.column("entity_key"), "")})
 
-    from ray.data.aggregate import Count
-
-    edges = linked_mentions.map_batches(_edges, batch_format="pyarrow")
-    distinct = (
-        edges.groupby(["src", "dst"])
-        .aggregate(Count(alias_name="_n"))
-        .drop_columns(["_n"])
-    )  # dedup edge table
+    # the distinct edges: mentions repeat the same (qid, key) edge
+    # constantly, so each block ships only its distinct edges to the
+    # edge shuffle (CLAUDE.md perf rule 1 — don't feed the AllToAll the
+    # full mention stream when a tiny distinct set suffices)
+    distinct = fold_by_key(linked_mentions, ["src", "dst"], {}, _edges)
     comp = connected_components(distinct, num_partitions=num_partitions)
 
     def _to_map(b: pa.Table) -> pa.Table:

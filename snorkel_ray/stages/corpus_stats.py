@@ -294,7 +294,8 @@ def tfidf_scores(ds, terms: list[str], *, column: str = "text",
        aggregation order.  The returned ``score`` is
        ``micros / 1e6`` (one exact division).
 
-    Terms absent from the corpus (df = 0) contribute nothing.
+    Terms absent from the corpus (df = 0) contribute nothing; a term
+    listed twice counts once.
     Tokenization is the module's SQL-replicable ``[^a-z0-9]+`` split.
     → Dataset (``id_column``, ``score`` float64)."""
     import math
@@ -302,7 +303,7 @@ def tfidf_scores(ds, terms: list[str], *, column: str = "text",
     from ..functions.exprs import duck_round
     from ..state.resources import fold_blocks
 
-    terms = list(terms)
+    terms = list(dict.fromkeys(terms))  # a repeated term counts once
     if not all(terms):
         # no token is empty, so "" could only ever score nothing
         raise ValueError("empty-string query terms are reserved")

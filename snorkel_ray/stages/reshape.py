@@ -104,12 +104,13 @@ def grouped_corr(ds, key: str, x: str, y: str, *, out: str = "corr"):
     (the one-pass sum-of-products formula cancels catastrophically on
     large-magnitude columns): pass 1 aggregates per-key means (one
     shuffle) and broadcasts them back via the count-gated
-    ``apply_mapping``; pass 2 sums CENTERED co-moments per key (one
-    more bounded shuffle over 3 doubles/key/block after the per-batch
-    combiner).  Matches SQL ``corr(x, y)``.  Keys with zero variance
-    or < 2 rows get null."""
-    from ray.data.aggregate import Mean, Sum
+    ``apply_mapping``; pass 2 sums CENTERED co-moments per key
+    (``fold_by_key``: one more bounded shuffle over 3 doubles/key/block).
+    Matches SQL ``corr(x, y)``.  Keys with zero variance or < 2 rows get
+    null."""
+    from ray.data.aggregate import Mean
 
+    from ..state.resources import fold_by_key
     from .joins import apply_mapping
 
     means = ds.groupby(key).aggregate(
@@ -118,23 +119,18 @@ def grouped_corr(ds, key: str, x: str, y: str, *, out: str = "corr"):
     with_m = apply_mapping(with_m, means, key, key, "_my", "_my")
 
     def _moments(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
         xa = np.asarray(b.column(x), dtype=np.float64)
         ya = np.asarray(b.column(y), dtype=np.float64)
         mx = np.asarray(b.column("_mx"), dtype=np.float64)
         my = np.asarray(b.column("_my"), dtype=np.float64)
-        dx, dy = xa - mx, ya - my
-        df = pd.DataFrame({key: b.column(key).to_pandas(),
-                           "_cxy": dx * dy, "_cxx": dx * dx,
-                           "_cyy": dy * dy})
-        g = df.groupby(key, as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        # a null x or y adds nothing to the sums it is in (Ray's merge
+        # would drop a whole block's NaN partial)
+        dx, dy = (np.where(np.isnan(d), 0.0, d) for d in (xa - mx, ya - my))
+        return pa.table({key: b.column(key), "_cxy": dx * dy,
+                         "_cxx": dx * dx, "_cyy": dy * dy})
 
-    agg = (with_m.map_batches(_moments, batch_format="pyarrow")
-           .groupby(key).aggregate(Sum("_cxy", alias_name="_cxy"),
-                                   Sum("_cxx", alias_name="_cxx"),
-                                   Sum("_cyy", alias_name="_cyy")))
+    agg = fold_by_key(with_m, [key], {"_cxy": "sum", "_cxx": "sum", "_cyy": "sum"},
+                      _moments)
 
     def _finish(b: pa.Table) -> pa.Table:
         cxy = np.asarray(b.column("_cxy"))
@@ -254,60 +250,59 @@ def grouped_count_distinct(ds, key: str | list[str], value: str, *,
     """Exact SQL ``count(DISTINCT value)`` per key (single column or a
     composite key list), skew-safe in three vectorized steps:
 
-    1. per-batch ``drop_duplicates`` on (key, value) — a free combiner
-       that shrinks the shuffle to each block's distinct pairs;
-    2. ``groupby(key, value).count()`` — the dedup shuffle, keyed on
-       the PAIR so a celebrity key's values spread across reducers;
-    3. ``groupby(key).count()`` over the pair table (rows = distinct
+    1. the distinct (key, value) pairs (``fold_by_key`` with no
+       aggregate): each block ships only its distinct pairs to a dedup
+       shuffle keyed on the PAIR, so a celebrity key's values spread
+       across reducers;
+    2. ``groupby(key).count()`` over the pair table (rows = distinct
        pairs, already ≪ input).
 
     No per-group Python, no driver set — both shuffles carry only
     distinct pairs.  NULL values are ignored (SQL ``count(DISTINCT)``
     semantics — review r5: the pair groupby would otherwise count the
-    null group as a distinct value) — dropped by an ARROW validity
-    filter, not pandas ``dropna``, so a genuine float NaN survives and
-    counts as one distinct value exactly as SQL counts it; a key whose
-    values are ALL null is absent from the output (SQL would emit it
-    with count 0 — the same documented divergence as
-    :func:`grouped_quantiles`)."""
-    import pandas as pd
+    null group as a distinct value) — dropped by an Arrow validity
+    filter, so a genuine float NaN survives and counts as one distinct
+    value exactly as SQL counts it; a key whose values are ALL null is
+    absent from the output (SQL would emit it with count 0 — the same
+    documented divergence as :func:`grouped_quantiles`)."""
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
+    from ..state.resources import fold_by_key
+
     keys = [key] if isinstance(key, str) else list(key)
-
-    def _local(b: pa.Table) -> pa.Table:
-        b = b.select([*keys, value])
-        b = b.filter(pc.is_valid(b.column(value)))
-        df = b.to_pandas().drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    pairs = (ds.map_batches(_local, batch_format="pyarrow")
-             .groupby([*keys, value]).aggregate(Count(alias_name="_c"))
-             .drop_columns(["_c", value]))
+    pairs = fold_by_key(
+        ds, [*keys, value], {},
+        lambda b: b.select([*keys, value]).filter(pc.is_valid(b.column(value)))) \
+        .drop_columns([value])
     return pairs.groupby(keys if len(keys) > 1 else keys[0]) \
         .aggregate(Count(alias_name=out))
 
 
 def _fine_counts(ds, key: str, value: str, *, keep_nulls: bool):
-    """The FINE table shared by rank, quantiles and mode: per-batch
-    (key, value) count partials (free combiner), then
-    ``groupby(key, value).sum`` → one ``_n`` row per DISTINCT pair.
-    ``keep_nulls`` keeps a null value as its own pair (rank); the
-    others drop nulls (SQL ignores them)."""
+    """The FINE table shared by rank, quantiles and mode: one row per
+    DISTINCT (key, value) pair with its row count ``_n``
+    (``fold_by_key``).  A NaN value is a value of its own, apart from
+    null.  ``keep_nulls`` keeps a null value as its own pair and flags
+    it in a ``_null`` key column between key and value (rank): Ray
+    Data's merge sorts NaN and null as equals but groups neither with
+    the other, so unflagged, a key's NaN and null partials interleave
+    and each comes out more than once.  The others drop nulls (SQL
+    ignores them)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
-    def _partial(b: pa.Table) -> pa.Table:
+    from ..state.resources import fold_by_key
+
+    def _cols(b: pa.Table) -> pa.Table:
+        v = b.column(value)
         if not keep_nulls:
-            b = b.filter(pc.is_valid(b.column(value)))
-        df = (b.select([key, value]).to_pandas()
-              .groupby([key, value], sort=False, dropna=False)
-              .size().reset_index(name="_c"))
-        return pa.Table.from_pandas(df, preserve_index=False)
+            b = b.filter(pc.is_valid(v))
+        t = pa.table({key: b.column(key), value: b.column(value),
+                      "_n": np.ones(b.num_rows, np.int64)})
+        return t.add_column(1, "_null", pc.is_null(v)) if keep_nulls else t
 
-    return (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby([key, value]).aggregate(Sum("_c", alias_name="_n")))
+    keys = [key, "_null", value] if keep_nulls else [key, value]
+    return fold_by_key(ds, keys, {"_n": "sum"}, _cols)
 
 
 def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
@@ -321,17 +316,19 @@ def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
     functions of the fine table alone) without sorting any full
     group:
 
-    1. per-batch (key, value) count partials (free combiner), then
-       ``groupby(key, value).sum`` — the FINE table, one row per
-       distinct pair;
+    1. the FINE table (:func:`_fine_counts`), one row per distinct
+       (key, value) pair with its count, and on it, in Arrow, the
+       composite (key, value) string ``_ck`` the rows are looked up by;
     2. per-key rank prefix over the fine table only (rows = distinct
        values per key ≪ input for real value columns; a hot key costs
        O(its distinct values), not O(its rows)):
-       ``rank = cumsum(count) - count + 1``, ``dense = 1..n``;
-    3. ranks map back to rows via a composite (key, value) broadcast
-       / hash lookup (``apply_mapping``) — both sides build the
-       composite with the SAME arrow cast, so float formatting can
-       never diverge.
+       ``rank = cumsum(count) - count + 1``, ``dense = 1..n``; values
+       order as in SQL — NaN above every number, NULL last in both
+       directions;
+    3. ranks map back to rows via ``_ck`` (``apply_mapping``, a
+       broadcast / hash lookup) — both sides build it with the SAME
+       Arrow cast from the same Arrow types, so float formatting can
+       never diverge, and the pandas hop of step 2 only carries it.
 
     ``row_number()`` is deliberately NOT offered through this plan: a
     unique tie-break makes the fine table as big as the input — use
@@ -341,30 +338,30 @@ def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
 
     from snorkel_ray.stages.joins import apply_mapping
 
-    sep = pa.scalar("\x1f")
-
-    def _canon(col):
-        # the fine table crosses a pandas hop (timestamp[us] comes back
-        # as [ns]) while the raw-row side never does; canonicalize
-        # temporal columns to int64 microseconds BEFORE the string cast
-        # so both sides stringify identically (ADVICE r3 — without this
-        # every lookup missed and ranks were silently null)
+    def _part(col) -> pa.Array:
+        # Ray's groupby merge rebuilds the fine table from Python values
+        # (a timestamp[us] can come back as [s], a float32 as double),
+        # so both sides cast to one type first: temporal → int64 µs,
+        # float → double, with -0.0 as 0.0 (SQL ties them)
         t = col.type
         if pa.types.is_timestamp(t):
-            return pc.cast(pc.cast(col, pa.timestamp("us", tz=t.tz)),
-                           pa.int64())
-        if pa.types.is_date(t):
-            return pc.cast(pc.cast(col, pa.timestamp("us")), pa.int64())
-        if pa.types.is_time(t):
-            return pc.cast(pc.cast(col, pa.time64("us")), pa.int64())
-        return col
+            col = pc.cast(pc.cast(col, pa.timestamp("us", tz=t.tz)), pa.int64())
+        elif pa.types.is_date(t):
+            col = pc.cast(pc.cast(col, pa.timestamp("us")), pa.int64())
+        elif pa.types.is_time(t):
+            col = pc.cast(pc.cast(col, pa.time64("us")), pa.int64())
+        elif pa.types.is_floating(t):
+            col = pc.add(pc.cast(col, pa.float64()), 0.0)
+        # "v<value>", or "n" for null: a null never collides
+        return pc.fill_null(pc.binary_join_element_wise(
+            "v", pc.cast(col, pa.string()), ""), "n")
 
-    def _composite(b: pa.Table) -> pa.Array:
-        return pc.binary_join_element_wise(
-            pc.cast(_canon(b.column(key)), pa.string()),
-            pc.cast(_canon(b.column(value)), pa.string()), sep)
+    def _add_ck(b: pa.Table) -> pa.Table:
+        return b.append_column("_ck", pc.binary_join_element_wise(
+            _part(b.column(key)), _part(b.column(value)), "\x1f"))
 
-    fine = _fine_counts(ds, key, value, keep_nulls=True)
+    fine = _fine_counts(ds, key, value, keep_nulls=True) \
+        .map_batches(_add_ck, batch_format="pyarrow")
 
     int_cols = [out] + ([dense_out] if dense_out else [])
     float_cols = ([percent_out] if percent_out else []) \
@@ -372,8 +369,9 @@ def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
     rank_cols = int_cols + float_cols
 
     def _rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.sort_values(value, kind="mergesort",
-                           ascending=not descending)
+        # pandas reads NaN and NULL alike; the ``_null`` flag parts them
+        g = (g.sort_values(["_null", value], ascending=[True, not descending],
+                           na_position="first" if descending else "last")
              .reset_index(drop=True))
         c = g["_n"].to_numpy()
         run = np.cumsum(c)
@@ -385,24 +383,13 @@ def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
             g[percent_out] = (g[out] - 1) / max(n_rows - 1, 1)
         if cume_out is not None:
             g[cume_out] = run / max(n_rows, 1)
-        return g.drop(columns=["_n"])
-
-    ranks = fine.groupby(key).map_groups(_rank, batch_format="pandas")
-
-    def _key_ranks(b: pa.Table) -> pa.Table:
-        t = pa.table({"_ck": _composite(b)})
-        for c in rank_cols:
-            t = t.append_column(c, b.column(c))
-        return t
+        return g[["_ck", *rank_cols]]
 
     # materialized once: every apply_mapping pass gates on its count,
     # and without this the whole fine+rank pipeline would re-execute
     # per pass
-    mapping = ranks.map_batches(_key_ranks,
-                                batch_format="pyarrow").materialize()
-
-    def _add_ck(b: pa.Table) -> pa.Table:
-        return b.append_column("_ck", _composite(b))
+    mapping = fine.groupby(key).map_groups(
+        _rank, batch_format="pandas").materialize()
 
     rows = ds.map_batches(_add_ck, batch_format="pyarrow")
     for c in rank_cols:
@@ -448,8 +435,8 @@ def grouped_quantiles(ds, key: str, value: str, qs: list[float], *,
     rounding at all — WITHOUT sorting any full group — the
     same fine-table trick as :func:`grouped_rank`:
 
-    1. per-batch (key, value) count partials → ``groupby(key,
-       value).sum`` — one row per DISTINCT pair;
+    1. the fine table (:func:`_fine_counts`) — one row per DISTINCT
+       pair with its count;
     2. per-key interpolation over the fine table's cumulative counts
        (value at 0-based rank r = first fine row whose running count
        exceeds r, via ``searchsorted``) — a hot key costs O(its
@@ -543,7 +530,6 @@ def grouped_ntile(ds, key: str, value: str, n: int, *,
     distinct values, not its rows) plus a one-row-per-key count
     attached via the count-gated ``apply_mapping``; the bucket math is
     integer and vectorized, so the oracle hash can never drift."""
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
     from snorkel_ray.stages.joins import apply_mapping
@@ -606,8 +592,8 @@ def grouped_mode(ds, key: str, value: str, *, out: str = "mode",
     leaves ties unspecified — the oracle must spell the same
     ``row_number() OVER (ORDER BY count DESC, value ASC)`` rule).
 
-    Plan: per-batch (key, value) count partials → ``groupby(key,
-    value).sum`` (one row per DISTINCT pair — the fine-table bound of
+    Plan: the fine table (:func:`_fine_counts`: one row per DISTINCT
+    (key, value) pair with its count — the bound of
     :func:`grouped_quantiles`) → skew-safe ``grouped_topk(k=1)`` on
     (count DESC, value ASC) over the fine table.  A hot key costs its
     distinct values, never its rows.  Nulls are ignored (SQL mode

@@ -90,7 +90,8 @@ def bottom_k_sample(ds, id_col: str, k: int, *, seed: int = 0) -> pa.Table:
     partitioned. Per-block partial bottom-k, then a driver merge over
     ≤ k rows per block (``state.resources.fold_blocks``; the same
     partial-top-k shape as ``similarity.brute_force_topk``). Returns an
-    in-memory ``pyarrow.Table`` (a sample is small by definition)."""
+    in-memory ``pyarrow.Table`` (a sample is small by definition); on
+    an input with no rows, its columns with no rows."""
     from ..state.resources import fold_blocks
 
     def _take_k(t: pa.Table) -> pa.Table:
@@ -109,8 +110,9 @@ def bottom_k_sample(ds, id_col: str, k: int, *, seed: int = 0) -> pa.Table:
         return _take_k(buf) if buf.num_rows > 4 * k else buf
 
     buf = fold_blocks(ds, _partial, _merge, None)
-    if buf is None:
-        return pa.table({})
+    if buf is None:  # no rows: the input's columns with none of its rows
+        schema = ds.schema()
+        return pa.table({}) if schema is None else schema.base_schema.empty_table()
     return _take_k(buf).drop_columns(["_h"])
 
 

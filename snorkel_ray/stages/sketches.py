@@ -255,7 +255,7 @@ def heavy_hitters(ds, column: str, *, k: int = 10, capacity: int = 4096):
     carries its overestimation bound.
 
     Returns a pyarrow Table (value, n, err) in (n desc, value asc)
-    order."""
+    order; with no values, the value column keeps the input's type."""
     from ..state.resources import fold_blocks
 
     def _partial(batch: pa.Table) -> tuple[list, list]:
@@ -269,6 +269,10 @@ def heavy_hitters(ds, column: str, *, k: int = 10, capacity: int = 4096):
         return acc
 
     top = fold_blocks(ds, _partial, _update, SpaceSaving(capacity)).topk(k)
-    return pa.table({column: pa.array([t[0] for t in top]),
+    vals = pa.array([t[0] for t in top])
+    schema = None if top else ds.schema()
+    if schema is not None:  # no values: the input column's type, not null
+        vals = vals.cast(schema.base_schema.field(column).type)
+    return pa.table({column: vals,
                      "n": pa.array([t[1] for t in top], pa.int64()),
                      "err": pa.array([t[2] for t in top], pa.int64())})

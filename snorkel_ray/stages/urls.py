@@ -106,24 +106,18 @@ def normalize_urls(ds, url_col: str = "url", *,
 
 def domain_stats(ds, url_col: str = "url"):
     """Per-domain crawl stats: page count + distinct canonical URLs.
-    The distinct count is a per-batch ``(domain, url)`` dedup partial
-    followed by one bounded two-key groupby — the URL table never
-    collects anywhere."""
+    The page count per ``(domain, url)`` is one keyed fold
+    (``fold_by_key``: per-block partials, one bounded two-key groupby),
+    then one groupby per domain — the URL table never collects
+    anywhere."""
+    import numpy as np
     from ray.data.aggregate import Count, Sum
 
-    normed = normalize_urls(ds, url_col)
+    from ..state.resources import fold_by_key
 
-    def _pairs(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame({"domain": b.column("domain").to_pylist(),
-                           "url": b.column(url_col).to_pylist()})
-        g = df.groupby(["domain", "url"], as_index=False).size()
-        return pa.Table.from_pandas(
-            g.rename(columns={"size": "n"}), preserve_index=False)
-
-    partial = normed.map_batches(_pairs, batch_format="pyarrow")
-    per_url = partial.groupby(["domain", "url"]).aggregate(
-        Sum("n", alias_name="n"))
+    per_url = fold_by_key(
+        normalize_urls(ds, url_col), ["domain", "url"], {"n": "sum"},
+        lambda b: pa.table({"domain": b.column("domain"), "url": b.column(url_col),
+                            "n": np.ones(b.num_rows, np.int64)}))
     return per_url.groupby("domain").aggregate(
         Count(alias_name="n_unique_urls"), Sum("n", alias_name="n_pages"))

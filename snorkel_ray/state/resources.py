@@ -12,6 +12,8 @@ Ray Data job (CLAUDE.md perf rule 7).
 
 ``fold_blocks`` runs every keyless partial aggregate on that walk: a
 partial per block, merged on the driver in block order.
+``combine_by_key`` / ``fold_by_key`` are the keyed half: one Arrow
+``group_by`` per block, merged by one Ray Data ``groupby``.
 
 A pooled stage that reserves every CPU starves the task-based stages
 (reads, stateless maps) — on a 4-CPU test session two pools at min=2
@@ -207,3 +209,47 @@ def fold_blocks(ds, partial, merge, acc):
     for ref in block_tasks(ds, _fold_task(), fn):
         acc = merge(acc, ray.get(ref))
     return acc
+
+
+def combine_by_key(ds, keys: list[str], aggs: dict[str, str], cols=None):
+    """The per-block step of a keyed decomposable aggregate (SUDAF's
+    accumulate): every block becomes ``cols(block)`` (default: the
+    ``keys`` and ``aggs`` columns as they are), then one Arrow
+    ``group_by(keys)`` with ``aggs`` — output column → ``"sum"``,
+    ``"min"`` or ``"max"`` of that column; ``{}`` keeps the distinct
+    keys.  A count is the sum of a column of ones.  The columns come
+    out keys first, then ``aggs`` in order, so each block ships one row
+    per distinct key to whatever shuffle follows.  A null key is a
+    group of its own (SQL ``GROUP BY``; Ray 2.49's sort-based merge
+    raises on a null STRING key once it samples partition boundaries,
+    so filter those in ``cols`` where they can occur); a float NaN
+    stays NaN."""
+    if set(aggs.values()) - {"sum", "min", "max"}:
+        raise ValueError(f"keyed ops are sum, min and max, got {aggs}")
+    keys = list(keys)
+    names = [*keys, *(f"{c}_{op}" for c, op in aggs.items())]
+
+    def _combine(b):
+        t = cols(b) if cols is not None else b.select([*keys, *aggs])
+        g = t.group_by(keys, use_threads=False).aggregate(list(aggs.items()))
+        return g.select(names).rename_columns([*keys, *aggs])
+
+    return ds.map_batches(_combine, batch_format="pyarrow")
+
+
+def fold_by_key(ds, keys: list[str], aggs: dict[str, str], cols=None):
+    """A keyed decomposable aggregate: :func:`combine_by_key`, then one
+    ``groupby(keys)`` that merges the block partials with the same op
+    (SUDAF's merge) → keys, then ``aggs`` in order.  ``{}`` is
+    ``SELECT DISTINCT keys``.  Ray's ``Sum``/``Min``/``Max`` skip a NaN
+    partial as if it were null, so where a value can be NaN, ``cols``
+    decides what it adds (the result would depend on the blocks)."""
+    from ray.data.aggregate import Count, Max, Min, Sum
+
+    merge = {"sum": Sum, "min": Min, "max": Max}
+    grouped = combine_by_key(ds, keys, aggs, cols).groupby(list(keys))
+    if not aggs:
+        return grouped.aggregate(Count(alias_name="_fold_n")) \
+            .drop_columns(["_fold_n"])
+    return grouped.aggregate(*[merge[op](c, alias_name=c)
+                               for c, op in aggs.items()])

@@ -137,7 +137,12 @@ def test_tfidf_scores(ray_session):
     assert out["score"].tolist() == [
         2 * idf_d, idf_f, 0.0, 2 * idf_d + 2 * idf_f]
     # a term absent from the corpus contributes nothing (df=0)
+    # a term listed twice counts once (its df is not counted twice)
+    again = (tfidf_scores(docs, ["data", "fast", "absent", "data"])
+             .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert again["score"].tolist() == out["score"].tolist()
     # "" is refused (no token is empty); a ValueError, unlike an assert,
     # survives python -O
     with pytest.raises(ValueError, match="reserved"):
         tfidf_scores(docs, ["data", ""])
+

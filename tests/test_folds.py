@@ -1,7 +1,8 @@
-"""Every keyless partial aggregate runs on ``state.resources.fold_blocks``:
-each gives the same result on a materialized Dataset and on its lazy
-twin, and keeps its result on the edge inputs — no rows at all, only
-empty blocks, and a schema-less empty block next to typed ones."""
+"""Every keyless partial aggregate runs on ``state.resources.fold_blocks``
+and every keyed one on ``state.resources.fold_by_key``: each gives the
+same result on a materialized Dataset and on its lazy twin, and keeps
+its result on the edge inputs — no rows at all, only empty blocks, and
+a schema-less empty block next to typed ones."""
 
 import math
 
@@ -100,7 +101,8 @@ _NO_ROWS = {
                                         "n": pa.array([], pa.int64())}),
     "approx_quantiles": lambda: [math.nan] * 3,
     "approx_distinct": lambda: np.float64(0.0),
-    "heavy_hitters": lambda: pa.table({"k": pa.array([]), "n": pa.array([], pa.int64()),
+    "heavy_hitters": lambda: pa.table({"k": pa.array([], pa.string()),
+                                       "n": pa.array([], pa.int64()),
                                        "err": pa.array([], pa.int64())}),
     "lf_moments": lambda: {"n": 0, "fire": np.zeros(0), "agree": np.zeros((0, 0)),
                            "cofire": np.zeros((0, 0))},
@@ -113,7 +115,7 @@ _NO_ROWS = {
     "collect_eval_ngrams": lambda: [],
     "eval_ngram_hashes": lambda: np.zeros(0, np.uint64),
     "build_eval_bloom": _empty_bloom_bits,
-    "bottom_k_sample": lambda: pa.table({}),
+    "bottom_k_sample": lambda: _table(40).slice(0, 0),
     "build_feature_vocab": lambda: {},
     "kmeans_fit_full": lambda: (_INIT, {"iterations": 1, "max_shift_per_iter": [0.0],
                                         "cluster_sizes": [0, 0],
@@ -150,3 +152,62 @@ def test_fold_is_the_same_on_lazy_and_edge_inputs(ray_session, name):
     no_rows = _canon(_NO_ROWS[name]())
     assert _canon(_run(name, rd.from_arrow(t.slice(0, 0)))) == no_rows
     assert _canon(_run(name, rd.from_arrow([t.slice(0, 0)] * 3))) == no_rows
+
+
+# --- keyed folds: every ported combiner runs on ``resources.fold_by_key`` ---
+
+def _keyed_table(n: int) -> pa.Table:
+    nan = float("nan")
+    vals = [1.0, 2.0, nan, None, -0.0, 0.0, 2.0]
+    rng = np.random.default_rng(5)
+    return pa.table({
+        "id": pa.array(np.arange(n), pa.int64()),
+        "k": pa.array([f"k{i % 3}" for i in range(n)]),
+        "v": pa.array([vals[(i * 5) % 7] for i in range(n)], pa.float64()),
+        "x": pa.array(rng.normal(size=n)),
+        "y": pa.array(rng.normal(size=n)),
+        "url": pa.array([f"https://WWW.S{i % 3}.com/p/{i % 5}#f" for i in range(n)]),
+        "entity_key": pa.array([f"e{i % 6}" for i in range(n)]),
+        "qid": pa.array([["", "Q1", "Q2"][i % 3] for i in range(n)]),
+    })
+
+
+def _run_keyed(name, ds):
+    """``name``'s rows on ``ds``, in a canonical order."""
+    from snorkel_ray.stages import canonicalize, reshape, urls
+
+    calls = {
+        "grouped_rank": lambda: reshape.grouped_rank(ds, "k", "v", out="r", dense_out="d"),
+        "grouped_quantiles": lambda: reshape.grouped_quantiles(ds, "k", "v", [0.25, 0.5]),
+        "grouped_mode": lambda: reshape.grouped_mode(ds, "k", "v", count_out="n"),
+        "grouped_corr": lambda: reshape.grouped_corr(ds, "k", "x", "y"),
+        "grouped_count_distinct": lambda: reshape.grouped_count_distinct(ds, "k", "v"),
+        "domain_stats": lambda: urls.domain_stats(ds),
+        "canonical_entity_map": lambda: canonicalize.canonical_entity_map(ds),
+    }
+    return sorted((_canon(r) for r in calls[name]().take_all()), key=repr)
+
+
+@pytest.mark.parametrize("name", ["grouped_rank", "grouped_quantiles", "grouped_mode",
+                                  "grouped_corr", "grouped_count_distinct", "domain_stats",
+                                  "canonical_entity_map"])
+def test_keyed_fold_is_the_same_on_lazy_and_edge_inputs(ray_session, name):
+    """The keyed twin of the test above: NaN, NULL and signed zeros in
+    ``v``, two blocks.  With no rows every function returns no rows,
+    except ``canonical_entity_map``, which raises ``KeyError`` (it did
+    so before its combiner moved to ``fold_by_key``, too)."""
+    import ray.data as rd
+
+    t = _keyed_table(42)
+    halves = [t.slice(0, 21), t.slice(21)]
+    ds = rd.from_arrow(halves).materialize()
+    want = _run_keyed(name, ds)
+    assert want
+    assert _run_keyed(name, _lazy(ds)) == want
+    assert _run_keyed(name, rd.from_arrow([halves[0], pa.table({}), halves[1]])) == want
+    for empty in (rd.from_arrow(t.slice(0, 0)), rd.from_arrow([t.slice(0, 0)] * 3)):
+        if name == "canonical_entity_map":
+            with pytest.raises(KeyError):
+                _run_keyed(name, empty)
+        else:
+            assert _run_keyed(name, empty) == []

@@ -76,6 +76,16 @@ def test_grouped_corr_matches_pandas():
         {"k": ["a", "a"], "x": [1.0, 1.0], "y": [1.0, 2.0]}))
     z = grouped_corr(tiny, "k", "x", "y").to_pandas()
     assert pd.isna(z["corr"]).all()
+    # a NULL key is a group of its own, and an int key stays int (SQL)
+    import duckdb
+
+    t = pa.table({"k": pa.array([None if i % 5 == 0 else i % 3 for i in range(40)],
+                                pa.int64()), "x": x[:40], "y": y[:40]})
+    got = grouped_corr(_ray.data.from_arrow([t.slice(0, 20), t.slice(20)]),
+                       "k", "x", "y").take_all()
+    want = duckdb.sql("SELECT k, corr(x, y) FROM t GROUP BY k").fetchall()
+    assert sorted(((r["k"], round(r["corr"], 12)) for r in got), key=repr) == \
+        sorted(((k, round(c, 12)) for k, c in want), key=repr)
 
 
 def test_grouped_string_agg_ordered():
@@ -200,6 +210,38 @@ def test_grouped_rank_descending():
     ref = df.groupby("k")["v"].rank(method="min",
                                     ascending=False).astype("int64")
     assert out.r.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_grouped_rank_nan_null_and_ties_match_duckdb(descending):
+    """SQL order: NaN above every number, NULL last in both directions,
+    ``-0.0`` tied with ``0.0`` — over several blocks, so a key's NaN and
+    NULL rows reach the fine table from different blocks."""
+    import duckdb
+
+    from snorkel_ray.stages.reshape import grouped_rank
+
+    nan = float("nan")
+    # the smallest case: NaN ranks 3 and NULL 4 ascending
+    t = pa.table({"k": [1, 1, 1, 1], "v": pa.array([nan, None, 2.0, 1.0])})
+    got = grouped_rank(ray.data.from_arrow(t), "k", "v",
+                       descending=descending).to_pandas()
+    assert got["rank"].tolist() == ([1, 4, 2, 3] if descending else [3, 4, 2, 1])
+
+    vals = [nan, None, 2.0, 1.0, -0.0, 0.0, 2.0, nan, None, 1.0, 5.0]
+    rows = [(i % 3 if i % 7 else None, vals[i % len(vals)]) for i in range(60)]
+    t = pa.table({"id": pa.array(range(len(rows)), pa.int64()),
+                  "k": pa.array([r[0] for r in rows], pa.int64()),
+                  "v": pa.array([r[1] for r in rows], pa.float64())})
+    ds = ray.data.from_arrow([t.slice(i, 8) for i in range(0, len(rows), 8)])
+    got = (grouped_rank(ds, "k", "v", out="r", dense_out="dr", percent_out="pr",
+                        cume_out="cd", descending=descending)
+           .to_pandas().sort_values("id"))
+    order = "DESC" if descending else "ASC"
+    w = f"OVER (PARTITION BY k ORDER BY v {order})"
+    want = duckdb.sql(f"SELECT id, rank() {w}, dense_rank() {w}, percent_rank() {w}, "
+                      f"cume_dist() {w} FROM t ORDER BY id").fetchall()
+    assert list(zip(got.id, got.r, got.dr, got.pr, got.cd)) == want
 
 
 def test_grouped_rank_timestamp_value():

@@ -1,7 +1,8 @@
 """``state.resources.stateful_map``: the one task/pool fork of every
 broadcast-state stage, and the structure rule that keeps it the only
-one; likewise ``block_tasks``, the one walk of a Dataset's blocks, and
-``fold_blocks``, the one driver merge of per-block partials."""
+one; likewise ``block_tasks``, the one walk of a Dataset's blocks,
+``fold_blocks``, the one driver merge of per-block partials, and
+``fold_by_key``, the one per-block combiner of a keyed aggregate."""
 
 import ast
 import os
@@ -129,6 +130,99 @@ def test_fold_blocks_merges_every_non_empty_block_in_order(ray_session):
     # a lazy chain's blocks arrive in the order its executor emits them
     assert sorted(firsts[1]) == firsts[0]
     assert fold_blocks(rd.from_arrow(block(0, 0)), len, max, -1) == -1
+
+
+_COMBINER_CALLS = {"groupby", "group_by", "drop_duplicates"}
+
+# the nested groupby/dedup routines that feed a ``map_groups`` or a
+# driver-side sort, not a keyed partial aggregate
+_MAP_GROUPS_SIDE = {
+    "sampling.proportional_sample/_partial", "windows._context_plan/_level2",
+    "windows.session_windows/_runs", "dedup.simhash_near_dup_pairs/_pairs",
+    "corpus_stats.remove_frequent_lines/_regroup", "skew.grouped_topk/_partial",
+}
+
+
+def _nested_combiners(src: str, module: str) -> set[str]:
+    """``module.outer/inner`` for every function nested in a top-level
+    ``def`` (a ``def`` or a ``lambda``, at any depth; named by its
+    outermost nested function) that calls ``.groupby(``,
+    ``.group_by(`` or ``.drop_duplicates(``."""
+    found = set()
+
+    def visit(node, outer, inner):
+        for ch in ast.iter_child_nodes(node):
+            if isinstance(ch, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(ch, "name", "<lambda>")
+                visit(ch, *((name, None) if outer is None else (outer, inner or name)))
+                continue
+            if inner and isinstance(ch, ast.Call) and isinstance(ch.func, ast.Attribute) \
+                    and ch.func.attr in _COMBINER_CALLS:
+                found.add(f"{module}.{outer}/{inner}")
+            visit(ch, outer, inner)
+
+    visit(ast.parse(src), None, None)
+    return found
+
+
+def test_only_fold_by_key_combines_by_key():
+    """A keyed partial aggregate calls ``combine_by_key`` or
+    ``fold_by_key``; no nested function in ``snorkel_ray/`` or
+    ``__ray_entry__.py`` hand-writes its per-block combiner with a
+    pandas ``groupby``/``drop_duplicates`` or an Arrow ``group_by``.
+    The only exemptions are the routines that feed ``map_groups``."""
+    probe = ("def f(ds):\n"
+             "    def g(b):\n"
+             "        return b.to_pandas().groupby('k').sum()\n"
+             "    h = lambda b: b.group_by(['k'])\n"
+             "    return ds.groupby('k').count()\n"
+             "def e(b):\n"
+             "    return b.drop_duplicates()\n")
+    assert _nested_combiners(probe, "m") == {"m.f/g", "m.f/<lambda>"}
+    pkg = os.path.dirname(snorkel_ray.__file__)
+    repo = os.path.dirname(pkg)
+    sources = [os.path.join(dirpath, f) for dirpath, _, files in os.walk(pkg)
+               for f in files if f.endswith(".py") and f != "resources.py"]
+    sources.append(os.path.join(repo, "__ray_entry__.py"))
+    found = set()
+    for path in sources:
+        found |= _nested_combiners(open(path).read(),
+                                   os.path.basename(path)[:-len(".py")])
+    assert found - _MAP_GROUPS_SIDE == set()
+    assert found == _MAP_GROUPS_SIDE  # every exemption is still in use
+
+
+def test_fold_by_key_sums_mins_maxes_and_distincts_with_a_null_key(ray_session):
+    """``fold_by_key`` merges the block partials with the op it used in
+    the block; a null key is a group of its own, in the block and across
+    blocks; ``{}`` keeps the distinct keys; ``cols`` builds the key and
+    value columns."""
+    import ray.data as rd
+
+    from snorkel_ray.state.resources import fold_by_key
+
+    def block(keys, vals):
+        return pa.table({"k": pa.array(keys, pa.int64()), "v": pa.array(vals, pa.int64())})
+
+    ds = rd.from_arrow([block([1, None, 1], [1, 2, 3]), pa.table({}),
+                        block([None, 2, 1], [4, 5, -6]), block([], []),
+                        block([3, None], [7, 8])])
+
+    def rows(out):
+        return sorted((tuple(r.values()) for r in out.take_all()), key=repr)
+
+    assert rows(fold_by_key(ds, ["k"], {"v": "sum"})) == \
+        [(1, -2), (2, 5), (3, 7), (None, 14)]
+    assert rows(fold_by_key(ds, ["k"], {"v": "min"})) == \
+        [(1, -6), (2, 5), (3, 7), (None, 2)]
+    assert rows(fold_by_key(ds, ["k"], {"v": "max"})) == \
+        [(1, 3), (2, 5), (3, 7), (None, 8)]
+    assert rows(fold_by_key(ds, ["k"], {})) == [(1,), (2,), (3,), (None,)]
+    n = fold_by_key(ds, ["k"], {"n": "sum", "top": "max"},
+                    lambda b: pa.table({"k": b.column("k"), "n": [1] * b.num_rows,
+                                        "top": b.column("v")}))
+    assert rows(n) == [(1, 3, 3), (2, 1, 5), (3, 1, 7), (None, 3, 8)]
+    assert list(n.schema().names) == ["k", "n", "top"]
 
 
 def _builds(log_dir):
