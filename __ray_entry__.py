@@ -1277,26 +1277,23 @@ def q_event_value_range_sum(sf_dir: str):
 
 
 def q_order_price_quantiles(sf_dir: str):
-    """Exact median order price by priority: groupby + per-group numpy
-    median (interpolates the two middle values on even counts, matching
-    DuckDB ``median``; Ray's ``Quantile`` aggregate uses a different
-    interpolation — round-1 verdict).  Per-group values must fit one
-    reducer — fine for a low-cardinality key; use the approximate
-    ``Quantile`` aggregate when groups are huge."""
-    import pandas as pd
+    """Exact median order price by priority: the 0.5 quantile of the
+    fine-table plan (``reshape.grouped_quantiles``; interpolates the
+    two middle values on even counts, matching DuckDB ``median``; Ray's
+    ``Quantile`` aggregate uses a different interpolation — round-1
+    verdict).  A hot key costs its distinct values, not its rows."""
+    from snorkel_ray.functions.exprs import duck_round
+    from snorkel_ray.stages.reshape import grouped_quantiles
 
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
 
-    def _median(g: pd.DataFrame) -> pd.DataFrame:
-        from snorkel_ray.functions.exprs import duck_round
+    def _round(b: pa.Table) -> pa.Table:
+        return b.set_column(1, "median_price", pa.array(
+            [duck_round(v, 2) for v in b.column("median_price").to_pylist()], pa.float64()))
 
-        return pd.DataFrame({
-            "o_orderpriority": [g["o_orderpriority"].iloc[0]],
-            "median_price": [duck_round(float(np.median(g["o_totalprice"])), 2)],
-        })
-
-    return (ds.groupby("o_orderpriority")
-            .map_groups(_median, batch_format="pandas")
+    return (grouped_quantiles(ds, "o_orderpriority", "o_totalprice", [0.5],
+                              out_names=["median_price"])
+            .map_batches(_round, batch_format="pyarrow")
             .sort("o_orderpriority"))
 
 

@@ -82,28 +82,14 @@ def _dedup_keys(t: pa.Table, subj: str = "subj", obj: str = "obj") -> pa.Table:
                      "_dk_obj": side("obj_qid", obj)})
 
 
-def _first_per_group(keys: pa.Table, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per distinct row of ``keys``: the row that comes first in
-    ``order`` (a stable sort's indices) and the group's size, in
-    ``order``'s order of those rows.  Arrow groups and sorts strings
-    by their bytes; pandas does not (it factorizes an object string
-    with an embedded NUL as if cut there, so "b\\x00x" and "b" would
-    fall into one group)."""
-    rank = np.empty(len(order), np.int64)
-    rank[order] = np.arange(len(order))
-    g = keys.append_column("_rank", pa.array(rank)).group_by(
-        keys.column_names, use_threads=False).aggregate([("_rank", "min"), ("_rank", "count")])
-    first = g.column("_rank_min").to_numpy()
-    by_rank = np.argsort(first)
-    return order[first[by_rank]], g.column("_rank_count").to_numpy()[by_rank]
-
-
 def _best_witness(t: pa.Table) -> pa.Table:
     """One row per dedup key: max p, ties broken by (url,
     sent_stable_id) — DETERMINISTIC regardless of block arrival order
     (a bare idxmax picks whichever tied witness arrived first and makes
     reruns differ in the witness columns).  Also the per-batch
     combiner of ``materialize_triples``."""
+    from ..state.resources import first_rows
+
     if not t.num_rows:
         return t
     keys = _dedup_keys(t)
@@ -111,7 +97,7 @@ def _best_witness(t: pa.Table) -> pa.Table:
         pa.Table.from_arrays(keys.columns + [t.column(c) for c in _WITNESS_ORDER[3:]],
                              names=_WITNESS_ORDER),
         sort_keys=list(zip(_WITNESS_ORDER, _WITNESS_DIR))).to_numpy()
-    return t.take(_first_per_group(keys, order)[0])
+    return t.take(first_rows(keys, order)[0])
 
 
 # a triple partial keeps the triple, its witness and its votes; ``n``
@@ -126,6 +112,7 @@ def _partials_batch(batch: pa.Table) -> pa.Table:
     ``n``; ``pred == ""`` rows group by pattern alone.  Kept rows stay
     in arrival order, so a (p, url, sent) tie later still goes to the
     row that arrived first."""
+    from ..state.resources import first_rows
     from .label_model import vote_matrix
 
     batch = batch.select(_PART_COLS)
@@ -133,7 +120,7 @@ def _partials_batch(batch: pa.Table) -> pa.Table:
         "_pat", pa.array([v.tobytes() for v in vote_matrix(batch)], pa.binary()))
     order = pc.sort_indices(batch, sort_keys=[("url", "ascending"),
                                               ("sent_stable_id", "ascending")]).to_numpy()
-    rows, n = _first_per_group(keys, order)
+    rows, n = first_rows(keys, order)
     by_row = np.argsort(rows)
     return batch.take(rows[by_row]).append_column("n", pa.array(n[by_row], pa.int64()))
 
@@ -148,75 +135,23 @@ def triple_partials(linked):
     return linked.map_batches(_partials_batch, batch_format="pyarrow")
 
 
-_FIELD_END = "\x00\x01"
+def _dedup_distributed(combined):
+    """The distributed final dedup: one best witness per dedup key by
+    ``_best_witness``'s rule — max p, then url, then sent_stable_id,
+    then first arrival — through ``resources.top_by_key``, whose
+    merge shuffles only the combined partials (CLAUDE.md perf rule 5:
+    no per-group ``map_groups``).  The ``DEDUP_KEY`` columns are
+    appended for the shuffle and dropped after it."""
+    from ..state.resources import top_by_key
 
+    def _keyed(b: pa.Table) -> pa.Table:
+        k = _dedup_keys(b)
+        return b.append_column("_dk_subj", k.column("_dk_subj")) \
+            .append_column("_dk_obj", k.column("_dk_obj"))
 
-def _order_field(v: str) -> str:
-    """One field of a composite ``Min`` key: ``\\x00`` escaped as
-    ``\\x00\\x02``, then ended by ``\\x00\\x01``.  The terminator
-    sorts below every character a field can continue with, so the
-    concatenation orders exactly like the tuple of fields (a bare
-    separator does not: with ``\\x1f``, url "a\\x05" would sort before
-    "a").  Base64 has no ``\\x00``, so the last ``_FIELD_END`` ends
-    the last field."""
-    return v.replace("\x00", "\x00\x02") + _FIELD_END
-
-
-def _dedup_distributed(combined, schema: pa.Schema):
-    """Vectorized distributed max-p dedup — the same Min-aggregate
-    winner plan as ``dedup.exact_dedup`` (this path activates exactly
-    when distinct triples number in the millions, i.e. near-singleton
-    groups, where a per-group ``map_groups`` pays ~0.1 ms of pandas
-    tax EACH — CLAUDE.md perf rule 5; round-4 review):
-
-    1. per row: composite dedup key ``_dk`` (the ``DEDUP_KEY`` fields,
-       each ``\\x00``-escaped as in ``_order_field`` and joined by
-       ``_FIELD_END``, so distinct keys stay distinct whatever the
-       surface text holds) + winner string ``_rk`` =
-       sortkey(−p) · url · sent · base64(pickle(row)), each of the
-       first three fields ``_order_field``-encoded so the string
-       orders exactly like the (−p, url, sent) tuple ``_best_witness``
-       sorts by — whatever characters a url or sentence id holds; the
-       payload suffix only decides exact (p, url, sent) ties,
-       deterministically;
-    2. ``groupby(_dk).aggregate(Min(_rk))`` — ONE shuffle of the
-       combined partials, one surviving value per distinct triple;
-    3. winners DECODE their payload back into the output columns.
-
-    The winning row is decoded from the single Min value per key, so
-    the plan is deterministic under lineage reconstruction and needs
-    no ``materialize()`` and no winners map-back (a per-batch ``uuid4``
-    tag consumed twice silently dropped rows of reconstructed blocks)."""
-    import base64
-    import pickle
-
-    from ray.data.aggregate import Min
-
-    from .dedup import _sort_key_strings
-
-    def _keys(b: pa.Table) -> pa.Table:
-        dk = pc.binary_join_element_wise(
-            *(pc.replace_substring(c, "\x00", "\x00\x02") for c in _dedup_keys(b).columns),
-            _FIELD_END)
-        df = b.to_pandas()
-        neg_p = pa.array(-df["p"].to_numpy(dtype=np.float64))
-        recs = df.to_dict("records")
-        rk = [_order_field(pk) + _order_field(u) + _order_field(s)
-              + base64.b64encode(pickle.dumps(rec)).decode()
-              for pk, u, s, rec in
-              zip(_sort_key_strings(neg_p), df["url"],
-                  df["sent_stable_id"], recs)]
-        return pa.table({"_dk": dk, "_rk": pa.array(rk, pa.string())})
-
-    keyed = combined.map_batches(_keys, batch_format="pyarrow")
-    winners = keyed.groupby("_dk").aggregate(Min("_rk", alias_name="_win"))
-
-    def _decode(b: pa.Table) -> pa.Table:
-        rows = [pickle.loads(base64.b64decode(s.rsplit(_FIELD_END, 1)[1]))
-                for s in b.column("_win").to_pylist()]
-        return pa.Table.from_pylist(rows, schema=schema)
-
-    return winners.map_batches(_decode, batch_format="pyarrow")
+    order = list(zip(_WITNESS_ORDER, _WITNESS_DIR))[3:]
+    return top_by_key(combined.map_batches(_keyed, batch_format="pyarrow"), DEDUP_KEY, order) \
+        .drop_columns(["_dk_subj", "_dk_obj"])
 
 
 # the final dedup of the combined partials runs on the driver up to
@@ -245,7 +180,7 @@ def _final_dedup(refs: list, rows: int, out_dir: str | None):
     on this Ray version, even a ``repartition(1)`` appended to a live
     map chain forces bulk materialization of the whole upstream
     through the object store (58s plan → 209s at 4 CPUs).  Beyond it:
-    the distributed path — a Min-aggregate winner per triple key
+    the distributed path — the best witness per triple key
     (``_dedup_distributed``) and a range sort."""
     import ray
     import ray.data as rd
@@ -257,11 +192,7 @@ def _final_dedup(refs: list, rows: int, out_dir: str | None):
         out = rd.from_arrow(best.take(pc.sort_indices(
             best, sort_keys=[(c, "ascending") for c in _OUT_ORDER])))
     else:
-        # decode needs exact output types (from_pylist inference is
-        # unsafe — CLAUDE.md uint64 pitfall)
-        combined = rd.from_arrow_refs(refs)
-        out = _dedup_distributed(combined, combined.schema(fetch_if_missing=True).base_schema
-                                 ).sort(_OUT_ORDER)
+        out = _dedup_distributed(rd.from_arrow_refs(refs)).sort(_OUT_ORDER)
     if out_dir is not None:
         from ..state.checkpoint import atomic_write_parquet
 

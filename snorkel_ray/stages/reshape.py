@@ -123,8 +123,8 @@ def grouped_corr(ds, key: str, x: str, y: str, *, out: str = "corr"):
         ya = np.asarray(b.column(y), dtype=np.float64)
         mx = np.asarray(b.column("_mx"), dtype=np.float64)
         my = np.asarray(b.column("_my"), dtype=np.float64)
-        # a null x or y adds nothing to the sums it is in (Ray's merge
-        # would drop a whole block's NaN partial)
+        # a null x or y adds nothing to the sums it is in (as NaN it
+        # would make its key's merged sum NaN)
         dx, dy = (np.where(np.isnan(d), 0.0, d) for d in (xa - mx, ya - my))
         return pa.table({key: b.column(key), "_cxy": dx * dy,
                          "_cxx": dx * dx, "_cyy": dy * dy})
@@ -284,11 +284,9 @@ def _fine_counts(ds, key: str, value: str, *, keep_nulls: bool):
     DISTINCT (key, value) pair with its row count ``_n``
     (``fold_by_key``).  A NaN value is a value of its own, apart from
     null.  ``keep_nulls`` keeps a null value as its own pair and flags
-    it in a ``_null`` key column between key and value (rank): Ray
-    Data's merge sorts NaN and null as equals but groups neither with
-    the other, so unflagged, a key's NaN and null partials interleave
-    and each comes out more than once.  The others drop nulls (SQL
-    ignores them)."""
+    it in a ``_null`` key column between key and value (rank): the
+    rank step reads the fine table in pandas, where NaN and null look
+    alike.  The others drop nulls (SQL ignores them)."""
     import pyarrow.compute as pc
 
     from ..state.resources import fold_by_key
@@ -339,10 +337,10 @@ def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
     from snorkel_ray.stages.joins import apply_mapping
 
     def _part(col) -> pa.Array:
-        # Ray's groupby merge rebuilds the fine table from Python values
-        # (a timestamp[us] can come back as [s], a float32 as double),
-        # so both sides cast to one type first: temporal → int64 µs,
-        # float → double, with -0.0 as 0.0 (SQL ties them)
+        # the fine table and the rows must spell a value alike, whatever
+        # unit or width each arrived in, so both sides cast to one type
+        # first: temporal → int64 µs, float → double, with -0.0 as 0.0
+        # (SQL ties them; the fold keys -0.0 as 0.0)
         t = col.type
         if pa.types.is_timestamp(t):
             col = pc.cast(pc.cast(col, pa.timestamp("us", tz=t.tz)), pa.int64())

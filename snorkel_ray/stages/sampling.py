@@ -35,7 +35,6 @@ training-data-pipeline family.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 __all__ = [
@@ -233,32 +232,27 @@ def proportional_sample(ds, key: str, id_col: str,
     hash, id) <= k``).  Keys absent from ``targets`` are dropped; a
     target larger than the key's population keeps every row.
 
-    Plan (skew-safe): per-batch, per-key partial bottom-k (a hot key
-    ships ≤ k rows per block, never its population) → one bounded
-    per-key head over the partial table.  Compose with a counts
-    groupby upstream to derive ``targets`` from fractions.
+    Plan (skew-safe): ``resources.top_by_key`` with each key's target
+    as its k — every block keeps its per-key bottom-k (a hot key ships
+    ≤ k rows per block, never its population), one sort merges them.
+    Compose with a counts groupby upstream to derive ``targets`` from
+    fractions.
     """
-    import ray
+    import pyarrow.compute as pc
 
-    t_ref = ray.put({k: int(v) for k, v in targets.items()})
+    from ..state.resources import top_by_key
 
-    def _partial(b: pa.Table) -> pa.Table:
-        tmap = ray.get(t_ref)
-        df = b.to_pandas()
-        df = df[df[key].isin(tmap)]
-        if not len(df):
-            return pa.Table.from_pandas(df.assign(_h=np.array([], np.uint64)),
-                                        preserve_index=False)
-        df["_h"] = knuth_hash(df[id_col].to_numpy(), seed)
-        df = df.sort_values(["_h", id_col], kind="mergesort")
-        df = df.groupby(key, sort=False, group_keys=False).apply(
-            lambda g: g.head(tmap[g.name]))
-        return pa.Table.from_pandas(df, preserve_index=False)
+    names = pa.array(list(targets))
+    ks = pa.array([int(v) for v in targets.values()], pa.int64())
 
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        tmap = ray.get(t_ref)
-        g = g.sort_values(["_h", id_col], kind="mergesort")
-        return g.head(tmap[g[key].iloc[0]]).drop(columns=["_h"])
+    def _ranked(b: pa.Table) -> pa.Table:
+        idx = pc.index_in(b.column(key), value_set=names.cast(b.schema.field(key).type))
+        keep = pc.is_valid(idx)
+        b = b.filter(keep)
+        return (b.append_column("_h", pa.array(knuth_hash(np.asarray(b.column(id_col)), seed),
+                                               pa.uint64()))
+                .append_column("_k", ks.take(idx.filter(keep))))
 
-    partial = ds.map_batches(_partial, batch_format="pyarrow")
-    return partial.groupby(key).map_groups(_final, batch_format="pandas")
+    return top_by_key(ds.map_batches(_ranked, batch_format="pyarrow"), [key],
+                      [("_h", "ascending"), (id_col, "ascending")], "_k") \
+        .drop_columns(["_h", "_k"])

@@ -161,33 +161,17 @@ def split_by_row_size(ds, column: str, max_bytes: int = 1 << 20):
 def grouped_topk(ds, group_col: str | list[str], order_cols: list[str],
                  *, descending: list[bool] | None = None, k: int = 2):
     """Per-group top-k rows (single or composite group key), skew-safe:
-    a per-BATCH partial top-k per group first (vectorized pandas sort +
-    head inside ``map_batches``), so the shuffle moves at most
-    k × groups × blocks rows, then a final per-group head over the tiny
-    partial table.  A hot group's full row set never lands in one
-    reducer — only its k-row partials do.
+    ``resources.top_by_key`` keeps each block's top k per group before
+    its one sort, so the shuffle moves at most k × groups × blocks rows
+    and a hot group's full row set never lands in one reducer.  Nulls
+    sort last in either direction.
 
     ``order_cols`` must totally order rows within a group (append a
-    unique id to break ties) or the result is nondeterministic."""
-    import pandas as pd
+    unique id to break ties) or the first row to arrive wins a tie."""
+    from ..state.resources import top_by_key
 
     if descending is None:
         descending = [True] * len(order_cols)
-    asc = [not d for d in descending]
-
-    def _partial(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        if not len(df):
-            return b
-        out = (df.sort_values(order_cols, ascending=asc, kind="mergesort")
-               .groupby(group_col, sort=False).head(k))
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(order_cols, ascending=asc,
-                             kind="mergesort").head(k)
-
-    partial = ds.map_batches(_partial, batch_format="pyarrow")
-    return partial.groupby(group_col).map_groups(_final,
-                                                 batch_format="pandas")
-
+    keys = [group_col] if isinstance(group_col, str) else list(group_col)
+    return top_by_key(ds, keys, [(c, "descending" if d else "ascending")
+                                 for c, d in zip(order_cols, descending)], k)

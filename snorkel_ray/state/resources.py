@@ -13,7 +13,9 @@ Ray Data job (CLAUDE.md perf rule 7).
 ``fold_blocks`` runs every keyless partial aggregate on that walk: a
 partial per block, merged on the driver in block order.
 ``combine_by_key`` / ``fold_by_key`` are the keyed half: one Arrow
-``group_by`` per block, merged by one Ray Data ``groupby``.
+``group_by`` per block, merged by ``_merge_by_key`` (one ``sort`` on
+the keys, then the same kernel per block), which ``top_by_key`` shares
+with an Arrow first-k-per-group kernel (``first_rows``).
 
 A pooled stage that reserves every CPU starves the task-based stages
 (reads, stateless maps) — on a 4-CPU test session two pools at min=2
@@ -211,6 +213,47 @@ def fold_blocks(ds, partial, merge, acc):
     return acc
 
 
+def _sql_keys(t, keys: list[str]):
+    """``t`` with ``-0.0`` read as ``0.0`` in every float key column:
+    SQL groups the two as one key, Arrow's ``group_by`` does not."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    for k in keys:
+        if pa.types.is_floating(t.schema.field(k).type):
+            col = t.column(k)
+            t = t.set_column(t.schema.get_field_index(k), k,
+                             pc.add(col, pa.scalar(0.0, col.type)))
+    return t
+
+
+def _group(t, keys: list[str], aggs: dict[str, str]):
+    """One Arrow ``group_by(keys)`` of ``t`` with ``aggs`` → keys, then
+    ``aggs`` in order; a float key's ``-0.0`` is ``0.0`` (``_sql_keys``).
+    NaN follows SQL (DuckDB), where it sorts above every number: a sum
+    or max is NaN once any value is, a min only when every value is
+    (Arrow's min and max skip NaN, and give ±inf for an all-NaN
+    group)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    specs, nan_flag = list(aggs.items()), {}
+    for c, op in aggs.items():
+        if op != "sum" and pa.types.is_floating(t.schema.field(c).type):
+            flag_op = "any" if op == "max" else "all"
+            t = t.append_column(f"_nan_{c}", pc.is_nan(t.column(c)))
+            specs.append((f"_nan_{c}", flag_op))
+            nan_flag[c] = f"_nan_{c}_{flag_op}"
+    g = _sql_keys(t, keys).group_by(keys, use_threads=False).aggregate(specs)
+    cols = [g.column(k) for k in keys]
+    for c, op in aggs.items():
+        v = g.column(f"{c}_{op}")
+        if c in nan_flag:
+            v = pc.if_else(g.column(nan_flag[c]), pa.scalar(float("nan"), v.type), v)
+        cols.append(v)
+    return pa.Table.from_arrays(cols, names=[*keys, *aggs])
+
+
 def combine_by_key(ds, keys: list[str], aggs: dict[str, str], cols=None):
     """The per-block step of a keyed decomposable aggregate (SUDAF's
     accumulate): every block becomes ``cols(block)`` (default: the
@@ -220,36 +263,133 @@ def combine_by_key(ds, keys: list[str], aggs: dict[str, str], cols=None):
     keys.  A count is the sum of a column of ones.  The columns come
     out keys first, then ``aggs`` in order, so each block ships one row
     per distinct key to whatever shuffle follows.  A null key is a
-    group of its own (SQL ``GROUP BY``; Ray 2.49's sort-based merge
-    raises on a null STRING key once it samples partition boundaries,
-    so filter those in ``cols`` where they can occur); a float NaN
-    stays NaN."""
+    group of its own (SQL ``GROUP BY``); NaN follows SQL (``_group``)."""
     if set(aggs.values()) - {"sum", "min", "max"}:
         raise ValueError(f"keyed ops are sum, min and max, got {aggs}")
     keys = list(keys)
-    names = [*keys, *(f"{c}_{op}" for c, op in aggs.items())]
 
     def _combine(b):
-        t = cols(b) if cols is not None else b.select([*keys, *aggs])
-        g = t.group_by(keys, use_threads=False).aggregate(list(aggs.items()))
-        return g.select(names).rename_columns([*keys, *aggs])
+        return _group(cols(b) if cols is not None else b.select([*keys, *aggs]), keys, aggs)
 
     return ds.map_batches(_combine, batch_format="pyarrow")
 
 
-def fold_by_key(ds, keys: list[str], aggs: dict[str, str], cols=None):
-    """A keyed decomposable aggregate: :func:`combine_by_key`, then one
-    ``groupby(keys)`` that merges the block partials with the same op
-    (SUDAF's merge) → keys, then ``aggs`` in order.  ``{}`` is
-    ``SELECT DISTINCT keys``.  Ray's ``Sum``/``Min``/``Max`` skip a NaN
-    partial as if it were null, so where a value can be NaN, ``cols``
-    decides what it adds (the result would depend on the blocks)."""
-    from ray.data.aggregate import Count, Max, Min, Sum
+@functools.cache
+def _any_value(t):
+    """A valid scalar of Arrow type ``t`` (a zero or an empty string)
+    to stand in for a null in a sort column."""
+    import pyarrow as pa
 
-    merge = {"sum": Sum, "min": Min, "max": Max}
-    grouped = combine_by_key(ds, keys, aggs, cols).groupby(list(keys))
-    if not aggs:
-        return grouped.aggregate(Count(alias_name="_fold_n")) \
-            .drop_columns(["_fold_n"])
-    return grouped.aggregate(*[merge[op](c, alias_name=c)
-                               for c, op in aggs.items()])
+    for v in (pa.scalar(0, pa.int8()), pa.scalar(0), pa.scalar(""), pa.scalar(b"")):
+        try:
+            return v.cast(t)
+        except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+            pass
+    raise TypeError(f"a key of type {t} cannot be sorted")
+
+
+def _sort_pair(col):
+    """A key column as the (flag, value) pair Ray's range partitioning
+    sorts on: the flag is 0 for a value, 1 for NaN, 2 for null, and the
+    value has NaN and null filled in.  Ray 2.49 compares a null string
+    with a string (``TypeError``) and reads a null float as NaN, so
+    sorting on the raw key can raise, or split a group of a later key
+    column across blocks."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    flag = pc.multiply(pc.cast(pc.is_null(col), pa.int8()), pa.scalar(2, pa.int8()))
+    val = col
+    if pa.types.is_floating(col.type):
+        nan = pc.fill_null(pc.is_nan(col), False)
+        flag = pc.add(flag, pc.cast(nan, pa.int8()))
+        val = pc.if_else(nan, _any_value(col.type), col)
+    return flag, pc.fill_null(val, _any_value(col.type))
+
+
+def _merge_by_key(partials, keys: list[str], kernel):
+    """The one keyed merge (SUDAF's merge): ``partials`` holds the
+    output of ``kernel`` on every block; ``sort(keys)`` puts every row
+    of a key into one block (Ray's own ``map_groups`` relies on it),
+    where ``kernel`` runs once more (``batch_size=None``: the whole
+    block).  The sort is on ``_sort_pair`` columns, appended for the
+    shuffle only; ``kernel`` groups on the keys themselves, so a null
+    key stays a group of its own.  Arrow's sorts are stable and Ray's
+    reduce step concatenates the map outputs in the order the sort
+    received its input blocks, so rows of one key reach the second
+    ``kernel`` in the order they arrived."""
+    names = [f"_sort{i}_{p}" for i in range(len(keys)) for p in ("flag", "val")]
+
+    def _with_sort(b):
+        for name, col in zip(names, (c for k in keys for c in _sort_pair(b.column(k)))):
+            b = b.append_column(name, col)
+        return b
+
+    def _merge(b):
+        return kernel(b.drop_columns(names)) if b.num_rows else b
+
+    return (partials.map_batches(_with_sort, batch_format="pyarrow").sort(names)
+            .map_batches(_merge, batch_format="pyarrow", batch_size=None))
+
+
+def fold_by_key(ds, keys: list[str], aggs: dict[str, str], cols=None):
+    """A keyed decomposable aggregate: :func:`combine_by_key`, then the
+    one keyed merge ``_merge_by_key`` with the same Arrow ``group_by``
+    (SUDAF's merge) → keys, then ``aggs`` in order.  ``{}`` is
+    ``SELECT DISTINCT keys``.  NULL and NaN follow SQL (DuckDB): a
+    null value adds nothing, a sum or max is NaN once any value is, a
+    min only when every value is; a null key is a group of its own."""
+    keys = list(keys)
+    return _merge_by_key(combine_by_key(ds, keys, aggs, cols), keys,
+                         lambda b: _group(b, keys, aggs))
+
+
+def first_rows(keys, order, k=1):
+    """The first ``k`` rows of every distinct row of ``keys`` (a
+    ``pyarrow.Table``) in ``order`` (a stable sort's indices), and per
+    row its group's size, both in ``order``'s order.  ``k`` is an int
+    or, per row of ``keys``, an array.  Arrow groups strings by their
+    bytes (pandas factorizes an object string with an embedded NUL as
+    if cut there), keeps a null key, and a NaN key, as a group of its
+    own, and reads ``-0.0`` as ``0.0`` (``_sql_keys``)."""
+    import numpy as np
+    import pyarrow as pa
+
+    ranks = _sql_keys(keys, keys.column_names).take(order) \
+        .append_column("_rank", pa.array(np.arange(len(order)))) \
+        .group_by(keys.column_names, use_threads=False).aggregate([("_rank", "list")]) \
+        .column("_rank_list").combine_chunks()
+    offsets = ranks.offsets.to_numpy()
+    sizes = np.diff(offsets)
+    rank = ranks.flatten().to_numpy()
+    # each group's ranks ascend, so a row's place in its list is its
+    # place in the group
+    place = np.arange(len(rank)) - np.repeat(offsets[:-1] - offsets[0], sizes)
+    keep = place < (k if np.isscalar(k) else np.asarray(k)[order[rank]])
+    first, n = rank[keep], np.repeat(sizes, sizes)[keep]
+    by_rank = np.argsort(first)
+    return order[first[by_rank]], n[by_rank]
+
+
+def top_by_key(ds, keys: list[str], order: list[tuple[str, str]], k: int | str = 1):
+    """The best ``k`` rows per distinct ``keys`` (SQL ``row_number()
+    OVER (PARTITION BY keys ORDER BY order) <= k``), every column kept:
+    ``order`` is a list of (column, ``"ascending"``/``"descending"``)
+    — Arrow's sort keys, nulls last.  ``k`` is an int, or the name of
+    a column that holds each key's own k.  A mergeable aggregate (SUDAF):
+    the best k of a union are the best k of each part's best k, so
+    every block keeps its best k per key (``first_rows``) and
+    ``_merge_by_key`` picks again among those.  Rows that tie on
+    ``order`` go to the one that arrived first."""
+    import pyarrow.compute as pc
+
+    keys = list(keys)
+
+    def _top(t):
+        if not t.num_rows:
+            return t
+        kk = k if isinstance(k, int) else t.column(k).to_numpy()
+        return t.take(first_rows(t.select(keys),
+                                 pc.sort_indices(t, sort_keys=order).to_numpy(), kk)[0])
+
+    return _merge_by_key(ds.map_batches(_top, batch_format="pyarrow"), keys, _top)

@@ -79,6 +79,31 @@ def test_minhash_dedup_clusters(dup_docs):
     assert m[3] == m[1]  # near-dup joins at threshold 0.5
 
 
+def test_verify_pairs_jaccard_large_plan_matches_small(dup_docs):
+    """The large plan (two hash-partitioned groupbys; forced with
+    ``broadcast_ids_limit=0``) keeps the same edges with the same
+    Jaccard as the default broadcast plan, duplicate pairs included."""
+    import itertools
+
+    import ray.data as rd
+
+    from snorkel_ray.stages.dedup import verify_pairs_jaccard
+
+    ids = [1, 2, 3, 4, 5]
+    pairs = rd.from_items([{"a": a, "b": b} for a, b in itertools.combinations(ids, 2)]
+                          + [{"a": 1, "b": 3}])
+
+    def edges(**limits):
+        out = verify_pairs_jaccard(dup_docs, pairs, "text", "doc_id",
+                                   threshold=0.5, **limits).to_pandas()
+        return sorted(zip(out["a"], out["b"], out["jaccard"]))
+
+    small = edges()
+    assert {(a, b) for a, b, _ in small} == {
+        ("1", "2"), ("1", "3"), ("1", "5"), ("2", "3"), ("2", "5"), ("3", "5")}
+    assert edges(broadcast_ids_limit=0) == small
+
+
 def test_simhash_near_dup_pairs(dup_docs):
     from snorkel_ray.stages.dedup import simhash_near_dup_pairs
 
@@ -160,8 +185,8 @@ def test_exact_dedup_survivor_independent_of_blocking(ray_session):
                           "text", keep_key="k").to_pandas()
         assert len(out) == 1
         kept[blocks] = int(out["id"].iloc[0])
-    # "a\x05\x1f…" < "a\x1f…": the Min's own order decides
-    assert kept == {1: 2, 3: 2}
+    # keep_key is compared as a string, no separator: "a" is the least
+    assert kept == {1: 1, 3: 1}
 
 
 def test_exact_dedup_int_keep_key_ordering(ray_session):

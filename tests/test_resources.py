@@ -1,8 +1,9 @@
 """``state.resources.stateful_map``: the one task/pool fork of every
 broadcast-state stage, and the structure rule that keeps it the only
 one; likewise ``block_tasks``, the one walk of a Dataset's blocks,
-``fold_blocks``, the one driver merge of per-block partials, and
-``fold_by_key``, the one per-block combiner of a keyed aggregate."""
+``fold_blocks``, the one driver merge of per-block partials,
+``fold_by_key``, the one per-block combiner of a keyed aggregate, and
+``top_by_key``, the one per-key best-row pick."""
 
 import ast
 import os
@@ -137,9 +138,8 @@ _COMBINER_CALLS = {"groupby", "group_by", "drop_duplicates"}
 # the nested groupby/dedup routines that feed a ``map_groups`` or a
 # driver-side sort, not a keyed partial aggregate
 _MAP_GROUPS_SIDE = {
-    "sampling.proportional_sample/_partial", "windows._context_plan/_level2",
-    "windows.session_windows/_runs", "dedup.simhash_near_dup_pairs/_pairs",
-    "corpus_stats.remove_frequent_lines/_regroup", "skew.grouped_topk/_partial",
+    "windows._context_plan/_level2", "windows.session_windows/_runs",
+    "dedup.simhash_near_dup_pairs/_pairs", "corpus_stats.remove_frequent_lines/_regroup",
 }
 
 
@@ -223,6 +223,151 @@ def test_fold_by_key_sums_mins_maxes_and_distincts_with_a_null_key(ray_session):
                                         "top": b.column("v")}))
     assert rows(n) == [(1, 3, 3), (2, 1, 5), (3, 1, 7), (None, 3, 8)]
     assert list(n.schema().names) == ["k", "n", "top"]
+
+
+def _null_string_key_blocks():
+    """Three blocks with a null STRING key in each: Ray 2.49's own
+    sort raises comparing it with a string."""
+    import ray.data as rd
+
+    return rd.from_arrow([pa.table({"k": ["a", None, "a"], "v": [1, 2, 3]}),
+                          pa.table({"k": [None, "b", "a"], "v": [4, 5, 6]}),
+                          pa.table({"k": ["c", None], "v": [7, 8]})])
+
+
+def _rows(ds):
+    return sorted((tuple(r.values()) for r in ds.take_all()), key=repr)
+
+
+def test_keyed_merge_keeps_a_null_string_key(ray_session):
+    """``fold_by_key`` and ``top_by_key`` keep a null string key as a
+    group of its own over several blocks."""
+    from snorkel_ray.state.resources import fold_by_key, top_by_key
+
+    ds = _null_string_key_blocks()
+    assert _rows(fold_by_key(ds, ["k"], {"v": "sum"})) == \
+        [("a", 10), ("b", 5), ("c", 7), (None, 14)]
+    assert _rows(fold_by_key(ds, ["k"], {})) == [("a",), ("b",), ("c",), (None,)]
+    assert _rows(top_by_key(ds, ["k"], [("v", "descending")])) == \
+        [("a", 6), ("b", 5), ("c", 7), (None, 8)]
+
+
+def test_fold_by_key_nan_null_and_signed_zero_match_duckdb(ray_session):
+    """sum/min/max over a float column with NaN, NULL, ``-0.0`` and
+    ``0.0`` spread over 5 blocks equal DuckDB's: a sum or max is NaN
+    once any value is, a min only when every value is, NULL adds
+    nothing; a ``-0.0`` key is the ``0.0`` key."""
+    import math
+
+    import duckdb
+    import ray.data as rd
+
+    from snorkel_ray.state.resources import fold_by_key
+
+    nan = float("nan")
+    vals = [nan, None, 2.0, 1.0, -0.0, 0.0, 2.0, nan, None, -1.5, nan, 3.0]
+    keys = [1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, None]
+    t = pa.table({"k": pa.array(keys, pa.int64()), "v": pa.array(vals, pa.float64()),
+                  "fk": pa.array([None if k is None else -0.0 if k % 2 else 0.0
+                                  for k in keys], pa.float64())})
+    ds = rd.from_arrow([t.take(list(range(i, len(keys), 5))) for i in range(5)])
+
+    def norm(rows):  # NaN compares equal to itself, -0.0 to 0.0
+        return sorted([tuple("nan" if isinstance(x, float) and math.isnan(x) else x
+                             for x in r) for r in rows], key=repr)
+
+    for op in ("sum", "min", "max"):
+        want = duckdb.sql(f"SELECT k, {op}(v) FROM t GROUP BY k").fetchall()
+        assert norm(_rows(fold_by_key(ds, ["k"], {"v": op}))) == norm(want), op
+    want = duckdb.sql("SELECT fk, sum(v), count(*) FROM t GROUP BY fk").fetchall()
+    got = fold_by_key(ds, ["fk"], {"v": "sum", "n": "sum"},
+                      lambda b: b.select(["fk", "v"]).append_column(
+                          "n", pa.array([1] * b.num_rows, pa.int64())))
+    assert norm(_rows(got)) == norm(want)
+
+
+def test_top_by_key_keeps_k_best_and_first_arrival_on_ties(ray_session):
+    """``top_by_key`` keeps the best k rows per key in any blocking
+    (nulls last), takes each key's k from a column, and gives a tie on
+    the order columns to the row that arrived first."""
+    import ray.data as rd
+
+    from snorkel_ray.state.resources import top_by_key
+
+    t = pa.table({"k": ["x", "y", "x", "x", "y", "x", "z"],
+                  "p": [0.5, 0.9, 0.7, 0.7, 0.1, None, 0.3],
+                  "id": list(range(7)),
+                  "kk": [2, 1, 2, 2, 1, 2, 3]})
+    order = [("p", "descending")]
+    for sizes in ([7], [4, 3], [4, 2, 1]):  # the tied rows 2, 3 share a block
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        ds = rd.from_arrow([t.slice(a, n) for a, n in zip(starts, sizes)])
+
+        def best(k):
+            return _rows(top_by_key(ds, ["k"], order, k=k).select_columns(["k", "id"]))
+
+        assert best(2) == [("x", 2), ("x", 3), ("y", 1), ("y", 4), ("z", 6)], sizes
+        assert best(1) == [("x", 2), ("y", 1), ("z", 6)], sizes
+        assert best("kk") == [("x", 2), ("x", 3), ("y", 1), ("z", 6)], sizes
+
+
+def _best_row_picks(src: str, module: str) -> set[tuple[str, str]]:
+    """(kind, ``module.function``) for every top-level ``def`` of a
+    module (``<module>`` for its top level) that pickles a row payload
+    (kind ``pickle``: ``pickle.dumps``/``base64.b64encode``), calls
+    ``.map_groups(`` (``map_groups``) or imports ``ray.data.aggregate``
+    (``aggregate``)."""
+    found = set()
+    for top in ast.parse(src).body:
+        name = f"{module}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                f = node.func
+                if isinstance(f.value, ast.Name) and \
+                        (f.value.id, f.attr) in {("pickle", "dumps"), ("base64", "b64encode")}:
+                    found.add(("pickle", name))
+                elif f.attr == "map_groups":
+                    found.add(("map_groups", name))
+            elif isinstance(node, ast.ImportFrom) and node.module == "ray.data.aggregate" \
+                    or isinstance(node, ast.Import) and \
+                    any(a.name == "ray.data.aggregate" for a in node.names):
+                found.add(("aggregate", name))
+    return found
+
+
+def test_only_top_by_key_picks_best_rows():
+    """A per-key best-row pick calls ``resources.top_by_key`` and a
+    keyed merge runs through its ``sort`` + Arrow kernel: no module
+    (``__ray_entry__.py`` included) squeezes a pickled row into an
+    aggregate value, ``skew.py`` and ``sampling.py`` run no
+    ``map_groups``, and ``resources.py`` uses no Ray aggregate.  The one
+    exemption is ``remove_frequent_lines``, whose pickled rows feed a
+    ``map_groups`` regroup."""
+    probe = ("import pickle\n"
+             "from ray.data.aggregate import Min\n"
+             "def f(rows):\n"
+             "    import base64\n"
+             "    return [base64.b64encode(pickle.dumps(r)) for r in rows]\n"
+             "def g(ds):\n"
+             "    import ray.data.aggregate\n"
+             "    return ds.groupby('k').map_groups(len)\n")
+    assert _best_row_picks(probe, "m") == {
+        ("pickle", "m.f"), ("aggregate", "m.<module>"),
+        ("aggregate", "m.g"), ("map_groups", "m.g")}
+    where = {"map_groups": {"skew", "sampling"}, "aggregate": {"resources"}}
+    exempt = {("pickle", "corpus_stats.remove_frequent_lines")}
+    pkg = os.path.dirname(snorkel_ray.__file__)
+    repo = os.path.dirname(pkg)
+    sources = [os.path.join(dirpath, f) for dirpath, _, files in os.walk(pkg)
+               for f in files if f.endswith(".py")]
+    sources.append(os.path.join(repo, "__ray_entry__.py"))
+    found = set()
+    for path in sources:
+        module = os.path.basename(path)[:-len(".py")]
+        found |= {(kind, name) for kind, name in _best_row_picks(open(path).read(), module)
+                  if module in where.get(kind, {module})}
+    assert found - exempt == set()
+    assert found == exempt  # the exemption is still in use
 
 
 def _builds(log_dir):
