@@ -26,6 +26,8 @@ import pyarrow.compute as pc
 # make the sibling package importable regardless
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from snorkel_ray.state.resources import combine_by_key, fold_blocks, fold_by_key  # noqa: E402
+
 TESTDATA_DEFAULT = "/root/testdata/sf0.001"
 
 # alias dictionary over the testdata documents vocabulary: domain words
@@ -135,34 +137,24 @@ def _round_cols(ds, spec: dict[str, int]):
 
 
 def q_doc_count_by_lang(sf_dir: str):
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    out = ds.groupby("lang").aggregate(Count(alias_name="n_docs"),
-                                       Sum("n_chars", alias_name="total_chars"))
+    out = fold_by_key(ds, ["lang"], {"n_docs": "count", "total_chars": ("sum", "n_chars")})
     return out.sort("lang")
 
 
 def q_lineitem_agg(sf_dir: str):
-    """TPC-H Q1-ish: vectorized revenue inside map_batches, then grouped
-    sums (partial aggregation is Ray Data's native hash-agg)."""
-    from ray.data.aggregate import Count, Mean, Sum
-
+    """TPC-H Q1-ish: vectorized revenue in the fold's block step, then
+    grouped sums, a mean and a count in one ``fold_by_key``."""
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
                 "l_discount"])
 
     def _rev(b: pa.Table) -> pa.Table:
-        rev = pc.multiply(b.column("l_extendedprice"),
-                          pc.subtract(pa.scalar(1.0), b.column("l_discount")))
-        return b.append_column("revenue", rev)
+        return b.append_column("revenue", pa.array(_revenue(b)))
 
-    out = (ds.map_batches(_rev, batch_format="pyarrow")
-           .groupby(["l_returnflag", "l_linestatus"])
-           .aggregate(Sum("l_quantity", alias_name="sum_qty"),
-                      Sum("revenue", alias_name="sum_revenue"),
-                      Mean("l_discount", alias_name="avg_disc"),
-                      Count(alias_name="n_rows")))
+    out = fold_by_key(ds, ["l_returnflag", "l_linestatus"],
+                      {"sum_qty": ("sum", "l_quantity"), "sum_revenue": ("sum", "revenue"),
+                       "avg_disc": ("mean", "l_discount"), "n_rows": "count"}, _rev)
     out = _round_cols(out, {"sum_qty": 2, "sum_revenue": 2, "avg_disc": 6})
     return out.sort(["l_returnflag", "l_linestatus"])
 
@@ -178,22 +170,18 @@ def q_top10_orders(sf_dir: str):
 
 def q_customer_order_join(sf_dir: str):
     """Hash join (both sides shuffled on key) + grouped agg."""
-    from ray.data.aggregate import Count, Sum
-
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = orders.join(cust, join_type="inner", num_partitions=8,
                          on=("o_custkey",), right_on=("c_custkey",))
-    out = joined.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_orders"), Sum("o_totalprice", alias_name="total_price"))
+    out = fold_by_key(joined, ["c_mktsegment"],
+                      {"n_orders": "count", "total_price": ("sum", "o_totalprice")})
     return _round_cols(out, {"total_price": 2}).sort("c_mktsegment")
 
 
 def q_supplier_nation_acctbal(sf_dir: str):
     """Supplier→nation broadcast dim join + grouped agg (covers the
     supplier table; same no-shuffle small-side pattern as J4)."""
-    from ray.data.aggregate import Count, Sum
-
     import pyarrow.parquet as pq
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
@@ -206,10 +194,8 @@ def q_supplier_nation_acctbal(sf_dir: str):
         return pa.table({"n_name": pa.array(names, pa.string()),
                          "s_acctbal": b.column("s_acctbal")})
 
-    out = (supp.map_batches(_lookup, batch_format="pyarrow")
-           .groupby("n_name")
-           .aggregate(Count(alias_name="n_suppliers"),
-                      Sum("s_acctbal", alias_name="total_acctbal")))
+    out = fold_by_key(supp, ["n_name"],
+                      {"n_suppliers": "count", "total_acctbal": ("sum", "s_acctbal")}, _lookup)
     return _round_cols(out, {"total_acctbal": 2}).sort("n_name")
 
 
@@ -239,8 +225,6 @@ def q_top_orders_per_segment(sf_dir: str):
 def q_broadcast_join_nation_region(sf_dir: str):
     """Small-side broadcast lookup join — the no-shuffle pattern
     (SURVEY.md J4): region is read ONCE on the driver and mapped in."""
-    from ray.data.aggregate import Count
-
     import pyarrow.parquet as pq
 
     region = pq.read_table(f"{sf_dir}/region.parquet")
@@ -252,37 +236,23 @@ def q_broadcast_join_nation_region(sf_dir: str):
         names = [rmap[k] for k in b.column("n_regionkey").to_pylist()]
         return b.append_column("r_name", pa.array(names, pa.string()))
 
-    out = (nation.map_batches(_lookup, batch_format="pyarrow")
-           .groupby("r_name").aggregate(Count(alias_name="n_nations")))
-    return out.sort("r_name")
+    return fold_by_key(nation, ["r_name"], {"n_nations": "count"}, _lookup).sort("r_name")
 
 
 # --- filter / distinct / dedup ---------------------------------------------
 
 def q_filter_long_docs(sf_dir: str):
-    from ray.data.aggregate import Count
-
     import pyarrow.dataset as pds
 
     filtered = _read(sf_dir, "documents", ["source", "n_chars"],
                      filter=pds.field("n_chars") > 300)
-    return filtered.groupby("source").aggregate(Count(alias_name="n_long")).sort("source")
+    return fold_by_key(filtered, ["source"], {"n_long": "count"}).sort("source")
 
 
 def q_distinct_part_types(sf_dir: str):
-    from ray.data.aggregate import Count
-
     ds = _read(sf_dir, "part", ["p_type"])
-    distinct = ds.groupby("p_type").aggregate(Count(alias_name="_n")).drop_columns(["_n"])
-
-    def _count(b: pa.Table) -> pa.Table:
-        return pa.table({"n_types": pa.array([b.num_rows], pa.int64())})
-
-    from ray.data.aggregate import Sum
-
-    res = (distinct.map_batches(_count, batch_format="pyarrow")
-           .aggregate(Sum("n_types", alias_name="n_types")))
-    return pa.table({"n_types": pa.array([res["n_types"]], pa.int64())})
+    n = fold_by_key(ds, ["p_type"], {}).count()
+    return pa.table({"n_types": pa.array([n], pa.int64())})
 
 
 def q_exact_dedup_documents(sf_dir: str):
@@ -292,15 +262,7 @@ def q_exact_dedup_documents(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     kept = exact_dedup(ds, "text", keep_key="doc_id")
-
-    def _count(b: pa.Table) -> pa.Table:
-        return pa.table({"n": pa.array([b.num_rows], pa.int64())})
-
-    from ray.data.aggregate import Sum
-
-    res = kept.map_batches(_count, batch_format="pyarrow").aggregate(
-        Sum("n", alias_name="n_unique"))
-    return pa.table({"n_unique": pa.array([res["n_unique"]], pa.int64())})
+    return pa.table({"n_unique": pa.array([kept.count()], pa.int64())})
 
 
 def q_customers_without_orders(sf_dir: str):
@@ -308,8 +270,6 @@ def q_customers_without_orders(sf_dir: str):
     high-value order (>400k), counted per market segment.  Zero
     shuffle — the key set broadcasts once and filters via a vectorized
     is_in per batch."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.joins import semi_join
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -318,22 +278,18 @@ def q_customers_without_orders(sf_dir: str):
             pc.greater(b.column("o_totalprice"), 400_000)),
             batch_format="pyarrow")
     none = semi_join(cust, okeys, "c_custkey", "o_custkey", anti=True)
-    return (none.groupby("c_mktsegment").aggregate(Count(alias_name="n_customers"))
-            .sort("c_mktsegment"))
+    return fold_by_key(none, ["c_mktsegment"], {"n_customers": "count"}).sort("c_mktsegment")
 
 
 def q_parts_with_lineitems(sf_dir: str):
     """Broadcast SEMI-join: parts that appear in lineitem, counted per
     brand."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.joins import semi_join
 
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
     lkeys = _read(sf_dir, "lineitem", ["l_partkey"])
     hit = semi_join(part, lkeys, "p_partkey", "l_partkey")
-    return (hit.groupby("p_brand").aggregate(Count(alias_name="n_parts"))
-            .sort("p_brand"))
+    return fold_by_key(hit, ["p_brand"], {"n_parts": "count"}).sort("p_brand")
 
 
 def q_dedup_with_ties(sf_dir: str):
@@ -342,16 +298,13 @@ def q_dedup_with_ties(sf_dir: str):
     doc_id — the re-ingested-file case); exactly one copy must survive
     per text, so per-source survivor counts equal the original table's
     (round-2 ADVICE item 1 under the oracle gate)."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.dedup import exact_dedup
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
     doubled = ds.union(_read(sf_dir, "documents",
                              ["doc_id", "text", "source"]))
     kept = exact_dedup(doubled, "text", keep_key="doc_id")
-    return (kept.groupby("source").aggregate(Count(alias_name="n_docs"))
-            .sort("source"))
+    return fold_by_key(kept, ["source"], {"n_docs": "count"}).sort("source")
 
 
 # --- scalar functions / json ------------------------------------------------
@@ -362,10 +315,7 @@ def q_decontaminate_docs(sf_dir: str):
     doc's first 3 words; every non-eval doc containing any needle as a
     substring is contaminated. One streaming flag pass with the needle
     list broadcast once; the oracle replicates with contains()."""
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.stages.decontaminate import flag_contaminated
-    from snorkel_ray.state.resources import fold_blocks
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
@@ -387,14 +337,11 @@ def q_decontaminate_docs(sf_dir: str):
     def _tally(b: pa.Table) -> pa.Table:
         c = np.asarray(b.column("contaminated"), dtype=np.int64)
         return pa.table({"lang": b.column("lang"),
-                         "c": pa.array(c, pa.int64()),
-                         "k": pa.array(1 - c, pa.int64())})
+                         "n_contaminated": pa.array(c, pa.int64()),
+                         "n_clean": pa.array(1 - c, pa.int64())})
 
-    return (flagged.map_batches(_tally, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Sum("c", alias_name="n_contaminated"),
-                       Sum("k", alias_name="n_clean"))
-            .sort("lang"))
+    return fold_by_key(flagged, ["lang"], {"n_contaminated": "sum", "n_clean": "sum"},
+                       _tally).sort("lang")
 
 
 def q_proportional_sample_orders(sf_dir: str):
@@ -414,16 +361,12 @@ def q_proportional_sample_orders(sf_dir: str):
 def q_sample_orders_fraction(sf_dir: str):
     """Deterministic 10% Bernoulli sample by Knuth hash of o_orderkey
     (SQL-replicable, partition-invariant), aggregated per priority."""
-    from ray.data.aggregate import Count, Sum
-
     from snorkel_ray.stages.sampling import hash_sample
 
     ds = _read(sf_dir, "orders",
                ["o_orderkey", "o_orderpriority", "o_totalprice"])
-    out = (hash_sample(ds, "o_orderkey", 0.1)
-           .groupby("o_orderpriority")
-           .aggregate(Count(alias_name="n_sampled"),
-                      Sum("o_totalprice", alias_name="sum_price")))
+    out = fold_by_key(hash_sample(ds, "o_orderkey", 0.1), ["o_orderpriority"],
+                      {"n_sampled": "count", "sum_price": ("sum", "o_totalprice")})
     return _round_cols(out, {"sum_price": 2}).sort("o_orderpriority")
 
 
@@ -439,15 +382,12 @@ def q_stratified_sample_customers(sf_dir: str):
 
 def q_split_assignment_counts(sf_dir: str):
     """Deterministic 80/10/10 split assignment over documents."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.sampling import split_by_hash
 
     ds = _read(sf_dir, "documents", ["doc_id"])
     out = split_by_hash(ds, "doc_id",
                         {"train": 0.8, "valid": 0.1, "test": 0.1})
-    return (out.groupby("split").aggregate(Count(alias_name="n_docs"))
-            .sort("split"))
+    return fold_by_key(out, ["split"], {"n_docs": "count"}).sort("split")
 
 
 def q_bottom_k_sample_orders(sf_dir: str):
@@ -467,22 +407,19 @@ def q_frequent_line_removal(sf_dir: str):
     single-line, so ' the ' serves as the segment separator (plain
     substring split — exactly DuckDB string_split).  Per-lang kept /
     removed segment totals."""
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.stages.corpus_stats import remove_frequent_lines
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
     cleaned = remove_frequent_lines(ds, "text", sep=" the ",
                                     min_docs=3, stats=True)
-    return (cleaned.groupby("lang")
-            .aggregate(Sum("n_kept_lines", alias_name="kept_lines"),
-                       Sum("n_removed_lines", alias_name="removed_lines"))
-            .sort("lang"))
+    return fold_by_key(cleaned, ["lang"], {"kept_lines": ("sum", "n_kept_lines"),
+                                           "removed_lines": ("sum", "n_removed_lines")}) \
+        .sort("lang")
 
 
 def q_bigram_top20(sf_dir: str):
     """Exact global top-20 bigrams: per-batch Counter partials →
-    one groupby-sum → per-batch partial top-k + driver merge (no
+    one keyed sum (``fold_by_key``) → per-batch partial top-k + driver merge (no
     global sort; the shuffle moves distinct-bigrams-per-block)."""
     from snorkel_ray.stages.corpus_stats import top_ngrams
 
@@ -496,11 +433,8 @@ def q_tpch_q3(sf_dir: str):
     orders by revenue.  Plan: count-gated semi-join prunes orders to
     the segment's custkeys, lineitem pre-aggregates revenue per
     orderkey per block (``combine_by_key``) before the single hash
-    join, final groupby + tiny sort."""
-    from ray.data.aggregate import Sum
-
+    join, final keyed sum + tiny sort."""
     from snorkel_ray.stages.joins import semi_join
-    from snorkel_ray.state.resources import combine_by_key
 
     import pyarrow.dataset as pds
 
@@ -522,8 +456,7 @@ def q_tpch_q3(sf_dir: str):
     joined = li.join(orders.select_columns(["o_orderkey", "o_orderdate"]),
                      join_type="inner", num_partitions=8,
                      on=("l_orderkey",), right_on=("o_orderkey",))
-    agg = joined.groupby(["l_orderkey", "o_orderdate"]).aggregate(
-        Sum("revenue", alias_name="revenue"))
+    agg = fold_by_key(joined, ["l_orderkey", "o_orderdate"], {"revenue": "sum"})
     out = _round_cols(agg, {"revenue": 2}) \
         .sort(["revenue", "l_orderkey"], descending=[True, False]).limit(10)
     return out
@@ -538,12 +471,9 @@ def q_tpch_q5(sf_dir: str):
     ``apply_mapping`` (broadcast at test SF, hash join at scale); one
     hash join lineitem x orders on the shared orderkey; revenue
     pre-aggregated per (orderkey, s_nationkey) before the join."""
-    from ray.data.aggregate import Sum
-
     import pyarrow.parquet as pq
 
     from snorkel_ray.stages.joins import apply_mapping
-    from snorkel_ray.state.resources import combine_by_key
 
     nation = pq.read_table(f"{sf_dir}/nation.parquet")
     region = pq.read_table(f"{sf_dir}/region.parquet")
@@ -597,8 +527,7 @@ def q_tpch_q5(sf_dir: str):
         return pa.table({"n_name": pa.array(names, pa.string()),
                          "revenue": b.column("revenue")})
 
-    agg = (joined.map_batches(_name, batch_format="pyarrow")
-           .groupby("n_name").aggregate(Sum("revenue", alias_name="revenue")))
+    agg = fold_by_key(joined, ["n_name"], {"revenue": "sum"}, _name)
     return _round_cols(agg, {"revenue": 2}) \
         .sort(["revenue", "n_name"], descending=[True, False])
 
@@ -635,8 +564,6 @@ def q_jsonl_roundtrip(sf_dir: str):
     import hashlib
     import shutil
 
-    from ray.data.aggregate import Count, Sum
-
     from snorkel_ray.sources.readers import read_jsonl_docs, write_jsonl
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
@@ -665,11 +592,8 @@ def q_jsonl_roundtrip(sf_dir: str):
             "text_len": pc.cast(pc.utf8_length(b.column("text")), pa.int64()),
         })
 
-    return (docs.map_batches(_lang_len, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("text_len", alias_name="total_len"))
-            .sort("lang"))
+    return fold_by_key(docs, ["lang"], {"n_docs": "count", "total_len": ("sum", "text_len")},
+                       _lang_len).sort("lang")
 
 
 def q_lineitem_corr(sf_dir: str):
@@ -686,8 +610,8 @@ def q_lineitem_corr(sf_dir: str):
 
 def q_event_type_pivot(sf_dir: str):
     """Long → wide pivot: per-user counts of each event type as
-    columns (SQL count FILTER).  One fine groupby over the input; the
-    widen + re-sum run on the fine table only."""
+    columns (SQL count FILTER).  One fine keyed fold over the input;
+    the widen + re-sum run on the fine table only."""
     from snorkel_ray.stages.reshape import pivot_table
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
@@ -724,8 +648,6 @@ def q_events_range_join(sf_dir: str):
     scale path: left rows hash once into 72 h chunks, each interval
     replicates to the ~2 chunks it overlaps, one equi join on
     ``(key, chunk)``."""
-    from ray.data.aggregate import Count, Sum
-
     from snorkel_ray.stages.joins import range_join
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
@@ -734,16 +656,12 @@ def q_events_range_join(sf_dir: str):
     # a grouped min, the same shape a campaign/window config table has)
     import pandas as pd
 
-    w = (ds.groupby("event_type")
-         .min("ts").to_pandas()
-         .rename(columns={"min(ts)": "w_start"}))
+    w = fold_by_key(ds, ["event_type"], {"w_start": ("min", "ts")}).to_pandas()
     w["w_end"] = w["w_start"] + pd.Timedelta(days=3)
 
-    out = (range_join(ds, w, "event_type", "ts", "w_start", "w_end",
-                      chunk="72h", broadcast_limit=0)
-           .groupby("event_type")
-           .aggregate(Count(alias_name="n_events"),
-                      Sum("value", alias_name="total_value")))
+    out = fold_by_key(range_join(ds, w, "event_type", "ts", "w_start", "w_end",
+                                 chunk="72h", broadcast_limit=0),
+                      ["event_type"], {"n_events": "count", "total_value": ("sum", "value")})
     return _round_cols(out, {"total_value": 4}).sort("event_type")
 
 
@@ -798,14 +716,11 @@ def q_customer_order_counts_outer(sf_dir: str):
     zero-order customers kept.  broadcast_limit=0 forces the
     distributed left-outer hash join so the oracle checks the scale
     path, with the zero default applied via coalesce after the join."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.joins import apply_mapping
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
-    counts = (orders.groupby("o_custkey")
-              .aggregate(Count(alias_name="n_orders")))
+    counts = fold_by_key(orders, ["o_custkey"], {"n_orders": "count"})
 
     def _zero(b: pa.Table) -> pa.Table:
         import numpy as np
@@ -841,12 +756,9 @@ def q_repeat_customers(sf_dir: str):
     """SQL INTERSECT: custkeys ordering in BOTH 1995 and 1996 — a
     distinct semi-join between the two year slices (broadcast under
     the limit, hash semi-join above)."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.joins import semi_join
 
-    a = (_year_custkeys(sf_dir, 1995).groupby("o_custkey")
-         .aggregate(Count(alias_name="_c")).drop_columns(["_c"]))
+    a = fold_by_key(_year_custkeys(sf_dir, 1995), ["o_custkey"], {})
     return (semi_join(a, _year_custkeys(sf_dir, 1996), "o_custkey")
             .sort("o_custkey"))
 
@@ -854,12 +766,9 @@ def q_repeat_customers(sf_dir: str):
 def q_churned_customers(sf_dir: str):
     """SQL EXCEPT: custkeys ordering in 1995 but not 1996 — the same
     distinct slice anti-joined."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.joins import semi_join
 
-    a = (_year_custkeys(sf_dir, 1995).groupby("o_custkey")
-         .aggregate(Count(alias_name="_c")).drop_columns(["_c"]))
+    a = fold_by_key(_year_custkeys(sf_dir, 1995), ["o_custkey"], {})
     return (semi_join(a, _year_custkeys(sf_dir, 1996), "o_custkey",
                       anti=True)
             .sort("o_custkey"))
@@ -931,8 +840,6 @@ def q_pii_redaction(sf_dir: str):
     The patterns are RE2-compatible so DuckDB regexp_replace replicates
     the scrub byte-for-byte (the oracle SQL interpolates the SAME
     pattern constants)."""
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.stages.pii import redact_pii
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
@@ -953,13 +860,8 @@ def q_pii_redaction(sf_dir: str):
         return b.append_column("text_len", pc.cast(
             pc.utf8_length(b.column("text")), pa.int64()))
 
-    return (red.map_batches(_len, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Sum("n_email", alias_name="n_email"),
-                       Sum("n_ipv4", alias_name="n_ipv4"),
-                       Sum("n_phone", alias_name="n_phone"),
-                       Sum("text_len", alias_name="total_len"))
-            .sort("lang"))
+    return fold_by_key(red, ["lang"], {"n_email": "sum", "n_ipv4": "sum", "n_phone": "sum",
+                                       "total_len": ("sum", "text_len")}, _len).sort("lang")
 
 
 def _pii_oracle_sql() -> str:
@@ -995,8 +897,6 @@ def q_gopher_quality(sf_dir: str):
     evaluated on INTEGER counts on both sides (5*alpha >= 4*n instead
     of alpha/n >= 0.8) so the strict stringified-hash gate can't trip
     on float boundary ties."""
-    from ray.data.aggregate import Count, Sum
-
     from snorkel_ray.stages.quality_filters import gopher_metrics
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
@@ -1014,17 +914,12 @@ def q_gopher_quality(sf_dir: str):
         return pa.table({"lang": b.column("lang"),
                          "p": pa.array(ok.astype(np.int64), pa.int64())})
 
-    return (m.map_batches(_pass, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Sum("p", alias_name="n_pass"),
-                       Count(alias_name="n_docs"))
-            .sort("lang"))
+    return fold_by_key(m, ["lang"], {"n_pass": ("sum", "p"), "n_docs": "count"},
+                       _pass).sort("lang")
 
 
 def q_events_json_extract(sf_dir: str):
     """JSON scalar path over events.props + grouped mean."""
-    from ray.data.aggregate import Count, Mean
-
     from snorkel_ray.functions.exprs import json_extract_double
 
     ds = _read(sf_dir, "events", ["event_type", "props"])
@@ -1033,39 +928,31 @@ def q_events_json_extract(sf_dir: str):
         return pa.table({"event_type": b.column("event_type"),
                          "k": json_extract_double(b.column("props"), "k")})
 
-    out = (ds.map_batches(_extract, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Mean("k", alias_name="avg_k"), Count(alias_name="n_events")))
+    out = fold_by_key(ds, ["event_type"], {"avg_k": ("mean", "k"), "n_events": "count"},
+                      _extract)
     return _round_cols(out, {"avg_k": 6}).sort("event_type")
 
 
 def q_events_daily_counts(sf_dir: str):
     """Event-time bucketing (tumbling day window as group key)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = _read(sf_dir, "events", ["ts", "user_id", "value"])
 
     def _day(b: pa.Table) -> pa.Table:
         day = pc.strftime(b.column("ts"), format="%Y-%m-%d")
         return pa.table({"day": day, "value": b.column("value")})
 
-    out = (ds.map_batches(_day, batch_format="pyarrow")
-           .groupby("day").aggregate(Count(alias_name="n_events"),
-                                     Sum("value", alias_name="sum_value")))
+    out = fold_by_key(ds, ["day"], {"n_events": "count", "sum_value": ("sum", "value")}, _day)
     return _round_cols(out, {"sum_value": 4}).sort("day")
 
 
 def q_user_session_counts(sf_dir: str):
     """Session windows per user (30-min gap) → sessions per user.
     Window op per the batch-log model (sort within key group)."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.windows import session_windows
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
     sess = session_windows(ds, gap="30min")
-    return (sess.groupby("user_id").aggregate(Count(alias_name="n_sessions"))
-            .sort("user_id"))
+    return fold_by_key(sess, ["user_id"], {"n_sessions": "count"}).sort("user_id")
 
 
 def q_user_session_counts_chunked(sf_dir: str):
@@ -1073,29 +960,22 @@ def q_user_session_counts_chunked(sf_dir: str):
     (pre_split_chunk): per-(key, day) sessionize + boundary merge —
     hash-checked against the identical SQL oracle, proving the chunked
     plan exact on real data, not just the crafted test corpus."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.windows import session_windows
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
     sess = session_windows(ds, gap="30min", pre_split_chunk="1D")
-    return (sess.groupby("user_id").aggregate(Count(alias_name="n_sessions"))
-            .sort("user_id"))
+    return fold_by_key(sess, ["user_id"], {"n_sessions": "count"}).sort("user_id")
 
 
 def q_user_daily_windows(sf_dir: str):
     """Per-user tumbling 1-day windows → (user_id, n_days_active,
     total_events)."""
-    from ray.data.aggregate import Count, Sum
-
     from snorkel_ray.stages.windows import tumbling_window_counts
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
     win = tumbling_window_counts(ds, width="1D")
-    return (win.groupby("user_id")
-            .aggregate(Count(alias_name="n_days_active"),
-                       Sum("n_events", alias_name="total_events"))
-            .sort("user_id"))
+    return fold_by_key(win, ["user_id"], {"n_days_active": "count",
+                                          "total_events": ("sum", "n_events")}).sort("user_id")
 
 
 def q_sliding_window_mean(sf_dir: str):
@@ -1195,8 +1075,6 @@ def _asof_clicks(sf_dir: str, out_col: str, **kw):
     (``asof_join(**kw)``), the click value landing in ``out_col``.
     The click side is pre-aggregated to one row per (user, ts) —
     ``max(value)`` — so the match is well-defined on both engines."""
-    from ray.data.aggregate import Max
-
     from snorkel_ray.stages.joins import asof_join
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts",
@@ -1215,9 +1093,7 @@ def _asof_clicks(sf_dir: str, out_col: str, **kw):
                          "ts": t.column("ts"), "value": t.column("value")})
 
     left = ev.map_batches(_nonclick, batch_format="pyarrow")
-    right = (ev.map_batches(_click, batch_format="pyarrow")
-             .groupby(["user_id", "ts"])
-             .aggregate(Max("value", alias_name="value")))
+    right = fold_by_key(ev, ["user_id", "ts"], {"value": "max"}, _click)
     out = asof_join(left, right, "user_id", "ts", ["value"],
                     rename={"value": out_col}, **kw)
     return out.select_columns(["event_id", out_col]).sort("event_id")
@@ -1353,8 +1229,6 @@ def q_token_counts(sf_dir: str):
     """Whitespace token counting (text_analysis.count_tokens) summed
     per lang. documents.text is lowercase space-separated words, so the
     whitespace count is SQL-expressible exactly."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     def _tok(b: pa.Table) -> pa.Table:
@@ -1364,17 +1238,13 @@ def q_token_counts(sf_dir: str):
         return pa.table({"lang": b.column("lang"),
                          "n_tokens": pc.cast(n, pa.int64())})
 
-    return (ds.map_batches(_tok, batch_format="pyarrow")
-            .groupby("lang").aggregate(Sum("n_tokens", alias_name="total_tokens"))
-            .sort("lang"))
+    return fold_by_key(ds, ["lang"], {"total_tokens": ("sum", "n_tokens")}, _tok).sort("lang")
 
 
 def q_mention_counts(sf_dir: str):
     """Dictionary mention detection (greedy longest-match scan) over
     documents.text; single-word aliases on space-separated text make
     the scan equal word frequency — SQL-checkable."""
-    from ray.data.aggregate import Sum
-
     alias = set(_DOC_ALIASES)
     ds = _read(sf_dir, "documents", ["text"])
 
@@ -1386,8 +1256,7 @@ def q_mention_counts(sf_dir: str):
         return pa.table({"alias": vc.field("values"),
                          "n": pc.cast(vc.field("counts"), pa.int64())})
 
-    agg = (ds.map_batches(_scan, batch_format="pyarrow")
-           .groupby("alias").aggregate(Sum("n", alias_name="n_mentions")))
+    agg = fold_by_key(ds, ["alias"], {"n_mentions": ("sum", "n")}, _scan)
     # the SQL oracle only yields aliases that occur; mirror that
     return agg.map_batches(
         lambda b: b.filter(pc.greater(b.column("n_mentions"), 0)),
@@ -1397,30 +1266,20 @@ def q_mention_counts(sf_dir: str):
 def q_lf_keyword_coverage(sf_dir: str):
     """Vectorized labeling functions over documents.text: three keyword
     LFs vote +1; per-LF coverage counts (SURVEY.md A1/A2)."""
-    from ray.data.aggregate import Sum
+    kws = sorted(["spark", "query", "stream"])
 
-    kws = ["spark", "query", "stream"]
-
-    names = sorted(f"lf_contains_{kw}" for kw in kws)
-
-    def _lf(b: pa.Table) -> pa.Table:
+    def _lf(b: pa.Table) -> np.ndarray:
         # vectorized per-LF coverage: word-boundary regex over the
         # whole column per keyword (equivalent to token membership on
-        # space-separated text); one row per block, one column per LF
-        cols = {}
-        for kw in kws:
-            fired = pc.match_substring_regex(
-                b.column("text"), f"(^|\\s){kw}(\\s|$)")
-            cols[f"lf_contains_{kw}"] = pa.array(
-                [pc.sum(pc.cast(fired, pa.int64())).as_py() or 0], pa.int64())
-        return pa.table(cols)
+        # space-separated text); one count per LF
+        return np.array([pc.sum(pc.cast(pc.match_substring_regex(
+            b.column("text"), f"(^|\\s){kw}(\\s|$)"), pa.int64())).as_py() or 0
+            for kw in kws], np.int64)
 
-    # a global Sum, not groupby("lf_name"): three keys hash into mostly
-    # empty partitions, which the groupby emits as schema-less blocks
     ds = _read(sf_dir, "documents", ["text"])
-    res = ds.map_batches(_lf, batch_format="pyarrow").aggregate(*(Sum(n) for n in names))
-    return pa.table({"lf_name": pa.array(names, pa.string()),
-                     "n_fired": pa.array([res[f"sum({n})"] for n in names], pa.int64())})
+    fired = fold_blocks(ds, _lf, np.add, np.zeros(len(kws), np.int64))
+    return pa.table({"lf_name": pa.array([f"lf_contains_{kw}" for kw in kws], pa.string()),
+                     "n_fired": pa.array(fired, pa.int64())})
 
 
 def q_categorical_label_argmax(sf_dir: str):
@@ -1431,8 +1290,6 @@ def q_categorical_label_argmax(sf_dir: str):
     argmax provably equals the fired class, which makes the whole
     categorical pipeline (SURVEY.md A4 categorical variant)
     SQL-checkable."""
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.stages.label_model import (fit_label_model_cat,
                                                 pattern_counts,
                                                 score_marginals_cat)
@@ -1454,17 +1311,14 @@ def q_categorical_label_argmax(sf_dir: str):
     model = fit_label_model_cat(pattern_counts(labeled), cardinality=3)
     scored = score_marginals_cat(labeled, model)
 
-    def _per_class(b: pa.Table) -> pa.Table:
-        n = np.bincount(np.asarray(b.column("y_hat")), minlength=4)
-        return pa.table({f"n{c}": pa.array([n[c]], pa.int64()) for c in (1, 2, 3)})
+    def _per_class(b: pa.Table) -> np.ndarray:
+        return np.bincount(np.asarray(b.column("y_hat")), minlength=4)[:4]
 
-    # a global Sum, not groupby("y_hat") (see q_lf_keyword_coverage);
+    n = fold_blocks(scored, _per_class, np.add, np.zeros(4, np.int64))
     # like the oracle, only classes that occur
-    res = scored.map_batches(_per_class, batch_format="pyarrow").aggregate(
-        *(Sum(f"n{c}") for c in (1, 2, 3)))
-    classes = [c for c in (1, 2, 3) if res[f"sum(n{c})"]]
+    classes = [c for c in (1, 2, 3) if n[c]]
     return pa.table({"y_hat": pa.array(classes, pa.int64()),
-                     "n_docs": pa.array([res[f"sum(n{c})"] for c in classes], pa.int64())})
+                     "n_docs": pa.array([n[c] for c in classes], pa.int64())})
 
 
 # --- embeddings / similarity ------------------------------------------------
@@ -1493,24 +1347,17 @@ def q_union_distinct_orders(sf_dir: str):
 
     from snorkel_ray.stages.dedup import exact_dedup
 
-    def _count(b: pa.Table) -> pa.Table:
-        return pa.table({"n": pa.array([b.num_rows], pa.int64())})
-
-    from ray.data.aggregate import Sum
-
     deduped = exact_dedup(
         merged.map_batches(lambda b: b.append_column(
             "key_str", pc.cast(b.column("o_orderkey"), pa.string())),
             batch_format="pyarrow"),
         "key_str")
-    res = deduped.map_batches(_count, batch_format="pyarrow").aggregate(
-        Sum("n", alias_name="n_distinct"))
-    return pa.table({"n_distinct": pa.array([res["n_distinct"]], pa.int64())})
+    return pa.table({"n_distinct": pa.array([deduped.count()], pa.int64())})
 
 
 def q_word_count_salted(sf_dir: str):
-    """Salted two-phase word-frequency count (skew op): explode words,
-    hot keys spread over salt buckets, top 20 by count."""
+    """Skew-safe word-frequency count (``skew.salted_count``: one keyed
+    fold, so a hot word ships one row per block), top 20 by count."""
     from snorkel_ray.stages.skew import salted_count
 
     ds = _read(sf_dir, "documents", ["text"])
@@ -1537,11 +1384,8 @@ def q_sentence_split_counts(sf_dir: str):
         return pa.table({"lang": b.column("lang"),
                          "n_sentences": pa.array(n, pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    return (ds.map_batches(_count, batch_format="pyarrow")
-            .groupby("lang").aggregate(Sum("n_sentences", alias_name="total_sentences"))
-            .sort("lang"))
+    return fold_by_key(ds, ["lang"], {"total_sentences": ("sum", "n_sentences")},
+                       _count).sort("lang")
 
 
 def q_embedding_topk(sf_dir: str):
@@ -1612,10 +1456,7 @@ def q_tpch_q10(sf_dir: str):
     orderkey per block (``combine_by_key``) before ONE hash join to the
     date-windowed orders; the per-customer aggregate joins the tiny
     customer×nation dim broadcast-side; final 20-row sort."""
-    from ray.data.aggregate import Sum
-
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import combine_by_key
 
     import pyarrow.dataset as pds
 
@@ -1637,8 +1478,7 @@ def q_tpch_q10(sf_dir: str):
     joined = li.join(orders.select_columns(["o_orderkey", "o_custkey"]),
                      join_type="inner", num_partitions=8,
                      on=("l_orderkey",), right_on=("o_orderkey",))
-    per_cust = joined.groupby("o_custkey").aggregate(
-        Sum("revenue", alias_name="revenue"))
+    per_cust = fold_by_key(joined, ["o_custkey"], {"revenue": "sum"})
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
@@ -1859,8 +1699,6 @@ def q_multimodal_pipeline(sf_dir: str):
     in this container — but the schema/actor-pool/batching path is the
     real one): documents bytes → media table → actor-pool decode →
     per-media frame sample → join of thumb stats with frame counts."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.multimodal import decode_images, sample_frames
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -1888,8 +1726,7 @@ def q_multimodal_pipeline(sf_dir: str):
                          "mean_px": pa.array(means, pa.float64())})
 
     stats = decoded.map_batches(_thumb_stats, batch_format="pyarrow")
-    frames = (sample_frames(media, n_frames=3)
-              .groupby("media_id").aggregate(Count(alias_name="n_frames")))
+    frames = fold_by_key(sample_frames(media, n_frames=3), ["media_id"], {"n_frames": "count"})
     out = stats.join(frames, join_type="inner", num_partitions=4,
                      on=("media_id",))
     return out.sort("media_id")
@@ -1924,17 +1761,13 @@ def q_kmeans_clusters(sf_dir: str):
     streaming pass with per-batch combiner partials — no shuffle; the
     driver only ever merges k × blocks partial rows.  Returns the
     per-cluster member counts from the final assignment pass."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.similarity import (assign_centroids,
                                                kmeans_fit_full)
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     C, _info = kmeans_fit_full(ds, n_centroids=8, n_iter=5, seed=11)
-    return (assign_centroids(ds, C)
-            .groupby("centroid_id")
-            .aggregate(Count(alias_name="n_members"))
-            .sort("centroid_id"))
+    return fold_by_key(assign_centroids(ds, C), ["centroid_id"],
+                       {"n_members": "count"}).sort("centroid_id")
 
 
 def q_tpch_q6(sf_dir: str):
@@ -1945,7 +1778,6 @@ def q_tpch_q6(sf_dir: str):
     import pyarrow.dataset as pds
 
     from snorkel_ray.functions.exprs import duck_round
-    from snorkel_ray.state.resources import fold_blocks
 
     ds = _read(sf_dir, "lineitem",
                ["l_extendedprice", "l_discount", "l_quantity", "l_shipdate"],
@@ -1976,10 +1808,7 @@ def q_tpch_q4(sf_dir: str):
     broadcast-map path never round-trips datetime dtypes."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import fold_by_key
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"],
@@ -2005,9 +1834,7 @@ def q_tpch_q4(sf_dir: str):
         return b.filter(pc.fill_null(mask, False))
 
     late = marked.map_batches(_late, batch_format="pyarrow")
-    return (late.groupby("o_orderpriority")
-            .aggregate(Count(alias_name="order_count"))
-            .sort("o_orderpriority"))
+    return fold_by_key(late, ["o_orderpriority"], {"order_count": "count"}).sort("o_orderpriority")
 
 
 def q_tpch_q12(sf_dir: str):
@@ -2016,7 +1843,6 @@ def q_tpch_q12(sf_dir: str):
     l_returnflag and "late" means shipped after the order date): one
     hash join at line grain (the correlated l_shipdate > o_orderdate
     predicate cannot pre-aggregate), then vectorized CASE sums."""
-    from snorkel_ray.state.resources import fold_by_key
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_returnflag", "l_shipdate"])
@@ -2048,7 +1874,6 @@ def q_tpch_q14(sf_dir: str):
 
     from snorkel_ray.functions.exprs import duck_round
     from snorkel_ray.stages.joins import apply_mapping
-    from snorkel_ray.state.resources import fold_blocks
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
@@ -2079,7 +1904,6 @@ def q_tpch_q18(sf_dir: str):
     BEFORE any join; orders then customer names attach via count-gated
     mapping joins; final tiny sort."""
     from snorkel_ray.stages.joins import apply_mapping
-    from snorkel_ray.state.resources import fold_by_key
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     qty = fold_by_key(li, ["l_orderkey"], {"sum_qty": "sum"},
@@ -2173,7 +1997,6 @@ def q_tpch_q19(sf_dir: str):
 
     from snorkel_ray.functions.exprs import duck_round
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import fold_blocks
 
     clauses = [("Brand#12", 1, 15, 1.0, 11.0),
                ("Brand#15", 10, 30, 10.0, 20.0),
@@ -2258,10 +2081,7 @@ def q_tpch_q22(sf_dir: str):
     read (review r5)."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Count, Sum
-
     from snorkel_ray.stages.joins import semi_join
-    from snorkel_ray.state.resources import fold_blocks
 
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey", "c_acctbal"])
@@ -2280,9 +2100,8 @@ def q_tpch_q22(sf_dir: str):
         lambda b: b.filter(pc.greater(b.column("c_acctbal"), avg_bal)),
         batch_format="pyarrow")
     noord = semi_join(rich, orders, "c_custkey", "o_custkey", anti=True)
-    out = (noord.groupby("c_nationkey")
-           .aggregate(Count(alias_name="numcust"),
-                      Sum("c_acctbal", alias_name="totacctbal")))
+    out = fold_by_key(noord, ["c_nationkey"],
+                      {"numcust": "count", "totacctbal": ("sum", "c_acctbal")})
     out = _round_cols(out, {"totacctbal": 2})
     return out.sort("c_nationkey")
 
@@ -2331,7 +2150,6 @@ def q_tpch_q7(sf_dir: str):
     orders side), and the (supp, cust, year) revenue aggregates ride
     per-block combiners before one small groupby (``fold_by_key``)."""
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import fold_by_key
 
     n1, n2 = "NATION_1", "NATION_2"
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
@@ -2387,17 +2205,11 @@ def q_tpch_q13(sf_dir: str):
     sized histogram."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.joins import apply_mapping
-    from snorkel_ray.state.resources import fold_by_key
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
                    filter=pds.field("o_orderpriority") != "1-URGENT")
-    counts = fold_by_key(
-        orders, ["o_custkey"], {"c_count": "sum"},
-        lambda b: pa.table({"o_custkey": b.column("o_custkey"),
-                            "c_count": np.ones(len(b), dtype=np.int64)}))
+    counts = fold_by_key(orders, ["o_custkey"], {"c_count": "count"})
     cust = _read(sf_dir, "customer", ["c_custkey"])
     cust = apply_mapping(cust, counts, "c_custkey", "o_custkey",
                          "c_count", "c_count")
@@ -2406,8 +2218,7 @@ def q_tpch_q13(sf_dir: str):
             b.schema.get_field_index("c_count"), "c_count",
             pc.fill_null(pc.cast(b.column("c_count"), pa.int64()), 0)),
         batch_format="pyarrow")
-    return (cust.groupby("c_count")
-            .aggregate(Count(alias_name="custdist"))
+    return (fold_by_key(cust, ["c_count"], {"custdist": "count"})
             .sort(["custdist", "c_count"], descending=[True, True]))
 
 
@@ -2421,7 +2232,6 @@ def q_tpch_q15(sf_dir: str):
     import pyarrow.dataset as pds
 
     from snorkel_ray.stages.joins import apply_mapping
-    from snorkel_ray.state.resources import fold_blocks, fold_by_key
 
     li = _read(sf_dir, "lineitem",
                ["l_suppkey", "l_extendedprice", "l_discount",
@@ -2466,7 +2276,6 @@ def q_tpch_q17(sf_dir: str):
 
     from snorkel_ray.functions.exprs import duck_round
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import fold_blocks, fold_by_key
 
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"],
                  filter=pds.field("p_brand") == "Brand#12")
@@ -2474,18 +2283,9 @@ def q_tpch_q17(sf_dir: str):
                ["l_partkey", "l_quantity", "l_extendedprice"])
     li = semi_join(li, part, "l_partkey", "p_partkey")
 
-    agg = fold_by_key(
-        li, ["l_partkey"], {"s": "sum", "n": "sum"},
-        lambda b: pa.table({"l_partkey": b.column("l_partkey"),
-                            "s": b.column("l_quantity"),
-                            "n": np.ones(len(b), dtype=np.int64)}))
-    thr = agg.map_batches(
-        lambda b: pa.table({
-            "l_partkey": b.column("l_partkey"),
-            "thr": pc.multiply(pc.divide(b.column("s"),
-                                         pc.cast(b.column("n"),
-                                                 pa.float64())),
-                               0.2)}),
+    avg = fold_by_key(li, ["l_partkey"], {"thr": ("mean", "l_quantity")})
+    thr = avg.map_batches(
+        lambda b: b.set_column(1, "thr", pc.multiply(b.column("thr"), 0.2)),
         batch_format="pyarrow")
     li = apply_mapping(li, thr, "l_partkey", "l_partkey", "thr", "thr")
 
@@ -2510,10 +2310,7 @@ def q_tpch_q21(sf_dir: str):
     join."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Count, Max, Sum
-
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import fold_by_key
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate",
                                       "o_orderstatus"],
@@ -2549,18 +2346,14 @@ def q_tpch_q21(sf_dir: str):
                          "late_lines": b.column("late_lines"),
                          "late_skey": late_skey})
 
-    per_order = (pairs.map_batches(_flags, batch_format="pyarrow")
-                 .groupby("okey")
-                 .aggregate(Count(alias_name="n_supp"),
-                            Sum("is_late", alias_name="n_late"),
-                            Sum("late_lines", alias_name="tot_late"),
-                            Max("late_skey", alias_name="late_skey")))
+    per_order = fold_by_key(pairs, ["okey"], {
+        "n_supp": "count", "n_late": ("sum", "is_late"),
+        "tot_late": ("sum", "late_lines"), "late_skey": "max"}, _flags)
     lone = per_order.map_batches(
         lambda b: b.filter(pc.and_(pc.greater_equal(b.column("n_supp"), 2),
                                    pc.equal(b.column("n_late"), 1))),
         batch_format="pyarrow")
-    numwait = (lone.groupby("late_skey")
-               .aggregate(Sum("tot_late", alias_name="numwait")))
+    numwait = fold_by_key(lone, ["late_skey"], {"numwait": ("sum", "tot_late")})
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
     out = apply_mapping(numwait, supp, "late_skey", "s_suppkey",
                         "s_name", "s_name")
@@ -2589,7 +2382,6 @@ def q_tpch_q8(sf_dir: str):
     mapping join; per-block (year, nation-share, total) partials →
     one small groupby (``fold_by_key``) → vectorized ratio."""
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import fold_by_key
 
     nation = _read(sf_dir, "nation",
                    ["n_nationkey", "n_name", "n_regionkey"])
@@ -2647,7 +2439,6 @@ def q_tpch_q11(sf_dir: str):
     duck-ROUNDED values on both sides so accumulation-order ulp drift
     can never flip membership at the threshold."""
     from snorkel_ray.functions.exprs import duck_round
-    from snorkel_ray.state.resources import fold_blocks, fold_by_key
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
     per_part = fold_by_key(
@@ -2699,7 +2490,6 @@ def q_tpch_q9(sf_dir: str):
     import pyarrow.dataset as pds
 
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import fold_by_key
 
     part = _read(sf_dir, "part", ["p_partkey", "p_name", "p_retailprice"],
                  filter=pc.match_substring(pds.field("p_name"), "red"))
@@ -2749,10 +2539,7 @@ def q_tpch_q20(sf_dir: str):
     second tiny groupby) → semi-join back onto supplier."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.joins import semi_join
-    from snorkel_ray.state.resources import fold_by_key
 
     part = _read(sf_dir, "part", ["p_partkey", "p_name"],
                  filter=pc.match_substring(pds.field("p_name"), "red"))
@@ -2760,17 +2547,11 @@ def q_tpch_q20(sf_dir: str):
                                     "l_quantity"])
     li = semi_join(li, part, "l_partkey", "p_partkey")
 
-    pairs = fold_by_key(
-        li, ["l_suppkey", "l_partkey"], {"qty": "sum"},
-        lambda b: pa.table({"l_suppkey": b.column("l_suppkey"),
-                            "l_partkey": b.column("l_partkey"),
-                            "qty": b.column("l_quantity")}))
+    pairs = fold_by_key(li, ["l_suppkey", "l_partkey"], {"qty": ("sum", "l_quantity")})
     excess = pairs.map_batches(
         lambda b: b.filter(pc.greater(b.column("qty"), 80.0)),
         batch_format="pyarrow")
-    supp_keys = (excess.groupby("l_suppkey")
-                 .aggregate(Count(alias_name="_n"))
-                 .drop_columns(["_n"]))
+    supp_keys = fold_by_key(excess, ["l_suppkey"], {})
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
     out = semi_join(supp, supp_keys, "s_suppkey", "l_suppkey")
     return out.select_columns(["s_suppkey", "s_name"]).sort("s_suppkey")
@@ -2781,16 +2562,13 @@ def q_tpch_q2(sf_dir: str):
     no partsupp, so the part↔supplier relation is lineitem's distinct
     pairs and "cost" is s_acctbal): distinct (partkey, suppkey) pairs
     (``fold_by_key`` with no aggregate: each block dedups first), acctbal
-    attaches by mapping join, the per-part minimum is a vectorized Min
-    aggregate mapped BACK onto the pairs, and the equality filter
+    attaches by mapping join, the per-part minimum is a keyed min
+    (``fold_by_key``) mapped BACK onto the pairs, and the equality filter
     compares the exact stored float both engines read from parquet —
     no arithmetic, so no ulp hazard."""
     import pyarrow.dataset as pds
 
-    from ray.data.aggregate import Min
-
     from snorkel_ray.stages.joins import apply_mapping, semi_join
-    from snorkel_ray.state.resources import fold_by_key
 
     part = _read(sf_dir, "part", ["p_partkey", "p_size"],
                  filter=pds.field("p_size") == 10)
@@ -2800,8 +2578,7 @@ def q_tpch_q2(sf_dir: str):
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name", "s_acctbal"])
     pairs = apply_mapping(pairs, supp, "l_suppkey", "s_suppkey",
                           "s_acctbal", "s_acctbal")
-    mins = (pairs.groupby("l_partkey")
-            .aggregate(Min("s_acctbal", alias_name="min_bal")))
+    mins = fold_by_key(pairs, ["l_partkey"], {"min_bal": ("min", "s_acctbal")})
     pairs = apply_mapping(pairs, mins, "l_partkey", "l_partkey",
                           "min_bal", "min_bal")
     best = pairs.map_batches(
@@ -2827,7 +2604,6 @@ def q_embedding_dim_stats(sf_dir: str):
     shuffle and zero per-row Python for a column that would explode
     rows×dim ways if actually unnested."""
     from snorkel_ray.functions.exprs import duck_round
-    from snorkel_ray.state.resources import fold_blocks
 
     ds = _read(sf_dir, "embeddings", ["embedding"])
 
@@ -2873,7 +2649,6 @@ def q_order_share_of_customer(sf_dir: str):
     map BACK via the count-gated mapping join → vectorized ratio.  A
     hot customer ships one partial row per block, never its orders."""
     from snorkel_ray.stages.joins import apply_mapping
-    from snorkel_ray.state.resources import fold_by_key
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice"])

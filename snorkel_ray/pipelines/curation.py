@@ -8,7 +8,7 @@ failing stage wins, canonical order) instead of filtering, so the
 expensive per-document features (tokenization, Gopher metrics,
 contamination probe) are computed exactly once in a fused map chain.
 The split into kept/dropped and the per-reason funnel report are then
-one tiny ``groupby(drop_reason).count()`` over the annotated stream —
+one keyless ``fold_blocks`` count per drop reason over the annotated stream —
 no per-stage re-execution, no per-stage count() passes.  The annotated
 dataset is pinned once (``materialize``); at full scale write it to
 parquet instead and read both consumers from there (the checkpointed
@@ -16,6 +16,9 @@ layout ``state/sharded.py`` provides).
 """
 
 from __future__ import annotations
+
+import operator
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -141,9 +144,8 @@ def curate_docs(docs, *, column: str = "text", id_column: str = "doc_id",
     so no write happens here at all."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Count, Min
-
     from ..stages.joins import apply_mapping
+    from ..state.resources import fold_blocks, fold_by_key
 
     if pre_annotated:
         ds = docs
@@ -188,12 +190,9 @@ def curate_docs(docs, *, column: str = "text", id_column: str = "doc_id",
     # --- exact dedup among funnel survivors (bounded shuffle on the
     # 128-bit content hash; winner = MIN id, deterministic) ------------
     if dedup:
-        survivors = ds.map_batches(
-            lambda b: b.filter(pc.equal(b.column(reason_col), KEPT)),
-            batch_format="pyarrow")
-        winners = (survivors.select_columns(["_chash", id_column])
-                   .groupby("_chash")
-                   .aggregate(Min(id_column, alias_name="_winner")))
+        winners = fold_by_key(
+            ds, ["_chash"], {"_winner": ("min", id_column)},
+            lambda b: b.filter(pc.equal(b.column(reason_col), KEPT)))
         ds = apply_mapping(ds, winners, "_chash", "_chash", "_winner",
                            "_winner")
 
@@ -219,9 +218,8 @@ def curate_docs(docs, *, column: str = "text", id_column: str = "doc_id",
     # report + kept each re-read the persisted stage (maps over a
     # parquet read; the winner mapping rides along broadcast) — zero
     # whole-corpus object-store pins
-    counts = (ds.groupby(reason_col)
-              .aggregate(Count(alias_name="n")).to_pandas())
-    by_reason = dict(zip(counts[reason_col], counts["n"]))
+    by_reason = fold_blocks(ds, lambda b: Counter(b.column(reason_col).to_pylist()),
+                            operator.add, Counter())
     n_kept = int(by_reason.pop(KEPT, 0))
     report = {"n_input": int(sum(by_reason.values()) + n_kept),
               "n_kept": n_kept,

@@ -10,7 +10,7 @@ sharing a qid (alias variants) must land in one cluster; chains
 key–qid–key–qid can be arbitrarily long in adversarial dictionaries, so
 the merge is iterative min-label propagation over the DISTINCT edge
 table (much smaller than the mention stream), each round one
-hash-partitioned groupby-min + hash join — all Ray Data, no driver
+keyed min (``fold_by_key``) + hash join — all Ray Data, no driver
 union-find, converges in O(log(longest chain)) rounds; ``max_iter``
 bounds it (normalized keys keep real clusters shallow; SURVEY.md §7
 hard part (c)).
@@ -62,20 +62,23 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
     edge table which is ≪ the corpus); larger sets run distributed
     NODE-label propagation WITH POINTER JUMPING: each round, every
     node's label becomes the min over itself and both endpoints' labels
-    of its incident edges (one exploded groupby-min), then labels chase
+    of its incident edges (one exploded ``fold_by_key`` min), then labels chase
     one level of indirection (label := label[label]), which doubles the
     propagation distance per round → convergence in O(log diameter)
     rounds instead of O(diameter).  Every round ends with an exact
-    changed-row count (one bounded shuffle over the label table, ≪
-    edges); the loop stops when a round changes nothing.  The round-2
+    changed-row count (a keyless ``fold_blocks`` sum over the label
+    table, ≪ edges); the loop stops when a round changes nothing.  The round-2
     fixed-4-round variant silently split any component with diameter
     > 4 (round-2 ADVICE item 3) — ``max_iter`` is now a safety rail
     (2^64 hops at 64 rounds) and overrunning it RAISES rather than
     returning corrupt clusters.  Tables ``materialize()``d between
     rounds (stacked lazy shuffle rounds deadlocked a 4-CPU session).
     """
+    import operator
+
     import ray.data as rd
-    from ray.data.aggregate import Min, Sum
+
+    from ..state.resources import fold_blocks, fold_by_key
 
     edges = edges.materialize()  # consumed by count + either CC path
     if edges.count() <= driver_threshold:
@@ -89,9 +92,7 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
                               b.column(dst).combine_chunks()])
         return pa.table({"node": n, "lbl": n})
 
-    labels = (edges.map_batches(_init_nodes, batch_format="pyarrow")
-              .groupby("node").aggregate(Min("lbl", alias_name="lbl"))
-              .materialize())
+    labels = fold_by_key(edges, ["node"], {"lbl": "min"}, _init_nodes).materialize()
 
     for _ in range(max_iter):
         # 1) neighbor-min: attach current labels to both endpoints, then
@@ -109,9 +110,7 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
             return pa.table({"node": node, "lbl": lbl})
 
         cand = e.map_batches(_cands, batch_format="pyarrow").union(labels)
-        new_labels = (cand.groupby("node")
-                      .aggregate(Min("lbl", alias_name="lbl"))
-                      .materialize())
+        new_labels = fold_by_key(cand, ["node"], {"lbl": "min"}).materialize()
 
         # 2) pointer jump: lbl := min(lbl, lbl[lbl]) — labels are node
         #    ids, so chasing them through the label table halves the
@@ -133,18 +132,15 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
         with_old = apply_mapping(new_labels, labels, "node", "node",
                                  "lbl", "_old", num_partitions=num_partitions)
 
-        def _changed(b: pa.Table) -> pa.Table:
+        def _changed(b: pa.Table) -> int:
             import pyarrow.compute as pc
 
-            ne = pc.cast(pc.not_equal(b.column("lbl"), b.column("_old")),
-                         pa.int64())
-            return pa.table({"n": pa.array(
-                [pc.sum(ne).as_py() or 0], pa.int64())})
+            return pc.sum(pc.cast(pc.not_equal(b.column("lbl"), b.column("_old")),
+                                  pa.int64())).as_py() or 0
 
-        changed = with_old.map_batches(
-            _changed, batch_format="pyarrow").aggregate(Sum("n", alias_name="n"))
+        changed = fold_blocks(with_old, _changed, operator.add, 0)
         labels = new_labels
-        if (changed["n"] or 0) == 0:
+        if changed == 0:
             break
     else:
         raise RuntimeError(

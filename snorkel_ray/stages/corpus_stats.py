@@ -62,9 +62,9 @@ def line_counts(ds, column: str = "text", sep: str = "\n"):
     """Dataset of ``(line, n_occurrences, n_docs)`` over the corpus.
 
     One streaming pass: per-batch ``value_counts`` partials (distinct
-    lines per batch) → one bounded ``groupby(line).sum`` shuffle.
+    lines per batch) → one bounded ``fold_by_key`` sum.
     """
-    from ray.data.aggregate import Sum
+    from ..state.resources import fold_by_key
 
     def _partial(b: pa.Table) -> pa.Table:
         # null text rows count as empty documents (split of a null is
@@ -84,10 +84,7 @@ def line_counts(ds, column: str = "text", sep: str = "\n"):
             "n_docs": pa.array([docs[k] for k in keys], pa.int64()),
         })
 
-    partial = ds.map_batches(_partial, batch_format="pyarrow")
-    return partial.groupby("line").aggregate(
-        Sum("n_occurrences", alias_name="n_occurrences"),
-        Sum("n_docs", alias_name="n_docs"))
+    return fold_by_key(ds, ["line"], {"n_occurrences": "sum", "n_docs": "sum"}, _partial)
 
 
 def remove_frequent_lines(ds, column: str = "text", sep: str = "\n", *,
@@ -226,9 +223,9 @@ def remove_frequent_lines(ds, column: str = "text", sep: str = "\n", *,
 
 def ngram_counts(ds, column: str = "text", n: int = 2):
     """Global word-``n``-gram counts: per-batch ``Counter`` partials
-    (one row per distinct n-gram per batch) → one ``groupby.sum``.
+    (one row per distinct n-gram per batch) → one ``fold_by_key`` sum.
     Tokens are the ``[^a-z0-9]+`` split of the lowercased text."""
-    from ray.data.aggregate import Sum
+    from ..state.resources import fold_by_key
 
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -242,8 +239,7 @@ def ngram_counts(ds, column: str = "text", n: int = 2):
         return pa.table({"ngram": pa.array(keys, pa.string()),
                          "n": pa.array([c[k] for k in keys], pa.int64())})
 
-    partial = ds.map_batches(_partial, batch_format="pyarrow")
-    return partial.groupby("ngram").aggregate(Sum("n", alias_name="n"))
+    return fold_by_key(ds, ["ngram"], {"n": "sum"}, _partial)
 
 
 def top_ngrams(ds, column: str = "text", n: int = 2, k: int = 20) -> pa.Table:

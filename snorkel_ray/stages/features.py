@@ -59,9 +59,7 @@ def build_feature_vocab(candidates, *, feature_fn: FeatureFn = default_candidate
                         max_vocab: int = 100_000, min_count: int = 1) -> dict[str, int]:
     """Pass 1: distributed name counting → driver-side id assignment
     (ids ordered by (-count, name): deterministic)."""
-    from ray.data.aggregate import Sum
-
-    from ..state.resources import fold_blocks
+    from ..state.resources import fold_blocks, fold_by_key
 
     def _names(batch: pa.Table) -> pa.Table:
         counts: dict[str, int] = {}
@@ -74,8 +72,7 @@ def build_feature_vocab(candidates, *, feature_fn: FeatureFn = default_candidate
 
     import pyarrow.compute as pc
 
-    agg = (candidates.map_batches(_names, batch_format="pyarrow")
-           .groupby("name").aggregate(Sum("n", alias_name="n")))
+    agg = fold_by_key(candidates, ["name"], {"n": "sum"}, _names)
     # top-max_vocab via per-block partial top-k + driver merge
     # (``state.resources.fold_blocks``; the corpus_stats.top_ngrams
     # shape): a distributed sort+limit would append a second AllToAll

@@ -69,9 +69,9 @@ def semi_join(ds, keys, key_col: str, keys_col: str | None = None, *,
 
         return ds.map_batches(_filter, batch_format="pyarrow")
 
-    from ray.data.aggregate import Count
+    from ..state.resources import fold_by_key
 
-    distinct = keys.groupby(keys_col).aggregate(Count(alias_name="_sj"))
+    distinct = fold_by_key(keys, [keys_col], {"_sj": "count"})
     marked = apply_mapping(ds, distinct, key_col, keys_col, "_sj", "_sj",
                            broadcast_limit=broadcast_limit)
 

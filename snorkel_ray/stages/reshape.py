@@ -7,15 +7,17 @@ long-(candidate, lf, value) to wide-matrix pivot done there in
 scipy.sparse on one machine).
 
 * :func:`pivot_table` — SQL ``count/sum FILTER (WHERE col = cat)``
-  as two bounded shuffles: ONE fine ``groupby(index, pivot)`` over the
-  input (this is the only pass over the data), then a wide-partial +
-  ``groupby(index).sum`` over the FINE table (rows = distinct (index,
-  pivot) pairs ≪ input).  Categories must be an explicit bounded list
-  — at 100 TB an unbounded pivot column is a schema explosion, so
+  as two bounded ``fold_by_key`` shuffles: ONE fine fold on (index,
+  pivot) over the input (this is the only pass over the data), then a
+  wide-partial fold on index over the FINE table (rows = distinct
+  (index, pivot) pairs ≪ input).  Categories must be an explicit
+  bounded list — at 100 TB an unbounded pivot column is a schema explosion, so
   discovery is the caller's (cheap, fine-table) problem.
 * :func:`grouped_zscore` — two-pass standardization: per-key
-  mean/std (one aggregate shuffle) broadcast back via the count-gated
-  ``apply_mapping`` (broadcast under its limit, hash join above) and
+  mean/std (one Ray ``Mean`` + ``Std`` aggregate shuffle: the one
+  aggregate not on the folds, because ``Std`` merges (n, mean, M2) by
+  Chan's rule, which a sum/min/max merge cannot) broadcast back via
+  the count-gated ``apply_mapping`` (broadcast under its limit, hash join above) and
   applied vectorized.  The moment table is one row per key.
 """
 
@@ -36,36 +38,33 @@ def pivot_table(ds, index: str, pivot: str, categories: list[str], *,
     """Wide table: one row per ``index``, one ``prefix<category>``
     column per category holding count (``agg='count'``) or
     ``sum(value)`` (``agg='sum'``) of the rows with that pivot value.
-    Unlisted pivot values are dropped; absent combinations are 0."""
-    from ray.data.aggregate import Count, Sum
+    Unlisted pivot values are dropped; absent combinations are 0, and
+    so is a combination whose values are all null (SQL
+    ``coalesce(sum(value) FILTER (...), 0)``); a NaN value makes its
+    sum NaN."""
+    import pyarrow.compute as pc
+
+    from ..state.resources import fold_by_key
 
     if agg not in ("count", "sum"):
         raise ValueError(f"agg must be 'count' or 'sum', got {agg!r}")
     if agg == "sum" and value is None:
         raise ValueError("agg='sum' requires a value column")
 
-    fine_agg = (Count(alias_name="_v") if agg == "count"
-                else Sum(value, alias_name="_v"))
-    fine = ds.groupby([index, pivot]).aggregate(fine_agg)
+    fine = fold_by_key(ds, [index, pivot],
+                       {"_v": "count" if agg == "count" else ("sum", value)})
 
     cats = list(categories)
-    zero = 0 if agg == "count" else 0.0
-    vtype = pa.int64() if agg == "count" else pa.float64()
+    zero = pa.scalar(0, pa.int64()) if agg == "count" else pa.scalar(0.0, pa.float64())
 
     def _widen(b: pa.Table) -> pa.Table:
-        piv = np.asarray(b.column(pivot), dtype=object)
-        vals = np.asarray(b.column("_v"))
-        cols = {index: b.column(index)}
-        keep = np.zeros(b.num_rows, dtype=bool)
-        for c in cats:
-            m = piv == c
-            keep |= m
-            cols[prefix + c] = pa.array(np.where(m, vals, zero), vtype)
-        return pa.table(cols).filter(pa.array(keep))
+        b = b.filter(pc.is_in(b.column(pivot),
+                              value_set=pa.array(cats, b.schema.field(pivot).type)))
+        vals = pc.fill_null(pc.cast(b.column("_v"), zero.type), zero)
+        return pa.table({index: b.column(index), **{
+            prefix + c: pc.if_else(pc.equal(b.column(pivot), c), vals, zero) for c in cats}})
 
-    wide = fine.map_batches(_widen, batch_format="pyarrow")
-    return wide.groupby(index).aggregate(
-        *[Sum(prefix + c, alias_name=prefix + c) for c in cats])
+    return fold_by_key(fine, [index], {prefix + c: "sum" for c in cats}, _widen)
 
 
 def grouped_zscore(ds, key: str, value: str, *, out: str = "zscore",
@@ -108,13 +107,10 @@ def grouped_corr(ds, key: str, x: str, y: str, *, out: str = "corr"):
     (``fold_by_key``: one more bounded shuffle over 3 doubles/key/block).
     Matches SQL ``corr(x, y)``.  Keys with zero variance or < 2 rows get
     null."""
-    from ray.data.aggregate import Mean
-
     from ..state.resources import fold_by_key
     from .joins import apply_mapping
 
-    means = ds.groupby(key).aggregate(
-        Mean(x, alias_name="_mx"), Mean(y, alias_name="_my")).materialize()
+    means = fold_by_key(ds, [key], {"_mx": ("mean", x), "_my": ("mean", y)}).materialize()
     with_m = apply_mapping(ds, means, key, key, "_mx", "_mx")
     with_m = apply_mapping(with_m, means, key, key, "_my", "_my")
 
@@ -248,14 +244,14 @@ def _string_agg_chunked(ds, key: str, value: str, *, order: list[str],
 def grouped_count_distinct(ds, key: str | list[str], value: str, *,
                            out: str = "n_distinct"):
     """Exact SQL ``count(DISTINCT value)`` per key (single column or a
-    composite key list), skew-safe in three vectorized steps:
+    composite key list), skew-safe in two vectorized steps:
 
     1. the distinct (key, value) pairs (``fold_by_key`` with no
        aggregate): each block ships only its distinct pairs to a dedup
        shuffle keyed on the PAIR, so a celebrity key's values spread
        across reducers;
-    2. ``groupby(key).count()`` over the pair table (rows = distinct
-       pairs, already ≪ input).
+    2. a keyed ``count`` (``fold_by_key``) over the pair table (rows =
+       distinct pairs, already ≪ input).
 
     No per-group Python, no driver set — both shuffles carry only
     distinct pairs.  NULL values are ignored (SQL ``count(DISTINCT)``
@@ -266,17 +262,14 @@ def grouped_count_distinct(ds, key: str | list[str], value: str, *,
     absent from the output (SQL would emit it with count 0 — the same
     documented divergence as :func:`grouped_quantiles`)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
 
     from ..state.resources import fold_by_key
 
     keys = [key] if isinstance(key, str) else list(key)
     pairs = fold_by_key(
         ds, [*keys, value], {},
-        lambda b: b.select([*keys, value]).filter(pc.is_valid(b.column(value)))) \
-        .drop_columns([value])
-    return pairs.groupby(keys if len(keys) > 1 else keys[0]) \
-        .aggregate(Count(alias_name=out))
+        lambda b: b.select([*keys, value]).filter(pc.is_valid(b.column(value))))
+    return fold_by_key(pairs, keys, {out: "count"})
 
 
 def _fine_counts(ds, key: str, value: str, *, keep_nulls: bool):
@@ -295,12 +288,11 @@ def _fine_counts(ds, key: str, value: str, *, keep_nulls: bool):
         v = b.column(value)
         if not keep_nulls:
             b = b.filter(pc.is_valid(v))
-        t = pa.table({key: b.column(key), value: b.column(value),
-                      "_n": np.ones(b.num_rows, np.int64)})
+        t = pa.table({key: b.column(key), value: b.column(value)})
         return t.add_column(1, "_null", pc.is_null(v)) if keep_nulls else t
 
     keys = [key, "_null", value] if keep_nulls else [key, value]
-    return fold_by_key(ds, keys, {"_n": "sum"}, _cols)
+    return fold_by_key(ds, keys, {"_n": "count"}, _cols)
 
 
 def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
@@ -480,13 +472,13 @@ def histogram_fixed_width(ds, value: str, *, lo: float, hi: float,
     """Equal-width histogram (SQL ``width_bucket`` semantics): bucket
     1..n for ``lo ≤ v < hi``, 0 below, n+1 at/above ``hi``; nulls
     dropped.  One streaming pass: per-batch ``np.bincount`` partials
-    (n+2 rows per block, the combiner) → one tiny
-    ``groupby(bucket).sum``.  The bucket index is computed as
+    (n+2 rows per block, the combiner) → one tiny keyed sum
+    (``fold_by_key``).  The bucket index is computed as
     ``floor((v − lo) · n / (hi − lo))`` in float64 — state the same
     expression in a SQL oracle and the two agree bit-for-bit."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Sum
+    from ..state.resources import fold_by_key
 
     if not (hi > lo) or n_buckets < 1:
         raise ValueError("need hi > lo and n_buckets >= 1")
@@ -502,9 +494,7 @@ def histogram_fixed_width(ds, value: str, *, lo: float, hi: float,
         return pa.table({bucket_col: pa.array(np.arange(nb + 2), pa.int64()),
                          count_col: pa.array(counts, pa.int64())})
 
-    return (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby(bucket_col).aggregate(Sum(count_col,
-                                               alias_name=count_col)))
+    return fold_by_key(ds, [bucket_col], {count_col: "sum"}, _partial)
 
 
 def grouped_ntile(ds, key: str, value: str, n: int, *,
@@ -528,13 +518,13 @@ def grouped_ntile(ds, key: str, value: str, n: int, *,
     distinct values, not its rows) plus a one-row-per-key count
     attached via the count-gated ``apply_mapping``; the bucket math is
     integer and vectorized, so the oracle hash can never drift."""
-    from ray.data.aggregate import Count
-
     from snorkel_ray.stages.joins import apply_mapping
+
+    from ..state.resources import fold_by_key
 
     ranked = grouped_rank(ds, key, value, out="_ntile_rank",
                           descending=descending)
-    sizes = ds.groupby(key).aggregate(Count(alias_name="_ntile_n"))
+    sizes = fold_by_key(ds, [key], {"_ntile_n": "count"})
     ranked = apply_mapping(ranked, sizes, key, key, "_ntile_n", "_ntile_n")
 
     def _bucket(b: pa.Table) -> pa.Table:

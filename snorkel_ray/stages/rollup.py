@@ -6,12 +6,15 @@ recompute each level from scratch).  The scale point of this operator
 is that the FINE-grain aggregate is computed from the input exactly
 once; every coarser level re-aggregates the fine TABLE (cardinality =
 distinct key combinations, ≪ input rows), so adding levels costs no
-extra pass over the data — the SQL ``GROUP BY ROLLUP`` plan, expressed
-as Ray aggregates.
+extra pass over the data — the SQL ``GROUP BY ROLLUP`` plan.  Every
+level is one ``resources.fold_by_key`` (the fine level over the input,
+each coarser one over the fine table, the grand total keyless), and
+``spec`` is its ``{out_col: (op, src_col)}`` form as it stands.
 
-Only decomposable aggregates are supported (count/sum/min/max — count
-re-aggregates as sum, the others as themselves); a mean is expressed
-as sum + count and divided by the caller.
+Only aggregates that re-aggregate from the fine table are supported
+(count/sum/min/max — count re-aggregates as sum, the others as
+themselves); a mean is expressed as sum + count and divided by the
+caller.
 """
 
 from __future__ import annotations
@@ -21,26 +24,6 @@ import pyarrow as pa
 __all__ = ["rollup_aggregate", "cube_aggregate", "grouping_sets_aggregate"]
 
 _REAGG = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
-
-
-def _aggs(spec, from_fine: bool):
-    from ray.data.aggregate import Count, Max, Min, Sum
-
-    out = []
-    for name, (op, col) in spec.items():
-        eff = _REAGG[op] if from_fine else op
-        src = name if from_fine else col
-        if eff == "count":
-            out.append(Count(alias_name=name))
-        elif eff == "sum":
-            out.append(Sum(src, alias_name=name))
-        elif eff == "min":
-            out.append(Min(src, alias_name=name))
-        elif eff == "max":
-            out.append(Max(src, alias_name=name))
-        else:
-            raise ValueError(f"unsupported aggregate op {op!r}")
-    return out
 
 
 def rollup_aggregate(ds, keys: list[str], spec: dict[str, tuple[str, str]],
@@ -109,14 +92,16 @@ def _multi_level(ds, keys, groupings, spec, all_label, *,
     then one re-aggregation of the (materialized, distinct-keys-sized)
     fine table per coarser grouping, unioned with grouped-out key
     columns filled with ``all_label``."""
+    from ..state.resources import fold_by_key
+
     if not keys:
         raise ValueError("keys must be non-empty")
     for op, _ in spec.values():
         if op not in _REAGG:
             raise ValueError(f"unsupported aggregate op {op!r}")
 
-    fine = ds.groupby(keys).aggregate(*_aggs(spec, from_fine=False))
-    fine = fine.materialize()  # every level reads it
+    fine = fold_by_key(ds, keys, spec).materialize()  # every level reads it
+    reagg = {name: _REAGG[op] for name, (op, _) in spec.items()}
 
     value_cols = list(spec)
 
@@ -140,25 +125,10 @@ def _multi_level(ds, keys, groupings, spec, all_label, *,
                                        batch_format="pyarrow"))
     for kept in groupings:
         missing = [k for k in keys if k not in kept]
-        if kept:
-            lvl = fine.groupby(kept).aggregate(*_aggs(spec, from_fine=True))
-        else:
-            # grand total: global aggregate returns a dict-like row —
-            # or None on an EMPTY dataset (round-4 review; verified in
-            # this Ray version), where SQL ROLLUP/CUBE still emits one
-            # grand-total row: count 0, sum/min/max NULL
-            import ray.data as rd
-
-            row = fine.aggregate(*_aggs(spec, from_fine=True))
-            if row is None:
-                row = {}
-            # empty input: Ray yields None (or a None-valued dict) —
-            # SQL's grand total is count 0, sum/min/max NULL
-            row = {name: (0 if row.get(name) is None and op == "count"
-                          else row.get(name))
-                   for name, (op, _c) in spec.items()}
-            lvl = rd.from_arrow(pa.table(
-                {name: [row[name]] for name in value_cols}))
+        # the grand total (``kept`` empty) is the keyless fold; over an
+        # empty input it is SQL's row, COUNT(*) of nothing (0) and the
+        # rest NULL, which ``spec`` itself gives
+        lvl = fold_by_key(fine, kept, reagg if kept or fine.count() else spec)
         levels.append(lvl.map_batches(_with_all(missing),
                                       batch_format="pyarrow"))
 

@@ -7,8 +7,8 @@ pipeline does when combining candidate extractions across sessions
 sets); re-expressed as Ray Data plans.
 
 Plan shape (both ops): the LEFT side is reduced to distinct keys with
-one groupby (shuffle moves distinct-keys-per-block, not rows — Ray's
-hash aggregate pre-combines inside each map task), then the RIGHT side
+one ``fold_by_key`` (shuffle moves distinct-keys-per-block, not rows —
+the fold pre-combines each block before its sort), then the RIGHT side
 rides :func:`snorkel_ray.stages.joins.semi_join`'s count-gated plan:
 small right sides broadcast (``ray.put`` once, vectorized ``pc.is_in``
 per batch — zero extra shuffle), large ones hash-join.  Nothing
@@ -71,13 +71,11 @@ def _compose_key(cols: list[str]):
 
 
 def _distinct(ds, cols: list[str]):
-    """Distinct rows over ``cols`` via one grouped count (Ray's hash
-    aggregate combines per block before the shuffle)."""
-    from ray.data.aggregate import Count
+    """Distinct rows over ``cols``: one ``fold_by_key``, which combines
+    per block before the shuffle."""
+    from ..state.resources import fold_by_key
 
-    out = ds.groupby(cols if len(cols) > 1 else cols[0]) \
-        .aggregate(Count(alias_name="__n"))
-    return out.drop_columns(["__n"])
+    return fold_by_key(ds, cols, {})
 
 
 def _setop(left, right, cols, right_cols, *, anti: bool):

@@ -1,43 +1,22 @@
-"""Skew-aware aggregation: salted two-phase groupby (SURVEY.md §4, A9).
+"""Skew-aware keyed plans (SURVEY.md §4, A9).
 
 North rule: "skew from hot entities and giant pages is handled with
 salted keys and explicit repartitioning".  A plain
 ``groupby(key).count()`` ships every row of a hot key to one reducer;
 with one entity owning ~30% of mentions (the planted-KB case) that
-reducer becomes the job.  The salted pattern:
-
-1. [map]      append ``salt = hash(row) % S`` for hot keys only
-              (cold keys keep salt 0 — no extra reduce rows);
-2. [shuffle]  groupby (key, salt) → partial aggregates, ≤ S rows per
-              hot key, spread over S reducers;
-3. [shuffle]  groupby key over the TINY partial table → final.
-
-Hot keys come from a driver-side sample (cheap, approximate — a key
-missed by the sample still works, just unsalted).
+reducer becomes the job.  A keyed aggregate here needs no salt:
+``resources.fold_by_key`` combines every block before its one sort,
+so a hot key ships at most one row per block, which is all a salted
+(key, salt) partial bought.  What stays is per-key ORDERED work, which
+does not combine: ``auto_pre_split_chunk`` routes a hot key of the
+window family to its two-level chunked plan, ``grouped_topk`` keeps a
+block's best k per group before the sort, and ``split_by_row_size``
+isolates giant rows.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
-
-
-def detect_hot_keys(ds, key: str, *, sample_fraction: float = 0.05,
-                    sample_cap: int = 100_000,
-                    hot_fraction: float = 0.01, seed: int = 23) -> set:
-    """Driver-side RANDOM sample → keys exceeding ``hot_fraction`` of
-    sampled rows.  ``random_sample``, not ``limit``: a prefix of input
-    sorted/clustered by key sees only the first keys and misses hot
-    keys living later in the stream (round-1 verdict item 7).  The
-    fixed fraction needs no ``count()`` pass; ``sample_cap`` bounds
-    driver memory.  A missed hot key still aggregates correctly —
-    just unsalted."""
-    sample = (ds.select_columns([key]).random_sample(sample_fraction, seed=seed)
-              .limit(sample_cap).to_pandas()[key])
-    if len(sample) < 1000:  # tiny input: sampling noise dominates — scan it all
-        sample = ds.select_columns([key]).limit(sample_cap).to_pandas()[key]
-    counts = sample.value_counts()
-    return set(counts[counts / max(len(sample), 1) > hot_fraction].index)
 
 
 def auto_pre_split_chunk(ds, key: str, ts: str, *,
@@ -89,47 +68,13 @@ def auto_pre_split_chunk(ds, key: str, ts: str, *,
     return f"{int(width.value)}ns"
 
 
-def salted_count(ds, key: str, *, salt_buckets: int = 16,
-                 hot_keys: set | None = None, count_alias: str = "n"):
-    """groupby(key).count() that survives hot keys.
+def salted_count(ds, key: str, *, count_alias: str = "n"):
+    """groupby(key).count() that survives hot keys → Dataset (key,
+    ``count_alias``): one ``fold_by_key``, whose per-block combine
+    ships at most one row per key per block to its sort."""
+    from ..state.resources import fold_by_key
 
-    → Dataset (key, n). Two-phase: (key, salt) partials then key final.
-    """
-    from ray.data.aggregate import Sum
-
-    if hot_keys is None:
-        hot_keys = detect_hot_keys(ds, key)
-
-    import ray
-
-    hot_ref = ray.put(hot_keys)
-
-    def _salt(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        hot = ray.get(hot_ref)
-        n = batch.num_rows
-        salts = np.zeros(n, dtype=np.int32)
-        if hot:
-            # vectorized: membership via pc.is_in, salt = row index mod
-            # buckets (uniform spread by construction — the salt only
-            # routes partials, any even assignment is correct; the old
-            # per-row hash64 loop ran on every hot-key occurrence,
-            # i.e. on the MOST frequent rows)
-            mask = pc.is_in(batch.column(key),
-                            value_set=pa.array(sorted(hot))).to_numpy(
-                zero_copy_only=False)
-            mask = np.asarray(mask, dtype=bool)
-            salts[mask] = np.arange(n, dtype=np.int64)[mask] % salt_buckets
-        return pa.table({key: batch.column(key),
-                         "_salt": pa.array(salts, pa.int32()),
-                         "_one": pa.array(np.ones(n, np.int64), pa.int64())})
-
-    partial = (ds.map_batches(_salt, batch_format="pyarrow")
-               .groupby([key, "_salt"])
-               .aggregate(Sum("_one", alias_name="_partial")))
-    final = partial.groupby(key).aggregate(Sum("_partial", alias_name=count_alias))
-    return final
+    return fold_by_key(ds, [key], {count_alias: "count"})
 
 
 def split_by_row_size(ds, column: str, max_bytes: int = 1 << 20):

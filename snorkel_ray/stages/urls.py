@@ -108,16 +108,12 @@ def domain_stats(ds, url_col: str = "url"):
     """Per-domain crawl stats: page count + distinct canonical URLs.
     The page count per ``(domain, url)`` is one keyed fold
     (``fold_by_key``: per-block partials, one bounded two-key groupby),
-    then one groupby per domain — the URL table never collects
+    then one more per domain — the URL table never collects
     anywhere."""
-    import numpy as np
-    from ray.data.aggregate import Count, Sum
-
     from ..state.resources import fold_by_key
 
     per_url = fold_by_key(
-        normalize_urls(ds, url_col), ["domain", "url"], {"n": "sum"},
-        lambda b: pa.table({"domain": b.column("domain"), "url": b.column(url_col),
-                            "n": np.ones(b.num_rows, np.int64)}))
-    return per_url.groupby("domain").aggregate(
-        Count(alias_name="n_unique_urls"), Sum("n", alias_name="n_pages"))
+        normalize_urls(ds, url_col), ["domain", "url"], {"n": "count"},
+        lambda b: pa.table({"domain": b.column("domain"), "url": b.column(url_col)}))
+    return fold_by_key(per_url, ["domain"],
+                       {"n_unique_urls": "count", "n_pages": ("sum", "n")})

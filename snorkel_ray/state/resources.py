@@ -10,12 +10,16 @@ it (CLAUDE.md rule 2) — or, with ``concurrency`` set, as an actor pool.
 tasks: a small per-block statistic of a pinned Dataset then costs no
 Ray Data job (CLAUDE.md perf rule 7).
 
+Every aggregate runs on one of three folds (SUDAF's accumulate +
+merge); nothing outside this module calls Ray's own ``aggregate``.
 ``fold_blocks`` runs every keyless partial aggregate on that walk: a
 partial per block, merged on the driver in block order.
 ``combine_by_key`` / ``fold_by_key`` are the keyed half: one Arrow
-``group_by`` per block, merged by ``_merge_by_key`` (one ``sort`` on
-the keys, then the same kernel per block), which ``top_by_key`` shares
-with an Arrow first-k-per-group kernel (``first_rows``).
+``group_by`` per block with every aggregate of a query at once (sum,
+min, max, ``COUNT(*)``, mean; rollup's ``{out: (op, source)}`` spec),
+merged by ``_merge_by_key`` (one ``sort`` on the keys, then the merge
+kernel per block), which ``top_by_key`` shares with an Arrow
+first-k-per-group kernel (``first_rows``).
 
 A pooled stage that reserves every CPU starves the task-based stages
 (reads, stateless maps) — on a 4-CPU test session two pools at min=2
@@ -214,64 +218,127 @@ def fold_blocks(ds, partial, merge, acc):
 
 
 def _sql_keys(t, keys: list[str]):
-    """``t`` with ``-0.0`` read as ``0.0`` in every float key column:
-    SQL groups the two as one key, Arrow's ``group_by`` does not."""
+    """``t`` with ``-0.0`` read as ``0.0``, and every NaN payload as one
+    NaN, in every float key column: SQL groups each pair as one key,
+    Arrow's ``group_by`` does not."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
     for k in keys:
         if pa.types.is_floating(t.schema.field(k).type):
             col = t.column(k)
-            t = t.set_column(t.schema.get_field_index(k), k,
-                             pc.add(col, pa.scalar(0.0, col.type)))
+            t = t.set_column(t.schema.get_field_index(k), k, pc.if_else(
+                pc.is_nan(col), pa.scalar(float("nan"), col.type),
+                pc.add(col, pa.scalar(0.0, col.type))))
     return t
 
 
-def _group(t, keys: list[str], aggs: dict[str, str]):
-    """One Arrow ``group_by(keys)`` of ``t`` with ``aggs`` → keys, then
-    ``aggs`` in order; a float key's ``-0.0`` is ``0.0`` (``_sql_keys``).
-    NaN follows SQL (DuckDB), where it sorts above every number: a sum
-    or max is NaN once any value is, a min only when every value is
-    (Arrow's min and max skip NaN, and give ±inf for an all-NaN
-    group)."""
+_OPS = ("sum", "min", "max", "count", "mean")
+
+
+def _op(v) -> str:
+    """The op of an ``aggs`` value: an op, or an (op, source) pair."""
+    return v if isinstance(v, str) else v[0]
+
+
+def _steps(aggs: dict, merge: bool = False) -> list[tuple]:
+    """``aggs`` as ``_group`` steps (output, Arrow op, source): the
+    block step, or with ``merge`` the merge of its partials.  A value
+    of ``aggs`` is an op on the column of its own name, or an (op,
+    source) pair.  ``count`` is ``COUNT(*)``, summed in the merge;
+    ``mean`` travels as its sum and the count of valid values
+    (``_n_<output>``), divided by ``_finish``."""
+    steps = []
+    for out, v in aggs.items():
+        op, src = _op(v), (out if isinstance(v, str) else v[1])
+        if op not in _OPS:
+            raise ValueError(f"keyed ops are {', '.join(_OPS)}, got {v!r} for {out!r}")
+        if merge:
+            steps.append((out, op if op in ("min", "max") else "sum", out))
+            if op == "mean":
+                steps.append((f"_n_{out}", "sum", f"_n_{out}"))
+        elif op == "count":
+            steps.append((out, "count_all", None))
+        elif op == "mean":
+            steps += [(out, "sum", src), (f"_n_{out}", "count", src)]
+        else:
+            steps.append((out, op, src))
+    return steps
+
+
+def _finish(t, aggs: dict):
+    """``t`` with every mean divided out of its merged (sum, count):
+    float64, and NULL for a group with no valid value (SQL ``avg``)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    specs, nan_flag = list(aggs.items()), {}
-    for c, op in aggs.items():
-        if op != "sum" and pa.types.is_floating(t.schema.field(c).type):
+    for out, v in aggs.items():
+        if _op(v) == "mean":
+            mean = pc.divide(pc.cast(t.column(out), pa.float64()),
+                             pc.cast(t.column(f"_n_{out}"), pa.float64()))
+            t = t.set_column(t.schema.get_field_index(out), out, mean) \
+                .drop_columns([f"_n_{out}"])
+    return t
+
+
+def _group(t, keys: list[str], steps: list[tuple]):
+    """One Arrow ``group_by(keys)`` of ``t`` → keys, then one column
+    per step (output, op, source) in order; the op is Arrow's ``sum``,
+    ``min``, ``max``, ``count`` (valid values of the source) or
+    ``count_all`` (rows), and a float key's ``-0.0`` is ``0.0`` and
+    every NaN one NaN (``_sql_keys``).  NaN follows SQL (DuckDB), where it sorts above
+    every number: a sum or max is NaN once any value is, a min only
+    when every value is (Arrow's min and max skip NaN, and give ±inf
+    for an all-NaN group)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    specs, picks = {}, []
+    for _, op, src in steps:
+        name, flag = "count_all" if op == "count_all" else f"{src}_{op}", None
+        specs[name] = ([], op) if op == "count_all" else (src, op)
+        if op in ("min", "max") and pa.types.is_floating(t.schema.field(src).type):
             flag_op = "any" if op == "max" else "all"
-            t = t.append_column(f"_nan_{c}", pc.is_nan(t.column(c)))
-            specs.append((f"_nan_{c}", flag_op))
-            nan_flag[c] = f"_nan_{c}_{flag_op}"
-    g = _sql_keys(t, keys).group_by(keys, use_threads=False).aggregate(specs)
+            if f"_nan_{src}" not in t.column_names:
+                t = t.append_column(f"_nan_{src}", pc.is_nan(t.column(src)))
+            flag = f"_nan_{src}_{flag_op}"
+            specs[flag] = (f"_nan_{src}", flag_op)
+        picks.append((name, flag))
+    g = _sql_keys(t, keys).group_by(keys, use_threads=False).aggregate(list(specs.values()))
     cols = [g.column(k) for k in keys]
-    for c, op in aggs.items():
-        v = g.column(f"{c}_{op}")
-        if c in nan_flag:
-            v = pc.if_else(g.column(nan_flag[c]), pa.scalar(float("nan"), v.type), v)
+    for name, flag in picks:
+        v = g.column(name)
+        if flag is not None:
+            v = pc.if_else(g.column(flag), pa.scalar(float("nan"), v.type), v)
         cols.append(v)
-    return pa.Table.from_arrays(cols, names=[*keys, *aggs])
+    return pa.Table.from_arrays(cols, names=[*keys, *(out for out, _, _ in steps)])
 
 
-def combine_by_key(ds, keys: list[str], aggs: dict[str, str], cols=None):
+def combine_by_key(ds, keys: list[str], aggs: dict, cols=None):
     """The per-block step of a keyed decomposable aggregate (SUDAF's
     accumulate): every block becomes ``cols(block)`` (default: the
-    ``keys`` and ``aggs`` columns as they are), then one Arrow
-    ``group_by(keys)`` with ``aggs`` — output column → ``"sum"``,
-    ``"min"`` or ``"max"`` of that column; ``{}`` keeps the distinct
-    keys.  A count is the sum of a column of ones.  The columns come
-    out keys first, then ``aggs`` in order, so each block ships one row
-    per distinct key to whatever shuffle follows.  A null key is a
-    group of its own (SQL ``GROUP BY``); NaN follows SQL (``_group``)."""
-    if set(aggs.values()) - {"sum", "min", "max"}:
-        raise ValueError(f"keyed ops are sum, min and max, got {aggs}")
-    keys = list(keys)
+    ``keys`` and source columns as they are), then one Arrow
+    ``group_by(keys)``.  ``aggs`` maps an output column to ``"sum"``,
+    ``"min"``, ``"max"``, ``"count"`` (``COUNT(*)``) or ``"mean"`` of
+    the column of that name, or to an (op, source) pair — rollup's
+    ``{out: (op, src)}`` spec; ``{}`` keeps the distinct keys.  The
+    columns come out keys first, then ``aggs`` in order (a mean as its
+    partial sum, followed by its valid count ``_n_<out>``), so each
+    block ships one row per distinct key to whatever shuffle follows.
+    A null key is a group of its own (SQL ``GROUP BY``); NaN follows
+    SQL (``_group``)."""
+    return ds.map_batches(_combiner(list(keys), aggs, cols), batch_format="pyarrow")
+
+
+def _combiner(keys: list[str], aggs: dict, cols):
+    """``combine_by_key``'s block step as a function of one block."""
+    steps = _steps(aggs)
+    srcs = list(dict.fromkeys(src for _, op, src in steps if op != "count_all"))
 
     def _combine(b):
-        return _group(cols(b) if cols is not None else b.select([*keys, *aggs]), keys, aggs)
+        return _group(cols(b) if cols is not None else b.select([*keys, *srcs]), keys, steps)
 
-    return ds.map_batches(_combine, batch_format="pyarrow")
+    return _combine
 
 
 @functools.cache
@@ -326,22 +393,41 @@ def _merge_by_key(partials, keys: list[str], kernel):
         return b
 
     def _merge(b):
-        return kernel(b.drop_columns(names)) if b.num_rows else b
+        return kernel(b.drop_columns(names)) if b.num_columns else b
 
     return (partials.map_batches(_with_sort, batch_format="pyarrow").sort(names)
             .map_batches(_merge, batch_format="pyarrow", batch_size=None))
 
 
-def fold_by_key(ds, keys: list[str], aggs: dict[str, str], cols=None):
+def fold_by_key(ds, keys: list[str], aggs: dict, cols=None):
     """A keyed decomposable aggregate: :func:`combine_by_key`, then the
     one keyed merge ``_merge_by_key`` with the same Arrow ``group_by``
-    (SUDAF's merge) → keys, then ``aggs`` in order.  ``{}`` is
-    ``SELECT DISTINCT keys``.  NULL and NaN follow SQL (DuckDB): a
-    null value adds nothing, a sum or max is NaN once any value is, a
-    min only when every value is; a null key is a group of its own."""
+    over the partials (SUDAF's merge: a count is summed, a mean's sum
+    and count are summed, then divided) → keys, then ``aggs`` in order,
+    with Ray's types (int64 counts, float64 means, a min or max in its
+    source's type).  ``{}`` is ``SELECT DISTINCT keys``.  NULL and NaN
+    follow SQL (DuckDB): a null value adds nothing, a sum, mean or max
+    is NaN once any value is, a min only when every value is; a null
+    key is a group of its own.
+
+    With no ``keys`` it is SQL's keyless aggregate, folded on the
+    driver (``fold_blocks``) into a one-row Dataset; an input with no
+    rows gives that row too: a count 0, every other value NULL."""
+    import pyarrow as pa
+
     keys = list(keys)
-    return _merge_by_key(combine_by_key(ds, keys, aggs, cols), keys,
-                         lambda b: _group(b, keys, aggs))
+    steps = _steps(aggs, merge=True)
+
+    def _merge(b):
+        return _finish(_group(b, keys, steps), aggs)
+
+    if keys:
+        return _merge_by_key(combine_by_key(ds, keys, aggs, cols), keys, _merge)
+    import ray.data as rd
+
+    parts = fold_blocks(ds, _combiner(keys, aggs, cols), lambda acc, p: [*acc, p], [])
+    return rd.from_arrow(_merge(pa.concat_tables(parts)) if parts else pa.table(
+        {out: [0 if _op(v) == "count" else None] for out, v in aggs.items()}))
 
 
 def first_rows(keys, order, k=1):

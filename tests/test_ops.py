@@ -134,8 +134,7 @@ def test_salted_count_matches_plain(ray_session):
 
     rows = [{"k": "hot"} for _ in range(500)] + \
            [{"k": f"cold{i}"} for i in range(50)]
-    out = salted_count(rd.from_items(rows), "k", salt_buckets=8,
-                       hot_keys={"hot"}).to_pandas().set_index("k")["n"]
+    out = salted_count(rd.from_items(rows), "k").to_pandas().set_index("k")["n"]
     assert out["hot"] == 500
     assert out["cold7"] == 1 and len(out) == 51
 

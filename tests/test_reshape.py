@@ -40,6 +40,28 @@ def test_pivot_sum():
         pivot_table(_events(), "uid", "kind", ["a"], agg="median")
 
 
+def test_pivot_sum_nan_across_blocks_matches_duckdb(ray_session):
+    """``agg="sum"`` over NaN and NULL values spread across blocks:
+    a cell is NaN once any of its values is (Ray's own ``Sum`` merge
+    skipped a block's NaN partial), an all-NULL cell is 0, like
+    DuckDB's ``coalesce(sum(v) FILTER (...), 0)``."""
+    import duckdb
+
+    nan = float("nan")
+    t = pa.table({"uid": [1, 1, 2, 2, 3, 3, 1, 2, 3],
+                  "kind": ["a", "b", "a", "b", "a", "a", "a", "b", "b"],
+                  "v": [nan, 1.0, 2.0, None, 3.0, 4.0, 5.0, None, 6.0]})
+    ds = ray.data.from_arrow([t.slice(i, 3) for i in range(0, 9, 3)])
+    got = (pivot_table(ds, "uid", "kind", ["a", "b"], value="v", agg="sum")
+           .to_pandas().sort_values("uid"))
+    want = duckdb.sql("SELECT uid, coalesce(sum(v) FILTER (WHERE kind = 'a'), 0) AS n_a, "
+                      "coalesce(sum(v) FILTER (WHERE kind = 'b'), 0) AS n_b "
+                      "FROM t GROUP BY uid ORDER BY uid").df()
+    assert got.uid.tolist() == want.uid.tolist()
+    for c in ("n_a", "n_b"):
+        np.testing.assert_array_equal(got[c].to_numpy(), want[c].to_numpy())
+
+
 def test_grouped_zscore_matches_pandas():
     out = (grouped_zscore(_events(), "uid", "v").to_pandas()
            .sort_values(["uid", "v"]).reset_index(drop=True))

@@ -3,7 +3,8 @@ broadcast-state stage, and the structure rule that keeps it the only
 one; likewise ``block_tasks``, the one walk of a Dataset's blocks,
 ``fold_blocks``, the one driver merge of per-block partials,
 ``fold_by_key``, the one per-block combiner of a keyed aggregate, and
-``top_by_key``, the one per-key best-row pick."""
+``top_by_key``, the one per-key best-row pick; and the rule that
+every aggregate runs on those three folds."""
 
 import ast
 import os
@@ -253,10 +254,12 @@ def test_keyed_merge_keeps_a_null_string_key(ray_session):
 
 
 def test_fold_by_key_nan_null_and_signed_zero_match_duckdb(ray_session):
-    """sum/min/max over a float column with NaN, NULL, ``-0.0`` and
-    ``0.0`` spread over 5 blocks equal DuckDB's: a sum or max is NaN
-    once any value is, a min only when every value is, NULL adds
-    nothing; a ``-0.0`` key is the ``0.0`` key."""
+    """sum/min/max/mean/count over a float column with NaN, NULL,
+    ``-0.0`` and ``0.0`` spread over 5 blocks equal DuckDB's, keyed and
+    keyless, in the ``{col: op}`` and the ``{out: (op, source)}`` form:
+    a sum, mean or max is NaN once any value is, a min only when every
+    value is, NULL adds nothing (an all-NULL mean is NULL), a count is
+    ``COUNT(*)``; a ``-0.0`` key is the ``0.0`` key."""
     import math
 
     import duckdb
@@ -276,9 +279,20 @@ def test_fold_by_key_nan_null_and_signed_zero_match_duckdb(ray_session):
         return sorted([tuple("nan" if isinstance(x, float) and math.isnan(x) else x
                              for x in r) for r in rows], key=repr)
 
-    for op in ("sum", "min", "max"):
-        want = duckdb.sql(f"SELECT k, {op}(v) FROM t GROUP BY k").fetchall()
+    sql = {"sum": "sum(v)", "min": "min(v)", "max": "max(v)", "mean": "avg(v)",
+           "count": "count(*)"}
+    for op, agg in sql.items():
+        want = duckdb.sql(f"SELECT k, {agg} FROM t GROUP BY k").fetchall()
         assert norm(_rows(fold_by_key(ds, ["k"], {"v": op}))) == norm(want), op
+    spec = {"n": "count", "s": ("sum", "v"), "a": ("mean", "v"), "lo": ("min", "v")}
+    sql = "count(*), sum(v), avg(v), min(v)"
+    want = duckdb.sql(f"SELECT fk, {sql} FROM t GROUP BY fk").fetchall()
+    assert norm(_rows(fold_by_key(ds, ["fk"], spec))) == norm(want)
+    want = duckdb.sql(f"SELECT {sql} FROM t").fetchall()
+    assert norm(_rows(fold_by_key(ds, [], spec))) == norm(want)
+    empty = duckdb.sql(f"SELECT {sql} FROM t WHERE k > 99").fetchall()
+    assert _rows(fold_by_key(rd.from_arrow(t.slice(0, 0)), [], spec)) == empty \
+        == [(0, None, None, None)]
     want = duckdb.sql("SELECT fk, sum(v), count(*) FROM t GROUP BY fk").fetchall()
     got = fold_by_key(ds, ["fk"], {"v": "sum", "n": "sum"},
                       lambda b: b.select(["fk", "v"]).append_column(
@@ -368,6 +382,50 @@ def test_only_top_by_key_picks_best_rows():
                   if module in where.get(kind, {module})}
     assert found - exempt == set()
     assert found == exempt  # the exemption is still in use
+
+
+def _ray_aggregates(src: str, module: str) -> list[str]:
+    """``module.function:line`` (``<module>`` outside a top-level
+    ``def``) for every ``.aggregate(`` call and every
+    ``ray.data.aggregate`` import of a module."""
+    found = []
+    for top in ast.parse(src).body:
+        name = f"{module}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "aggregate" \
+                    or isinstance(node, ast.ImportFrom) and node.module == "ray.data.aggregate" \
+                    or isinstance(node, ast.Import) and \
+                    any(a.name == "ray.data.aggregate" for a in node.names):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_every_aggregate_runs_on_the_folds():
+    """Every aggregate calls ``fold_blocks``, ``fold_by_key`` or
+    ``top_by_key``: outside ``resources.py``, no module in
+    ``snorkel_ray/`` (``__ray_entry__.py`` included) calls
+    ``.aggregate(`` or imports ``ray.data.aggregate``.  The one
+    exemption is ``grouped_zscore``, whose ``Std`` merges (n, mean, M2)
+    by Chan's rule, which the folds' sum/min/max merge cannot."""
+    probe = ("from ray.data.aggregate import Count\n"
+             "def f(ds):\n"
+             "    import ray.data.aggregate\n"
+             "    return ds.groupby('k').aggregate(Count())\n"
+             "def g(t):\n"
+             "    return t.group_by('k').count()\n")
+    assert _ray_aggregates(probe, "m") == ["m.<module>:1", "m.f:3", "m.f:4"]
+    pkg = os.path.dirname(snorkel_ray.__file__)
+    repo = os.path.dirname(pkg)
+    sources = [os.path.join(dirpath, f) for dirpath, _, files in os.walk(pkg)
+               for f in files if f.endswith(".py") and f != "resources.py"]
+    sources.append(os.path.join(repo, "__ray_entry__.py"))
+    found = [site for path in sources
+             for site in _ray_aggregates(open(path).read(),
+                                         os.path.basename(path)[:-len(".py")])]
+    exempt = "reshape.grouped_zscore"
+    assert [s for s in found if s.split(":")[0] != exempt] == []
+    assert found, exempt  # the exemption is still in use
 
 
 def _builds(log_dir):

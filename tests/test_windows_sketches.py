@@ -135,22 +135,6 @@ def test_fit_centroids_survives_sorted_input(ray_session):
         assert (Cn @ t).max() > 0.9, f"cluster {c} not represented"
 
 
-def test_detect_hot_keys_survives_sorted_input(ray_session):
-    """Hot key living at the END of a key-sorted input must still be
-    detected (a prefix sample would miss it entirely)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from snorkel_ray.stages.skew import detect_hot_keys
-
-    cold = [f"cold_{i}" for i in range(30_000)]          # unique, first
-    hot = ["zzz_hot"] * 10_000                            # 25%, last
-    ds = rd.from_arrow(pa.table({"k": cold + hot})).repartition(8)
-    keys = detect_hot_keys(ds, "k", hot_fraction=0.05)
-    assert "zzz_hot" in keys
-
-
 def test_ivf_assigned_matches_unassigned(ray_session):
     """Persisted centroid assignment (build once, query many) must give
     the same results as per-query routing (round-1 verdict: IVF)."""
