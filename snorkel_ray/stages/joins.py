@@ -90,9 +90,10 @@ def _last_at_or_before(mask: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(mask, np.arange(len(mask)), -1))
 
 
-def _gather(col: pd.Series, src: np.ndarray) -> pd.Series:
-    """``col``'s values at positions ``src``, null where ``src`` < 0."""
-    return col.iloc[np.maximum(src, 0)].reset_index(drop=True).where(src >= 0)
+def _first_at_or_after(mask: np.ndarray) -> np.ndarray:
+    """Per position, the index of the first ``True`` at or after it
+    (``len(mask)``: none)."""
+    return len(mask) - 1 - _last_at_or_before(mask[::-1])[::-1]
 
 
 def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
@@ -110,13 +111,15 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
     scan).  The match is a ROW: a matched right row whose value is
     null attaches null — it does not fall through to an older row.
 
-    Plan: tag both sides, union, ONE hash-partitioned groupby on the
-    key; per group one fill (``_fill``) sorts by time and gathers each
-    left row's matched right row — no row-by-row probing, no repeated
-    right-side scans.  At equal timestamps the right row wins first
-    (inclusive match), matching DuckDB.  ``right`` must be unique per
+    Plan: tag both sides, union, ONE keyed sort on the key
+    (``resources.by_key``, ordered on ``ts``); per block one fill
+    (``_fill``) gathers each left row's matched right row over the
+    block's key segments — no row-by-row probing, no repeated
+    right-side scans.  At equal timestamps the right row matches
+    (inclusive), matching DuckDB.  ``right`` must be unique per
     (key, ts) — ties there have no defined winner on either engine;
-    pre-aggregate.
+    pre-aggregate.  A null key matches nothing (SQL equality, as
+    DuckDB's ASOF join): its left rows attach null.
 
     Default partitioning: one key's rows fit a reducer (same contract
     as the default sliding/session windows).  ``pre_split_chunk``
@@ -129,7 +132,8 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
     full history never sorts in one reducer."""
     import pyarrow.compute as pc
 
-    from .windows import _carry_plan, _resolve_chunk
+    from ..state.resources import by_key
+    from .windows import _bounds, _carry_plan, _gather, _resolve_chunk
 
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be 'backward' or 'forward', "
@@ -158,11 +162,11 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
     left_names = lschema.names
     ltype = {n: _pa_type(t) for n, t in zip(lschema.names, lschema.types)}
     rtype = {n: _pa_type(t) for n, t in zip(rschema.names, rschema.types)}
-    # integer right values ride the pandas group stages AS STRINGS:
-    # null-padding upcasts int columns to float64, which corrupts
-    # values ≥ 2^53 (the same id-corruption mode apply_mapping
-    # already guards); strings survive exactly and _finish casts
-    # them back
+    # integer right values ride the carry join AS STRINGS: its
+    # broadcast path reads the carry-in through pandas, whose
+    # null-padding upcasts int columns to float64 and corrupts values
+    # ≥ 2^53 (the same id-corruption mode apply_mapping already
+    # guards); strings survive exactly and _finish casts them back
     _carry_type = {c: (pa.string() if pa.types.is_integer(rtype[c])
                        else rtype[c]) for c in value_cols}
 
@@ -176,6 +180,7 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
         return pa.table(cols)
 
     def _tag_right(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.is_valid(b.column(key)))  # a null key matches nothing
         cols = {c: (b.column(c) if c in (key, ts)
                     else pa.nulls(b.num_rows, ltype[c])) for c in left_names}
         for c, rc in zip(value_cols, rcols):
@@ -190,11 +195,9 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
               .union(right.map_batches(_tag_right, batch_format="pyarrow")))
 
     def _finish(b: pa.Table) -> pa.Table:
-        # pandas upcast the null-padded left int columns to float64
-        # through the group stage; cast back (values are integral).
-        # Out columns restore to the RIGHT side's original types too
-        # (ints come back from the string carry; float32/timestamps
-        # from their pandas-widened forms)
+        # out columns restore to the RIGHT side's original types (ints
+        # come back from the string carry; float32/timestamps from the
+        # carry join's pandas-widened forms); left columns keep theirs
         cols = {c: (b.column(c), ltype[c]) for c in left_names}
         for c, oc, rc in zip(value_cols, out_cols, rcols):
             cols[oc] = (b.column(rc), rtype[c])
@@ -203,49 +206,70 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
 
     fwd = direction == "forward"
 
-    def _fill(g: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray]:
-        # time order, mirrored for forward; a right row sorts before a
-        # left row at equal ts (the inclusive match), so in this order
-        # a left row's match is the LAST right row at or before it.
-        # → (sorted g with every left row's rcols gathered from its
-        # matched right row, each row's match position or -1)
-        g = g.sort_values([ts, "_side"], ascending=[not fwd, True],
-                          kind="mergesort").reset_index(drop=True)
-        src = _last_at_or_before(g["_side"].to_numpy() == 0)
+    def _fill(b: pa.Table, starts: np.ndarray) -> tuple[pa.Table, np.ndarray]:
+        # → (b with every row's rcols gathered from its matched right
+        # row, each row's match position or -1), b ordered on (key
+        # segments, ts).  A right row is unique per (key, ts), so a run
+        # of rows tied on ts holds at most one: every row of the run
+        # matches the last right row at or before the run's end
+        # (backward) or the first at or after its start (forward), in
+        # its own key segment
+        first, end = _bounds(starts, b.num_rows)
+        right = b.column("_side").to_numpy() == 0
+        t = b.column(ts)
+        tie = np.ones(b.num_rows, bool)
+        tie[1:] = pc.fill_null(pc.not_equal(t.slice(1), t.slice(0, b.num_rows - 1)),
+                               True).to_numpy(zero_copy_only=False)
+        tie[starts] = True
+        runs = np.flatnonzero(tie)
+        size = np.diff(np.append(runs, b.num_rows))
+        if fwd:
+            src = _first_at_or_after(right)[np.repeat(runs, size)]
+            src = np.where(src < end, src, -1)
+        else:
+            src = _last_at_or_before(right)[np.repeat(np.append(runs[1:], b.num_rows) - 1,
+                                                      size)]
+            src = np.where(src >= first, src, -1)
         for rc in rcols:
-            g[rc] = _gather(g[rc], src)
-        return g, src
+            b = b.set_column(b.schema.get_field_index(rc), rc, _gather(b.column(rc), src))
+        return b, src
 
     if pre_split_chunk is None:
-        def _merge(g: pd.DataFrame) -> pd.DataFrame:
-            g, _ = _fill(g)
-            return g[g["_side"] == 1]
+        def _merge(b: pa.Table, starts: np.ndarray) -> pa.Table:
+            b, _ = _fill(b, starts)
+            return b.filter(pc.equal(b.column("_side"), 1))
 
-        return (tagged.groupby(key).map_groups(_merge, batch_format="pandas")
+        return (by_key(tagged, [key], _merge, [ts])
                 .map_batches(_finish, batch_format="pyarrow"))
 
-    def _level1(g: pd.DataFrame) -> pd.DataFrame:
-        g, src = _fill(g)
-        left_rows = (g["_side"] == 1).to_numpy()
-        roles = np.where(src[left_rows] >= 0, "done", "head")
-        # the carry row is the match of the chunk's last row in fill
-        # order: its boundary right row, or (src -1, no right row) the
-        # last left row, whose rcols are all null
-        carry = g.iloc[[src[-1]]].assign(_role="carry", _has=src[-1] >= 0)
-        return pd.concat([g[left_rows].assign(_role=roles, _has=False), carry],
-                         ignore_index=True)
+    def _level1(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        b, src = _fill(b, starts)
+        left = b.column("_side").to_numpy() == 1
+        # the carry row is the match of the chunk's last row in time
+        # (its first for forward): its boundary right row, or (no right
+        # row) that edge row itself, a left row whose rcols are null
+        edge = starts if fwd else np.append(starts[1:], b.num_rows) - 1
+        has = src[edge] >= 0
+        role = np.concatenate([np.where(src[left] >= 0, "done", "head"),
+                               np.full(len(edge), "carry")])
+        return (b.take(np.concatenate([np.flatnonzero(left), np.where(has, src[edge], edge)]))
+                .append_column("_role", pa.array(role))
+                .append_column("_has", pa.array(np.concatenate([np.zeros(left.sum(), bool),
+                                                                has]))))
 
-    def _scan(c: pd.DataFrame) -> pa.Table:
-        # forward scans chunks latest first; the shift keeps a chunk's
-        # own carry-out out of its carry-in
+    def _scan(c: pa.Table, starts: np.ndarray) -> pa.Table:
+        # a chunk's carry-in is the carry-out of the nearest strictly
+        # earlier chunk of its key that has one (later for forward)
+        first, end = _bounds(starts, c.num_rows)
+        has = c.column("_has").to_numpy(zero_copy_only=False)
         if fwd:
-            c = c.iloc[::-1].reset_index(drop=True)
-        src = _last_at_or_before(c["_has"].to_numpy(dtype=bool))
-        src = np.concatenate([[-1], src[:-1]])
-        # typed here, as cumulative_sum's scan: Ray would turn an
-        # all-NaN carry-in into Arrow's null type
-        return pa.Table.from_pandas(c[[key, "_chunk"]].assign(
-            **{"_in" + rc: _gather(c[rc], src) for rc in rcols}), preserve_index=False)
+            src = np.append(_first_at_or_after(has), c.num_rows)[1:]
+            src = np.where(src < end, src, -1)
+        else:
+            src = np.append(-1, _last_at_or_before(has))[:-1]
+            src = np.where(src >= first, src, -1)
+        return pa.table({key: c.column(key), "_chunk": c.column("_chunk"),
+                         **{"_in" + rc: _gather(c.column(rc), src) for rc in rcols}})
 
     def _apply(b: pa.Table) -> pa.Table:
         for rc in rcols:

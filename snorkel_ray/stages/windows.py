@@ -5,6 +5,17 @@ exist because the brief's engine must cover event-log processing at
 scale.  Per the Ray Data model (no watermarks/event-time runtime), a
 window is a deterministic batch computation over an ordered, keyed log.
 
+Every per-key ordered op is a block kernel on ``resources.by_key``:
+one ``sort`` puts every row of a key into one block, each block is
+sorted in place on (key, ts, event_id), and the kernel evaluates every
+key of the block at once over its segments (the textbook window plan:
+sort once on (partition, order), then evaluate each frame over the
+segments of the sorted run).  No op calls pandas per group: lag/lead
+is a shifted ``take`` masked at group starts, the rolling mean a
+w-term masked sum, the running sum a per-group ``np.cumsum``
+(``_running``), the time-range sum a ``searchsorted`` per row, and
+sessions ``np.{minimum,maximum,add}.reduceat`` over run starts.
+
 Partitioning contracts (hot-key story, round-1 verdict item 9):
 
 - **tumbling**: no per-key group at all — the window id is a vectorized
@@ -15,11 +26,11 @@ Partitioning contracts (hot-key story, round-1 verdict item 9):
   chunks (≫ gap), sessionizes per ``(key, chunk)`` — bounded groups —
   then merges adjacent sessions across chunk boundaries on the SESSION
   table (≪ events).  Both levels run the same vectorized run split
-  (``start − cummax(end).shift() > gap``): within-chunk sessions are
-  already > gap apart, so only boundary splits rejoin.
+  (``start − cummax(end) > gap`` against the previous row): within-chunk
+  sessions are already > gap apart, so only boundary splits rejoin.
 - **lag / sliding mean / time-range sum**: per-key ordered ops.  The
-  single-group plan (``_per_key``) sorts a key's whole history in one
-  reducer; ``pre_split_chunk`` switches to the shared two-level hot-key
+  single-group plan (``_per_key``) puts a key's whole history in one
+  block; ``pre_split_chunk`` switches to the shared two-level hot-key
   plan ``_context_plan``: per ``(key, chunk)`` the op's ``compute``
   runs and its ``split`` marks HEAD rows (output may depend on an
   earlier/later chunk) and CONTEXT rows (the boundary rows other
@@ -32,14 +43,14 @@ Partitioning contracts (hot-key story, round-1 verdict item 9):
   carry row per (key, chunk), a per-key scan over those rows only,
   the carry-in joined back on the (key, chunk) composite.
 
-Nulls follow SQL: the additive windows (cumulative and time-range
-sum) skip null values, and a result is null only while its frame holds
-no non-null value (``_running_sum``, a running non-null count — not a
-cumsum over NaN, which poisons every later row).
+Nulls follow SQL: a null key is one partition (``PARTITION BY``), the
+additive windows (cumulative and time-range sum) skip null values, and
+a result is null only while its frame holds no non-null value
+(``_running_sum``, a running non-null count — not a cumsum over NaN,
+which poisons every later row).
 
-Ordering identity is ``(ts, event_id)`` — one stable sort
-(``_sorted``); exactly one event per key per (ts, event_id) is
-assumed.
+Ordering identity is ``(ts, event_id)`` (``_order``); exactly one
+event per key per (ts, event_id) is assumed.
 """
 
 from __future__ import annotations
@@ -82,82 +93,158 @@ def _chunk_map(ts: str, chunk: pd.Timedelta):
 
 def _ck_map(key: str):
     """Batch map appending ``_ck``, the (key, chunk) composite string
-    ``_carry_plan`` joins the carry-in back on."""
+    ``_carry_plan`` joins the carry-in back on.  The key enters as its
+    sort pair (``resources._sort_pair``), with ``-0.0`` read as ``0.0``,
+    so a null key and a NaN key each have a composite of their own,
+    as they have a group of their own in ``by_key``."""
+    from ..state.resources import _sort_pair
 
     def _ck(b: pa.Table) -> pa.Table:
-        k = pc.cast(b.column(key), pa.string())
-        c = pc.cast(pc.cast(b.column("_chunk"), pa.int64()), pa.string())
-        return b.append_column("_ck", pc.binary_join_element_wise(k, c, "\x1f"))
+        flag, k = _sort_pair(b.column(key))
+        if pa.types.is_floating(k.type):
+            k = pc.add(k, pa.scalar(0.0, k.type))
+        c = pc.cast(b.column("_chunk"), pa.int64())
+        return b.append_column("_ck", pc.binary_join_element_wise(
+            *(pc.cast(x, pa.string()) for x in (flag, k, c)), "\x1f"))
 
     return _ck
 
 
-def _sorted(g: pd.DataFrame, ts: str) -> pd.DataFrame:
-    """One stable sort on the ordering identity (ts, event_id)."""
-    order = [ts] + (["event_id"] if "event_id" in g.columns else [])
-    return g.sort_values(order, kind="mergesort").reset_index(drop=True)
+def _order(ts: str) -> list[str]:
+    """The ordering identity (ts, event_id) as ``by_key``'s ``order``
+    (a table without ``event_id`` orders on ``ts`` alone)."""
+    return [ts, "event_id"]
+
+
+def _bounds(starts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a block with group starts ``starts``: the position of
+    its group's first row, and of the row after its group's last."""
+    ends = np.append(starts[1:], n)
+    sizes = ends - starts
+    return np.repeat(starts, sizes), np.repeat(ends, sizes)
+
+
+def _group_of(starts: np.ndarray, n: int) -> np.ndarray:
+    """Per row of a block with group starts ``starts``: its group's
+    index in the block."""
+    return np.searchsorted(starts, np.arange(n), side="right") - 1
+
+
+def _set(b: pa.Table, name: str, col) -> pa.Table:
+    """``b`` with column ``name`` replaced by ``col``, or appended."""
+    i = b.schema.get_field_index(name)
+    return b.append_column(name, col) if i < 0 else b.set_column(i, name, col)
+
+
+def _gather(col, src: np.ndarray):
+    """``col``'s values at positions ``src``, null where ``src`` < 0."""
+    return col.take(pa.array(np.maximum(src, 0), mask=src < 0))
+
+
+def _floats(b: pa.Table, name: str) -> np.ndarray:
+    """Column ``name`` as float64 numpy, null read as NaN."""
+    return pc.cast(b.column(name), pa.float64()).to_numpy()
+
+
+def _running(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The running sum of ``x`` within every group of a block, added
+    in row order from each group's first value: exactly ``np.cumsum``
+    per group.  A group longer than ``big`` rows takes one
+    ``np.cumsum``; the shorter ones step together, one position at a
+    time, so a block costs at most rows / big + big numpy calls."""
+    n, big = len(x), 64
+    ends = np.append(starts[1:], n)
+    sizes = ends - starts
+    out = x.copy()
+    for a, e in zip(starts[sizes > big], ends[sizes > big]):
+        np.cumsum(x[a:e], out=out[a:e])
+    short, size = starts[sizes <= big], sizes[sizes <= big]
+    for p in range(1, size.max(initial=1)):
+        at = short[size > p] + p
+        out[at] += out[at - 1]
+    return out
+
+
+def _running_sum(v: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """SQL's running ``SUM`` per group: NaN (null) values are skipped,
+    and the sum is NaN only while no non-null value has been seen."""
+    ok = ~np.isnan(v)
+    seen = _running(ok.astype(np.int64), starts) > 0
+    return np.where(seen, _running(np.where(ok, v, 0.0), starts), np.nan)
 
 
 def _per_key(events, key: str, ts: str, compute):
-    """Single-group plan: one group per key, sorted, ``compute(g)``
-    fills the output column in place."""
+    """Single-group plan: every block of the keyed sort is ordered on
+    (key, ts, event_id), and ``compute(block, starts)`` returns it with
+    the output column set."""
+    from ..state.resources import by_key
 
-    def _sorted_compute(g: pd.DataFrame) -> pd.DataFrame:
-        g = _sorted(g, ts)
-        compute(g)
-        return g
-
-    return events.groupby(key).map_groups(_sorted_compute, batch_format="pandas")
+    return by_key(events, [key], compute, _order(ts))
 
 
 def _context_plan(events, key: str, ts: str, chunk: pd.Timedelta,
                   compute, split):
-    """The two-level hot-key plan of every per-key ordered op.
+    """The two-level hot-key plan of every per-key ordered op: two
+    ``by_key`` passes on ``(key, _chunk)``, nothing pinned.
 
-    1. Per ``(key, chunk)`` group: sort, ``compute(g)``, then
-       ``split(g, chunk_start)`` → (head, ctx) boolean masks.  Non-head
-       rows are settled ('done'); heads are provisional; ctx rows are
-       the chunk's boundary rows that other chunks' heads depend on.
-    2. Per ``key`` over heads ∪ ctx only: collapse head/ctx double
-       emissions, sort, recompute, keep the corrected heads.
+    1. Per ``(key, chunk)`` group: ``compute(block, starts)``, then
+       ``split(block, starts)`` → (head, ctx) boolean masks (the block
+       still holds ``_chunk``).  Non-head rows are settled ('done');
+       heads are provisional; ctx rows are the chunk's boundary rows
+       that other chunks' heads depend on.  Heads and ctx rows leave
+       with a null ``_chunk``, so level 2 holds them in one group per
+       key, while a done row stays in its own (key, chunk) group.
+    2. Done rows pass through.  Per ``key`` over heads ∪ ctx only:
+       collapse head/ctx double emissions, recompute, keep the
+       corrected heads.
 
-    The double emissions collapse by a per-row uid (chunk, position),
-    NOT by the order columns — deduping on those silently collapsed
-    distinct rows that tie on ts when no event_id column exists."""
+    The double emissions collapse per (group, uid), an int64 from the
+    row's chunk and its position in the (key, chunk) group — NOT by
+    the order columns: deduping on those silently collapsed distinct
+    rows that tie on ts when no event_id column exists.  The uid is
+    the last order column of level 2, so a row's two copies sit side
+    by side there.  (The chunk number fills its high 32 bits, the
+    position its low 32.)"""
+    from ..state.resources import by_key
 
-    def _level1(g: pd.DataFrame) -> pd.DataFrame:
-        chunk_start = g["_chunk"].iloc[0]
-        g = _sorted(g.drop(columns=["_chunk"]), ts)
-        compute(g)
-        g["_w_uid"] = [f"{chunk_start.value}:{i}" for i in range(len(g))]
-        head, ctx = split(g, chunk_start)
-        return pd.concat([g[~head].assign(_role="done"),
-                          g[head].assign(_role="head"),
-                          g[ctx].assign(_role="ctx")], ignore_index=True)
+    def _level1(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        b = compute(b, starts)
+        head, ctx = split(b, starts)
+        first, _ = _bounds(starts, b.num_rows)
+        since = b.column("_chunk").to_numpy() - np.datetime64(0, "ns")
+        uid = ((since // chunk.to_timedelta64()) << 32) + (np.arange(b.num_rows) - first)
+        idx = np.concatenate([np.flatnonzero(~head), np.flatnonzero(head),
+                              np.flatnonzero(ctx)])
+        role = np.repeat(np.array(["done", "head", "ctx"]),
+                         [(~head).sum(), head.sum(), ctx.sum()])
+        b = b.take(idx)
+        return (_set(b, "_chunk", pc.if_else(pa.array(role == "done"), b.column("_chunk"),
+                                             None))
+                .append_column("_role", pa.array(role))
+                .append_column("_w_uid", pa.array(uid[idx])))
 
-    def _level2(g: pd.DataFrame) -> pd.DataFrame:
-        heads = set(g.loc[g["_role"] == "head", "_w_uid"])
-        g = _sorted(g.drop_duplicates("_w_uid"), ts)
-        compute(g)
-        return g[g["_w_uid"].isin(heads)].drop(columns=["_role", "_w_uid"])
+    def _level2(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        edge = pc.not_equal(b.column("_role"), "done").to_numpy(zero_copy_only=False)
+        done = b.filter(pa.array(~edge)).drop_columns(["_chunk", "_role", "_w_uid"])
+        if not edge.any():
+            return done
+        # the edge rows are whole groups; renumber their starts
+        starts = (np.cumsum(edge) - 1)[starts[edge[starts]]]
+        b = b.filter(pa.array(edge))
+        uid = b.column("_w_uid").to_numpy()
+        new = np.ones(b.num_rows, bool)
+        new[1:] = uid[1:] != uid[:-1]
+        new[starts] = True
+        keep = np.flatnonzero(new)
+        head = np.logical_or.reduceat(
+            pc.equal(b.column("_role"), "head").to_numpy(zero_copy_only=False), keep)
+        g = b.take(keep).drop_columns(["_chunk", "_role", "_w_uid"])
+        fixed = compute(g, (np.cumsum(new) - 1)[starts]).filter(pa.array(head))
+        return pa.concat_tables([done, fixed])
 
-    def _role(done: bool):
-        def _filter(b: pa.Table) -> pa.Table:
-            eq = pc.equal(b.column("_role"), "done")
-            if not done:
-                return b.filter(pc.invert(eq))
-            return b.filter(eq).drop_columns(["_role", "_w_uid"])
-
-        return _filter
-
-    staged = (events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow")
-              .groupby([key, "_chunk"])
-              .map_groups(_level1, batch_format="pandas")
-              .materialize())  # consumed twice: done and boundary
-    done = staged.map_batches(_role(True), batch_format="pyarrow")
-    fixed = (staged.map_batches(_role(False), batch_format="pyarrow")
-             .groupby(key).map_groups(_level2, batch_format="pandas"))
-    return done.union(fixed)
+    return by_key(by_key(events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow"),
+                         [key, "_chunk"], _level1, _order(ts)),
+                  [key, "_chunk"], _level2, [*_order(ts), "_w_uid"])
 
 
 def _carry_plan(events, key: str, ts: str, chunk: pd.Timedelta,
@@ -165,24 +252,24 @@ def _carry_plan(events, key: str, ts: str, chunk: pd.Timedelta,
     """The two-level hot-key plan of every single-carry keyed op
     (cumulative sum, both as-of directions).
 
-    1. Per ``(key, chunk)`` group: ``level1(g)`` sorts, computes the
-       in-chunk result and marks every row's ``_role``: ``done`` (the
-       row is settled) or ``head`` (it needs the carry-in), plus
-       exactly one ``carry`` row holding the chunk's carry-out.
-    2. Per ``key`` over the carry rows only (O(#chunks) rows), in
-       chunk order: ``scan(c)`` returns ``key``, ``_chunk`` and the
-       carry-in columns — each chunk's EXCLUSIVE carry-in.
+    1. Per ``(key, chunk)`` group, one block kernel on ``by_key``
+       (ordered on ts, event_id): ``level1(block, starts)`` computes
+       the in-chunk result and marks every row's ``_role``: ``done``
+       (the row is settled) or ``head`` (it needs the carry-in), plus
+       exactly one ``carry`` row per group holding the chunk's
+       carry-out; ``_chunk`` stays.
+    2. Per ``key`` over the carry rows only (O(#chunks) rows), ordered
+       on ``_chunk``: ``scan(block, starts)`` returns ``key``,
+       ``_chunk`` and the carry-in columns — each chunk's EXCLUSIVE
+       carry-in.
     3. Every carry-in column joins onto the heads on the (key, chunk)
        composite via ``joins.apply_mapping`` (broadcast under its
        limit, hash join above); ``apply(b)`` folds it in.
 
     Roles are an explicit column, never a sentinel value: a null
     carry-out is legal (a chunk of null values, a null right value)."""
+    from ..state.resources import by_key
     from .joins import apply_mapping
-
-    def _scan(c: pd.DataFrame) -> pd.DataFrame:
-        return scan(c.sort_values("_chunk", kind="mergesort")
-                    .reset_index(drop=True))
 
     def _role(role: str, drop: list[str]):
         def _filter(b: pa.Table) -> pa.Table:
@@ -190,16 +277,14 @@ def _carry_plan(events, key: str, ts: str, chunk: pd.Timedelta,
 
         return _filter
 
-    staged = (events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow")
-              .groupby([key, "_chunk"])
-              .map_groups(level1, batch_format="pandas")
-              .materialize())  # consumed three times: done, heads, carry
+    staged = by_key(events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow"),
+                    [key, "_chunk"], level1, _order(ts)) \
+        .materialize()  # consumed three times: done, heads, carry
     done = staged.map_batches(_role("done", ["_role", "_chunk"]),
                               batch_format="pyarrow")
-    carry = (staged.map_batches(_role("carry", ["_role"]), batch_format="pyarrow")
-             .groupby(key).map_groups(_scan, batch_format="pandas")
-             .map_batches(_ck_map(key), batch_format="pyarrow")
-             .materialize())
+    carry = by_key(staged.map_batches(_role("carry", ["_role"]), batch_format="pyarrow"),
+                   [key], scan, ["_chunk"]) \
+        .map_batches(_ck_map(key), batch_format="pyarrow").materialize()
     if carry.count() == 0:  # no (key, chunk) group, so no head either
         return done
     heads = (staged.map_batches(_role("head", ["_role"]), batch_format="pyarrow")
@@ -213,22 +298,17 @@ def _carry_plan(events, key: str, ts: str, chunk: pd.Timedelta,
     return done.union(fixed)
 
 
-def _running_sum(v: pd.Series) -> pd.Series:
-    """SQL's running ``SUM``: null values are skipped, and the sum is
-    null only while no non-null value has been seen."""
-    return v.fillna(0).cumsum().where(v.notna().cumsum() > 0)
-
-
 def _row_split(k: int, lead: bool = False):
     """``split`` of the row-count ops: a row settles once it has its k
     in-chunk predecessors (successors for ``lead``).  The chunk's
     first k rows are heads and its last k rows context for the next
     chunk — mirrored for ``lead``."""
 
-    def _split(g: pd.DataFrame, chunk_start):
-        idx = np.arange(len(g))
-        first, last = idx < k, idx >= len(g) - k
-        return (last, first) if lead else (first, last)
+    def _split(b: pa.Table, starts: np.ndarray):
+        first, end = _bounds(starts, b.num_rows)
+        idx = np.arange(b.num_rows)
+        head, tail = idx - first < k, idx >= end - k
+        return (tail, head) if lead else (head, tail)
 
     return _split
 
@@ -267,40 +347,52 @@ def session_windows(events, *, key: str = "user_id", ts: str = "ts",
     to the hot-key-safe two-level plan: per-(key, time-chunk)
     sessionize, then a per-key merge over the much smaller session
     table."""
-    delta = pd.Timedelta(gap)
+    from ..state.resources import by_key
+
+    delta = pd.Timedelta(gap).to_timedelta64()
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk,
-                                     min_width=2 * delta)
+                                     min_width=2 * pd.Timedelta(gap))
 
-    def _runs(g: pd.DataFrame, start: str, end: str, n_events) -> pd.DataFrame:
+    def _runs(start: str, end: str, n_events: str | None):
         # a run ends where the next start is > gap past the max end so
-        # far (for events start == end, so this is the plain ts diff)
-        g = g.sort_values(start, kind="mergesort")
-        new = (g[start] - g[end].cummax().shift()) > delta
-        out = g.groupby(new.cumsum()).agg(
-            session_start=(start, "min"), session_end=(end, "max"),
-            n_events=n_events).reset_index(drop=True)
-        out[key] = g[key].iloc[0]
-        return out[[key, "session_start", "session_end", "n_events"]]
+        # far in its key (for events start == end, so this is the plain
+        # ts diff): one block kernel, the runs' starts feed reduceat
+        def _kernel(b: pa.Table, starts: np.ndarray) -> pa.Table:
+            s, e = b.column(start).to_numpy(), b.column(end).to_numpy()
+            # the max end so far per key: a cummax over (key, rank of end)
+            u = np.unique(e)
+            lift = _group_of(starts, b.num_rows) * len(u)
+            top = u[np.maximum.accumulate(np.searchsorted(u, e) + lift) - lift]
+            new = np.zeros(b.num_rows, bool)
+            new[1:] = (s[1:] - top[:-1]) > delta
+            new[starts] = True
+            runs = np.flatnonzero(new)
+            n = (np.add.reduceat(b.column(n_events).to_numpy(), runs) if n_events
+                 else np.diff(np.append(runs, b.num_rows)))
+            return pa.table({
+                key: b.column(key).take(runs),
+                "session_start": pa.array(np.minimum.reduceat(s, runs),
+                                          b.schema.field(start).type),
+                "session_end": pa.array(np.maximum.reduceat(e, runs),
+                                        b.schema.field(end).type),
+                "n_events": pa.array(n, pa.int64())})
 
-    def _sess(g: pd.DataFrame) -> pd.DataFrame:
-        return _runs(g, ts, ts, (ts, "size"))
+        return _kernel
 
+    _sess = _runs(ts, ts, None)
     if pre_split_chunk is None:
-        return events.groupby(key).map_groups(_sess, batch_format="pandas")
+        return by_key(events, [key], _sess, [ts])
 
     chunk = pd.Timedelta(pre_split_chunk)
     if chunk <= delta:
         raise ValueError(f"pre_split_chunk {pre_split_chunk} must exceed gap {gap}")
 
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        # the cummax over all earlier sessions is the current run's max
-        # end: every earlier run ended more than gap before it
-        return _runs(g, "session_start", "session_end", ("n_events", "sum"))
-
-    per_chunk = (events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow")
-                 .groupby([key, "_chunk"])
-                 .map_groups(_sess, batch_format="pandas"))
-    return per_chunk.groupby(key).map_groups(_merge, batch_format="pandas")
+    # the cummax over all earlier sessions is the current run's max
+    # end: every earlier run ended more than gap before it
+    per_chunk = by_key(events.map_batches(_chunk_map(ts, chunk), batch_format="pyarrow"),
+                       [key, "_chunk"], _sess, [ts])
+    return by_key(per_chunk, [key], _runs("session_start", "session_end", "n_events"),
+                  ["session_start"])
 
 
 def lag_column(events, *, key: str = "user_id", ts: str = "ts",
@@ -322,8 +414,11 @@ def lag_column(events, *, key: str = "user_id", ts: str = "ts",
     shift = -n if lead else n
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk)
 
-    def _lag(g: pd.DataFrame) -> None:
-        g[out] = g[value].shift(shift)
+    def _lag(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        first, end = _bounds(starts, b.num_rows)
+        src = np.arange(b.num_rows) - shift
+        return _set(b, out, _gather(b.column(value),
+                                    np.where((src >= first) & (src < end), src, -1)))
 
     if pre_split_chunk is None:
         return _per_key(events, key, ts, _lag)
@@ -356,11 +451,26 @@ def sliding_window_mean(events, *, key: str = "user_id", ts: str = "ts",
     subsequence contains every true predecessor and no impostor
     between them (any event time-between two of the last window−1
     events IS one of them).
+
+    The mean is a direct sum of each row's window terms (no running
+    difference to lose precision), so a block costs O(rows × window).
     """
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk)
 
-    def _roll(g: pd.DataFrame) -> None:
-        g["rolling_mean"] = g[value].rolling(window, min_periods=1).mean()
+    def _roll(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        # a masked sum of the window's terms, oldest first; null values
+        # are skipped, a frame of nulls only is null (min_periods=1)
+        first, _ = _bounds(starts, b.num_rows)
+        v = _floats(b, value)
+        total, count = np.zeros(b.num_rows), np.zeros(b.num_rows)
+        for lag in range(window - 1, -1, -1):
+            src = np.arange(b.num_rows) - lag
+            term = np.where(src >= first, v[np.maximum(src, 0)], np.nan)
+            ok = ~np.isnan(term)
+            total += np.where(ok, term, 0.0)
+            count += ok
+        mean = np.where(count > 0, total / np.maximum(count, 1), np.nan)
+        return _set(b, "rolling_mean", pa.array(mean, from_pandas=True))
 
     if pre_split_chunk is None:
         return _per_key(events, key, ts, _roll)
@@ -388,26 +498,28 @@ def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
     """
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk)
 
-    def _cum(g: pd.DataFrame) -> None:
-        g[out] = _running_sum(g[value])
+    def _cum(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        return _set(b, out, pa.array(_running_sum(_floats(b, value), starts),
+                                     from_pandas=True))
 
     if pre_split_chunk is None:
         return _per_key(events, key, ts, _cum)
 
-    def _level1(g: pd.DataFrame) -> pd.DataFrame:
-        g = _sorted(g, ts)
-        _cum(g)
-        return pd.concat([g.assign(_role="head"),
-                          g.iloc[[-1]].assign(_role="carry")],
-                         ignore_index=True)
+    def _level1(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        # every row is a head; each group's last row is its carry row
+        last = np.append(starts[1:], b.num_rows) - 1
+        role = np.repeat(np.array(["head", "carry"]), [b.num_rows, len(last)])
+        return (_cum(b, starts).take(np.concatenate([np.arange(b.num_rows), last]))
+                .append_column("_role", pa.array(role)))
 
-    def _scan(c: pd.DataFrame) -> pa.Table:
-        # typed here: Ray turns an all-NaN float column (a key's lone
-        # chunk) into Arrow's null type, which the carry join's pandas
-        # concat then warns about
-        return pa.Table.from_pandas(
-            c[[key, "_chunk"]].assign(_carry=_running_sum(c[out].shift(1))),
-            preserve_index=False)
+    def _scan(c: pa.Table, starts: np.ndarray) -> pa.Table:
+        # each chunk's carry-in: the running sum of the earlier chunks'
+        # totals (a key's first chunk gets null)
+        first, _ = _bounds(starts, c.num_rows)
+        prev = np.arange(c.num_rows) - 1
+        total = np.where(prev >= first, _floats(c, out)[np.maximum(prev, 0)], np.nan)
+        return pa.table({key: c.column(key), "_chunk": c.column("_chunk"),
+                         "_carry": pa.array(_running_sum(total, starts), from_pandas=True)})
 
     def _apply(b: pa.Table) -> pa.Table:
         own, carry = (pc.cast(b.column(c), pa.float64()) for c in (out, "_carry"))
@@ -442,15 +554,30 @@ def time_range_sum(events, *, key: str = "user_id", ts: str = "ts",
     chunk ≥ width (enforced)."""
     wid = pd.Timedelta(width)
 
-    def _rsum(g: pd.DataFrame) -> None:
-        t = g[ts].to_numpy()
-        v = g[value].to_numpy(dtype=np.float64)
+    def _rsum(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        # per group: the frame [lo, hi) of every row by one searchsorted
+        # over a (group, rank of ts) composite, summed as the difference
+        # of two running sums (each starting at the group, as a plain
+        # cumsum per group would)
+        first, _ = _bounds(starts, b.num_rows)
+        t = b.column(ts).to_numpy()
+        v = _floats(b, value)
         ok = ~np.isnan(v)  # nulls skip, as in _running_sum
-        cs = np.concatenate([[0.0], np.cumsum(np.where(ok, v, 0.0))])
-        cn = np.concatenate([[0], np.cumsum(ok)])
-        lo = np.searchsorted(t, t - wid, side="left")
-        hi = np.searchsorted(t, t, side="right")  # include ts peers
-        g[out] = np.where(cn[hi] > cn[lo], cs[hi] - cs[lo], np.nan)
+        cs = _running(np.where(ok, v, 0.0), starts)
+        cn = _running(ok.astype(np.int64), starts)
+        u = np.unique(t)
+        lift = _group_of(starts, b.num_rows) * (len(u) + 1)
+        at = np.searchsorted(u, t) + lift
+        back = np.searchsorted(u, t - wid.to_timedelta64(), side="left")
+        lo = np.searchsorted(at, back + lift, side="left")
+        hi = np.searchsorted(at, at, side="right")  # include ts peers
+
+        def upto(k, run):  # the group's running value before row k
+            return np.where(k > first, run[np.maximum(k - 1, 0)], 0)
+
+        n = upto(hi, cn) - upto(lo, cn)
+        got = np.where(n > 0, upto(hi, cs) - upto(lo, cs), np.nan)
+        return _set(b, out, pa.array(got, from_pandas=True))
 
     # auto: a chunk must be MUCH wider than the window or the
     # boundary set (fraction ~2*width/chunk of every key's rows) eats
@@ -467,9 +594,10 @@ def time_range_sum(events, *, key: str = "user_id", ts: str = "ts",
         raise ValueError(
             f"pre_split_chunk {pre_split_chunk} must be >= width {width}")
 
-    def _split(g: pd.DataFrame, chunk_start):
-        t = g[ts]
+    def _split(b: pa.Table, starts: np.ndarray):
+        t, start = b.column(ts).to_numpy(), b.column("_chunk").to_numpy()
         # heads: window may cross back; ctx: the next chunk's deps
-        return (t - chunk_start) < wid, t >= chunk_start + chunk - wid
+        return ((t - start) < wid.to_timedelta64(),
+                t >= start + (chunk - wid).to_timedelta64())
 
     return _context_plan(events, key, ts, chunk, _rsum, _split)

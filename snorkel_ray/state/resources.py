@@ -17,9 +17,11 @@ partial per block, merged on the driver in block order.
 ``combine_by_key`` / ``fold_by_key`` are the keyed half: one Arrow
 ``group_by`` per block with every aggregate of a query at once (sum,
 min, max, ``COUNT(*)``, mean; rollup's ``{out: (op, source)}`` spec),
-merged by ``_merge_by_key`` (one ``sort`` on the keys, then the merge
-kernel per block), which ``top_by_key`` shares with an Arrow
-first-k-per-group kernel (``first_rows``).
+merged by the same ``group_by`` over ``by_key``, the one keyed sort
+(every row of a key in one block, then one vectorized kernel per
+block over the block's group starts).  ``top_by_key`` merges its Arrow
+first-k-per-group kernel (``first_rows``) there too, and so do the
+per-key ordered ops of ``stages/windows.py`` and the as-of join.
 
 A pooled stage that reserves every CPU starves the task-based stages
 (reads, stateless maps) — on a 4-CPU test session two pools at min=2
@@ -374,17 +376,34 @@ def _sort_pair(col):
     return flag, pc.fill_null(val, _any_value(col.type))
 
 
-def _merge_by_key(partials, keys: list[str], kernel):
-    """The one keyed merge (SUDAF's merge): ``partials`` holds the
-    output of ``kernel`` on every block; ``sort(keys)`` puts every row
-    of a key into one block (Ray's own ``map_groups`` relies on it),
-    where ``kernel`` runs once more (``batch_size=None``: the whole
-    block).  The sort is on ``_sort_pair`` columns, appended for the
-    shuffle only; ``kernel`` groups on the keys themselves, so a null
-    key stays a group of its own.  Arrow's sorts are stable and Ray's
-    reduce step concatenates the map outputs in the order the sort
-    received its input blocks, so rows of one key reach the second
-    ``kernel`` in the order they arrived."""
+def by_key(ds, keys: list[str], kernel, order=()):
+    """Every row of a key in one block, in (``keys``, ``order``) order:
+    ``kernel(block, starts)`` runs once per block of the sorted
+    ``ds`` (``batch_size=None``), and ``starts`` holds the positions
+    of the block's group starts (a numpy array, ``0`` first).  A
+    kernel evaluates every group of its block at once over those
+    segments (segmented numpy or Arrow, never pandas per group) and
+    returns a ``pyarrow.Table``.
+
+    ``sort`` on the ``_sort_pair`` columns of ``keys`` (appended for
+    the shuffle only) puts every row of a key into one block, the
+    guarantee Ray's own ``map_groups`` relies on; a null key is a
+    group of its own, and so is NaN.  With ``order`` (column names,
+    ascending, nulls last; a name the block lacks is skipped) every
+    block is sorted again in place on (keys, ``order``).  Arrow's sorts
+    are stable and Ray's reduce step concatenates the map outputs in
+    the order the sort received its input blocks, so rows that tie on
+    both reach ``kernel`` in the order they arrived.
+
+    Ray 2.49's ``map_batches`` passes an empty block on without calling
+    its UDF, so ``kernel`` never sees one, and the column-less empty
+    block the sort emits for an empty range partition reaches the
+    output as it is (Ray logs it as a schema change); every block with
+    rows carries the kernel's schema."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    keys, order = list(keys), list(order)
     names = [f"_sort{i}_{p}" for i in range(len(keys)) for p in ("flag", "val")]
 
     def _with_sort(b):
@@ -392,16 +411,25 @@ def _merge_by_key(partials, keys: list[str], kernel):
             b = b.append_column(name, col)
         return b
 
-    def _merge(b):
-        return kernel(b.drop_columns(names)) if b.num_columns else b
+    def _run(b):
+        if order:
+            by = [*names, *(c for c in order if c in b.column_names)]
+            b = b.take(pc.sort_indices(b, sort_keys=[(c, "ascending") for c in by]))
+        new = np.zeros(b.num_rows, bool)
+        new[:1] = True
+        for name in names:
+            col = b.column(name)
+            new[1:] |= pc.not_equal(col.slice(1), col.slice(0, len(col) - 1)) \
+                .to_numpy(zero_copy_only=False)
+        return kernel(b.drop_columns(names), np.flatnonzero(new))
 
-    return (partials.map_batches(_with_sort, batch_format="pyarrow").sort(names)
-            .map_batches(_merge, batch_format="pyarrow", batch_size=None))
+    return (ds.map_batches(_with_sort, batch_format="pyarrow").sort(names)
+            .map_batches(_run, batch_format="pyarrow", batch_size=None))
 
 
 def fold_by_key(ds, keys: list[str], aggs: dict, cols=None):
     """A keyed decomposable aggregate: :func:`combine_by_key`, then the
-    one keyed merge ``_merge_by_key`` with the same Arrow ``group_by``
+    one keyed merge, ``by_key`` with the same Arrow ``group_by``
     over the partials (SUDAF's merge: a count is summed, a mean's sum
     and count are summed, then divided) → keys, then ``aggs`` in order,
     with Ray's types (int64 counts, float64 means, a min or max in its
@@ -422,7 +450,8 @@ def fold_by_key(ds, keys: list[str], aggs: dict, cols=None):
         return _finish(_group(b, keys, steps), aggs)
 
     if keys:
-        return _merge_by_key(combine_by_key(ds, keys, aggs, cols), keys, _merge)
+        return by_key(combine_by_key(ds, keys, aggs, cols), keys,
+                      lambda b, starts: _merge(b))
     import ray.data as rd
 
     parts = fold_blocks(ds, _combiner(keys, aggs, cols), lambda acc, p: [*acc, p], [])
@@ -465,7 +494,7 @@ def top_by_key(ds, keys: list[str], order: list[tuple[str, str]], k: int | str =
     a column that holds each key's own k.  A mergeable aggregate (SUDAF):
     the best k of a union are the best k of each part's best k, so
     every block keeps its best k per key (``first_rows``) and
-    ``_merge_by_key`` picks again among those.  Rows that tie on
+    ``by_key`` picks again among those.  Rows that tie on
     ``order`` go to the one that arrived first."""
     import pyarrow.compute as pc
 
@@ -478,4 +507,5 @@ def top_by_key(ds, keys: list[str], order: list[tuple[str, str]], k: int | str =
         return t.take(first_rows(t.select(keys),
                                  pc.sort_indices(t, sort_keys=order).to_numpy(), kk)[0])
 
-    return _merge_by_key(ds.map_batches(_top, batch_format="pyarrow"), keys, _top)
+    return by_key(ds.map_batches(_top, batch_format="pyarrow"), keys,
+                  lambda b, starts: _top(b))

@@ -2,13 +2,15 @@
 broadcast-state stage, and the structure rule that keeps it the only
 one; likewise ``block_tasks``, the one walk of a Dataset's blocks,
 ``fold_blocks``, the one driver merge of per-block partials,
-``fold_by_key``, the one per-block combiner of a keyed aggregate, and
-``top_by_key``, the one per-key best-row pick; and the rule that
+``fold_by_key``, the one per-block combiner of a keyed aggregate,
+``top_by_key``, the one per-key best-row pick, and ``by_key``, the one
+keyed sort under them and the per-key ordered ops; and the rule that
 every aggregate runs on those three folds."""
 
 import ast
 import os
 
+import numpy as np
 import pyarrow as pa
 
 import snorkel_ray
@@ -139,7 +141,6 @@ _COMBINER_CALLS = {"groupby", "group_by", "drop_duplicates"}
 # the nested groupby/dedup routines that feed a ``map_groups`` or a
 # driver-side sort, not a keyed partial aggregate
 _MAP_GROUPS_SIDE = {
-    "windows._context_plan/_level2", "windows.session_windows/_runs",
     "dedup.simhash_near_dup_pairs/_pairs", "corpus_stats.remove_frequent_lines/_regroup",
 }
 
@@ -300,6 +301,90 @@ def test_fold_by_key_nan_null_and_signed_zero_match_duckdb(ray_session):
     assert norm(_rows(got)) == norm(want)
 
 
+def _block_tables(ds) -> list[pa.Table]:
+    """The output blocks of ``ds``, one table each."""
+    import ray
+
+    return [ray.get(ref) for ref in ds.to_arrow_refs()]
+
+
+def test_keyed_sort_blocks_carry_the_kernel_schema(ray_session):
+    """Every block of ``fold_by_key`` and ``by_key`` over 5 one-row
+    blocks that holds rows carries the kernel's schema (no sort column
+    leaks out); the only other block is the column-less empty one that
+    Ray's sort emits for an empty range partition and its
+    ``map_batches`` passes on without calling the kernel."""
+    import ray.data as rd
+
+    from snorkel_ray.state.resources import by_key, fold_by_key
+
+    ds = rd.from_arrow([pa.table({"k": [k], "v": [float(k)]}) for k in (3, 1, 3, 0, 2)])
+
+    def _sizes(b, starts):
+        return pa.table({"k": b.column("k").take(starts),
+                         "n": np.diff(np.append(starts, b.num_rows))})
+
+    for out, names in ((fold_by_key(ds, ["k"], {"v": "sum"}), ["k", "v"]),
+                       (by_key(ds, ["k"], _sizes), ["k", "n"])):
+        blocks = _block_tables(out)
+        assert all(b.column_names == names for b in blocks if b.num_rows), blocks
+        assert all(b.column_names == [] for b in blocks if not b.num_rows), blocks
+        assert sorted(r for b in blocks if b.num_rows
+                      for r in b.column("k").to_pylist()) == [0, 1, 2, 3]
+
+
+def _sort_rank(v):
+    """A key value's place in ``by_key``'s sort: value, NaN, null."""
+    return (2, 0) if v is None else (1, 0) if v != v else (0, v)
+
+
+def test_by_key_kernel_sees_each_group_whole_once_in_order(ray_session):
+    """Random multi-block inputs, a one- and a two-column key (a
+    string with nulls and an int), a float key with NaN and NULL, ts
+    ties broken by ``event_id``: the kernel sees every group whole,
+    exactly once, its rows in ``order`` and the groups of a block in
+    key order (value, NaN, null) — against a pandas oracle that groups
+    on labels (pandas merges NaN with null)."""
+    import pandas as pd
+    import ray.data as rd
+
+    from snorkel_ray.state.resources import by_key
+
+    rng = np.random.default_rng(5)
+    n = 600
+    k = [None if r < 0.05 else f"k{r * 40:.0f}" for r in rng.random(n)]
+    f = [None if r < 0.1 else float("nan") if r < 0.2 else float(int(r * 8))
+         for r in rng.random(n)]
+    t = pa.table({"k": k, "c": rng.integers(0, 3, n), "f": pa.array(f, pa.float64()),
+                  "ts": rng.integers(0, 5, n), "event_id": rng.permutation(n)})
+    cuts = np.sort(rng.choice(np.arange(1, n), 6, replace=False))
+    ds = rd.from_arrow([t.slice(a, b - a) for a, b in zip([0, *cuts], [*cuts, n])])
+
+    def _groups(b, starts):
+        assert starts[0] == 0 and (np.diff(starts) > 0).all()
+        ends = np.append(starts[1:], b.num_rows)
+        return pa.table({"key": [repr([_sort_rank(b.column(c)[i].as_py()) for c in keys])
+                                 for i in starts],
+                         "ids": [b.column("event_id").slice(a, e - a).to_pylist()
+                                 for a, e in zip(starts, ends)]})
+
+    df = t.to_pandas()
+    for keys in (["k"], ["k", "c"], ["f"]):
+        labels = [repr([_sort_rank(v) for v in row])
+                  for row in zip(*(t.column(c).to_pylist() for c in keys))]
+        want = {lab: g.sort_values(["ts", "event_id"])["event_id"].tolist()
+                for lab, g in df.assign(_lab=labels).groupby("_lab", sort=False)}
+        blocks = [b for b in _block_tables(by_key(ds, keys, _groups, ["ts", "event_id"]))
+                  if b.num_rows]  # the sort's column-less empty blocks pass by
+        got = [(lab, ids) for b in blocks
+               for lab, ids in zip(b.column("key").to_pylist(), b.column("ids").to_pylist())]
+        assert len(got) == len({lab for lab, _ in got}), keys  # each group once
+        assert dict(got) == want, keys  # whole, in (ts, event_id) order
+        for b in blocks:  # the groups of a block in key order
+            ranks = [ast.literal_eval(lab) for lab in b.column("key").to_pylist()]
+            assert ranks == sorted(ranks), keys
+
+
 def test_top_by_key_keeps_k_best_and_first_arrival_on_ties(ray_session):
     """``top_by_key`` keeps the best k rows per key in any blocking
     (nulls last), takes each key's k from a column, and gives a tie on
@@ -354,7 +439,9 @@ def test_only_top_by_key_picks_best_rows():
     keyed merge runs through its ``sort`` + Arrow kernel: no module
     (``__ray_entry__.py`` included) squeezes a pickled row into an
     aggregate value, ``skew.py`` and ``sampling.py`` run no
-    ``map_groups``, and ``resources.py`` uses no Ray aggregate.  The one
+    ``map_groups``, nor do ``windows.py`` and ``joins.py`` (a per-key
+    ordered op is a block kernel on ``by_key``), and ``resources.py``
+    uses no Ray aggregate.  The one
     exemption is ``remove_frequent_lines``, whose pickled rows feed a
     ``map_groups`` regroup."""
     probe = ("import pickle\n"
@@ -368,7 +455,8 @@ def test_only_top_by_key_picks_best_rows():
     assert _best_row_picks(probe, "m") == {
         ("pickle", "m.f"), ("aggregate", "m.<module>"),
         ("aggregate", "m.g"), ("map_groups", "m.g")}
-    where = {"map_groups": {"skew", "sampling"}, "aggregate": {"resources"}}
+    where = {"map_groups": {"skew", "sampling", "windows", "joins"},
+             "aggregate": {"resources"}}
     exempt = {("pickle", "corpus_stats.remove_frequent_lines")}
     pkg = os.path.dirname(snorkel_ray.__file__)
     repo = os.path.dirname(pkg)

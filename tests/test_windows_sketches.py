@@ -212,10 +212,11 @@ def test_sliding_presplit_bounds_group_size(ray_session):
     })
     ds = rd.from_pandas(df).repartition(8)
 
-    def _stamp(g):  # every row records the size of the group it saw
-        g["group_rows"] = len(g)
+    def _stamp(b, starts):  # every row records the size of the group it saw
+        sizes = np.diff(np.append(starts, b.num_rows))
+        return W._set(b, "group_rows", pa.array(np.repeat(sizes, sizes)))
 
-    out = W._context_plan(ds, "user_id", "ts", pd.Timedelta("1D"), _stamp,
+    out =W._context_plan(ds, "user_id", "ts", pd.Timedelta("1D"), _stamp,
                           W._row_split(window - 1)).to_pandas()
     out = out.sort_values("event_id").reset_index(drop=True)
     assert len(out) == n
@@ -497,6 +498,144 @@ def test_time_range_sum_nulls_match_duckdb(ray_session):
     for chunk in (None, "1D"):
         _assert_sql_equal(time_range_sum(ds, width="1h", pre_split_chunk=chunk)
                           .to_pandas(), exp, "range_sum")
+
+
+def _null_key_blocks() -> list[pa.Table]:
+    """Three blocks with a null STRING ``user_id`` in each (Ray 2.49's
+    own sort raises comparing it with a string); keys "a" and null span
+    two days, so a "1D" chunk plan carries into their second chunk."""
+    base = np.datetime64("2024-01-01T00:00", "us")
+    rows = [("a", 0, 1.0), (None, 10, 2.0), ("a", 20, None),
+            (None, 25, 4.0), ("b", 30, 5.0), ("a", 1500, 6.0),
+            ("c", 40, 7.0), (None, 1450, 8.0)]
+    t = pa.table({"user_id": [k for k, _, _ in rows],
+                  "ts": pa.array([base + np.timedelta64(m, "m") for _, m, _ in rows],
+                                 pa.timestamp("us")),
+                  "value": pa.array([v for _, _, v in rows], pa.float64()),
+                  "event_id": pa.array(range(len(rows)), pa.int64())})
+    return [t.slice(0, 3), t.slice(3, 3), t.slice(6)]
+
+
+_OVER = "OVER (PARTITION BY user_id ORDER BY ts, event_id"
+_NULL_KEY_WINDOWS = {
+    "lag_column": (f"LAG(value) {_OVER})", "lag_value",
+                   lambda W, ds, c: W.lag_column(ds, pre_split_chunk=c)),
+    "sliding_window_mean": (f"AVG(value) {_OVER} ROWS 1 PRECEDING)", "rolling_mean",
+                            lambda W, ds, c: W.sliding_window_mean(
+                                ds, window=2, pre_split_chunk=c)),
+    "cumulative_sum": (f"SUM(value) {_OVER} ROWS UNBOUNDED PRECEDING)", "cum_value",
+                       lambda W, ds, c: W.cumulative_sum(ds, pre_split_chunk=c)),
+    "time_range_sum": ("SUM(value) OVER (PARTITION BY user_id ORDER BY ts "
+                       "RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW)",
+                       "range_sum",
+                       lambda W, ds, c: W.time_range_sum(ds, width="1h", pre_split_chunk=c)),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, "1D"])
+@pytest.mark.parametrize("name", sorted(_NULL_KEY_WINDOWS))
+def test_window_keeps_a_null_string_key_like_duckdb(ray_session, name, chunk):
+    """A null string key over three blocks is one partition, as SQL's
+    ``PARTITION BY`` makes it, on the single-group and the chunked plan
+    (the chunked carry-in reaches the null key's second chunk)."""
+    import duckdb
+    import ray.data as rd
+
+    from snorkel_ray.stages import windows as W
+
+    sql, col, run = _NULL_KEY_WINDOWS[name]
+    t = pa.concat_tables(_null_key_blocks())  # noqa: F841 — read by DuckDB
+    want = duckdb.sql(f"SELECT event_id, {sql} FROM t").fetchall()
+    got = run(W, rd.from_arrow(_null_key_blocks()), chunk).to_pandas()
+    assert len(got) == len(want)
+    got = {e: (None if pd.isna(v) else round(v, 9))
+           for e, v in zip(got["event_id"], got[col])}
+    assert got == {e: (None if v is None else round(v, 9)) for e, v in want}
+
+
+def test_context_plan_keeps_every_row_of_microsecond_ts(ray_session):
+    """Parquet gives ``timestamp[us]``: the chunked lag and sliding mean
+    keep every row of sparse chunks (one event a day, so the heads and
+    context of neighbouring chunks share positions) and equal the
+    single-group plan."""
+    import ray.data as rd
+
+    from snorkel_ray.stages.windows import lag_column, sliding_window_mean
+
+    days = np.array([0, 1, 2, 4, 5, 5, 9, 10], dtype="timedelta64[D]")
+    t = pa.table({"user_id": ["u"] * len(days),
+                  "ts": pa.array(np.datetime64("2024-01-01", "us") + days + np.timedelta64(3, "h"),
+                                 pa.timestamp("us")),
+                  "value": pa.array(np.arange(len(days), dtype=np.float64)),
+                  "event_id": pa.array(range(len(days)), pa.int64())})
+    ds = rd.from_arrow([t.slice(0, 3), t.slice(3)])
+    for op, col in ((lambda c: lag_column(ds, pre_split_chunk=c), "lag_value"),
+                    (lambda c: sliding_window_mean(ds, window=3, pre_split_chunk=c),
+                     "rolling_mean")):
+        plain, chunked = (op(c).to_pandas().sort_values("event_id").reset_index(drop=True)
+                          for c in (None, "1D"))
+        assert len(chunked) == len(t)
+        pd.testing.assert_series_equal(plain[col], chunked[col])
+
+
+@pytest.mark.parametrize("chunk", [None, "1D"])
+def test_session_windows_keep_a_null_string_key_like_duckdb(ray_session, chunk):
+    """Sessions of a null string key over three blocks, on both plans,
+    equal DuckDB's gaps-and-islands over ``PARTITION BY user_id``."""
+    import duckdb
+    import ray.data as rd
+
+    from snorkel_ray.stages.windows import session_windows
+
+    t = pa.concat_tables(_null_key_blocks())  # noqa: F841 — read by DuckDB
+    want = duckdb.sql("""
+        SELECT user_id, min(ts), max(ts), count(*) FROM (
+            SELECT *, sum(new) OVER (PARTITION BY user_id ORDER BY ts
+                                     ROWS UNBOUNDED PRECEDING) AS sid
+            FROM (SELECT *, CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts)
+                                 > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS new FROM t))
+        GROUP BY user_id, sid""").fetchall()
+    assert any(r[0] is None for r in want)
+    got = session_windows(rd.from_arrow(_null_key_blocks()), gap="30min",
+                          pre_split_chunk=chunk).to_pandas()
+
+    def norm(rows):
+        return sorted(((k, pd.Timestamp(s), pd.Timestamp(e), int(n))
+                       for k, s, e, n in rows), key=repr)
+
+    assert norm(got[["user_id", "session_start", "session_end", "n_events"]]
+                .itertuples(index=False)) == norm(want)
+
+
+@pytest.mark.parametrize("chunk", [None, "1D"])
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_asof_join_null_string_key_matches_duckdb(ray_session, direction, chunk):
+    """A null string key on both sides over three blocks: as DuckDB's
+    ``ASOF LEFT JOIN ... ON l.user_id = r.user_id`` (SQL equality), a
+    null-key left row matches nothing and attaches null, on both plans;
+    every other key matches as usual."""
+    import duckdb
+    import ray.data as rd
+
+    from snorkel_ray.stages.joins import asof_join
+
+    ev = pa.concat_tables(_null_key_blocks())
+    clicks = pa.table({"user_id": ["a", None, "a", "c"],
+                      "ts": ev.column("ts").take([0, 1, 5, 6]),
+                      "px": [10.0, 20.0, 60.0, 70.0]})
+    t = ev.select(["event_id", "user_id", "ts"])  # noqa: F841 — read by DuckDB
+    op = ">=" if direction == "backward" else "<="
+    want = dict(duckdb.sql(f"""
+        SELECT t.event_id, clicks.px FROM t ASOF LEFT JOIN clicks
+        ON t.user_id = clicks.user_id AND t.ts {op} clicks.ts""").fetchall())
+    assert want[1] is None and want[0] == 10.0
+    left = rd.from_arrow([b.select(["event_id", "user_id", "ts"])
+                          for b in _null_key_blocks()])
+    got = asof_join(left, rd.from_arrow([clicks.slice(0, 2), clicks.slice(2)]),
+                    "user_id", "ts", ["px"], direction=direction,
+                    pre_split_chunk=chunk).to_pandas()
+    assert {e: (None if pd.isna(v) else v) for e, v in zip(got["event_id"], got["px"])} \
+        == want
 
 
 def test_space_saving_exact_and_approx(ray_session):
