@@ -433,6 +433,7 @@ def apply_mapping(ds, mapping, key_col: str, map_key: str, map_value: str,
     NULL value is indistinguishable from an absent key — with
     ``default_col`` both get the default (coalesce semantics).
     """
+    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
@@ -455,47 +456,27 @@ def apply_mapping(ds, mapping, key_col: str, map_key: str, map_value: str,
 
         return ds.map_batches(_empty, batch_format="pyarrow")
     if n <= broadcast_limit:
-        mdf = mapping.select_columns([map_key, map_value]).to_pandas()
-        vals_src = mdf[map_value]
-        # pin the output arrow type: the per-batch rebuild otherwise
-        # INFERS from Python objects, and a uint64 id ≥ 2^63 makes
-        # pyarrow try int64 → OverflowError (caught by the curation
-        # hash-range-id test)
-        out_type = None
-        try:
-            out_type = pa.from_numpy_dtype(np.dtype(str(vals_src.dtype)))
-        except (TypeError, pa.lib.ArrowNotImplementedError):
-            pass
-        if pd.api.types.is_integer_dtype(vals_src.dtype):
-            # nullable-int lookup values: a plain int64 Series.map
-            # upcasts to float64 when any key misses (NaN), silently
-            # corrupting ids ≥ 2^53 — the stated 10^12-doc hash-id
-            # design target (round-2 ADVICE item 2). The masked
-            # extension array keeps misses as pd.NA at full precision.
-            nullable = {"int8": "Int8", "int16": "Int16", "int32": "Int32",
-                        "int64": "Int64", "uint8": "UInt8", "uint16": "UInt16",
-                        "uint32": "UInt32", "uint64": "UInt64"}
-            vals_src = vals_src.astype(nullable[str(vals_src.dtype)])
-        lookup = pd.Series(vals_src.array
-                           if hasattr(vals_src, "array")
-                           else vals_src.values,
-                           index=mdf[map_key].values)
-        if not lookup.index.is_unique:
+        # the lookup stays in Arrow: pandas widens an int column that
+        # holds a null to float64, which corrupts ids >= 2^53
+        lut = pa.concat_tables([t.select([map_key, map_value])
+                                for t in ray.get(mapping.to_arrow_refs()) if t.num_rows],
+                               promote_options="permissive").combine_chunks()
+        if pc.count_distinct(lut.column(map_key), mode="all").as_py() != n:
             raise ValueError(
                 "apply_mapping: mapping has duplicate keys — "
-                "pre-aggregate to one row per key (Series.map would "
-                "raise here; the shuffle plan would silently multiply "
-                "rows)")
-        lookup_ref = ray.put(lookup)
+                "pre-aggregate to one row per key (the shuffle plan "
+                "would silently multiply rows)")
+        lut_ref = ray.put(lut)
 
         def _apply(b: pa.Table) -> pa.Table:
-            lookup = ray.get(lookup_ref)
-            keys = b.column(key_col).to_pandas()
-            vals = keys.map(lookup)
+            lut = ray.get(lut_ref)
+            # a null key takes the mapping's null key (index_in matches nulls)
+            vals = lut.column(map_value).take(
+                pc.index_in(b.column(key_col), value_set=lut.column(map_key).chunk(0)))
             if default_col is not None:
-                vals = vals.fillna(b.column(default_col).to_pandas())
-            return b.append_column(
-                out_col, pa.Array.from_pandas(vals, type=out_type))
+                d = b.column(default_col)
+                vals = d if pa.types.is_null(vals.type) else pc.coalesce(vals, d.cast(vals.type))
+            return b.append_column(out_col, vals)
 
         return ds.map_batches(_apply, batch_format="pyarrow")
 
@@ -517,8 +498,6 @@ def apply_mapping(ds, mapping, key_col: str, map_key: str, map_value: str,
     joined = ds.join(renamed, join_type="left_outer",
                      num_partitions=nparts,
                      on=(key_col,), right_on=("__map_key",))
-
-    import pyarrow.compute as pc
 
     def _finish(b: pa.Table) -> pa.Table:
         if default_col is not None:

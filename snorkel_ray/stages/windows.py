@@ -6,8 +6,8 @@ scale.  Per the Ray Data model (no watermarks/event-time runtime), a
 window is a deterministic batch computation over an ordered, keyed log.
 
 Every per-key ordered op is a block kernel on ``resources.by_key``:
-one ``sort`` puts every row of a key into one block, each block is
-sorted in place on (key, ts, event_id), and the kernel evaluates every
+its range-partitioned sort (plain Ray tasks) puts every row of a key
+into one block sorted on (key, ts, event_id), and the kernel evaluates every
 key of the block at once over its segments (the textbook window plan:
 sort once on (partition, order), then evaluate each frame over the
 segments of the sorted run).  No op calls pandas per group: lag/lead

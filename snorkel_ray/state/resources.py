@@ -23,6 +23,14 @@ block over the block's group starts).  ``top_by_key`` merges its Arrow
 first-k-per-group kernel (``first_rows``) there too, and so do the
 per-key ordered ops of ``stages/windows.py`` and the as-of join.
 
+``by_key`` is a shuffle of plain Ray tasks, not a Ray Data ``sort``:
+a map task per block (on the ``block_tasks`` walk; the folds run their
+per-block step there), P reduce partitions with P = ceil(map-output
+bytes / ``DataContext.target_max_block_size``) placed by sampled
+boundaries, and one reduce task per non-empty partition that runs the
+kernel.  Its result is eager and every block of it carries the
+kernel's schema (no column-less empty block).
+
 A pooled stage that reserves every CPU starves the task-based stages
 (reads, stateless maps) — on a 4-CPU test session two pools at min=2
 deadlock the whole pipeline (observed; the streaming executor does not
@@ -194,10 +202,11 @@ def _fold_block(block, partial):
 
 
 @functools.cache
-def _fold_task():
+def _remote(fn, num_returns: int = 1):
+    """``fn`` as a plain Ray task with ``num_returns`` results."""
     import ray
 
-    return ray.remote(_fold_block)
+    return ray.remote(num_returns=num_returns)(fn)
 
 
 def fold_blocks(ds, partial, merge, acc):
@@ -214,7 +223,7 @@ def fold_blocks(ds, partial, merge, acc):
     import ray
 
     fn = ray.put(partial)
-    for ref in block_tasks(ds, _fold_task(), fn):
+    for ref in block_tasks(ds, _remote(_fold_block), fn):
         acc = merge(acc, ray.get(ref))
     return acc
 
@@ -283,6 +292,32 @@ def _finish(t, aggs: dict):
     return t
 
 
+def _group_by(t, keys: list[str], specs: list):
+    """``t.group_by(keys).aggregate(specs)`` on SQL's keys
+    (``_sql_keys``) → (the key columns, the grouped table).  Arrow 16's
+    grouper splits a group that spans more than 32 rows while a key
+    column holds nulls (a bool key beside an all-null float key gives
+    2 groups for 33 equal rows), so a key with nulls is grouped by its
+    null-free ``_sort_pair`` and read back with ``first``."""
+    import pyarrow as pa
+
+    t = _sql_keys(t, keys)
+    by, picks = [], []
+    for i, k in enumerate(keys):
+        col = t.column(k)
+        if col.null_count and not pa.types.is_null(col.type):
+            for p, c in zip(("flag", "val"), _sort_pair(col)):
+                by.append(f"_group{i}_{p}")
+                t = t.append_column(by[-1], c)
+            picks.append(f"{k}_first")
+        else:
+            by.append(k)
+            picks.append(k)
+    g = t.group_by(by, use_threads=False).aggregate(
+        [*specs, *((k, "first") for k, pick in zip(keys, picks) if pick != k)])
+    return [g.column(pick) for pick in picks], g
+
+
 def _group(t, keys: list[str], steps: list[tuple]):
     """One Arrow ``group_by(keys)`` of ``t`` → keys, then one column
     per step (output, op, source) in order; the op is Arrow's ``sum``,
@@ -306,8 +341,7 @@ def _group(t, keys: list[str], steps: list[tuple]):
             flag = f"_nan_{src}_{flag_op}"
             specs[flag] = (f"_nan_{src}", flag_op)
         picks.append((name, flag))
-    g = _sql_keys(t, keys).group_by(keys, use_threads=False).aggregate(list(specs.values()))
-    cols = [g.column(k) for k in keys]
+    cols, g = _group_by(t, keys, list(specs.values()))
     for name, flag in picks:
         v = g.column(name)
         if flag is not None:
@@ -376,60 +410,157 @@ def _sort_pair(col):
     return flag, pc.fill_null(val, _any_value(col.type))
 
 
-def by_key(ds, keys: list[str], kernel, order=()):
-    """Every row of a key in one block, in (``keys``, ``order``) order:
-    ``kernel(block, starts)`` runs once per block of the sorted
-    ``ds`` (``batch_size=None``), and ``starts`` holds the positions
-    of the block's group starts (a numpy array, ``0`` first).  A
-    kernel evaluates every group of its block at once over those
-    segments (segmented numpy or Arrow, never pandas per group) and
-    returns a ``pyarrow.Table``.
-
-    ``sort`` on the ``_sort_pair`` columns of ``keys`` (appended for
-    the shuffle only) puts every row of a key into one block, the
-    guarantee Ray's own ``map_groups`` relies on; a null key is a
-    group of its own, and so is NaN.  With ``order`` (column names,
-    ascending, nulls last; a name the block lacks is skipped) every
-    block is sorted again in place on (keys, ``order``).  Arrow's sorts
-    are stable and Ray's reduce step concatenates the map outputs in
-    the order the sort received its input blocks, so rows that tie on
-    both reach ``kernel`` in the order they arrived.
-
-    Ray 2.49's ``map_batches`` passes an empty block on without calling
-    its UDF, so ``kernel`` never sees one, and the column-less empty
-    block the sort emits for an empty range partition reaches the
-    output as it is (Ray logs it as a schema change); every block with
-    rows carries the kernel's schema."""
-    import numpy as np
+def _sorted(t, names: list[str], order):
+    """``t`` stably sorted on ``names``, then the ``order`` columns it
+    holds (ascending, nulls last)."""
     import pyarrow.compute as pc
+
+    by = [*names, *(c for c in order if c in t.column_names)]
+    return t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in by]))
+
+
+# sort-pair rows sampled from every map output to place the partition
+# boundaries; each stands for (its block's rows / its block's samples)
+_SAMPLES = 64
+
+
+def _keyed_map(block, keys, names, order, step):
+    """``by_key``'s map step on one block: ``step`` (if any), the sort
+    pairs appended, sorted on (pairs, ``order``) → (the table, (rows,
+    bytes, evenly spaced sample of its pair rows))."""
+    import numpy as np
+    from ray.data.block import BlockAccessor
+
+    t = BlockAccessor.for_block(block).to_arrow()
+    if step is not None:
+        t = step(t)
+    for name, col in zip(names, (c for k in keys for c in _sort_pair(t.column(k)))):
+        t = t.append_column(name, col)
+    t = _sorted(t, names, order)
+    pick = np.unique(np.linspace(0, t.num_rows - 1, min(t.num_rows, _SAMPLES)).astype(np.int64))
+    return t, (t.num_rows, t.nbytes, t.select(names).take(pick))
+
+
+def _keyed_split(t, bounds, names):
+    """One sorted map output cut into ``len(bounds) + 1`` slices, then
+    their row counts: a row goes to the slice of the last boundary at
+    or below it (a row equal to a boundary goes right), so every map
+    output cuts a key alike."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    n = len(bounds)
+    both = pa.concat_tables([bounds, t.select(names)], promote_options="permissive")
+    # Arrow's sort is stable: a boundary sorts before the rows equal to
+    # it, and the rows of ``t`` keep their (sorted) order, so each row's
+    # slice is the count of boundaries before it, non-decreasing down ``t``
+    is_bound = pc.sort_indices(both, sort_keys=[(c, "ascending") for c in names]) \
+        .to_numpy() < n
+    cuts = np.searchsorted(np.cumsum(is_bound)[~is_bound], np.arange(n + 2))
+    return (*(t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])), np.diff(cuts))
+
+
+def _keyed_reduce(kernel, names, order, *parts):
+    """One partition of ``by_key``: its slices concatenated in input
+    block order, sorted stably on (pairs, ``order``), ``kernel`` run
+    over the group starts → (the kernel's table, its rows)."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    t = parts[0] if len(parts) == 1 else \
+        _sorted(pa.concat_tables(parts, promote_options="permissive"), names, order)
+    new = np.zeros(t.num_rows, bool)
+    new[:1] = True
+    for name in names:
+        col = t.column(name)
+        new[1:] |= pc.not_equal(col.slice(1), col.slice(0, len(col) - 1)) \
+            .to_numpy(zero_copy_only=False)
+    out = kernel(t.drop_columns(names), np.flatnonzero(new))
+    return out, out.num_rows
+
+
+def by_key(ds, keys: list[str], kernel, order=(), *, _step=None):
+    """Every row of a key in one block, in (``keys``, ``order``) order:
+    ``kernel(block, starts)`` runs once per output block, and
+    ``starts`` holds the positions of the block's group starts (a numpy
+    array, ``0`` first).  A kernel evaluates every group of its block
+    at once over those segments (segmented numpy or Arrow, never pandas
+    per group) and returns a ``pyarrow.Table``.
+
+    A shuffle of plain Ray tasks, no Ray Data operator (Exoshuffle's
+    map → split → reduce):
+    - map: one task per non-empty block (``block_tasks``) appends the
+      ``_sort_pair`` columns of ``keys`` and sorts the block on (pairs,
+      ``order``); only its rows, bytes and a sample of its pair rows
+      reach the driver;
+    - partitions: P = ceil(map-output bytes / Ray's
+      ``DataContext.target_max_block_size``), at least 1 and at most
+      the number of map outputs.  With P > 1 the driver places P − 1
+      boundaries at the samples' weighted quantiles and one task per
+      map output cuts its sorted table into P slices;
+    - reduce: one task per non-empty partition concatenates its slices
+      in input block order, sorts them again stably, and runs
+      ``kernel`` on the block without the pair columns.
+
+    A null key is a group of its own, and so is NaN; groups come in key
+    order (value, NaN, null), within a block and across blocks.  With
+    ``order`` (column names, ascending, nulls last; a name the block
+    lacks is skipped) a group's rows come in that order.  Every sort is
+    stable and slices are joined in input block order, so rows that tie
+    on both reach ``kernel`` in the order they arrived.
+
+    The result is eager: it is a Dataset of the reduce outputs, built
+    when ``by_key`` is called.  That holds no more rows at once than
+    the barrier of Ray's own sort did.  No empty partition runs a
+    reduce, so ``kernel`` never sees an empty block and every output
+    block carries its schema; an empty output is dropped unless all
+    are (then one is kept).  An input with no rows gives an empty
+    Dataset.  ``_step`` (private: the
+    folds' per-block accumulate) runs on every block in the map task."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
 
     keys, order = list(keys), list(order)
     names = [f"_sort{i}_{p}" for i in range(len(keys)) for p in ("flag", "val")]
-
-    def _with_sort(b):
-        for name, col in zip(names, (c for k in keys for c in _sort_pair(b.column(k)))):
-            b = b.append_column(name, col)
-        return b
-
-    def _run(b):
-        if order:
-            by = [*names, *(c for c in order if c in b.column_names)]
-            b = b.take(pc.sort_indices(b, sort_keys=[(c, "ascending") for c in by]))
-        new = np.zeros(b.num_rows, bool)
-        new[:1] = True
-        for name in names:
-            col = b.column(name)
-            new[1:] |= pc.not_equal(col.slice(1), col.slice(0, len(col) - 1)) \
-                .to_numpy(zero_copy_only=False)
-        return kernel(b.drop_columns(names), np.flatnonzero(new))
-
-    return (ds.map_batches(_with_sort, batch_format="pyarrow").sort(names)
-            .map_batches(_run, batch_format="pyarrow", batch_size=None))
+    step = None if _step is None else ray.put(_step)
+    maps, infos = [], []
+    for table, info in block_tasks(ds, _remote(_keyed_map, 2), keys, names, order, step):
+        rows, size, sample = ray.get(info)
+        if rows:
+            maps.append(table)
+            infos.append((rows, size, sample))
+    if not maps:
+        return rd.from_arrow(pa.table({}))
+    size = sum(s for _, s, _ in infos)
+    p = max(1, min(len(maps), -(-size // (DataContext.get_current().target_max_block_size or size))))
+    if p == 1:
+        parts = [maps]
+    else:
+        samples = pa.concat_tables([s for _, _, s in infos], promote_options="permissive")
+        weight = np.concatenate([np.full(len(s), r / len(s)) for r, _, s in infos])
+        at = pc.sort_indices(samples, sort_keys=[(c, "ascending") for c in names]).to_numpy()
+        cum = np.cumsum(weight[at])
+        bounds = samples.take(at[np.searchsorted(cum, cum[-1] * np.arange(1, p) / p)])
+        cut = [_remote(_keyed_split, p + 1).remote(t, bounds, names) for t in maps]
+        sizes = np.array(ray.get([c[-1] for c in cut]))
+        parts = [[c[i] for c, n in zip(cut, sizes[:, i]) if n]
+                 for i in range(p) if sizes[:, i].any()]
+    fn = ray.put(kernel)
+    outs = [_remote(_keyed_reduce, 2).remote(fn, names, order, *refs) for refs in parts]
+    got = ray.get([rows for _, rows in outs])
+    return rd.from_arrow_refs([t for (t, _), n in zip(outs, got) if n] or [outs[0][0]])
 
 
 def fold_by_key(ds, keys: list[str], aggs: dict, cols=None):
-    """A keyed decomposable aggregate: :func:`combine_by_key`, then the
-    one keyed merge, ``by_key`` with the same Arrow ``group_by``
+    """A keyed decomposable aggregate: :func:`combine_by_key`'s block
+    step in ``by_key``'s map tasks, then the one keyed merge, ``by_key``
+    with the same Arrow ``group_by``
     over the partials (SUDAF's merge: a count is summed, a mean's sum
     and count are summed, then divided) → keys, then ``aggs`` in order,
     with Ray's types (int64 counts, float64 means, a min or max in its
@@ -450,8 +581,8 @@ def fold_by_key(ds, keys: list[str], aggs: dict, cols=None):
         return _finish(_group(b, keys, steps), aggs)
 
     if keys:
-        return by_key(combine_by_key(ds, keys, aggs, cols), keys,
-                      lambda b, starts: _merge(b))
+        return by_key(ds, keys, lambda b, starts: _merge(b),
+                      _step=_combiner(keys, aggs, cols))
     import ray.data as rd
 
     parts = fold_blocks(ds, _combiner(keys, aggs, cols), lambda acc, p: [*acc, p], [])
@@ -470,9 +601,8 @@ def first_rows(keys, order, k=1):
     import numpy as np
     import pyarrow as pa
 
-    ranks = _sql_keys(keys, keys.column_names).take(order) \
-        .append_column("_rank", pa.array(np.arange(len(order)))) \
-        .group_by(keys.column_names, use_threads=False).aggregate([("_rank", "list")]) \
+    ranks = _group_by(keys.take(order).append_column("_rank", pa.array(np.arange(len(order)))),
+                      keys.column_names, [("_rank", "list")])[1] \
         .column("_rank_list").combine_chunks()
     offsets = ranks.offsets.to_numpy()
     sizes = np.diff(offsets)
@@ -507,5 +637,4 @@ def top_by_key(ds, keys: list[str], order: list[tuple[str, str]], k: int | str =
         return t.take(first_rows(t.select(keys),
                                  pc.sort_indices(t, sort_keys=order).to_numpy(), kk)[0])
 
-    return by_key(ds.map_batches(_top, batch_format="pyarrow"), keys,
-                  lambda b, starts: _top(b))
+    return by_key(ds, keys, lambda b, starts: _top(b), _step=_top)

@@ -142,6 +142,33 @@ def test_apply_mapping_shuffle_path_matches_broadcast(ray_session):
     assert (bcast.loc[bcast["k"].isin(["k5", "k6"]), "v"].str.startswith("F")).all()
 
 
+def test_apply_mapping_keeps_int_values_above_2_53(ray_session):
+    """An int64 value above 2^53 in a mapping that also maps a key to
+    NULL comes out exact and int64 (a pandas lookup widened it to
+    float64), with and without ``default_col``; a key absent from the
+    mapping and a null key get NULL or the default."""
+    import pyarrow as pa
+    import pytest
+    import ray.data as rd
+
+    from snorkel_ray.stages.joins import apply_mapping
+
+    ds = rd.from_arrow(pa.table({"k": ["a", "b", "c", None],
+                                 "d": pa.array([1, 2, 3, 4], pa.int64())}))
+    mapping = pa.table({"key": ["a", "b"], "val": pa.array([2**60 + 1, None], pa.int64())})
+    for default, want in ((None, [2**60 + 1, None, None, None]),
+                          ("d", [2**60 + 1, 2, 3, 4])):
+        out = apply_mapping(ds, mapping, "k", "key", "val", "v", default_col=default)
+        assert out.schema().base_schema.field("v").type == pa.int64()
+        got = {r["k"]: r["v"] for r in out.take_all()}
+        assert got == dict(zip(["a", "b", "c", None], want)), got
+    # a null key takes the mapping's null key; a duplicate key raises
+    out = apply_mapping(ds, pa.table({"key": ["a", None], "val": [1, 2]}), "k", "key", "val", "v")
+    assert {r["k"]: r["v"] for r in out.take_all()} == {"a": 1, "b": None, "c": None, None: 2}
+    with pytest.raises(ValueError, match="duplicate keys"):
+        apply_mapping(ds, pa.table({"key": ["a", "a"], "val": [1, 2]}), "k", "key", "val", "v")
+
+
 def test_asof_join_empty_right(ray_session):
     """No right rows at all: every left row survives with a null
     attachment (LEFT join semantics)."""

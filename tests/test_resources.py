@@ -301,6 +301,22 @@ def test_fold_by_key_nan_null_and_signed_zero_match_duckdb(ray_session):
     assert norm(_rows(got)) == norm(want)
 
 
+def test_keyed_group_keeps_a_group_with_null_keys_whole(ray_session):
+    """A group of 40 equal rows whose keys are a bool and an all-null
+    float stays one group in the block step and in ``first_rows``
+    (Arrow 16's ``group_by`` splits it past 32 rows)."""
+    import ray.data as rd
+
+    from snorkel_ray.state.resources import combine_by_key, first_rows
+
+    t = pa.table({"b": [True] * 40 + [False] * 5,
+                  "v": pa.array([None] * 40 + [1.0] * 5, pa.float64())})
+    assert _rows(combine_by_key(rd.from_arrow(t), ["b", "v"], {"n": "count"})) == \
+        [(False, 1.0, 5), (True, None, 40)]
+    idx, sizes = first_rows(t, np.arange(t.num_rows))
+    assert idx.tolist() == [0, 40] and sizes.tolist() == [40, 5]
+
+
 def _block_tables(ds) -> list[pa.Table]:
     """The output blocks of ``ds``, one table each."""
     import ray
@@ -309,11 +325,9 @@ def _block_tables(ds) -> list[pa.Table]:
 
 
 def test_keyed_sort_blocks_carry_the_kernel_schema(ray_session):
-    """Every block of ``fold_by_key`` and ``by_key`` over 5 one-row
-    blocks that holds rows carries the kernel's schema (no sort column
-    leaks out); the only other block is the column-less empty one that
-    Ray's sort emits for an empty range partition and its
-    ``map_batches`` passes on without calling the kernel."""
+    """Every output block of ``fold_by_key`` and ``by_key`` over 5
+    one-row blocks carries the kernel's schema: no sort column leaks
+    out, and no empty partition leaves a column-less block behind."""
     import ray.data as rd
 
     from snorkel_ray.state.resources import by_key, fold_by_key
@@ -327,10 +341,40 @@ def test_keyed_sort_blocks_carry_the_kernel_schema(ray_session):
     for out, names in ((fold_by_key(ds, ["k"], {"v": "sum"}), ["k", "v"]),
                        (by_key(ds, ["k"], _sizes), ["k", "n"])):
         blocks = _block_tables(out)
-        assert all(b.column_names == names for b in blocks if b.num_rows), blocks
-        assert all(b.column_names == [] for b in blocks if not b.num_rows), blocks
-        assert sorted(r for b in blocks if b.num_rows
-                      for r in b.column("k").to_pylist()) == [0, 1, 2, 3]
+        assert blocks and all(b.column_names == names and b.num_rows for b in blocks), blocks
+        assert sorted(r for b in blocks for r in b.column("k").to_pylist()) == [0, 1, 2, 3]
+
+
+def test_keyed_ops_on_an_empty_input_give_an_empty_dataset(ray_session):
+    """``by_key``, ``fold_by_key`` and ``top_by_key`` over an input with
+    no rows give a Dataset with no rows that counts and converts."""
+    import ray.data as rd
+
+    from snorkel_ray.state.resources import by_key, fold_by_key, top_by_key
+
+    empty = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.float64())})
+    for ds in (rd.from_arrow(empty), rd.from_arrow([empty, pa.table({})]),
+               rd.from_arrow(pa.table({"k": [1], "v": [1.0]})).filter(lambda r: r["k"] > 1)):
+        for out in (by_key(ds, ["k"], lambda b, starts: b),
+                    fold_by_key(ds, ["k"], {"v": "sum", "n": "count"}),
+                    top_by_key(ds, ["k"], [("v", "descending")], k=2)):
+            assert out.count() == 0
+            assert len(out.to_pandas()) == 0
+
+
+def _keyed_input():
+    """A random 600-row table (a string key with nulls, an int, a float
+    key with NaN and NULL, ts ties broken by ``event_id``) and the same
+    rows cut into 7 blocks."""
+    rng = np.random.default_rng(5)
+    n = 600
+    k = [None if r < 0.05 else f"k{r * 40:.0f}" for r in rng.random(n)]
+    f = [None if r < 0.1 else float("nan") if r < 0.2 else float(int(r * 8))
+         for r in rng.random(n)]
+    t = pa.table({"k": k, "c": rng.integers(0, 3, n), "f": pa.array(f, pa.float64()),
+                  "ts": rng.integers(0, 5, n), "event_id": rng.permutation(n)})
+    cuts = np.sort(rng.choice(np.arange(1, n), 6, replace=False))
+    return t, [t.slice(a, b - a) for a, b in zip([0, *cuts], [*cuts, n])]
 
 
 def _sort_rank(v):
@@ -350,15 +394,8 @@ def test_by_key_kernel_sees_each_group_whole_once_in_order(ray_session):
 
     from snorkel_ray.state.resources import by_key
 
-    rng = np.random.default_rng(5)
-    n = 600
-    k = [None if r < 0.05 else f"k{r * 40:.0f}" for r in rng.random(n)]
-    f = [None if r < 0.1 else float("nan") if r < 0.2 else float(int(r * 8))
-         for r in rng.random(n)]
-    t = pa.table({"k": k, "c": rng.integers(0, 3, n), "f": pa.array(f, pa.float64()),
-                  "ts": rng.integers(0, 5, n), "event_id": rng.permutation(n)})
-    cuts = np.sort(rng.choice(np.arange(1, n), 6, replace=False))
-    ds = rd.from_arrow([t.slice(a, b - a) for a, b in zip([0, *cuts], [*cuts, n])])
+    t, parts = _keyed_input()
+    ds = rd.from_arrow(parts)
 
     def _groups(b, starts):
         assert starts[0] == 0 and (np.diff(starts) > 0).all()
@@ -374,8 +411,7 @@ def test_by_key_kernel_sees_each_group_whole_once_in_order(ray_session):
                   for row in zip(*(t.column(c).to_pylist() for c in keys))]
         want = {lab: g.sort_values(["ts", "event_id"])["event_id"].tolist()
                 for lab, g in df.assign(_lab=labels).groupby("_lab", sort=False)}
-        blocks = [b for b in _block_tables(by_key(ds, keys, _groups, ["ts", "event_id"]))
-                  if b.num_rows]  # the sort's column-less empty blocks pass by
+        blocks = _block_tables(by_key(ds, keys, _groups, ["ts", "event_id"]))
         got = [(lab, ids) for b in blocks
                for lab, ids in zip(b.column("key").to_pylist(), b.column("ids").to_pylist())]
         assert len(got) == len({lab for lab, _ in got}), keys  # each group once
@@ -383,6 +419,68 @@ def test_by_key_kernel_sees_each_group_whole_once_in_order(ray_session):
         for b in blocks:  # the groups of a block in key order
             ranks = [ast.literal_eval(lab) for lab in b.column("key").to_pylist()]
             assert ranks == sorted(ranks), keys
+
+
+def test_by_key_output_is_the_same_in_any_partitioning_and_blocking(ray_session):
+    """Forcing several reduce partitions (a tiny
+    ``target_max_block_size``) gives the rows, group starts and row
+    order of the one-partition run, and so does the same input in one
+    block instead of seven."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from snorkel_ray.state.resources import by_key
+
+    t, blocks = _keyed_input()
+
+    def _marked(b, starts):
+        start = np.zeros(b.num_rows, bool)
+        start[starts] = True
+        return b.append_column("start", pa.array(start))
+
+    def run(parts, keys):
+        out = _block_tables(by_key(rd.from_arrow(parts), keys, _marked, ["ts", "event_id"]))
+        return len(out), repr(pa.concat_tables(out).to_pylist())
+
+    ctx = DataContext.get_current()
+    for keys in (["k"], ["k", "c"], ["f"]):
+        n_one, one = run(blocks, keys)
+        saved = ctx.target_max_block_size
+        ctx.target_max_block_size = 4096
+        try:
+            n_many, many = run(blocks, keys)
+        finally:
+            ctx.target_max_block_size = saved
+        assert n_one == 1 and n_many > 1, (keys, n_one, n_many)
+        assert many == one, keys
+        assert run([t], keys)[1] == one, keys
+
+
+def test_keyed_ops_on_a_pinned_input_run_no_ray_data_operator(ray_session, monkeypatch):
+    """``by_key``, ``fold_by_key`` and ``top_by_key`` over a
+    materialized input call neither ``Dataset.sort`` nor
+    ``Dataset.map_batches``: the shuffle is plain Ray tasks."""
+    import ray.data as rd
+    from ray.data import Dataset
+
+    from snorkel_ray.state.resources import by_key, fold_by_key, top_by_key
+
+    _, blocks = _keyed_input()
+    ds = rd.from_arrow(blocks).materialize()
+    called = []
+    for name in ("sort", "map_batches"):
+        orig = getattr(Dataset, name)
+        monkeypatch.setattr(Dataset, name, lambda self, *a, _n=name, _f=orig, **kw:
+                            called.append(_n) or _f(self, *a, **kw))
+    outs = [by_key(ds, ["k"], lambda b, starts: b, ["ts"]),
+            fold_by_key(ds, ["k", "c"], {"ts": "sum", "n": "count"}),
+            top_by_key(ds, ["k"], [("ts", "descending")], k=2)]
+    monkeypatch.undo()
+    assert called == []
+    assert [o.count() for o in outs] == \
+        [600, len({(r["k"], r["c"]) for r in pa.concat_tables(blocks).to_pylist()}),
+         sum(min(2, n) for n in pa.concat_tables(blocks).group_by("k")
+             .aggregate([([], "count_all")]).column("count_all").to_pylist())]
 
 
 def test_top_by_key_keeps_k_best_and_first_arrival_on_ties(ray_session):
