@@ -481,6 +481,28 @@ def _keyed_reduce(kernel, names, order, *parts):
     return out, out.num_rows
 
 
+def _partitions(maps, infos, p: int, names):
+    """The refs of the ``p`` key-range partitions of the sorted map
+    outputs ``maps`` (each partition's slices in input block order;
+    an empty partition left out), cut at ``p - 1`` boundaries placed at
+    the weighted quantiles of the map outputs' (rows, bytes, sample)
+    ``infos``."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
+    samples = pa.concat_tables([s for _, _, s in infos], promote_options="permissive")
+    weight = np.concatenate([np.full(len(s), r / len(s)) for r, _, s in infos])
+    at = pc.sort_indices(samples, sort_keys=[(c, "ascending") for c in names]).to_numpy()
+    cum = np.cumsum(weight[at])
+    bounds = samples.take(at[np.searchsorted(cum, cum[-1] * np.arange(1, p) / p)])
+    cut = [_remote(_keyed_split, p + 1).remote(t, bounds, names) for t in maps]
+    sizes = np.array(ray.get([c[-1] for c in cut]))
+    return [[c[i] for c, n in zip(cut, sizes[:, i]) if n]
+            for i in range(p) if sizes[:, i].any()]
+
+
 def by_key(ds, keys: list[str], kernel, order=(), *, _step=None):
     """Every row of a key in one block, in (``keys``, ``order``) order:
     ``kernel(block, starts)`` runs once per output block, and
@@ -517,11 +539,9 @@ def by_key(ds, keys: list[str], kernel, order=(), *, _step=None):
     reduce, so ``kernel`` never sees an empty block and every output
     block carries its schema; an empty output is dropped unless all
     are (then one is kept).  An input with no rows gives an empty
-    Dataset.  ``_step`` (private: the
-    folds' per-block accumulate) runs on every block in the map task."""
-    import numpy as np
+    Dataset.  ``_step`` (private: the folds' per-block accumulate) runs
+    on every block in the map task."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray
     import ray.data as rd
     from ray.data import DataContext
@@ -539,20 +559,13 @@ def by_key(ds, keys: list[str], kernel, order=(), *, _step=None):
         return rd.from_arrow(pa.table({}))
     size = sum(s for _, s, _ in infos)
     p = max(1, min(len(maps), -(-size // (DataContext.get_current().target_max_block_size or size))))
-    if p == 1:
-        parts = [maps]
-    else:
-        samples = pa.concat_tables([s for _, _, s in infos], promote_options="permissive")
-        weight = np.concatenate([np.full(len(s), r / len(s)) for r, _, s in infos])
-        at = pc.sort_indices(samples, sort_keys=[(c, "ascending") for c in names]).to_numpy()
-        cum = np.cumsum(weight[at])
-        bounds = samples.take(at[np.searchsorted(cum, cum[-1] * np.arange(1, p) / p)])
-        cut = [_remote(_keyed_split, p + 1).remote(t, bounds, names) for t in maps]
-        sizes = np.array(ray.get([c[-1] for c in cut]))
-        parts = [[c[i] for c, n in zip(cut, sizes[:, i]) if n]
-                 for i in range(p) if sizes[:, i].any()]
+    parts = [maps] if p == 1 else _partitions(maps, infos, p, names)
+    # the driver lets go of each map output and slice, so the object
+    # store frees it once the task that reads it is done
+    del maps, table
     fn = ray.put(kernel)
     outs = [_remote(_keyed_reduce, 2).remote(fn, names, order, *refs) for refs in parts]
+    del parts
     got = ray.get([rows for _, rows in outs])
     return rd.from_arrow_refs([t for (t, _), n in zip(outs, got) if n] or [outs[0][0]])
 
