@@ -621,8 +621,8 @@ def q_event_type_pivot(sf_dir: str):
 
 
 def q_event_value_zscore(sf_dir: str):
-    """Per-user z-score standardization (two-pass: grouped moments →
-    count-gated broadcast-back → vectorized transform)."""
+    """Per-user z-score standardization (one keyed pass: each user's
+    two-pass mean and M2, then the transform, in one block kernel)."""
     from snorkel_ray.stages.reshape import grouped_zscore
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])

@@ -37,6 +37,9 @@ N_PAGES = (int(sys.argv[1]) if len(sys.argv) > 1 and not _IS_CHILD
 OBJ_GB = (float(sys.argv[2]) if len(sys.argv) > 2 and not _IS_CHILD
           else 4.0)
 WORK = "/tmp/graft_spill"
+# 32 logical CPUs on a box that has them; a smaller box starts no more
+# workers than it has cores
+CPUS = min(32, os.cpu_count() or 1)
 
 
 def spill_stats() -> dict:
@@ -83,7 +86,7 @@ def ensure_pages(path: str) -> None:
 def phase_flagship() -> dict:
     import ray
 
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
+    ray.init(address="local", num_cpus=CPUS, include_dashboard=False,
              logging_level="ERROR",
              object_store_memory=int(OBJ_GB * 2**30))
     from ray.data import DataContext
@@ -125,7 +128,7 @@ def phase_minhash_child(root: str) -> None:
     """Child entry: run the sharded minhash to completion (or death)."""
     import ray
 
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
+    ray.init(address="local", num_cpus=CPUS, include_dashboard=False,
              logging_level="ERROR",
              object_store_memory=int(OBJ_GB * 2**30))
     from ray.data import DataContext
@@ -165,7 +168,7 @@ def ensure_docs() -> None:
         return
     import ray
 
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
+    ray.init(address="local", num_cpus=CPUS, include_dashboard=False,
              logging_level="ERROR",
              object_store_memory=int(OBJ_GB * 2**30))
     from ray.data import DataContext

@@ -35,7 +35,6 @@ import re
 from collections import Counter
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -98,7 +97,8 @@ def remove_frequent_lines(ds, column: str = "text", sep: str = "\n", *,
     removal-rate monitoring).
 
     SCALE NOTE: the above-``broadcast_limit`` path regroups per
-    DOCUMENT (one pandas group each) and ships each row's payload once
+    DOCUMENT (one ``by_key`` pass; the kernel unpickles each
+    document's payload once) and ships each row's payload once
     per line — workable, but prefer raising ``min_docs`` (the frequent
     set shrinks fast) or projecting to (id, text) first so the
     broadcast path applies; a fully fold-back-local above-limit plan
@@ -150,6 +150,7 @@ def remove_frequent_lines(ds, column: str = "text", sep: str = "\n", *,
     # scale path: mark each document row with its frequent lines via a
     # hash semi-join against the (huge) frequent set — ds explodes to a
     # (row_uid, line) table, joins, and regroups per row_uid locally.
+    from ..state.resources import by_key
     from .joins import apply_mapping
 
     marked = frequent.map_batches(
@@ -200,25 +201,39 @@ def remove_frequent_lines(ds, column: str = "text", sep: str = "\n", *,
     joined = apply_mapping(exploded, marked, "line", "line", "_freq",
                            "_freq", broadcast_limit=broadcast_limit)
 
-    def _regroup(g: pd.DataFrame) -> pd.DataFrame:
+    def _regroup(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # a group is one uid's rows in _idx order.  copies = identical
+        # documents merged under one uid (cross-block hash collision by
+        # construction is only possible for byte-identical rows): every
+        # _idx appears exactly `copies` times with identical lines —
+        # reconstruct once, emit per copy
         import pickle
 
-        g = g.sort_values("_idx", kind="mergesort")
-        # copies = identical documents merged under one uid (cross-
-        # block hash collision by construction is only possible for
-        # byte-identical rows): every _idx appears exactly `copies`
-        # times with identical lines — reconstruct once, emit per copy
-        copies = int((g["_idx"] == 0).sum()) or 1
-        one = g.drop_duplicates("_idx", keep="first")
-        kept = one[one["_freq"].isna()]
-        row = dict(pickle.loads(g.iloc[0]["_blob"]))
-        row[column] = sep.join(kept["line"])
-        if stats:
-            row["n_kept_lines"] = len(kept)
-            row["n_removed_lines"] = len(one) - len(kept)
-        return pd.DataFrame([row] * copies)
+        from ..state.resources import group_of
 
-    return joined.groupby("_uid").map_groups(_regroup, batch_format="pandas")
+        idx = t.column("_idx").to_numpy()
+        g = group_of(starts, t.num_rows)
+        one = np.ones(t.num_rows, bool)
+        one[1:] = idx[1:] != idx[:-1]
+        one[starts] = True
+        kept = one & pc.is_null(t.column("_freq")).to_numpy(zero_copy_only=False)
+        n_one, n_kept, copies = (np.bincount(g[m], minlength=len(starts))
+                                 for m in (one, kept, idx == 0))
+        lines = pa.ListArray.from_arrays(
+            pa.array(np.concatenate([[0], np.cumsum(n_kept)]), pa.int32()),
+            t.column("line").combine_chunks().filter(pa.array(kept)))
+        texts = pc.binary_join(lines, sep).to_pylist()
+        out = []
+        for i, (blob, text) in enumerate(zip(t.column("_blob").take(starts).to_pylist(), texts)):
+            row = dict(pickle.loads(blob))
+            row[column] = text
+            if stats:
+                row["n_kept_lines"] = int(n_kept[i])
+                row["n_removed_lines"] = int(n_one[i] - n_kept[i])
+            out += [row] * max(int(copies[i]), 1)
+        return pa.Table.from_pylist(out)
+
+    return by_key(joined, ["_uid"], _regroup, ["_idx"])
 
 
 def ngram_counts(ds, column: str = "text", n: int = 2):

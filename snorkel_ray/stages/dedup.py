@@ -6,8 +6,10 @@ n-gram Jaccard verification, embedding-cosine near-dup.
 
 Scale notes baked into every op:
 - hashing/sketching is vectorized per batch (numpy over Arrow);
-- the only all-to-all is a groupby or sort on a *short* hash/band
-  key, always after a per-batch combiner where semantics allow;
+- the only all-to-all is a keyed pass (``resources.by_key``: every
+  row of a key in one block, then one block kernel over the group
+  starts) on a *short* hash/band key, after a per-block combiner where
+  semantics allow; no op calls pandas per group;
 - candidate pairs from LSH are verified (Jaccard) before linking, and
   the verified edges become clusters by driver union-find below
   `driver_cc_threshold` edges and by `canonicalize.connected_components`
@@ -22,6 +24,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -59,14 +62,12 @@ def exact_dedup(ds, column: str, *, keep_key: str | None = None):
     (arbitrary-but-stable).
 
     Plan: ``resources.top_by_key`` on the 128-bit content hash (every
-    block keeps its best row per hash, one sort merges them), so the
-    shuffle moves at most (distinct hashes × blocks) rows and never
-    runs a per-group ``map_groups`` (~0.1 ms of pandas per
-    near-singleton group at 10^12 mostly-unique documents).  The
-    survivor is a function of the rows alone, so it does not depend on
-    the blocking and is deterministic under lineage reconstruction."""
-    import pyarrow.compute as pc
-
+    block keeps its best row per hash, one keyed pass merges them), so
+    the shuffle moves at most (distinct hashes × blocks) rows and runs
+    no Python per group (10^12 mostly-unique documents make as many
+    near-singleton groups).  The survivor is a function of the rows
+    alone, so it does not depend on the blocking and is deterministic
+    under lineage reconstruction."""
     from ..state.resources import top_by_key
 
     def _ranked(batch: pa.Table) -> pa.Table:
@@ -96,7 +97,7 @@ def exact_dedup(ds, column: str, *, keep_key: str | None = None):
 
 # ---------------------------------------------------------------------------
 # Shingles + MinHash + LSH banding (SURVEY.md brief: shingle→minhash→
-# band→bucket groupby)
+# band→bucket pairs)
 # ---------------------------------------------------------------------------
 
 
@@ -229,18 +230,22 @@ def minhash_signatures(ds, column: str, id_column: str, *, num_perm: int = 64,
 def lsh_bucket_pairs(sigs, id_column: str, *, bands: int = 16,
                      dedup: bool = True, pin_exploded: bool = True,
                      full_pairs_bucket_cap: int = 8):
-    """signatures → candidate duplicate pairs via band-bucket anchoring.
+    """signatures → candidate duplicate pairs (a, b) via band-bucket
+    anchoring, in one keyed pass.
 
     Explode each row to (bucket_key, id); per bucket the MIN id is the
     anchor and every other member pairs with it, so a bucket of m docs
-    yields m-1 edges, not m² — hot buckets stay linear.  Fully
-    vectorized: the anchor is a keyed min (``fold_by_key``; no per-group
-    Python — a ``map_groups`` over millions of near-singleton buckets
-    measured ~0.1 ms of pandas overhead EACH), then anchors map back
-    onto the exploded rows via ``joins.apply_mapping`` (broadcast when
-    the bucket table fits, hash join when not)."""
-    from ..state.resources import fold_by_key
-    from .joins import apply_mapping
+    yields m-1 edges, not m² — hot buckets stay linear.  Buckets of
+    3..``full_pairs_bucket_cap`` rows ALSO emit all pairs of their
+    distinct ids: anchor-only edges miss member-member pairs when the
+    anchor fails verification, and below the cap the quadratic cost
+    is bounded.  One ``by_key`` on the bucket key, each bucket's rows
+    in id order, and one block kernel (``_bucket_pairs``) emits both,
+    so the exploded table is read once.  With ``dedup=False`` a pair
+    that shares several buckets comes once per bucket (verify's
+    per-pair step collapses them).  ``pin_exploded`` is accepted and
+    has no effect."""
+    from ..state.resources import by_key, fold_by_key
 
     def _check_bands(num_perm: int) -> None:
         # bands > num_perm makes r=0 (every doc in ONE bucket per band
@@ -281,11 +286,9 @@ def lsh_bucket_pairs(sigs, id_column: str, *, bands: int = 16,
                 keys.append(acc)
         # the band index is folded into each band's mix seed, so the
         # mixed uint64 alone is the bucket key — no string formatting.
-        # Stored REINTERPRETED as int64 (bijective bit view): uint64
-        # values ≥ 2^63 objectify in the aggregate's pandas round-trip
-        # and turn the shuffle's bkey column into pickled-object blocks
-        # (measured: the whole LSH stage went 3.7 s → native once the
-        # key stayed an arrow primitive).
+        # Stored REINTERPRETED as int64 (bijective bit view), which
+        # every path keeps as an Arrow primitive (a pandas round-trip
+        # of uint64 values ≥ 2^63 made object columns).
         bkeys = np.stack(keys, axis=1).reshape(-1)  # row-major: doc0 b0..bB
         doc_rep = np.repeat(np.arange(n), bands)
         return pa.table({
@@ -293,130 +296,51 @@ def lsh_bucket_pairs(sigs, id_column: str, *, bands: int = 16,
             "doc": batch.column(id_column).take(pa.array(doc_rep, pa.int64())),
         })
 
-    # exploded is consumed twice (anchor agg + anchor apply).
-    # ``pin_exploded=True`` (default, right at bench scale) pins it in
-    # the object store; at planet scale pass False to RECOMPUTE the
-    # signature chain on the second consumption instead of spilling
-    # ndocs×bands rows (round-3 verdict item 9 — the trade-off used to
-    # be a comment, not a knob).  Both paths are parity-tested.
-    exploded = sigs.map_batches(_bands, batch_format="pyarrow")
-    if pin_exploded:
-        exploded = exploded.materialize()
-    anchors_n = fold_by_key(exploded, ["bkey"], {"_n": "count", "anchor": ("min", "doc")})
-    import pyarrow.compute as pc
-
-    anchors_n = anchors_n.map_batches(
-        lambda b: b.filter(pc.greater(b.column("_n"), 1)),
-        batch_format="pyarrow").materialize()  # anchors + small-bucket scan
-    anchors = anchors_n.drop_columns(["_n"])
-    with_anchor = apply_mapping(exploded, anchors, "bkey", "bkey", "anchor",
-                                "anchor")
-
-    def _edges(b: pa.Table) -> pa.Table:
-        # unmatched anchors arrive as nulls; apply_mapping preserves the
-        # integer id dtype through the lookup (nullable-int path — a
-        # float64 round-trip would corrupt ids ≥ 2^53 at the stated
-        # 10^12-doc hash-id design target; round-2 ADVICE item 2), so
-        # the doc/anchor comparison never passes through float
-        anchor = b.column("anchor")
-        doc = b.column("doc")
-        keep = pc.and_(pc.is_valid(anchor),
-                       pc.not_equal(doc, pc.cast(anchor, doc.type)))
-        t = b.filter(keep)
-        return pa.table({"a": pc.cast(t.column("anchor"), doc.type),
-                         "b": t.column("doc")})
-
     cap = max(int(full_pairs_bucket_cap), 2)
-    pairs = with_anchor.map_batches(_edges, batch_format="pyarrow")
-
-    # --- small-bucket recall patch (round-4 review): anchor-only edges
-    # miss member-member pairs in buckets of >= 3 when the min-id
-    # anchor fails verification.  Buckets of 3..cap members ALSO emit
-    # all pairs (the duplicate anchor edges collapse in the per-pair
-    # groupby below / in verify's); beyond the cap the linear anchor
-    # plan stands — a hot bucket must never go quadratic.  The small
-    # set is usually EMPTY or tiny, so it is collected via a
-    # count-gated broadcast is_in (one cheap map over exploded), not a
-    # second full apply_mapping pass (measured +3.5 s of fixed shuffle
-    # cost on the sf0.1 micro).
-    import ray
-    import ray.data as rd
-
-    small_keys = anchors_n.map_batches(
-        lambda b: b.filter(pc.and_(
-            pc.greater(b.column("_n"), 2),
-            pc.less_equal(b.column("_n"), cap))).select(["bkey"]),
-        batch_format="pyarrow").materialize()
-    n_small = small_keys.count()
-    if n_small:
-        if n_small <= 2_000_000 // max(cap, 1):
-            key_ref = ray.put(small_keys.to_pandas()["bkey"].to_numpy())
-
-            def _in_small(b: pa.Table) -> pa.Table:
-                ks = ray.get(key_ref)
-                t = b.filter(pc.is_in(b.column("bkey"),
-                                      value_set=pa.array(ks, pa.int64())))
-                return pa.table({"bkey": t.column("bkey"),
-                                 "doc": t.column("doc")})
-
-            # the filtered member table is bounded by cap × n_small
-            # rows — emit the pairs on the DRIVER (a groupby +
-            # map_groups + union of a near-empty stream measured ~2.5 s
-            # of fixed shuffle/barrier cost on the sf0.1 micro)
-            sm = (exploded.map_batches(_in_small, batch_format="pyarrow")
-                  .to_pandas())
-            out_a, out_b = [], []
-            for _, g in sm.groupby("bkey"):
-                ids = sorted(g["doc"].unique())
-                for i in range(len(ids)):
-                    for j in range(i + 1, len(ids)):
-                        out_a.append(ids[i])
-                        out_b.append(ids[j])
-            if out_a:
-                sdf = pd.DataFrame({
-                    "a": pd.Series(out_a, dtype=sm["doc"].dtype),
-                    "b": pd.Series(out_b, dtype=sm["doc"].dtype)})
-                small_pairs = rd.from_arrow(
-                    pa.Table.from_pandas(sdf, preserve_index=False))
-                pairs = pairs.union(small_pairs)
-        else:  # planet-scale fallback: distributed full-pairs path
-            marked = apply_mapping(
-                exploded, small_keys.map_batches(
-                    lambda b: b.append_column(
-                        "_s", pa.array(np.ones(b.num_rows, np.int8))),
-                    batch_format="pyarrow"),
-                "bkey", "bkey", "_s", "_s")
-            small_rows = marked.map_batches(
-                lambda b: pa.table({
-                    "bkey": b.filter(pc.is_valid(b.column("_s"))).column("bkey"),
-                    "doc": b.filter(pc.is_valid(b.column("_s"))).column("doc")}),
-                batch_format="pyarrow")
-
-            def _all_pairs(g: pd.DataFrame) -> pd.DataFrame:
-                ids = sorted(g["doc"].unique())
-                out_a, out_b = [], []
-                for i in range(len(ids)):
-                    for j in range(i + 1, len(ids)):
-                        out_a.append(ids[i])
-                        out_b.append(ids[j])
-                return pd.DataFrame({"a": out_a, "b": out_b})
-
-            small_pairs = (small_rows.groupby("bkey")
-                           .map_groups(_all_pairs, batch_format="pandas")
-                           .map_batches(lambda b: b,
-                                        batch_format="pyarrow"))
-            pairs = pairs.union(small_pairs)
-
+    exploded = sigs.map_batches(_bands, batch_format="pyarrow")
+    pairs = by_key(exploded, ["bkey"], lambda t, starts: _bucket_pairs(t, starts, cap), ["doc"])
     if not dedup:
-        # duplicate (a, b) rows from multiple shared bands survive —
-        # downstream verify's per-pair groupby collapses them for free
         return pairs
-    # vectorized distinct (``fold_by_key``) — a per-group map_groups
-    # over millions of near-singleton pair groups pays ~0.1 ms of
-    # pandas overhead EACH (round-2 verdict item 4)
-    from ..state.resources import fold_by_key
-
     return fold_by_key(pairs, ["a", "b"], {})
+
+
+def _bucket_pairs(t: pa.Table, starts: np.ndarray, cap: int) -> pa.Table:
+    """``lsh_bucket_pairs``' kernel over a block of (bkey, doc) sorted
+    on (bkey, doc): in every bucket of more than one row, (its min doc,
+    doc) for each row whose doc is not the min; in every bucket of
+    3..``cap`` rows, also every pair of its distinct docs, in order."""
+    from ..state.resources import group_bounds
+
+    doc = t.column("doc").combine_chunks()
+    first, end = group_bounds(starts, t.num_rows)
+    size = end - first
+    valid = doc.is_valid().to_numpy(zero_copy_only=False)
+    keep = (size > 1) & valid & pc.fill_null(pc.not_equal(doc, doc.take(first)), False) \
+        .to_numpy(zero_copy_only=False)
+    a, b = [first[keep]], [np.flatnonzero(keep)]
+    # the first row of each doc's run in a small bucket: a bucket with
+    # m of them gives m·(m−1)/2 pairs, one numpy take for every such m
+    rows = np.flatnonzero((size > 2) & (size <= cap) & _new_runs(doc, starts) & valid)
+    g = np.searchsorted(starts, rows, side="right") - 1
+    bounds = np.flatnonzero(np.diff(g, prepend=-1, append=len(starts)))
+    m = np.diff(bounds)
+    for k in np.unique(m[m > 1]):
+        at = rows[bounds[:-1][m == k, None] + np.arange(k)]
+        i, j = np.triu_indices(k, 1)
+        a.append(at[:, i].ravel())
+        b.append(at[:, j].ravel())
+    a, b = np.concatenate(a), np.concatenate(b)
+    return pa.table({"a": doc.take(a), "b": doc.take(b)})
+
+
+def _new_runs(col: pa.Array, starts: np.ndarray) -> np.ndarray:
+    """Per row of a ``by_key`` block: whether it starts a run of equal
+    ``col`` values within its group (a null starts one of its own)."""
+
+    new = np.ones(len(col), bool)
+    new[1:] = pc.fill_null(pc.not_equal(col[1:], col[:-1]), True).to_numpy(zero_copy_only=False)
+    new[starts] = True
+    return new
 
 
 def ngram_jaccard(a: str, b: str, k: int = 3) -> float:
@@ -438,8 +362,8 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
     NOTHING proportional to the pair stream ever lands on the driver
     UNGATED (round-2 verdict item 1 closed the last gap — the
     candidate-id set was previously an unconditional driver-side
-    Python set): distinct candidate ids are derived by a distributed
-    groupby on the exploded pair table and attached to the corpus via
+    Python set): distinct candidate ids are derived by a keyed fold
+    (``fold_by_key``) on the exploded pair table and attached to the corpus via
     ``joins.apply_mapping`` (broadcast under its row limit, hash
     semi-join above).
 
@@ -451,15 +375,18 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
       then the (id → shingles) table broadcasts through
       ``apply_mapping`` onto both pair slots and Jaccard runs in a
       plain ``map_batches`` — 2 shuffles, no per-group pandas.
-    - **large**: shingle sets route to their pairs by two
-      hash-partitioned groupbys (bounded groups: per-id = one shingle
-      row + that doc's memberships; per-pair = exactly two rows):
+    - **large**: shingle sets route to their pairs by two keyed
+      passes (``by_key``; bounded groups: per-id = one shingle row +
+      that doc's memberships; per-pair = its two slots, once per
+      band that proposed it):
 
-      pairs  ──flat_map──▶ (id, pair, slot)        [2 rows per pair]
-      union ─ groupby(id) ─▶ (pair, slot, shingles) [shingles fan out]
-            ─ groupby(pair) ─▶ jaccard(slot0, slot1) ≥ threshold
-    """
-    from ..state.resources import fold_by_key
+      pairs  ──map──▶ (id, a, b, slot)                [2 rows per pair]
+      union ─ by_key(id) ─▶ (a, b, slot, shingles)    [shingles fan out]
+            ─ by_key(a, b) ─▶ jaccard(slot0, slot1) ≥ threshold
+
+    Both plans score a pair with the same vectorized set kernel
+    (``_jaccard``) and return the ids as strings."""
+    from ..state.resources import by_key, fold_by_key, group_bounds
     from .joins import apply_mapping
 
     pairs = pairs.materialize()  # consumed twice (id scan + membership)
@@ -479,15 +406,27 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
     marked = apply_mapping(ds, cand_ids, id_column, "_nid",
                            "_npairs", "_npairs")
 
+    def _shingles(batch: pa.Table) -> tuple:
+        """The ids of the candidate rows of ``batch``, and their shingle
+        sets."""
+
+        t = batch.filter(pc.is_valid(batch.column("_npairs")))
+        sh = [s.tolist() for s in _shingle_hashes_batch(
+            t.column(column).to_pylist(), shingle_k)]
+        return t.column(id_column), pa.array(sh, pa.list_(pa.uint64()))
+
+    def _edges(a, b, j: np.ndarray) -> pa.Table:
+        # string ids, in both plans
+
+        keep = pa.array(j >= threshold)
+        return pa.table({"a": pc.cast(a, pa.string()).filter(keep),
+                         "b": pc.cast(b, pa.string()).filter(keep),
+                         "jaccard": pa.array(j, pa.float64()).filter(keep)})
+
     if n_cand <= broadcast_ids_limit and n_pairs <= broadcast_pairs_limit:
         def _shingle_only(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            t = batch.filter(pc.is_valid(batch.column("_npairs")))
-            sh = [s.tolist() for s in _shingle_hashes_batch(
-                t.column(column).to_pylist(), shingle_k)]
-            return pa.table({"id": t.column(id_column),
-                             "shingles": pa.array(sh, pa.list_(pa.uint64()))})
+            ids, sh = _shingles(batch)
+            return pa.table({"id": ids, "shingles": sh})
 
         shingle_tbl = marked.map_batches(
             _shingle_only, batch_format="pyarrow").materialize()
@@ -497,104 +436,97 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
         pairs_d = apply_mapping(pairs_d, shingle_tbl, "b", "id",
                                 "shingles", "_sb")
 
-        def _jaccard(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
+        def _verify_rows(b: pa.Table) -> pa.Table:
             t = b.filter(pc.and_(pc.is_valid(b.column("_sa")),
                                  pc.is_valid(b.column("_sb"))))
-            av = t.column("a").to_pylist()
-            bv = t.column("b").to_pylist()
-            sa = t.column("_sa").to_pylist()
-            sb = t.column("_sb").to_pylist()
-            oa, ob, oj = [], [], []
-            for x, y, s0, s1 in zip(av, bv, sa, sb):
-                s0, s1 = set(s0), set(s1)
-                j = 1.0 if not s0 and not s1 \
-                    else len(s0 & s1) / max(len(s0 | s1), 1)
-                if j >= threshold:
-                    oa.append(str(x))  # string ids: matches the large
-                    ob.append(str(y))  # plan's output dtype exactly
-                    oj.append(j)
-            return pa.table({"a": pa.array(oa, pa.string()),
-                             "b": pa.array(ob, pa.string()),
-                             "jaccard": pa.array(oj, pa.float64())})
+            return _edges(t.column("a"), t.column("b"),
+                          _jaccard(t.column("_sa"), t.column("_sb")))
 
-        return pairs_d.map_batches(_jaccard, batch_format="pyarrow")
+        return pairs_d.map_batches(_verify_rows, batch_format="pyarrow")
 
     def _shingle_rows(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = batch.filter(pc.is_valid(batch.column("_npairs")))
-        sh = [s.tolist() for s in
-              _shingle_hashes_batch(t.column(column).to_pylist(), shingle_k)]
-        n = t.num_rows
-        return pa.table({
-            "id": t.column(id_column),
-            "pair": pa.array([None] * n, pa.string()),
-            "slot": pa.array([-1] * n, pa.int32()),
-            "shingles": pa.array(sh, pa.list_(pa.uint64())),
-        })
+        ids, sh = _shingles(batch)
+        none = pa.nulls(len(ids), ids.type)
+        return pa.table({"id": ids, "a": none, "b": none,
+                         "slot": pa.array(np.full(len(ids), -1, np.int32)),
+                         "shingles": sh})
 
     def _membership(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_pylist()
-        b = batch.column("b").to_pylist()
-        key = [f"{x}\x1f{y}" for x, y in zip(a, b)]
-        ids = a + b
-        pair = key + key
-        slot = [0] * len(a) + [1] * len(b)
+        a, b = (batch.column(c).combine_chunks() for c in ("a", "b"))
+        n = batch.num_rows
         return pa.table({
-            "id": pa.array(ids, batch.column("a").type),
-            "pair": pa.array(pair, pa.string()),
-            "slot": pa.array(slot, pa.int32()),
-            "shingles": pa.array([None] * len(ids), pa.list_(pa.uint64())),
+            "id": pa.concat_arrays([a, b]),
+            "a": pa.concat_arrays([a, a]),
+            "b": pa.concat_arrays([b, b]),
+            "slot": pa.array(np.repeat(np.array([0, 1], np.int32), n)),
+            "shingles": pa.nulls(2 * n, pa.list_(pa.uint64())),
         })
 
-    shingle_rows = marked.map_batches(_shingle_rows, batch_format="pyarrow")
-    members = pairs.map_batches(_membership, batch_format="pyarrow")
+    def _attach(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # a doc's shingle row (slot -1) leads its group; each membership
+        # row of the group takes a copy of its shingles
+        slot = t.column("slot").to_numpy()
+        first, _ = group_bounds(starts, t.num_rows)
+        keep = (slot >= 0) & (slot[first] == -1)
+        return t.select(["a", "b", "slot"]).filter(pa.array(keep)).append_column(
+            "shingles", t.column("shingles").take(first[keep]))
 
-    def _attach(g: pd.DataFrame) -> pd.DataFrame:
-        doc = g[g["slot"] == -1]
-        mem = g[g["slot"] >= 0]
-        if doc.empty or mem.empty:
-            return pd.DataFrame({"pair": [], "slot": [], "shingles": []})
-        sh = doc["shingles"].iloc[0]
-        return pd.DataFrame({"pair": mem["pair"].values,
-                             "slot": mem["slot"].values,
-                             "shingles": [sh] * len(mem)})
+    def _verify(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # a pair's slot-0 rows, then its slot-1 rows; duplicate
+        # memberships (the same pair from several LSH bands) collapse
+        # here, so the caller can skip a dedicated dedup shuffle
+        slot = t.column("slot").to_numpy()
+        n0 = np.add.reduceat((slot == 0).astype(np.int64), starts)
+        both = (n0 > 0) & (n0 < np.diff(np.append(starts, t.num_rows)))
+        s0 = starts[both]
+        sh = t.column("shingles")
+        return _edges(t.column("a").take(s0), t.column("b").take(s0),
+                      _jaccard(sh.take(s0), sh.take(s0 + n0[both])))
 
-    def _verify(g: pd.DataFrame) -> pd.DataFrame:
-        # duplicate memberships (same pair from several LSH bands) are
-        # collapsed here for free — this groupby IS the pair dedup, so
-        # the caller can skip a dedicated dedup shuffle
-        g0 = g.loc[g["slot"] == 0, "shingles"]
-        g1 = g.loc[g["slot"] == 1, "shingles"]
-        if g0.empty or g1.empty:
-            return pd.DataFrame({"a": [], "b": [], "jaccard": []})
-        s0 = set(map(int, g0.iloc[0]))
-        s1 = set(map(int, g1.iloc[0]))
-        j = 1.0 if not s0 and not s1 else len(s0 & s1) / max(len(s0 | s1), 1)
-        if j < threshold:
-            return pd.DataFrame({"a": [], "b": [], "jaccard": []})
-        a, b = g["pair"].iloc[0].split("\x1f", 1)
-        return pd.DataFrame({"a": [a], "b": [b], "jaccard": [j]})
+    unioned = marked.map_batches(_shingle_rows, batch_format="pyarrow") \
+        .union(pairs.map_batches(_membership, batch_format="pyarrow"))
+    return by_key(by_key(unioned, ["id"], _attach, ["slot"]), ["a", "b"], _verify, ["slot"])
 
-    unioned = shingle_rows.union(members)
-    routed = unioned.groupby("id").map_groups(_attach, batch_format="pandas")
-    return routed.groupby("pair").map_groups(_verify, batch_format="pandas")
+
+def _jaccard(sa, sb) -> np.ndarray:
+    """Per row, the Jaccard similarity of the value sets of two
+    equal-length list columns (1.0 when both are empty): |A ∩ B| =
+    |A| + |B| − |A ∪ B|, each a count of distinct (row, value) pairs."""
+    n = len(sa)
+
+    def distinct(lists):
+        lists = lists.combine_chunks() if isinstance(lists, pa.ChunkedArray) else lists
+        size = pc.fill_null(pc.list_value_length(lists), 0).to_numpy(zero_copy_only=False)
+        row = np.repeat(np.arange(n), size)
+        val = lists.flatten().to_numpy(zero_copy_only=False)
+        return _distinct_pairs(row, val)
+
+    (r0, v0), (r1, v1) = distinct(sa), distinct(sb)
+    ru, _ = _distinct_pairs(np.concatenate([r0, r1]), np.concatenate([v0, v1]))
+    n0, n1, union = (np.bincount(r, minlength=n) for r in (r0, r1, ru))
+    return np.where(union == 0, 1.0, (n0 + n1 - union) / np.maximum(union, 1))
+
+
+def _distinct_pairs(row: np.ndarray, val: np.ndarray):
+    """The distinct (row, val) pairs, sorted."""
+    o = np.lexsort((val, row))
+    row, val = row[o], val[o]
+    keep = np.ones(len(row), bool)
+    keep[1:] = (row[1:] != row[:-1]) | (val[1:] != val[:-1])
+    return row[keep], val[keep]
 
 
 def minhash_dedup(ds, column: str, id_column: str, *, num_perm: int = 64,
                   shingle_k: int = 3, bands: int = 16, threshold: float = 0.8,
                   seed: int = 17, driver_cc_threshold: int = 2_000_000,
-                  pin_exploded: bool = True, sigs=None):
+                  sigs=None):
     """Full near-dup pipeline → Dataset (id, cluster) for ALL input ids
     (singletons map to themselves).
 
-    Every per-document stage is distributed: LSH pair generation is a
-    band-bucket groupby, exact-Jaccard verification runs in
-    ``verify_pairs_jaccard`` (two bounded-group shuffles — its
-    per-pair groupby also collapses duplicate band hits, so no
-    dedicated pair-dedup shuffle), and cluster assignment applies the
+    Every per-document stage is distributed: LSH pair generation is
+    one keyed pass over the band buckets, exact-Jaccard verification
+    runs in ``verify_pairs_jaccard`` (its per-pair step also collapses
+    duplicate band hits, so no dedicated pair-dedup shuffle), and cluster assignment applies the
     component label map via ``joins.apply_mapping`` (broadcast when it
     fits, hash join when not).  The component computation itself runs
     on the VERIFIED edge table: driver union-find below
@@ -608,8 +540,7 @@ def minhash_dedup(ds, column: str, id_column: str, *, num_perm: int = 64,
     # per input shard and feeds them here for the ONE global banding
     # pass; signatures (num_perm u64/doc) are ≪ the corpus, so only
     # they cross the shard boundary
-    pairs = lsh_bucket_pairs(sigs, id_column, bands=bands, dedup=False,
-                             pin_exploded=pin_exploded)
+    pairs = lsh_bucket_pairs(sigs, id_column, bands=bands, dedup=False)
     # surviving edge set is small (≤ pair count); pin it so count() +
     # the CC consumer don't re-execute the verification shuffles
     kept = verify_pairs_jaccard(ds, pairs, column, id_column,
@@ -620,8 +551,6 @@ def minhash_dedup(ds, column: str, id_column: str, *, num_perm: int = 64,
     from .joins import apply_mapping
 
     def _ids_str(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table({id_column: b.column(id_column),
                          "id_str": pc.cast(b.column(id_column), pa.string())})
 
@@ -639,8 +568,6 @@ def minhash_dedup(ds, column: str, id_column: str, *, num_perm: int = 64,
         comp = union_find_labels(edf, "a", "b")
     else:
         def _edge_str(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             return pa.table({"src": pc.cast(b.column("a"), pa.string()),
                              "dst": pc.cast(b.column("b"), pa.string())})
 
@@ -715,15 +642,14 @@ def simhash_near_dup_pairs(ds, column: str, id_column: str, *, max_hamming: int 
     """Near-dup candidate pairs by SimHash block-banding: split the 64
     bits into ``blocks`` bands; two docs within ``max_hamming`` bits
     share at least one exact band (pigeonhole when blocks > max_hamming)
-    → groupby band value, verify Hamming distance within buckets.
+    → one ``by_key`` on (band, band value), Hamming distance checked
+    within each bucket.
 
     Scale shape: band extraction is one numpy shift per band (no
-    per-row loop), and the per-bucket O(m²) verify only ever runs on
-    buckets with ≥2 members — a keyed count + mapping filter drops
-    the near-singleton buckets BEFORE ``map_groups`` (the ~0.1 ms
-    pandas-per-group tax measured on LSH banding)."""
-    from ..state.resources import fold_by_key
-    from .joins import apply_mapping
+    per-row loop); the bucket kernel skips single-row buckets with one
+    vectorized test and runs numpy only on the others (their output is
+    quadratic in their size anyway)."""
+    from ..state.resources import by_key, fold_by_key
 
     if blocks is None:
         # smallest 64-divisor that keeps the pigeonhole guarantee
@@ -740,53 +666,41 @@ def simhash_near_dup_pairs(ds, column: str, id_column: str, *, max_hamming: int 
     def _bands(batch: pa.Table) -> pa.Table:
         hs = batch.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
         n = len(hs)
-        if n == 0:
-            return pa.table({"bkey": pa.array([], pa.string()),
-                             "doc": batch.column(id_column),
-                             "full": pa.array([], pa.uint64())})
         mask = np.uint64((1 << width) - 1)
         vals = np.stack([(hs >> np.uint64(b * width)) & mask
                          for b in range(blocks)], axis=1)  # (n, blocks)
-        flat = vals.reshape(-1)
-        band_tag = np.tile(np.arange(blocks), n)
         doc_rep = pa.array(np.repeat(np.arange(n), blocks), pa.int64())
-        bkeys = [f"{band_tag[i]}:{flat[i]:x}" for i in range(len(flat))]
         return pa.table({
-            "bkey": pa.array(bkeys, pa.string()),
+            "band": pa.array(np.tile(np.arange(blocks, dtype=np.int8), n)),
+            "bval": pa.array(vals.reshape(-1), pa.uint64()),
             "doc": batch.column(id_column).take(doc_rep),
             "full": pa.array(np.repeat(hs, blocks), pa.uint64()),
         })
 
-    exploded = hashed.map_batches(_bands, batch_format="pyarrow").materialize()
-    counts = fold_by_key(exploded, ["bkey"], {"_n": "count"})
-    import pyarrow.compute as pc
+    def _pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # every pair of a bucket's distinct docs (in doc order) within
+        # max_hamming bits
+        doc = t.column("doc").combine_chunks()
+        full = t.column("full").to_numpy()
+        new = _new_runs(doc, starts)
+        ends = np.append(starts[1:], t.num_rows)
+        a, b, d = ([np.zeros(0, np.int64)] for _ in range(3))
+        for s, e in zip(starts[ends - starts > 1], ends[ends - starts > 1]):
+            at = s + np.flatnonzero(new[s:e])
+            i, j = np.triu_indices(len(at), 1)
+            x = full[at[i]] ^ full[at[j]]
+            dist = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+            ok = dist <= max_hamming
+            a.append(at[i][ok])
+            b.append(at[j][ok])
+            d.append(dist[ok].astype(np.int64))
+        return pa.table({"a": doc.take(np.concatenate(a)), "b": doc.take(np.concatenate(b)),
+                         "hamming": np.concatenate(d)})
 
-    collide = counts.map_batches(
-        lambda b: b.filter(pc.greater(b.column("_n"), 1)),
-        batch_format="pyarrow")
-    flagged = apply_mapping(exploded, collide, "bkey", "bkey", "_n", "_n")
-    members = flagged.map_batches(
-        lambda b: b.filter(pc.is_valid(b.column("_n"))),
-        batch_format="pyarrow")
-
-    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates("doc").sort_values("doc")
-        rows = {"a": [], "b": [], "hamming": []}
-        docs = g["doc"].tolist()
-        fulls = g["full"].tolist()
-        for i in range(len(docs)):
-            for j in range(i + 1, len(docs)):
-                d = bin(int(fulls[i]) ^ int(fulls[j])).count("1")
-                if d <= max_hamming:
-                    rows["a"].append(docs[i])
-                    rows["b"].append(docs[j])
-                    rows["hamming"].append(d)
-        return pd.DataFrame(rows)
-
-    pairs = members.groupby("bkey").map_groups(_pairs, batch_format="pandas")
-    # vectorized pair dedup (hamming is a pure function of the pair, so
-    # its min is the value on every duplicate row); a map_groups(head(1))
-    # here pays the near-singleton-group pandas tax (round-2 verdict)
+    exploded = hashed.map_batches(_bands, batch_format="pyarrow")
+    pairs = by_key(exploded, ["band", "bval"], _pairs, ["doc"])
+    # a pair that shares several bands comes once per band; its
+    # hamming is a function of the pair, so the min is that value
     return fold_by_key(pairs, ["a", "b"], {"hamming": "min"})
 
 
@@ -797,9 +711,12 @@ def simhash_near_dup_pairs(ds, column: str, id_column: str, *, max_hamming: int 
 
 def embedding_near_dup_pairs(ds, vec_column: str, id_column: str, *,
                              threshold: float = 0.95, lsh_bits: int = 12, seed: int = 5):
-    """Random-hyperplane LSH bucket groupby, then exact cosine within
-    buckets.  The scale path: no O(n²) matmul; bucket width is tunable
-    via ``lsh_bits``."""
+    """Random-hyperplane LSH buckets (one ``by_key`` on the bucket
+    code), then exact cosine within each bucket.  The scale path: no
+    O(n²) matmul over the corpus; bucket width is tunable via
+    ``lsh_bits``."""
+    from ..state.resources import by_key
+
     first = ds.take(1)
     if not first:  # empty input: empty pair table, not IndexError
         import ray.data as rd
@@ -820,21 +737,23 @@ def embedding_near_dup_pairs(ds, vec_column: str, id_column: str, *,
                          "bucket": pa.array(codes, pa.uint64()),
                          "vec": batch.column(vec_column)})
 
-    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
-        rows = {"a": [], "b": [], "cosine": []}
-        if len(g) >= 2:
-            g = g.sort_values(id_column)
-            V = np.stack(g["vec"].to_numpy())
-            V = V / np.maximum(np.linalg.norm(V, axis=1, keepdims=True), 1e-12)
+    def _pairs(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # per bucket of two or more rows, in id order: every pair whose
+        # cosine reaches the threshold
+        ids = t.column(id_column).combine_chunks()
+        vecs = t.column("vec").combine_chunks().flatten().to_numpy(zero_copy_only=False) \
+            .reshape(t.num_rows, dim)
+        ends = np.append(starts[1:], t.num_rows)
+        a, b, cos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+        for s, e in zip(starts[ends - starts > 1], ends[ends - starts > 1]):
+            V = vecs[s:e] / np.maximum(np.linalg.norm(vecs[s:e], axis=1, keepdims=True), 1e-12)
             S = V @ V.T
-            ids = g[id_column].tolist()
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    if S[i, j] >= threshold:
-                        rows["a"].append(ids[i])
-                        rows["b"].append(ids[j])
-                        rows["cosine"].append(float(S[i, j]))
-        return pd.DataFrame(rows)
+            i, j = np.nonzero(np.triu(S >= threshold, k=1))
+            a.append(s + i)
+            b.append(s + j)
+            cos.append(S[i, j].astype(np.float64))
+        return pa.table({"a": ids.take(np.concatenate(a)), "b": ids.take(np.concatenate(b)),
+                         "cosine": np.concatenate(cos)})
 
     bucketed = ds.map_batches(_bucket, batch_format="pyarrow")
-    return bucketed.groupby("bucket").map_groups(_pairs, batch_format="pandas")
+    return by_key(bucketed, ["bucket"], _pairs, [id_column])

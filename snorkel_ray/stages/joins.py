@@ -132,8 +132,8 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
     full history never sorts in one reducer."""
     import pyarrow.compute as pc
 
-    from ..state.resources import by_key
-    from .windows import _bounds, _carry_plan, _gather, _resolve_chunk
+    from ..state.resources import by_key, group_bounds
+    from .windows import _carry_plan, _gather, _resolve_chunk
 
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be 'backward' or 'forward', "
@@ -214,7 +214,7 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
         # matches the last right row at or before the run's end
         # (backward) or the first at or after its start (forward), in
         # its own key segment
-        first, end = _bounds(starts, b.num_rows)
+        first, end = group_bounds(starts, b.num_rows)
         right = b.column("_side").to_numpy() == 0
         t = b.column(ts)
         tie = np.ones(b.num_rows, bool)
@@ -260,7 +260,7 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
     def _scan(c: pa.Table, starts: np.ndarray) -> pa.Table:
         # a chunk's carry-in is the carry-out of the nearest strictly
         # earlier chunk of its key that has one (later for forward)
-        first, end = _bounds(starts, c.num_rows)
+        first, end = group_bounds(starts, c.num_rows)
         has = c.column("_has").to_numpy(zero_copy_only=False)
         if fwd:
             src = np.append(_first_at_or_after(has), c.num_rows)[1:]

@@ -13,18 +13,21 @@ scipy.sparse on one machine).
   (index, pivot) pairs ≪ input).  Categories must be an explicit
   bounded list — at 100 TB an unbounded pivot column is a schema explosion, so
   discovery is the caller's (cheap, fine-table) problem.
-* :func:`grouped_zscore` — two-pass standardization: per-key
-  mean/std (one Ray ``Mean`` + ``Std`` aggregate shuffle: the one
-  aggregate not on the folds, because ``Std`` merges (n, mean, M2) by
-  Chan's rule, which a sum/min/max merge cannot) broadcast back via
-  the count-gated ``apply_mapping`` (broadcast under its limit, hash join above) and
-  applied vectorized.  The moment table is one row per key.
+* :func:`grouped_zscore` — one ``by_key`` pass: every row of a key in
+  one block, and one kernel computes each key's exact two-pass mean
+  and M2 with ``np.add.reduceat`` over the group starts and applies
+  the z-score to the rows in place.  A hot key's rows share one block.
+
+Every per-key step of this module (string_agg, rank, quantiles,
+zscore) is a block kernel on ``resources.by_key``: segmented numpy or
+Arrow over the group starts, never pandas per group.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 __all__ = ["pivot_table", "grouped_zscore", "grouped_corr",
            "grouped_string_agg", "grouped_count_distinct",
@@ -42,8 +45,6 @@ def pivot_table(ds, index: str, pivot: str, categories: list[str], *,
     so is a combination whose values are all null (SQL
     ``coalesce(sum(value) FILTER (...), 0)``); a NaN value makes its
     sum NaN."""
-    import pyarrow.compute as pc
-
     from ..state.resources import fold_by_key
 
     if agg not in ("count", "sum"):
@@ -70,32 +71,25 @@ def pivot_table(ds, index: str, pivot: str, categories: list[str], *,
 def grouped_zscore(ds, key: str, value: str, *, out: str = "zscore",
                    ddof: int = 1):
     """Append ``out`` = (value − mean_key) / std_key (sample std by
-    default, matching SQL ``stddev_samp``).  Keys with undefined or
-    zero std get null."""
-    from ray.data.aggregate import Mean, Std
+    default, matching SQL ``stddev_samp``).  A null value is skipped;
+    a key with undefined, zero or NaN std gets null for every row (a
+    NaN value makes its key's moments NaN)."""
+    from ..state.resources import by_key, group_of
 
-    from .joins import apply_mapping
-
-    stats = ds.groupby(key).aggregate(
-        Mean(value, alias_name="_mu"),
-        Std(value, ddof=ddof, alias_name="_sd"))
-    stats = stats.materialize()
-
-    with_mu = apply_mapping(ds, stats, key, key, "_mu", "_mu")
-    with_both = apply_mapping(with_mu, stats, key, key, "_sd", "_sd")
-
-    def _z(b: pa.Table) -> pa.Table:
-        v = np.asarray(b.column(value), dtype=np.float64)
-        mu = np.asarray(b.column("_mu"), dtype=np.float64)
-        sd = np.asarray(b.column("_sd"), dtype=np.float64)
+    def _z(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        v = pc.cast(b.column(value), pa.float64()).to_numpy(zero_copy_only=False)
+        g = group_of(starts, b.num_rows)
+        ok = pc.is_valid(b.column(value)).to_numpy(zero_copy_only=False)
+        n = np.add.reduceat(ok.astype(np.int64), starts)
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = (v - mu) / sd
-        z = np.where(np.isfinite(z), z, np.nan)
-        return (b.drop_columns(["_mu", "_sd"])
-                .append_column(out, pa.array(z, pa.float64(),
-                                             mask=~np.isfinite(z))))
+            mu = np.add.reduceat(np.where(ok, v, 0.0), starts) / n
+            d = np.where(ok, v - mu[g], 0.0)
+            sd = np.sqrt(np.add.reduceat(d * d, starts) / (n - ddof))
+            z = d / sd[g]
+        bad = ~ok | ~np.isfinite(z)
+        return b.append_column(out, pa.array(np.where(bad, 0.0, z), pa.float64(), mask=bad))
 
-    return with_both.map_batches(_z, batch_format="pyarrow")
+    return by_key(ds, [key], _z)
 
 
 def grouped_corr(ds, key: str, x: str, y: str, *, out: str = "corr"):
@@ -161,8 +155,13 @@ def grouped_string_agg(ds, key: str, value: str, *, sep: str = ",",
     order values co-locate and chunk order composes with within-chunk
     order into the exact global order.  Costs one count + one sampled
     scan at plan-build time (same trade as the window family's auto
-    probe); order_by columns must be non-null in this plan."""
-    import pandas as pd
+    probe); order_by columns must be non-null in this plan.
+
+    Both plans are ``by_key`` passes of :func:`_join_strings`: a NULL
+    value is skipped and a key with no other value gets NULL (SQL); a
+    non-string value is spelled as Python's ``str`` spells it (a float
+    ``1.0`` reads ``1.0``, as in SQL)."""
+    from ..state.resources import by_key
 
     order = order_by or [value]
 
@@ -171,19 +170,35 @@ def grouped_string_agg(ds, key: str, value: str, *, sep: str = ",",
                                    out=out, num_chunks=pre_split_chunks,
                                    seed=seed)
 
-    def _agg(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order, kind="mergesort")
-        return pd.DataFrame({key: [g[key].iloc[0]],
-                             out: [sep.join(g[value].astype(str))]})
+    return by_key(ds, [key], _join_strings([key], value, out, sep), order)
 
-    return ds.groupby(key).map_groups(_agg, batch_format="pandas")
+
+def _join_strings(keys: list[str], value: str, out: str, sep: str):
+    """A ``by_key`` kernel: one row per group, ``keys`` then ``out``,
+    the group's non-null ``value``s (as ``str``) joined by ``sep`` in
+    row order; NULL for a group with none (SQL ``string_agg``)."""
+
+    def _join(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        v = b.column(value).combine_chunks()
+        if not pa.types.is_string(v.type):
+            v = pa.array([None if x is None else str(x) for x in v.to_pylist()], pa.string())
+        ok = v.is_valid()
+        n = np.add.reduceat(ok.to_numpy(zero_copy_only=False).astype(np.int32), starts)
+        lists = pa.ListArray.from_arrays(
+            pa.array(np.concatenate([[0], np.cumsum(n)]), pa.int32()), v.filter(ok),
+            mask=pa.array(n == 0))
+        return pa.table({**{k: b.column(k).take(starts) for k in keys},
+                         out: pc.binary_join(lists, sep)})
+
+    return _join
 
 
 def _string_agg_chunked(ds, key: str, value: str, *, order: list[str],
                         sep: str, out: str, num_chunks: int, seed: int):
     """Two-level ordered string_agg (see :func:`grouped_string_agg`)."""
     import ray
-    import pandas as pd
+
+    from ..state.resources import by_key
 
     ocol = order[0]
     n = ds.count()
@@ -223,22 +238,9 @@ def _string_agg_chunked(ds, key: str, value: str, *, order: list[str],
               if len(bl) else np.zeros(b.num_rows, np.int64))
         return b.append_column("_chunk", pa.array(ch, pa.int64()))
 
-    def _agg1(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(order, kind="mergesort")
-        return pd.DataFrame({key: [g[key].iloc[0]],
-                             "_chunk": [g["_chunk"].iloc[0]],
-                             "_part": [sep.join(g[value].astype(str))]})
-
-    parts = (ds.map_batches(_assign, batch_format="pyarrow")
-             .groupby([key, "_chunk"])
-             .map_groups(_agg1, batch_format="pandas"))
-
-    def _agg2(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("_chunk", kind="mergesort")
-        return pd.DataFrame({key: [g[key].iloc[0]],
-                             out: [sep.join(g["_part"])]})
-
-    return parts.groupby(key).map_groups(_agg2, batch_format="pandas")
+    parts = by_key(ds.map_batches(_assign, batch_format="pyarrow"), [key, "_chunk"],
+                   _join_strings([key, "_chunk"], value, "_part", sep), order)
+    return by_key(parts, [key], _join_strings([key], "_part", out, sep), ["_chunk"])
 
 
 def grouped_count_distinct(ds, key: str | list[str], value: str, *,
@@ -261,8 +263,6 @@ def grouped_count_distinct(ds, key: str | list[str], value: str, *,
     value exactly as SQL counts it; a key whose values are ALL null is
     absent from the output (SQL would emit it with count 0 — the same
     documented divergence as :func:`grouped_quantiles`)."""
-    import pyarrow.compute as pc
-
     from ..state.resources import fold_by_key
 
     keys = [key] if isinstance(key, str) else list(key)
@@ -276,23 +276,16 @@ def _fine_counts(ds, key: str, value: str, *, keep_nulls: bool):
     """The FINE table shared by rank, quantiles and mode: one row per
     DISTINCT (key, value) pair with its row count ``_n``
     (``fold_by_key``).  A NaN value is a value of its own, apart from
-    null.  ``keep_nulls`` keeps a null value as its own pair and flags
-    it in a ``_null`` key column between key and value (rank): the
-    rank step reads the fine table in pandas, where NaN and null look
-    alike.  The others drop nulls (SQL ignores them)."""
-    import pyarrow.compute as pc
-
+    null.  ``keep_nulls`` keeps a null value as its own pair (rank);
+    the others drop nulls (SQL ignores them)."""
     from ..state.resources import fold_by_key
 
     def _cols(b: pa.Table) -> pa.Table:
-        v = b.column(value)
         if not keep_nulls:
-            b = b.filter(pc.is_valid(v))
-        t = pa.table({key: b.column(key), value: b.column(value)})
-        return t.add_column(1, "_null", pc.is_null(v)) if keep_nulls else t
+            b = b.filter(pc.is_valid(b.column(value)))
+        return b.select([key, value])
 
-    keys = [key, "_null", value] if keep_nulls else [key, value]
-    return fold_by_key(ds, keys, {"_n": "count"}, _cols)
+    return fold_by_key(ds, [key, value], {"_n": "count"}, _cols)
 
 
 def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
@@ -311,22 +304,21 @@ def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
        composite (key, value) string ``_ck`` the rows are looked up by;
     2. per-key rank prefix over the fine table only (rows = distinct
        values per key ≪ input for real value columns; a hot key costs
-       O(its distinct values), not O(its rows)):
-       ``rank = cumsum(count) - count + 1``, ``dense = 1..n``; values
-       order as in SQL — NaN above every number, NULL last in both
-       directions;
+       O(its distinct values), not O(its rows)): one ``by_key`` kernel,
+       ``rank = cumsum(count) - count + 1``, ``dense = 1..n`` over each
+       group's segment; values order as in SQL — NaN above every
+       number, NULL last in both directions;
     3. ranks map back to rows via ``_ck`` (``apply_mapping``, a
        broadcast / hash lookup) — both sides build it with the SAME
        Arrow cast from the same Arrow types, so float formatting can
-       never diverge, and the pandas hop of step 2 only carries it.
+       never diverge.
 
     ``row_number()`` is deliberately NOT offered through this plan: a
     unique tie-break makes the fine table as big as the input — use
     ``grouped_topk`` / ``grouped_argmax`` for bounded-k needs."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
     from snorkel_ray.stages.joins import apply_mapping
+
+    from ..state.resources import by_key, group_bounds
 
     def _part(col) -> pa.Array:
         # the fine table and the rows must spell a value alike, whatever
@@ -350,37 +342,30 @@ def grouped_rank(ds, key: str, value: str, *, out: str = "rank",
         return b.append_column("_ck", pc.binary_join_element_wise(
             _part(b.column(key)), _part(b.column(value)), "\x1f"))
 
-    fine = _fine_counts(ds, key, value, keep_nulls=True) \
-        .map_batches(_add_ck, batch_format="pyarrow")
-
     int_cols = [out] + ([dense_out] if dense_out else [])
     float_cols = ([percent_out] if percent_out else []) \
         + ([cume_out] if cume_out else [])
     rank_cols = int_cols + float_cols
 
-    def _rank(g: pd.DataFrame) -> pd.DataFrame:
-        # pandas reads NaN and NULL alike; the ``_null`` flag parts them
-        g = (g.sort_values(["_null", value], ascending=[True, not descending],
-                           na_position="first" if descending else "last")
-             .reset_index(drop=True))
-        c = g["_n"].to_numpy()
+    def _rank(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        # a group arrives in ascending order: numbers, NaN, then its
+        # null; descending reverses all but the null (NaN comes first)
+        pos = np.arange(b.num_rows)
+        first, end = group_bounds(starts, b.num_rows)
+        if descending:
+            last = end - 1 - pc.is_null(b.column(value)).to_numpy(zero_copy_only=False)[end - 1]
+            b = b.take(np.where(pos <= last, first + last - pos, pos))
+        c = b.column("_n").to_numpy()
         run = np.cumsum(c)
-        n_rows = run[-1] if len(run) else 0
-        g[out] = (run - c + 1).astype("int64")
-        if dense_out is not None:
-            g[dense_out] = np.arange(1, len(g) + 1, dtype="int64")
-        if percent_out is not None:
-            g[percent_out] = (g[out] - 1) / max(n_rows - 1, 1)
-        if cume_out is not None:
-            g[cume_out] = run / max(n_rows, 1)
-        return g[["_ck", *rank_cols]]
+        run -= (run - c)[first]
+        n_rows = run[end - 1]
+        cols = {out: run - c + 1, dense_out: pos - first + 1,
+                percent_out: (run - c) / np.maximum(n_rows - 1, 1),
+                cume_out: run / np.maximum(n_rows, 1)}
+        return pa.table({"_ck": _add_ck(b).column("_ck"),
+                         **{c: v for c, v in cols.items() if c is not None}})
 
-    # materialized once: every apply_mapping pass gates on its count,
-    # and without this the whole fine+rank pipeline would re-execute
-    # per pass
-    mapping = fine.groupby(key).map_groups(
-        _rank, batch_format="pandas").materialize()
-
+    mapping = by_key(_fine_counts(ds, key, value, keep_nulls=True), [key], _rank, [value])
     rows = ds.map_batches(_add_ck, batch_format="pyarrow")
     for c in rank_cols:
         rows = apply_mapping(rows, mapping, "_ck", "_ck", c, c)
@@ -436,7 +421,7 @@ def grouped_quantiles(ds, key: str, value: str, qs: list[float], *,
     Null values are ignored (SQL ``quantile_cont`` semantics); a key
     whose values are ALL null is absent from the output (SQL would
     emit it with null quantiles — the one documented divergence)."""
-    import pandas as pd
+    from ..state.resources import by_key
 
     out_names = out_names or [f"q{int(round(q * 100))}" for q in qs]
     if len(out_names) != len(qs):
@@ -444,26 +429,31 @@ def grouped_quantiles(ds, key: str, value: str, qs: list[float], *,
 
     fine = _fine_counts(ds, key, value, keep_nulls=False)
 
-    def _quant(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(value, kind="mergesort")
-        vals = g[value].to_numpy(dtype=np.float64)
-        cum = np.cumsum(g["_n"].to_numpy())
-        n = int(cum[-1])
-        row = {key: [g[key].iloc[0]]}
+    def _quant(b: pa.Table, starts: np.ndarray) -> pa.Table:
+        # the fine table's cumulative counts rise strictly over the
+        # block, so a group's r-th row (0-based) is a searchsorted of
+        # r plus the rows of the groups before it
+        vals = pc.cast(b.column(value), pa.float64()).to_numpy(zero_copy_only=False)
+        c = b.column("_n").to_numpy()
+        cum = np.cumsum(c)
+        base = cum[starts] - c[starts]
+        n = cum[np.append(starts[1:], b.num_rows) - 1] - base
+
+        def at(r):
+            return vals[np.searchsorted(cum, base + r, side="right")]
+
+        cols = {key: b.column(key).take(starts)}
         for q, name in zip(qs, out_names):
             if disc:
-                r = max(int(np.ceil(q * n)) - 1, 0)
-                row[name] = [vals[np.searchsorted(cum, r, side="right")]]
+                cols[name] = at(np.maximum(np.ceil(q * n).astype(np.int64) - 1, 0))
                 continue
             pos = q * (n - 1)
-            i = int(np.floor(pos))
-            frac = pos - i
-            lo = vals[np.searchsorted(cum, i, side="right")]
-            hi = vals[np.searchsorted(cum, min(i + 1, n - 1), side="right")]
-            row[name] = [lo + (hi - lo) * frac]
-        return pd.DataFrame(row)
+            i = np.floor(pos).astype(np.int64)
+            lo, hi = at(i), at(np.minimum(i + 1, n - 1))
+            cols[name] = lo + (hi - lo) * (pos - i)
+        return pa.table(cols)
 
-    return fine.groupby(key).map_groups(_quant, batch_format="pandas")
+    return by_key(fine, [key], _quant, [value])
 
 
 def histogram_fixed_width(ds, value: str, *, lo: float, hi: float,
@@ -476,8 +466,6 @@ def histogram_fixed_width(ds, value: str, *, lo: float, hi: float,
     (``fold_by_key``).  The bucket index is computed as
     ``floor((v − lo) · n / (hi − lo))`` in float64 — state the same
     expression in a SQL oracle and the two agree bit-for-bit."""
-    import pyarrow.compute as pc
-
     from ..state.resources import fold_by_key
 
     if not (hi > lo) or n_buckets < 1:

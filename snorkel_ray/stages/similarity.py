@@ -12,7 +12,6 @@ centroid partitions.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -373,7 +372,7 @@ def semantic_dedup(ds, *, vec_column: str = "embedding",
     1. centroids: sampled warm start + ``n_iter`` full streaming Lloyd
        passes (one corpus pass each, per-batch k-row combiner);
     2. one streaming ``assign_centroids`` pass appends ``centroid_id``;
-    3. per-centroid bounded group (`groupby.map_groups` — pick
+    3. per-centroid bounded group (one ``by_key`` pass — pick
        ``n_centroids ≈ n/5000`` at scale so a group fits a reducer):
        pairwise cosine ≥ ``threshold`` edges → within-cluster connected
        components → deterministic representative = MIN id.
@@ -384,47 +383,42 @@ def semantic_dedup(ds, *, vec_column: str = "embedding",
     the documented SemDeDup trade (raise ``n_centroids`` granularity /
     lower ``threshold`` to taste); the LSH-bucketed alternative is
     :func:`stages.dedup.embedding_near_dup_pairs`."""
-    import pandas as pd
+    from ..state.resources import by_key
 
     C, _ = kmeans_fit_full(ds, vec_column=vec_column,
                            n_centroids=n_centroids, n_iter=n_iter,
                            seed=seed)
     assigned = assign_centroids(ds, C, vec_column=vec_column)
 
-    def _dedup_cluster(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_column).reset_index(drop=True)
-        m = len(g)
-        ids = g[id_column].to_numpy()
-        rep = ids.copy()
-        if m >= 2:
-            V = np.asarray(np.stack(g[vec_column].to_numpy()),
-                           dtype=np.float32)
-            V = _norm(V)
-            S = V @ V.T
-            # union-find over threshold edges; rows are id-sorted so
-            # the root of a component is its minimum id
-            parent = np.arange(m)
+    def _dedup_cluster(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # per centroid, rows in id order: components of the threshold
+        # graph by min-label propagation over its dense adjacency (a
+        # label only ever drops to a neighbour's, then to its own
+        # label's label), so a row's label ends as its component's
+        # first row — the minimum id
+        import pyarrow.compute as pc
 
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+        ids = t.column(id_column).combine_chunks()
+        vecs = np.asarray(t.column(vec_column).combine_chunks().flatten()
+                          .to_numpy(zero_copy_only=False), dtype=np.float32) \
+            .reshape(t.num_rows, -1)
+        ends = np.append(starts[1:], t.num_rows)
+        label = np.arange(t.num_rows)
+        for s, e in zip(starts[ends - starts > 1], ends[ends - starts > 1]):
+            V = _norm(vecs[s:e])
+            adj = np.triu(V @ V.T >= threshold, k=1)
+            adj |= adj.T
+            lab = np.arange(e - s, dtype=np.int32)
+            while True:
+                nxt = np.minimum(lab, np.where(adj, lab, e - s).min(axis=1))
+                nxt = nxt[nxt]
+                if (nxt == lab).all():
+                    break
+                lab = nxt
+            label[s:e] = s + lab
+        rep = ids.take(label)
+        return pa.table({id_column: ids, "centroid_id": t.column("centroid_id"),
+                         "rep": rep, "keep": pc.equal(rep, ids)})
 
-            ei, ej = np.nonzero(np.triu(S >= threshold, k=1))
-            for a, b in zip(ei.tolist(), ej.tolist()):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            rep = ids[np.fromiter((find(i) for i in range(m)),
-                                  dtype=np.int64, count=m)]
-        return pd.DataFrame({
-            id_column: ids,
-            "centroid_id": g["centroid_id"].to_numpy(),
-            "rep": rep,
-            "keep": rep == ids,
-        })
-
-    return (assigned.select_columns([id_column, vec_column, "centroid_id"])
-            .groupby("centroid_id")
-            .map_groups(_dedup_cluster, batch_format="pandas"))
+    return by_key(assigned.select_columns([id_column, vec_column, "centroid_id"]),
+                  ["centroid_id"], _dedup_cluster, [id_column])

@@ -60,6 +60,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..state.resources import group_bounds, group_of
+
 
 def _resolve_chunk(events, key: str, ts: str, pre_split_chunk,
                    *, min_width: pd.Timedelta | None = None):
@@ -114,20 +116,6 @@ def _order(ts: str) -> list[str]:
     """The ordering identity (ts, event_id) as ``by_key``'s ``order``
     (a table without ``event_id`` orders on ``ts`` alone)."""
     return [ts, "event_id"]
-
-
-def _bounds(starts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a block with group starts ``starts``: the position of
-    its group's first row, and of the row after its group's last."""
-    ends = np.append(starts[1:], n)
-    sizes = ends - starts
-    return np.repeat(starts, sizes), np.repeat(ends, sizes)
-
-
-def _group_of(starts: np.ndarray, n: int) -> np.ndarray:
-    """Per row of a block with group starts ``starts``: its group's
-    index in the block."""
-    return np.searchsorted(starts, np.arange(n), side="right") - 1
 
 
 def _set(b: pa.Table, name: str, col) -> pa.Table:
@@ -210,7 +198,7 @@ def _context_plan(events, key: str, ts: str, chunk: pd.Timedelta,
     def _level1(b: pa.Table, starts: np.ndarray) -> pa.Table:
         b = compute(b, starts)
         head, ctx = split(b, starts)
-        first, _ = _bounds(starts, b.num_rows)
+        first, _ = group_bounds(starts, b.num_rows)
         since = b.column("_chunk").to_numpy() - np.datetime64(0, "ns")
         uid = ((since // chunk.to_timedelta64()) << 32) + (np.arange(b.num_rows) - first)
         idx = np.concatenate([np.flatnonzero(~head), np.flatnonzero(head),
@@ -305,7 +293,7 @@ def _row_split(k: int, lead: bool = False):
     chunk — mirrored for ``lead``."""
 
     def _split(b: pa.Table, starts: np.ndarray):
-        first, end = _bounds(starts, b.num_rows)
+        first, end = group_bounds(starts, b.num_rows)
         idx = np.arange(b.num_rows)
         head, tail = idx - first < k, idx >= end - k
         return (tail, head) if lead else (head, tail)
@@ -361,7 +349,7 @@ def session_windows(events, *, key: str = "user_id", ts: str = "ts",
             s, e = b.column(start).to_numpy(), b.column(end).to_numpy()
             # the max end so far per key: a cummax over (key, rank of end)
             u = np.unique(e)
-            lift = _group_of(starts, b.num_rows) * len(u)
+            lift = group_of(starts, b.num_rows) * len(u)
             top = u[np.maximum.accumulate(np.searchsorted(u, e) + lift) - lift]
             new = np.zeros(b.num_rows, bool)
             new[1:] = (s[1:] - top[:-1]) > delta
@@ -415,7 +403,7 @@ def lag_column(events, *, key: str = "user_id", ts: str = "ts",
     pre_split_chunk = _resolve_chunk(events, key, ts, pre_split_chunk)
 
     def _lag(b: pa.Table, starts: np.ndarray) -> pa.Table:
-        first, end = _bounds(starts, b.num_rows)
+        first, end = group_bounds(starts, b.num_rows)
         src = np.arange(b.num_rows) - shift
         return _set(b, out, _gather(b.column(value),
                                     np.where((src >= first) & (src < end), src, -1)))
@@ -460,7 +448,7 @@ def sliding_window_mean(events, *, key: str = "user_id", ts: str = "ts",
     def _roll(b: pa.Table, starts: np.ndarray) -> pa.Table:
         # a masked sum of the window's terms, oldest first; null values
         # are skipped, a frame of nulls only is null (min_periods=1)
-        first, _ = _bounds(starts, b.num_rows)
+        first, _ = group_bounds(starts, b.num_rows)
         v = _floats(b, value)
         total, count = np.zeros(b.num_rows), np.zeros(b.num_rows)
         for lag in range(window - 1, -1, -1):
@@ -515,7 +503,7 @@ def cumulative_sum(events, *, key: str = "user_id", ts: str = "ts",
     def _scan(c: pa.Table, starts: np.ndarray) -> pa.Table:
         # each chunk's carry-in: the running sum of the earlier chunks'
         # totals (a key's first chunk gets null)
-        first, _ = _bounds(starts, c.num_rows)
+        first, _ = group_bounds(starts, c.num_rows)
         prev = np.arange(c.num_rows) - 1
         total = np.where(prev >= first, _floats(c, out)[np.maximum(prev, 0)], np.nan)
         return pa.table({key: c.column(key), "_chunk": c.column("_chunk"),
@@ -559,14 +547,14 @@ def time_range_sum(events, *, key: str = "user_id", ts: str = "ts",
         # over a (group, rank of ts) composite, summed as the difference
         # of two running sums (each starting at the group, as a plain
         # cumsum per group would)
-        first, _ = _bounds(starts, b.num_rows)
+        first, _ = group_bounds(starts, b.num_rows)
         t = b.column(ts).to_numpy()
         v = _floats(b, value)
         ok = ~np.isnan(v)  # nulls skip, as in _running_sum
         cs = _running(np.where(ok, v, 0.0), starts)
         cn = _running(ok.astype(np.int64), starts)
         u = np.unique(t)
-        lift = _group_of(starts, b.num_rows) * (len(u) + 1)
+        lift = group_of(starts, b.num_rows) * (len(u) + 1)
         at = np.searchsorted(u, t) + lift
         back = np.searchsorted(u, t - wid.to_timedelta64(), side="left")
         lo = np.searchsorted(at, back + lift, side="left")

@@ -503,6 +503,25 @@ def _partitions(maps, infos, p: int, names):
             for i in range(p) if sizes[:, i].any()]
 
 
+def group_bounds(starts, n: int):
+    """Per row of a ``by_key`` block of ``n`` rows with group starts
+    ``starts``: the position of its group's first row, and of the row
+    after its group's last."""
+    import numpy as np
+
+    ends = np.append(starts[1:], n)
+    sizes = ends - starts
+    return np.repeat(starts, sizes), np.repeat(ends, sizes)
+
+
+def group_of(starts, n: int):
+    """Per row of a ``by_key`` block of ``n`` rows with group starts
+    ``starts``: its group's index in the block."""
+    import numpy as np
+
+    return np.searchsorted(starts, np.arange(n), side="right") - 1
+
+
 def by_key(ds, keys: list[str], kernel, order=(), *, _step=None):
     """Every row of a key in one block, in (``keys``, ``order``) order:
     ``kernel(block, starts)`` runs once per output block, and

@@ -254,7 +254,6 @@ def run_minhash_dedup_sharded(
     seed: int = 17,
     input_fingerprint: str = "pages",
     input_paths: list[str] | None = None,
-    pin_exploded: bool = True,
 ):
     """Shard-resumable near-dedup (round-3 verdict item 8 — at 100 TB
     dedup must resume like the flagship already does).
@@ -263,8 +262,8 @@ def run_minhash_dedup_sharded(
     MinHash signatures only → ``minhash_sigs/shard=i/`` parquet of
     ``(id, sig)`` — num_perm × 8 bytes per doc, ≪ the corpus, and the
     expensive shingling never re-runs for finished shards.  Global:
-    ONE banding pass over the persisted signatures (band-bucket
-    groupby → anchor pairs), Jaccard verification against the
+    ONE banding pass over the persisted signatures (one keyed pass
+    over the band buckets → anchor pairs), Jaccard verification against the
     original corpus, connected components, cluster map — exactly
     :func:`stages.dedup.minhash_dedup` fed with precomputed ``sigs``,
     so sharded == streaming by construction (pinned by
@@ -298,8 +297,7 @@ def run_minhash_dedup_sharded(
     sigs = rd.read_parquet(files, filesystem=LocalFileSystem())
     clusters = minhash_dedup(pages, column, id_column, num_perm=num_perm,
                              shingle_k=shingle_k, bands=bands,
-                             threshold=threshold, seed=seed,
-                             pin_exploded=pin_exploded, sigs=sigs)
+                             threshold=threshold, seed=seed, sigs=sigs)
     return clusters, manifests
 
 

@@ -292,18 +292,6 @@ def test_simhash_batch_parity():
     assert simhash64_batch(["", None]).tolist() == [0, 0]
 
 
-def test_lsh_pin_exploded_parity(dup_docs):
-    """pin_exploded=False recomputes the banding chain instead of
-    materializing ndocs x bands rows; the clusters must be identical."""
-    from snorkel_ray.stages.dedup import minhash_dedup
-
-    a = (minhash_dedup(dup_docs, "text", "doc_id")
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (minhash_dedup(dup_docs, "text", "doc_id", pin_exploded=False)
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert a.equals(b)
-
-
 def test_guards_from_round4_review(dup_docs):
     """Precondition guards: bands must divide num_perm; simhash blocks
     must beat max_hamming (auto-picked by default); null text hashes
@@ -418,3 +406,68 @@ def test_exact_dedup_empty_input(ray_session):
 
     assert exact_dedup(rd.from_items([]), "text",
                        keep_key="doc_id").count() == 0
+
+
+def test_bucket_pair_kernel_matches_a_python_loop():
+    """``lsh_bucket_pairs``' vectorized kernel emits the same (a, b)
+    multiset as the per-bucket loop it replaced: the min-id anchor
+    edges of every bucket of 2+ rows, plus every pair of distinct ids
+    in buckets of 3..cap rows, over random buckets with repeated ids."""
+    from collections import Counter
+
+    from snorkel_ray.stages.dedup import _bucket_pairs
+
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        sizes = rng.integers(1, 11, rng.integers(1, 30))
+        groups = [sorted(rng.integers(0, 40, s).tolist()) for s in sizes]
+        t = pa.table({"doc": pa.array([d for g in groups for d in g], pa.int64())})
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        for cap in (2, 5, 8):
+            want = Counter()
+            for g in groups:
+                if len(g) > 1:
+                    want.update((g[0], d) for d in g if d != g[0])
+                if 3 <= len(g) <= cap:
+                    ids = sorted(set(g))
+                    want.update((x, y) for i, x in enumerate(ids) for y in ids[i + 1:])
+            got = _bucket_pairs(t, starts, cap)
+            assert Counter(zip(got["a"].to_pylist(), got["b"].to_pylist())) == want, (trial, cap)
+
+
+def test_jaccard_kernel_matches_python_sets():
+    """The vectorized set kernel both verify plans score with equals
+    ``len(A & B) / len(A | B)`` of Python sets (1.0 for two empty
+    sets), duplicates within a list included."""
+    from snorkel_ray.stages.dedup import _jaccard
+
+    rng = np.random.default_rng(7)
+    lists = [[rng.integers(0, 12, rng.integers(0, 9)).tolist() for _ in range(300)]
+             for _ in range(2)]
+    sa, sb = (pa.array(ls, pa.list_(pa.uint64())) for ls in lists)
+    want = [1.0 if not (set(x) | set(y)) else len(set(x) & set(y)) / len(set(x) | set(y))
+            for x, y in zip(*lists)]
+    assert _jaccard(sa, sb).tolist() == want
+
+
+def test_simhash_pairs_are_every_pair_within_max_hamming(ray_session):
+    """With more bands than ``max_hamming`` every pair within it shares
+    a band, so the output is exactly the pairs of the scalar
+    reference ``simhash64`` within ``max_hamming`` bits, each once."""
+    import ray.data as rd
+
+    from snorkel_ray.stages.dedup import simhash_near_dup_pairs
+
+    rng = np.random.default_rng(3)
+    words = [f"w{i}" for i in range(30)]
+    base = [" ".join(rng.choice(words, 12)) for _ in range(8)]
+    texts = [b if i % 3 else " ".join(b.split()[:-1] + [str(rng.choice(words))])
+             for i, b in enumerate(base * 4)]
+    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": texts})
+    got = simhash_near_dup_pairs(rd.from_arrow([t.slice(0, 13), t.slice(13)]),
+                                 "text", "doc_id", max_hamming=5).take_all()
+    h = [simhash64(x) for x in texts]
+    want = sorted((i, j, bin(h[i] ^ h[j]).count("1")) for i in range(len(h))
+                  for j in range(i + 1, len(h)) if bin(h[i] ^ h[j]).count("1") <= 5)
+    assert len(want) > len(texts)
+    assert sorted((r["a"], r["b"], r["hamming"]) for r in got) == want

@@ -239,17 +239,25 @@ _NULL_KEY_SQL = {
     "rollup_aggregate": "SELECT CASE WHEN grouping(k) = 1 THEN 'ALL' ELSE k END, "
                         "CASE WHEN grouping(p) = 1 THEN 'ALL' ELSE p END, count(*), sum(v) "
                         "FROM t GROUP BY ROLLUP (k, p)",
+    "grouped_zscore": "SELECT *, (v - avg(v) OVER w) / stddev_samp(v) OVER w FROM t "
+                      "WINDOW w AS (PARTITION BY k)",
+    "grouped_string_agg": "SELECT k, string_agg(p, ',' ORDER BY p) FROM t GROUP BY k",
+    "grouped_rank": "SELECT *, rank() OVER (PARTITION BY k ORDER BY v) FROM t",
+    "grouped_quantiles": "SELECT k, quantile_cont(v, 0.5) FROM t GROUP BY k",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_NULL_KEY_SQL))
 def test_ported_aggregate_keeps_a_null_string_key_like_duckdb(ray_session, name):
-    """Each stage whose aggregate moved onto ``fold_by_key`` keeps a
-    null string key as a group of its own over three blocks, as DuckDB
-    does."""
+    """Each stage whose keyed step runs on ``fold_by_key`` or
+    ``by_key`` keeps a null string key as a group of its own over three
+    blocks, as DuckDB does.  The target block size is lowered inside
+    the test, so every keyed pass (rank's and quantiles' fine table
+    too) ends in several blocks."""
     import duckdb
     import pandas as pd
     import ray.data as rd
+    from ray.data import DataContext
 
     from snorkel_ray.stages import reshape, rollup, windows
 
@@ -262,6 +270,10 @@ def test_ported_aggregate_keeps_a_null_string_key_like_duckdb(ray_session, name)
             ds, key="k", ts="ts", value="v"),
         "rollup_aggregate": lambda: rollup.rollup_aggregate(
             ds, ["k", "p"], {"n": ("count", "v"), "s": ("sum", "v")}),
+        "grouped_zscore": lambda: reshape.grouped_zscore(ds, "k", "v"),
+        "grouped_string_agg": lambda: reshape.grouped_string_agg(ds, "k", "p"),
+        "grouped_rank": lambda: reshape.grouped_rank(ds, "k", "v"),
+        "grouped_quantiles": lambda: reshape.grouped_quantiles(ds, "k", "v", [0.5]),
     }
 
     def norm(rows):
@@ -269,7 +281,15 @@ def test_ported_aggregate_keeps_a_null_string_key_like_duckdb(ray_session, name)
                              else round(x, 9) if isinstance(x, float) else x for x in r)
                        for r in rows), key=repr)
 
+    ctx = DataContext.get_current()
+    block_size = ctx.target_max_block_size
+    ctx.target_max_block_size = 64
+    try:
+        got = calls[name]().take_all()
+    finally:
+        ctx.target_max_block_size = block_size
     t = pa.concat_tables(_null_key_blocks())  # noqa: F841 — read by DuckDB
     want = duckdb.sql(_NULL_KEY_SQL[name]).fetchall()
     assert any(r[0] is None for r in want)
-    assert norm(tuple(r.values()) for r in calls[name]().take_all()) == norm(want)
+    assert norm(tuple(r.values()) for r in got) == norm(want)
+

@@ -124,6 +124,54 @@ def test_grouped_string_agg_ordered():
     assert out["agg"].tolist() == ["x|y|z", "m|n"]
 
 
+@pytest.mark.parametrize("value", ["v", "f"])
+def test_grouped_string_agg_skips_null_values_like_duckdb(ray_session, value):
+    """A NULL value is skipped, and a key whose values are all NULL
+    gets NULL (SQL ``string_agg``), on both plans; a float is spelled
+    as DuckDB spells it."""
+    import duckdb
+    import ray.data as rd
+
+    from snorkel_ray.stages.reshape import grouped_string_agg
+
+    t = pa.table({"k": [1, 2, 1, 1, 2], "v": ["b", None, None, "a", None],
+                  "f": [2.5, None, None, 1.0, None], "o": [2, 1, 3, 1, 2]})
+    want = sorted(duckdb.sql(f"SELECT k, string_agg({value}, ',' ORDER BY o) FROM t "
+                             "GROUP BY k").fetchall())
+    assert want == [(1, "a,b" if value == "v" else "1.0,2.5"), (2, None)]
+    ds = rd.from_arrow([t.slice(0, 2), t.slice(2)])
+    for chunks in (None, 2):
+        got = grouped_string_agg(ds, "k", value, order_by=["o"], pre_split_chunks=chunks)
+        assert sorted((r["k"], r["agg"]) for r in got.take_all()) == want
+
+
+def test_grouped_zscore_nan_key_is_null_like_duckdb(ray_session):
+    """A NaN value makes its key's moments NaN: every z of that key is
+    NULL, wherever the NaN's block falls (DuckDB's two-pass z is NaN
+    there, spelled NULL here like every non-finite z; its
+    ``stddev_samp`` refuses a NaN input).  A NULL value is skipped."""
+    import duckdb
+    import ray.data as rd
+
+    nan = float("nan")
+    t = pa.table({"k": [1, 2, 1, 1, 2, 1, 2, 1, 2],
+                  "v": [1.0, 5.0, nan, 2.0, 7.0, 4.0, None, 3.0, 9.0]})
+    want = duckdb.sql("""
+        SELECT k, v, (v - mu) / sqrt(sum((v - mu) * (v - mu)) OVER w / (count(v) OVER w - 1))
+        FROM (SELECT k, v, avg(v) OVER (PARTITION BY k) AS mu FROM t)
+        WINDOW w AS (PARTITION BY k)""").fetchall()
+    assert [z for k, _, z in want if k == 1 and z is not None and z == z] == []
+    ds = rd.from_arrow([t.slice(0, 3), t.slice(3, 3), t.slice(6)])
+    got = [(r["k"], r["v"], r["zscore"]) for r in grouped_zscore(ds, "k", "v").take_all()]
+
+    def norm(rows):
+        return sorted(((k, "nan" if v != v else v,
+                        None if z is None or z != z else round(z, 12)) for k, v, z in rows),
+                      key=repr)
+
+    assert norm(got) == norm(want)
+
+
 def test_grouped_count_distinct_matches_pandas():
     from snorkel_ray.stages.reshape import grouped_count_distinct
 

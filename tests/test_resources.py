@@ -138,12 +138,6 @@ def test_fold_blocks_merges_every_non_empty_block_in_order(ray_session):
 
 _COMBINER_CALLS = {"groupby", "group_by", "drop_duplicates"}
 
-# the nested groupby/dedup routines that feed a ``map_groups`` or a
-# driver-side sort, not a keyed partial aggregate
-_MAP_GROUPS_SIDE = {
-    "dedup.simhash_near_dup_pairs/_pairs", "corpus_stats.remove_frequent_lines/_regroup",
-}
-
 
 def _nested_combiners(src: str, module: str) -> set[str]:
     """``module.outer/inner`` for every function nested in a top-level
@@ -171,8 +165,9 @@ def test_only_fold_by_key_combines_by_key():
     """A keyed partial aggregate calls ``combine_by_key`` or
     ``fold_by_key``; no nested function in ``snorkel_ray/`` or
     ``__ray_entry__.py`` hand-writes its per-block combiner with a
-    pandas ``groupby``/``drop_duplicates`` or an Arrow ``group_by``.
-    The only exemptions are the routines that feed ``map_groups``."""
+    pandas ``groupby``/``drop_duplicates`` or an Arrow ``group_by``,
+    and no keyed kernel groups its block again (``by_key`` hands it the
+    group starts)."""
     probe = ("def f(ds):\n"
              "    def g(b):\n"
              "        return b.to_pandas().groupby('k').sum()\n"
@@ -190,8 +185,7 @@ def test_only_fold_by_key_combines_by_key():
     for path in sources:
         found |= _nested_combiners(open(path).read(),
                                    os.path.basename(path)[:-len(".py")])
-    assert found - _MAP_GROUPS_SIDE == set()
-    assert found == _MAP_GROUPS_SIDE  # every exemption is still in use
+    assert found == set()
 
 
 def test_fold_by_key_sums_mins_maxes_and_distincts_with_a_null_key(ray_session):
@@ -533,15 +527,13 @@ def _best_row_picks(src: str, module: str) -> set[tuple[str, str]]:
 
 
 def test_only_top_by_key_picks_best_rows():
-    """A per-key best-row pick calls ``resources.top_by_key`` and a
-    keyed merge runs through its ``sort`` + Arrow kernel: no module
+    """A per-key best-row pick calls ``resources.top_by_key`` and every
+    keyed op runs on ``resources.by_key``: no module in ``snorkel_ray/``
     (``__ray_entry__.py`` included) squeezes a pickled row into an
-    aggregate value, ``skew.py`` and ``sampling.py`` run no
-    ``map_groups``, nor do ``windows.py`` and ``joins.py`` (a per-key
-    ordered op is a block kernel on ``by_key``), and ``resources.py``
-    uses no Ray aggregate.  The one
-    exemption is ``remove_frequent_lines``, whose pickled rows feed a
-    ``map_groups`` regroup."""
+    aggregate value, calls ``map_groups`` or imports
+    ``ray.data.aggregate``.  The one exemption is
+    ``remove_frequent_lines``, whose documents ride through its
+    regroup as pickled rows."""
     probe = ("import pickle\n"
              "from ray.data.aggregate import Min\n"
              "def f(rows):\n"
@@ -553,26 +545,26 @@ def test_only_top_by_key_picks_best_rows():
     assert _best_row_picks(probe, "m") == {
         ("pickle", "m.f"), ("aggregate", "m.<module>"),
         ("aggregate", "m.g"), ("map_groups", "m.g")}
-    where = {"map_groups": {"skew", "sampling", "windows", "joins"},
-             "aggregate": {"resources"}}
     exempt = {("pickle", "corpus_stats.remove_frequent_lines")}
-    pkg = os.path.dirname(snorkel_ray.__file__)
-    repo = os.path.dirname(pkg)
-    sources = [os.path.join(dirpath, f) for dirpath, _, files in os.walk(pkg)
-               for f in files if f.endswith(".py")]
-    sources.append(os.path.join(repo, "__ray_entry__.py"))
     found = set()
-    for path in sources:
-        module = os.path.basename(path)[:-len(".py")]
-        found |= {(kind, name) for kind, name in _best_row_picks(open(path).read(), module)
-                  if module in where.get(kind, {module})}
+    for path in _program_sources():
+        found |= _best_row_picks(open(path).read(), os.path.basename(path)[:-len(".py")])
     assert found - exempt == set()
     assert found == exempt  # the exemption is still in use
 
 
+def _program_sources() -> list[str]:
+    """Every ``.py`` file of ``snorkel_ray/``, and ``__ray_entry__.py``."""
+    pkg = os.path.dirname(snorkel_ray.__file__)
+    return [*(os.path.join(dirpath, f) for dirpath, _, files in os.walk(pkg)
+              for f in files if f.endswith(".py")),
+            os.path.join(os.path.dirname(pkg), "__ray_entry__.py")]
+
+
 def _ray_aggregates(src: str, module: str) -> list[str]:
     """``module.function:line`` (``<module>`` outside a top-level
-    ``def``) for every ``.aggregate(`` call and every
+    ``def``) for every Ray ``.aggregate(`` call — any ``.aggregate(``
+    but Arrow's ``.group_by(...).aggregate(`` — and every
     ``ray.data.aggregate`` import of a module."""
     found = []
     for top in ast.parse(src).body:
@@ -580,6 +572,9 @@ def _ray_aggregates(src: str, module: str) -> list[str]:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "aggregate" \
+                    and not (isinstance(node.func.value, ast.Call)
+                             and isinstance(node.func.value.func, ast.Attribute)
+                             and node.func.value.func.attr == "group_by") \
                     or isinstance(node, ast.ImportFrom) and node.module == "ray.data.aggregate" \
                     or isinstance(node, ast.Import) and \
                     any(a.name == "ray.data.aggregate" for a in node.names):
@@ -589,29 +584,21 @@ def _ray_aggregates(src: str, module: str) -> list[str]:
 
 def test_every_aggregate_runs_on_the_folds():
     """Every aggregate calls ``fold_blocks``, ``fold_by_key`` or
-    ``top_by_key``: outside ``resources.py``, no module in
-    ``snorkel_ray/`` (``__ray_entry__.py`` included) calls
-    ``.aggregate(`` or imports ``ray.data.aggregate``.  The one
-    exemption is ``grouped_zscore``, whose ``Std`` merges (n, mean, M2)
-    by Chan's rule, which the folds' sum/min/max merge cannot."""
+    ``top_by_key``: no module in ``snorkel_ray/`` (``resources.py`` and
+    ``__ray_entry__.py`` included) calls Ray's ``.aggregate(`` or
+    imports ``ray.data.aggregate``.  The folds' own Arrow
+    ``group_by(...).aggregate(`` is not Ray's."""
     probe = ("from ray.data.aggregate import Count\n"
              "def f(ds):\n"
              "    import ray.data.aggregate\n"
              "    return ds.groupby('k').aggregate(Count())\n"
              "def g(t):\n"
-             "    return t.group_by('k').count()\n")
-    assert _ray_aggregates(probe, "m") == ["m.<module>:1", "m.f:3", "m.f:4"]
-    pkg = os.path.dirname(snorkel_ray.__file__)
-    repo = os.path.dirname(pkg)
-    sources = [os.path.join(dirpath, f) for dirpath, _, files in os.walk(pkg)
-               for f in files if f.endswith(".py") and f != "resources.py"]
-    sources.append(os.path.join(repo, "__ray_entry__.py"))
-    found = [site for path in sources
+             "    return t.group_by('k').aggregate([('v', 'sum')]), t.aggregate()\n")
+    assert _ray_aggregates(probe, "m") == ["m.<module>:1", "m.f:3", "m.f:4", "m.g:6"]
+    found = [site for path in _program_sources()
              for site in _ray_aggregates(open(path).read(),
                                          os.path.basename(path)[:-len(".py")])]
-    exempt = "reshape.grouped_zscore"
-    assert [s for s in found if s.split(":")[0] != exempt] == []
-    assert found, exempt  # the exemption is still in use
+    assert found == []
 
 
 def _builds(log_dir):
