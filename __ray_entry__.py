@@ -26,7 +26,8 @@ import pyarrow.compute as pc
 # make the sibling package importable regardless
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from snorkel_ray.state.resources import combine_by_key, fold_blocks, fold_by_key  # noqa: E402
+from snorkel_ray.state.resources import (combine_by_key, fold_blocks,  # noqa: E402
+                                         fold_by_key, join_by_key)
 
 TESTDATA_DEFAULT = "/root/testdata/sf0.001"
 
@@ -169,11 +170,10 @@ def q_top10_orders(sf_dir: str):
 # --- joins ------------------------------------------------------------------
 
 def q_customer_order_join(sf_dir: str):
-    """Hash join (both sides shuffled on key) + grouped agg."""
+    """Equi-join (``join_by_key``: both sides on one keyed shuffle) + grouped agg."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = orders.join(cust, join_type="inner", num_partitions=8,
-                         on=("o_custkey",), right_on=("c_custkey",))
+    joined = join_by_key(orders, cust, "o_custkey", "c_custkey")
     out = fold_by_key(joined, ["c_mktsegment"],
                       {"n_orders": "count", "total_price": ("sum", "o_totalprice")})
     return _round_cols(out, {"total_price": 2}).sort("c_mktsegment")
@@ -207,8 +207,7 @@ def q_top_orders_per_segment(sf_dir: str):
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = orders.join(cust, join_type="inner", num_partitions=8,
-                         on=("o_custkey",), right_on=("c_custkey",))
+    joined = join_by_key(orders, cust, "o_custkey", "c_custkey")
 
     def _proj(b: pa.Table) -> pa.Table:
         return pa.table({"c_mktsegment": b.column("c_mktsegment"),
@@ -453,9 +452,8 @@ def q_tpch_q3(sf_dir: str):
         ["l_orderkey"], {"revenue": "sum"},
         lambda b: pa.table({"l_orderkey": b.column("l_orderkey"),
                             "revenue": _revenue(b)}))
-    joined = li.join(orders.select_columns(["o_orderkey", "o_orderdate"]),
-                     join_type="inner", num_partitions=8,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = join_by_key(li, orders.select_columns(["o_orderkey", "o_orderdate"]),
+                         "l_orderkey", "o_orderkey")
     agg = fold_by_key(joined, ["l_orderkey", "o_orderdate"], {"revenue": "sum"})
     out = _round_cols(agg, {"revenue": 2}) \
         .sort(["revenue", "l_orderkey"], descending=[True, False]).limit(10)
@@ -468,8 +466,8 @@ def q_tpch_q5(sf_dir: str):
     only (c_nationkey = s_nationkey).  Plan: only the FIXED-size dims
     (region, nation — 5/25 rows at any SF) are driver-side; supplier
     and customer SCALE with the data, so both ride the count-gated
-    ``apply_mapping`` (broadcast at test SF, hash join at scale); one
-    hash join lineitem x orders on the shared orderkey; revenue
+    ``apply_mapping`` (broadcast at test SF, keyed join at scale); one
+    ``join_by_key`` lineitem x orders on the shared orderkey; revenue
     pre-aggregated per (orderkey, s_nationkey) before the join."""
     import pyarrow.parquet as pq
 
@@ -516,8 +514,7 @@ def q_tpch_q5(sf_dir: str):
                        "l_suppkey", "s_suppkey", "s_nationkey", "s_nationkey")
     li = combine_by_key(li, ["l_orderkey", "s_nationkey"], {"revenue": "sum"},
                         _asia_rev)
-    joined = li.join(orders, join_type="inner", num_partitions=8,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = join_by_key(li, orders, "l_orderkey", "o_orderkey")
     joined = joined.map_batches(lambda b: b.filter(
         pc.equal(b.column("s_nationkey"), b.column("c_nationkey"))),
         batch_format="pyarrow")
@@ -714,32 +711,18 @@ def q_order_price_rank(sf_dir: str):
 def q_customer_order_counts_outer(sf_dir: str):
     """Left-outer count: every customer with their order count,
     zero-order customers kept.  broadcast_limit=0 forces the
-    distributed left-outer hash join so the oracle checks the scale
-    path, with the zero default applied via coalesce after the join."""
+    distributed left-outer ``join_by_key`` so the oracle checks the scale
+    path; a customer with no orders then counts 0."""
     from snorkel_ray.stages.joins import apply_mapping
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
-    orders = _read(sf_dir, "orders", ["o_custkey"])
-    counts = fold_by_key(orders, ["o_custkey"], {"n_orders": "count"})
-
-    def _zero(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        return b.append_column(
-            "_z", pa.array(np.zeros(b.num_rows, dtype="int64")))
-
-    out = apply_mapping(cust.map_batches(_zero, batch_format="pyarrow"),
-                        counts, "c_custkey", "o_custkey",
-                        "n_orders", "n_orders",
-                        default_col="_z", broadcast_limit=0)
-
-    def _clean(b: pa.Table) -> pa.Table:
-        i = b.schema.get_field_index("n_orders")
-        b = b.set_column(i, "n_orders",
-                         pc.cast(b.column("n_orders"), pa.int64()))
-        return b.drop_columns(["_z"])
-
-    return out.map_batches(_clean, batch_format="pyarrow").sort("c_custkey")
+    counts = fold_by_key(_read(sf_dir, "orders", ["o_custkey"]), ["o_custkey"],
+                         {"n_orders": "count"})
+    out = apply_mapping(cust, counts, "c_custkey", "o_custkey", "n_orders", "n_orders",
+                        broadcast_limit=0)
+    return out.map_batches(lambda b: b.set_column(1, "n_orders",
+                                                  pc.fill_null(b.column("n_orders"), 0)),
+                           batch_format="pyarrow").sort("c_custkey")
 
 
 def _year_custkeys(sf_dir: str, year: int):
@@ -1453,7 +1436,7 @@ def q_tpch_q10(sf_dir: str):
     lineitem(R) × nation, top 20 customers by lost revenue in a
     quarter).  Plan: pruned reads push the date window and returnflag
     into the parquet scan; lineitem pre-aggregates revenue per
-    orderkey per block (``combine_by_key``) before ONE hash join to the
+    orderkey per block (``combine_by_key``) before ONE ``join_by_key`` to the
     date-windowed orders; the per-customer aggregate joins the tiny
     customer×nation dim broadcast-side; final 20-row sort."""
     from snorkel_ray.stages.joins import apply_mapping, semi_join
@@ -1475,9 +1458,8 @@ def q_tpch_q10(sf_dir: str):
         lambda b: pa.table({"l_orderkey": b.column("l_orderkey"),
                             "revenue": _revenue(b)}))
     li = semi_join(li, orders, "l_orderkey", "o_orderkey")
-    joined = li.join(orders.select_columns(["o_orderkey", "o_custkey"]),
-                     join_type="inner", num_partitions=8,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = join_by_key(li, orders.select_columns(["o_orderkey", "o_custkey"]),
+                         "l_orderkey", "o_orderkey")
     per_cust = fold_by_key(joined, ["o_custkey"], {"revenue": "sum"})
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
@@ -1727,8 +1709,7 @@ def q_multimodal_pipeline(sf_dir: str):
 
     stats = decoded.map_batches(_thumb_stats, batch_format="pyarrow")
     frames = fold_by_key(sample_frames(media, n_frames=3), ["media_id"], {"n_frames": "count"})
-    out = stats.join(frames, join_type="inner", num_partitions=4,
-                     on=("media_id",))
+    out = join_by_key(stats, frames, "media_id")
     return out.sort("media_id")
 
 
@@ -1841,15 +1822,14 @@ def q_tpch_q12(sf_dir: str):
     """TPC-H Q12 shape (shipping-priority split; adapted — the synth
     lineitem has no shipmode/commitdate, so the grouping key is
     l_returnflag and "late" means shipped after the order date): one
-    hash join at line grain (the correlated l_shipdate > o_orderdate
+    ``join_by_key`` at line grain (the correlated l_shipdate > o_orderdate
     predicate cannot pre-aggregate), then vectorized CASE sums."""
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_returnflag", "l_shipdate"])
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    joined = li.join(orders, join_type="inner", num_partitions=8,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = join_by_key(li, orders, "l_orderkey", "o_orderkey")
 
     def _late_cols(b: pa.Table) -> pa.Table:
         b = b.filter(pc.greater(b.column("l_shipdate"),
@@ -1934,7 +1914,7 @@ def q_tpch_q18(sf_dir: str):
 def q_open_not_failed_customers(sf_dir: str):
     """SQL EXCEPT: custkeys with an open ('O') order and no failed
     ('F') order — distinct-left groupby, then the count-gated
-    anti-semi-join (broadcast at test SF, hash join at scale)."""
+    anti-semi-join (broadcast at test SF, keyed join at scale)."""
     import pyarrow.dataset as pds
 
     from snorkel_ray.stages.setops import except_distinct
@@ -2378,7 +2358,7 @@ def q_tpch_q8(sf_dir: str):
     """TPC-H Q8 (national market share; adapted nations/regions to the
     synth names): customers restrict to one region through two tiny
     broadcast mappings BEFORE lineitem is touched; one line×orders
-    hash join carries (custkey, orderdate); supplier nation rides a
+    ``join_by_key`` carries (custkey, orderdate); supplier nation rides a
     mapping join; per-block (year, nation-share, total) partials →
     one small groupby (``fold_by_key``) → vectorized ratio."""
     from snorkel_ray.stages.joins import apply_mapping, semi_join
@@ -2403,8 +2383,7 @@ def q_tpch_q8(sf_dir: str):
                 "l_discount"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey",
                                       "o_orderdate"])
-    joined = li.join(orders, join_type="inner", num_partitions=8,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = join_by_key(li, orders, "l_orderkey", "o_orderkey")
     joined = semi_join(joined, cust, "o_custkey", "c_custkey")
     joined = apply_mapping(joined, supp, "l_suppkey", "s_suppkey",
                            "supp_nation", "supp_nation")

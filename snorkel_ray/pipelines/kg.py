@@ -157,7 +157,7 @@ def _canonicalize(linked, pin: bool):
         linked.map_batches(_edges_view, batch_format="pyarrow")).materialize()
 
     # apply_mapping broadcasts the map when it fits and falls back to a
-    # hash join when it doesn't (no driver dict of entity keys)
+    # keyed join when it doesn't (no driver dict of entity keys)
     for side in ("subj", "obj"):
         linked = apply_mapping(linked, cmap, f"{side}_key", "entity_key",
                                "canonical_id", f"_{side}_canon",

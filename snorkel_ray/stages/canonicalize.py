@@ -10,7 +10,7 @@ sharing a qid (alias variants) must land in one cluster; chains
 key–qid–key–qid can be arbitrarily long in adversarial dictionaries, so
 the merge is iterative min-label propagation over the DISTINCT edge
 table (much smaller than the mention stream), each round one
-keyed min (``fold_by_key``) + hash join — all Ray Data, no driver
+keyed min (``fold_by_key``) + ``apply_mapping`` lookups — no driver
 union-find, converges in O(log(longest chain)) rounds; ``max_iter``
 bounds it (normalized keys keep real clusters shallow; SURVEY.md §7
 hard part (c)).
@@ -52,7 +52,7 @@ def union_find_labels(edges_df, src: str = "src", dst: str = "dst"):
 
 
 def connected_components(edges, src: str = "src", dst: str = "dst",
-                         *, max_iter: int = 64, num_partitions: int = 4,
+                         *, max_iter: int = 64,
                          driver_threshold: int = 2_000_000):
     """edges Dataset (two string cols) → Dataset (node, label) where
     label = lexicographic min node id in the component.
@@ -62,7 +62,8 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
     edge table which is ≪ the corpus); larger sets run distributed
     NODE-label propagation WITH POINTER JUMPING: each round, every
     node's label becomes the min over itself and both endpoints' labels
-    of its incident edges (one exploded ``fold_by_key`` min), then labels chase
+    of its incident edges (both endpoints' labels looked up, then one
+    exploded ``fold_by_key`` min), then labels chase
     one level of indirection (label := label[label]), which doubles the
     propagation distance per round → convergence in O(log diameter)
     rounds instead of O(diameter).  Every round ends with an exact
@@ -73,6 +74,8 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
     (2^64 hops at 64 rounds) and overrunning it RAISES rather than
     returning corrupt clusters.  Tables ``materialize()``d between
     rounds (stacked lazy shuffle rounds deadlocked a 4-CPU session).
+    A label lookup broadcasts under ``apply_mapping``'s row limit and
+    runs ``join_by_key`` (P from bytes, no partition count) above it.
     """
     import operator
 
@@ -97,10 +100,8 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
     for _ in range(max_iter):
         # 1) neighbor-min: attach current labels to both endpoints, then
         #    each node takes the min over (own label, neighbor labels)
-        e = apply_mapping(edges, labels, src, "node", "lbl", "_src_lbl",
-                          num_partitions=num_partitions)
-        e = apply_mapping(e, labels, dst, "node", "lbl", "_dst_lbl",
-                          num_partitions=num_partitions)
+        e = apply_mapping(edges, labels, src, "node", "lbl", "_src_lbl")
+        e = apply_mapping(e, labels, dst, "node", "lbl", "_dst_lbl")
 
         def _cands(b: pa.Table) -> pa.Table:
             node = pa.concat_arrays([b.column(src).combine_chunks(),
@@ -116,7 +117,7 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
         #    ids, so chasing them through the label table halves the
         #    remaining path length each round
         jumped = apply_mapping(new_labels, new_labels, "lbl", "node",
-                               "lbl", "_jump", num_partitions=num_partitions)
+                               "lbl", "_jump")
 
         def _take_jump(b: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -130,7 +131,7 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
 
         # 3) exact convergence check: count nodes whose label changed
         with_old = apply_mapping(new_labels, labels, "node", "node",
-                                 "lbl", "_old", num_partitions=num_partitions)
+                                 "lbl", "_old")
 
         def _changed(b: pa.Table) -> int:
             import pyarrow.compute as pc
@@ -152,7 +153,7 @@ def connected_components(edges, src: str = "src", dst: str = "dst",
         batch_format="pyarrow")
 
 
-def canonical_entity_map(linked_mentions, *, num_partitions: int = 16):
+def canonical_entity_map(linked_mentions):
     """linked mentions/candidates (entity_key, qid) → Dataset
     (entity_key, canonical_id): qid-anchored clusters for LINKED keys.
 
@@ -180,7 +181,7 @@ def canonical_entity_map(linked_mentions, *, num_partitions: int = 16):
     # edge shuffle (CLAUDE.md perf rule 1 — don't feed the AllToAll the
     # full mention stream when a tiny distinct set suffices)
     distinct = fold_by_key(linked_mentions, ["src", "dst"], {}, _edges)
-    comp = connected_components(distinct, num_partitions=num_partitions)
+    comp = connected_components(distinct)
 
     def _to_map(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -38,6 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .joins import DEFAULT_BROADCAST_LIMIT
+
 __all__ = [
     "line_counts",
     "remove_frequent_lines",
@@ -48,7 +50,6 @@ __all__ = [
 
 _TOKEN_RE = re.compile(r"[^a-z0-9]+")
 
-DEFAULT_BROADCAST_LIMIT = 2_000_000  # rows, matching joins.py
 
 
 def _tokens(text: str) -> list[str]:
@@ -148,7 +149,7 @@ def remove_frequent_lines(ds, column: str = "text", sep: str = "\n", *,
         return ds.map_batches(_clean, batch_format="pyarrow")
 
     # scale path: mark each document row with its frequent lines via a
-    # hash semi-join against the (huge) frequent set — ds explodes to a
+    # keyed lookup against the (huge) frequent set — ds explodes to a
     # (row_uid, line) table, joins, and regroups per row_uid locally.
     from ..state.resources import by_key
     from .joins import apply_mapping
@@ -180,8 +181,8 @@ def remove_frequent_lines(ds, column: str = "text", sep: str = "\n", *,
         blobs_all = [pickle.dumps(row) for row in rows]
         occ: dict = {}
         for r, row in enumerate(rows):
-            # pickled payload: Arrow's hash join rejects struct
-            # non-key fields, so the row rides as opaque bytes
+            # the row rides as one opaque bytes value, whose hash
+            # is also its uid
             blob = blobs_all[r]
             h = hashlib.blake2b(blob, digest_size=8).hexdigest()
             k = occ.get(h, 0)

@@ -364,8 +364,8 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
     candidate-id set was previously an unconditional driver-side
     Python set): distinct candidate ids are derived by a keyed fold
     (``fold_by_key``) on the exploded pair table and attached to the corpus via
-    ``joins.apply_mapping`` (broadcast under its row limit, hash
-    semi-join above).
+    ``joins.apply_mapping`` (broadcast under its row limit, a
+    ``join_by_key`` left outer join above).
 
     Two plans, switched on the MEASURED candidate/pair counts (the
     same broadcast-small-sides philosophy as ``apply_mapping``):
@@ -376,17 +376,17 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
       ``apply_mapping`` onto both pair slots and Jaccard runs in a
       plain ``map_batches`` — 2 shuffles, no per-group pandas.
     - **large**: shingle sets route to their pairs by two keyed
-      passes (``by_key``; bounded groups: per-id = one shingle row +
-      that doc's memberships; per-pair = its two slots, once per
-      band that proposed it):
+      passes (bounded groups: per-id = one shingle row + that doc's
+      memberships; per-pair = its two slots, once per band that
+      proposed it):
 
       pairs  ──map──▶ (id, a, b, slot)                [2 rows per pair]
-      union ─ by_key(id) ─▶ (a, b, slot, shingles)    [shingles fan out]
+      join_by_key(id) with (id, shingles) ─▶ (id, a, b, slot, shingles)
             ─ by_key(a, b) ─▶ jaccard(slot0, slot1) ≥ threshold
 
     Both plans score a pair with the same vectorized set kernel
     (``_jaccard``) and return the ids as strings."""
-    from ..state.resources import by_key, fold_by_key, group_bounds
+    from ..state.resources import by_key, fold_by_key, join_by_key
     from .joins import apply_mapping
 
     pairs = pairs.materialize()  # consumed twice (id scan + membership)
@@ -423,13 +423,13 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
                          "b": pc.cast(b, pa.string()).filter(keep),
                          "jaccard": pa.array(j, pa.float64()).filter(keep)})
 
-    if n_cand <= broadcast_ids_limit and n_pairs <= broadcast_pairs_limit:
-        def _shingle_only(batch: pa.Table) -> pa.Table:
-            ids, sh = _shingles(batch)
-            return pa.table({"id": ids, "shingles": sh})
+    def _shingle_only(batch: pa.Table) -> pa.Table:
+        ids, sh = _shingles(batch)
+        return pa.table({"id": ids, "shingles": sh})
 
-        shingle_tbl = marked.map_batches(
-            _shingle_only, batch_format="pyarrow").materialize()
+    shingle_tbl = marked.map_batches(_shingle_only, batch_format="pyarrow")
+    if n_cand <= broadcast_ids_limit and n_pairs <= broadcast_pairs_limit:
+        shingle_tbl = shingle_tbl.materialize()
         pairs_d = fold_by_key(pairs, ["a", "b"], {})
         pairs_d = apply_mapping(pairs_d, shingle_tbl, "a", "id",
                                 "shingles", "_sa")
@@ -444,32 +444,11 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
 
         return pairs_d.map_batches(_verify_rows, batch_format="pyarrow")
 
-    def _shingle_rows(batch: pa.Table) -> pa.Table:
-        ids, sh = _shingles(batch)
-        none = pa.nulls(len(ids), ids.type)
-        return pa.table({"id": ids, "a": none, "b": none,
-                         "slot": pa.array(np.full(len(ids), -1, np.int32)),
-                         "shingles": sh})
-
     def _membership(batch: pa.Table) -> pa.Table:
         a, b = (batch.column(c).combine_chunks() for c in ("a", "b"))
-        n = batch.num_rows
-        return pa.table({
-            "id": pa.concat_arrays([a, b]),
-            "a": pa.concat_arrays([a, a]),
-            "b": pa.concat_arrays([b, b]),
-            "slot": pa.array(np.repeat(np.array([0, 1], np.int32), n)),
-            "shingles": pa.nulls(2 * n, pa.list_(pa.uint64())),
-        })
-
-    def _attach(t: pa.Table, starts: np.ndarray) -> pa.Table:
-        # a doc's shingle row (slot -1) leads its group; each membership
-        # row of the group takes a copy of its shingles
-        slot = t.column("slot").to_numpy()
-        first, _ = group_bounds(starts, t.num_rows)
-        keep = (slot >= 0) & (slot[first] == -1)
-        return t.select(["a", "b", "slot"]).filter(pa.array(keep)).append_column(
-            "shingles", t.column("shingles").take(first[keep]))
+        return pa.table({"id": pa.concat_arrays([a, b]), "a": pa.concat_arrays([a, a]),
+                         "b": pa.concat_arrays([b, b]),
+                         "slot": pa.array(np.repeat(np.array([0, 1], np.int32), batch.num_rows))})
 
     def _verify(t: pa.Table, starts: np.ndarray) -> pa.Table:
         # a pair's slot-0 rows, then its slot-1 rows; duplicate
@@ -483,9 +462,8 @@ def verify_pairs_jaccard(ds, pairs, column: str, id_column: str, *,
         return _edges(t.column("a").take(s0), t.column("b").take(s0),
                       _jaccard(sh.take(s0), sh.take(s0 + n0[both])))
 
-    unioned = marked.map_batches(_shingle_rows, batch_format="pyarrow") \
-        .union(pairs.map_batches(_membership, batch_format="pyarrow"))
-    return by_key(by_key(unioned, ["id"], _attach, ["slot"]), ["a", "b"], _verify, ["slot"])
+    joined = join_by_key(pairs.map_batches(_membership, batch_format="pyarrow"), shingle_tbl, "id")
+    return by_key(joined, ["a", "b"], _verify, ["slot"])
 
 
 def _jaccard(sa, sb) -> np.ndarray:
@@ -528,7 +506,7 @@ def minhash_dedup(ds, column: str, id_column: str, *, num_perm: int = 64,
     runs in ``verify_pairs_jaccard`` (its per-pair step also collapses
     duplicate band hits, so no dedicated pair-dedup shuffle), and cluster assignment applies the
     component label map via ``joins.apply_mapping`` (broadcast when it
-    fits, hash join when not).  The component computation itself runs
+    fits, ``join_by_key`` when not).  The component computation itself runs
     on the VERIFIED edge table: driver union-find below
     ``driver_cc_threshold`` edges (5 shuffle barriers saved — the edge
     table is ≪ the corpus), distributed label propagation above it."""

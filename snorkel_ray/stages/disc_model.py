@@ -77,7 +77,9 @@ class NumpyLogisticRegression:
 
     def train(self, scored, feature_cols: list[str], *, p_col: str = "p",
               batch_size: int = 4096) -> dict:
-        assert len(feature_cols) == self.n_features
+        if len(feature_cols) != self.n_features:
+            raise ValueError(f"{len(feature_cols)} feature columns for a model of "
+                             f"{self.n_features} features")
         losses = []
         for _ in range(self.epochs):
             total, rows = 0.0, 0

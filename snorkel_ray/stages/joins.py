@@ -1,20 +1,19 @@
-"""Scale-aware key→value mapping application (broadcast or shuffle).
+"""Scale-aware joins: key→value lookups, semi/anti filters, as-of and
+range joins.  The reference resolves every lookup through SQLAlchemy FK
+traversal (``snorkel/models/candidate.py`` ≈L100); here the two
+physical plans a distributed engine actually needs are made explicit:
 
-The reference resolves every lookup through SQLAlchemy FK traversal
-(``snorkel/models/candidate.py`` ≈L100); here the two physical plans a
-distributed engine actually needs are made explicit:
+- **broadcast**: the small side fits comfortably in the object store →
+  ``ray.put`` once, a vectorized Arrow lookup (``pc.index_in`` /
+  ``pc.is_in``) inside ``map_batches``.  Zero shuffle; every task reads
+  the same plasma object (shared per node, NOT re-shipped per batch).
+- **shuffle**: the small side is itself huge (e.g. a canonical-entity
+  map over 10^12 docs' distinct keys) → ``resources.join_by_key``, one
+  ``by_key`` shuffle of both sides cut at the same sampled boundaries.
 
-- **broadcast**: the mapping fits comfortably in the object store →
-  ``ray.put`` once, vectorized pandas ``Series.map`` inside
-  ``map_batches``.  Zero shuffle; every task reads the same plasma
-  object (shared per node, NOT re-shipped per batch).
-- **shuffle**: the mapping is itself huge (e.g. a canonical-entity map
-  over 10^12 docs' distinct keys) → hash join via ``Dataset.join``,
-  both sides shuffled on the key.
-
-``apply_mapping`` picks automatically by counting the mapping side
-(cheap: the mapping is always the small derived table of the two), with
-an explicit ``broadcast_limit`` override.
+Each operation picks by counting its small side (cheap: it is always
+the derived table of the two) against ``broadcast_limit``, and both
+plans give the same rows, NULL keys included.
 """
 
 from __future__ import annotations
@@ -32,56 +31,54 @@ def semi_join(ds, keys, key_col: str, keys_col: str | None = None, *,
     """Keep rows of ``ds`` whose ``key_col`` appears (semi) / does not
     appear (anti) in ``keys`` — the blocklist/allowlist filter every
     100 TB pipeline needs without paying a full join's payload
-    shuffle.
+    shuffle.  SQL ``EXISTS`` / ``NOT EXISTS``: a NULL key never
+    matches, so anti keeps a NULL-keyed row and semi drops it.
 
     ``keys``: a Dataset / Arrow table / pandas frame; ``keys_col``
     names its key column (defaults to ``key_col``).  Small key sets
     broadcast (``ray.put`` once, vectorized ``pc.is_in`` per batch —
-    zero shuffle); big ones route through ``apply_mapping``'s hash
-    join and filter on match validity."""
+    zero shuffle); big ones run ``join_by_key``'s left semi / left
+    anti join."""
+    import pyarrow.compute as pc
     import ray
-    import ray.data as rd
+
+    from ..state.resources import join_by_key
 
     keys_col = keys_col or key_col
-    if isinstance(keys, pa.Table):
-        keys = rd.from_arrow(keys)
-    elif isinstance(keys, pd.DataFrame):
-        keys = rd.from_pandas(keys)
-    keys = keys.materialize()
+    keys = _dataset(keys).materialize()
     n = keys.count()
+    if n > broadcast_limit:
+        return join_by_key(ds, keys.select_columns([keys_col]), key_col, keys_col,
+                           how="left anti" if anti else "left semi")
+    if not n:
+        return ds if anti else ds.map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow")
+    vs_ref = ray.put(pc.unique(pc.drop_null(_rows(keys, [keys_col]).column(0))))
 
-    import pyarrow.compute as pc
+    def _filter(b: pa.Table) -> pa.Table:
+        mask = pc.is_in(b.column(key_col), value_set=ray.get(vs_ref))
+        return b.filter(pc.invert(mask) if anti else mask)
 
-    if n <= broadcast_limit:
-        if n == 0:
-            if anti:
-                return ds
-            return ds.map_batches(lambda b: b.slice(0, 0),
-                                  batch_format="pyarrow")
-        kdf = keys.select_columns([keys_col]).to_pandas()[keys_col]
-        vs_ref = ray.put(pa.array(kdf.unique()))
+    return ds.map_batches(_filter, batch_format="pyarrow")
 
-        def _filter(b: pa.Table) -> pa.Table:
-            mask = pc.is_in(b.column(key_col), value_set=ray.get(vs_ref))
-            if anti:
-                mask = pc.invert(mask)
-            return b.filter(mask)
 
-        return ds.map_batches(_filter, batch_format="pyarrow")
+def _dataset(t):
+    """``t`` (a Dataset, Arrow table or pandas frame) as a Dataset."""
+    import ray.data as rd
 
-    from ..state.resources import fold_by_key
+    if isinstance(t, pa.Table):
+        return rd.from_arrow(t)
+    if isinstance(t, pd.DataFrame):
+        return rd.from_pandas(t)
+    return t
 
-    distinct = fold_by_key(keys, [keys_col], {"_sj": "count"})
-    marked = apply_mapping(ds, distinct, key_col, keys_col, "_sj", "_sj",
-                           broadcast_limit=broadcast_limit)
 
-    def _post(b: pa.Table) -> pa.Table:
-        mask = pc.is_valid(b.column("_sj"))
-        if anti:
-            mask = pc.invert(mask)
-        return b.filter(mask).drop_columns(["_sj"])
+def _rows(ds, cols: list[str]) -> pa.Table:
+    """The columns ``cols`` of a pinned, non-empty Dataset as one Arrow
+    table (pandas would widen an int column holding a null to float64)."""
+    import ray
 
-    return marked.map_batches(_post, batch_format="pyarrow")
+    return pa.concat_tables([t.select(cols) for t in ray.get(ds.to_arrow_refs()) if t.num_rows],
+                            promote_options="permissive").combine_chunks()
 
 
 def _last_at_or_before(mask: np.ndarray) -> np.ndarray:
@@ -132,7 +129,7 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
     full history never sorts in one reducer."""
     import pyarrow.compute as pc
 
-    from ..state.resources import by_key, group_bounds
+    from ..state.resources import arrow_schema, by_key, group_bounds
     from .windows import _carry_plan, _gather, _resolve_chunk
 
     if direction not in ("backward", "forward"):
@@ -147,35 +144,17 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
     out_cols = [rename[c] for c in value_cols]
     rcols = ["_r_" + oc for oc in out_cols]
 
-    def _pa_type(t):
-        # Dataset.schema() yields numpy/python types for pandas-backed
-        # blocks; normalize to arrow (object columns are strings here)
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(np.dtype(t))
-        except (TypeError, pa.lib.ArrowNotImplementedError):
-            return pa.string()
-
-    lschema = left.schema()
-    rschema = right.schema()
+    lschema, rschema = arrow_schema(left), arrow_schema(right)
     left_names = lschema.names
-    ltype = {n: _pa_type(t) for n, t in zip(lschema.names, lschema.types)}
-    rtype = {n: _pa_type(t) for n, t in zip(rschema.names, rschema.types)}
-    # integer right values ride the carry join AS STRINGS: its
-    # broadcast path reads the carry-in through pandas, whose
-    # null-padding upcasts int columns to float64 and corrupts values
-    # ≥ 2^53 (the same id-corruption mode apply_mapping already
-    # guards); strings survive exactly and _finish casts them back
-    _carry_type = {c: (pa.string() if pa.types.is_integer(rtype[c])
-                       else rtype[c]) for c in value_cols}
+    ltype = dict(zip(lschema.names, lschema.types))
+    rtype = dict(zip(rschema.names, rschema.types))
 
     # both sides tag into ONE column order (union needs it): the left
     # columns, then the right values, then ``_side`` (0 right, 1 left)
     def _tag_left(b: pa.Table) -> pa.Table:
         cols = {c: b.column(c) for c in left_names}
         for c, rc in zip(value_cols, rcols):
-            cols[rc] = pa.nulls(b.num_rows, _carry_type[c])
+            cols[rc] = pa.nulls(b.num_rows, rtype[c])
         cols["_side"] = pa.array(np.ones(b.num_rows, np.int8), pa.int8())
         return pa.table(cols)
 
@@ -184,10 +163,7 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
         cols = {c: (b.column(c) if c in (key, ts)
                     else pa.nulls(b.num_rows, ltype[c])) for c in left_names}
         for c, rc in zip(value_cols, rcols):
-            col = b.column(c)
-            cols[rc] = (pc.cast(col, pa.string())
-                        if _carry_type[c] == pa.string()
-                        and col.type != pa.string() else col)
+            cols[rc] = b.column(c)
         cols["_side"] = pa.array(np.zeros(b.num_rows, np.int8), pa.int8())
         return pa.table(cols)
 
@@ -195,14 +171,11 @@ def asof_join(left, right, key: str, ts: str, value_cols: list[str], *,
               .union(right.map_batches(_tag_right, batch_format="pyarrow")))
 
     def _finish(b: pa.Table) -> pa.Table:
-        # out columns restore to the RIGHT side's original types (ints
-        # come back from the string carry; float32/timestamps from the
-        # carry join's pandas-widened forms); left columns keep theirs
-        cols = {c: (b.column(c), ltype[c]) for c in left_names}
-        for c, oc, rc in zip(value_cols, out_cols, rcols):
-            cols[oc] = (b.column(rc), rtype[c])
-        return pa.table({n: pc.cast(col, t) if col.type != t else col
-                         for n, (col, t) in cols.items()})
+        # out columns take the RIGHT side's types, left columns keep
+        # theirs (a union of pandas blocks may have widened either)
+        return pa.table({**{c: b.column(c).cast(ltype[c]) for c in left_names},
+                         **{oc: b.column(rc).cast(rtype[c])
+                            for c, oc, rc in zip(value_cols, out_cols, rcols)}})
 
     fwd = direction == "forward"
 
@@ -301,7 +274,7 @@ def range_join(left, intervals, key: str, ts: str, start: str, end: str, *,
     - **chunk-replicated** (big interval tables; requires ``chunk``,
       e.g. ``"1h"`` for timestamps or a number for numeric axes): left
       rows get ``_chunk = ts // chunk``; each interval is replicated to
-      every chunk it overlaps; one inner ``Dataset.join`` on
+      every chunk it overlaps; one inner ``join_by_key`` on
       ``(key, _chunk)`` + the between-filter.  Exact and dup-free —
       each left row lives in exactly one chunk.  Replication factor is
       ``interval_length / chunk + 1``: pick ``chunk`` near the typical
@@ -309,22 +282,15 @@ def range_join(left, intervals, key: str, ts: str, start: str, end: str, *,
       interval would replicate everywhere — cap upstream).
     """
     import ray
-    import ray.data as rd
 
-    if isinstance(intervals, pa.Table):
-        intervals = rd.from_arrow(intervals)
-    elif isinstance(intervals, pd.DataFrame):
-        intervals = rd.from_pandas(intervals)
-    intervals = intervals.materialize()
+    from ..state.resources import join_by_key
 
-    ischema = intervals.schema()
+    intervals = _dataset(intervals).materialize()
     if value_cols is None:
-        value_cols = [c for c in ischema.names if c not in (key, start, end)]
+        value_cols = [c for c in intervals.schema().names if c not in (key, start, end)]
     n = intervals.count()
-
     if n == 0:
-        return left.map_batches(lambda b: b.slice(0, 0),
-                                batch_format="pyarrow")
+        return left.map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow")
 
     iv_cols = [start, end] + value_cols
 
@@ -338,10 +304,7 @@ def range_join(left, intervals, key: str, ts: str, start: str, end: str, *,
                 "interval start/end/value columns — rename one side")
 
     if n <= broadcast_limit:
-        idf = (intervals
-               .select_columns([key, start, end] + value_cols)
-               .to_pandas())
-        iv_ref = ray.put(idf)
+        iv_ref = ray.put(intervals.select_columns([key, start, end] + value_cols).to_pandas())
 
         def _probe(b: pa.Table) -> pa.Table:
             _check_collisions(b.schema.names)
@@ -391,16 +354,9 @@ def range_join(left, intervals, key: str, ts: str, start: str, end: str, *,
         return t.append_column(
             "_chunk", pa.array(c0[idx] + offs, pa.int64()))
 
-    lt = left.map_batches(_left_chunk, batch_format="pyarrow")
-    iv = intervals.map_batches(_expand, batch_format="pyarrow")
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    joined = lt.join(iv, join_type="inner",
-                     num_partitions=max(2, min(32, cpus)),
-                     on=(key, "_chunk"), right_on=(key, "_chunk"))
+    joined = join_by_key(left.map_batches(_left_chunk, batch_format="pyarrow"),
+                         intervals.map_batches(_expand, batch_format="pyarrow"),
+                         [key, "_chunk"])
 
     def _between(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -414,98 +370,68 @@ def range_join(left, intervals, key: str, ts: str, start: str, end: str, *,
 
 def apply_mapping(ds, mapping, key_col: str, map_key: str, map_value: str,
                   out_col: str, *, default_col: str | None = None,
-                  broadcast_limit: int = DEFAULT_BROADCAST_LIMIT,
-                  num_partitions: int = 32):
+                  broadcast_limit: int = DEFAULT_BROADCAST_LIMIT):
     """Append ``out_col`` = mapping[ds[key_col]] to ``ds``.
 
     ``mapping`` is a Dataset (or pyarrow Table / pandas DataFrame) with
     columns ``map_key`` → ``map_value``.  Rows whose key is absent get
-    ``ds[default_col]`` when given, else null.
+    ``ds[default_col]`` when given, else null.  A lookup, not a join: a
+    NULL key is a key of its own (as in ``by_key`` and ``GROUP BY``), so
+    a NULL ``key_col`` takes the mapping's NULL key, and NaN takes NaN.
 
-    Broadcast path when the mapping has ≤ ``broadcast_limit`` rows,
-    hash-join shuffle path otherwise (partitioning assumption: keys
-    hash-distribute evenly; salt upstream if one key dominates).
+    Broadcast path when the mapping has ≤ ``broadcast_limit`` rows
+    (``pc.index_in`` against one ``ray.put`` table), else
+    ``join_by_key``'s left outer join on the keys' never-NULL
+    ``_sort_pair`` columns (assumption: no one key holds most rows).
 
-    PRECONDITION: ``map_key`` must be unique in ``mapping`` — the
-    broadcast path raises on duplicates; the shuffle (left-outer join)
-    path would silently MULTIPLY matching rows instead (round-4
-    review), so pre-aggregate the mapping.  Note: a key mapped to a
-    NULL value is indistinguishable from an absent key — with
-    ``default_col`` both get the default (coalesce semantics).
+    PRECONDITION: ``map_key`` must be unique in ``mapping``; both plans
+    raise ``ValueError`` on a duplicate, so pre-aggregate the mapping.
+    Note: a key mapped to a NULL value is indistinguishable from an
+    absent key — with ``default_col`` both get the default (coalesce
+    semantics).
     """
     import pyarrow.compute as pc
     import ray
-    import ray.data as rd
 
-    if isinstance(mapping, pa.Table):
-        mapping = rd.from_arrow(mapping)
-    elif isinstance(mapping, pd.DataFrame):
-        mapping = rd.from_pandas(mapping)
+    from ..state.resources import _sort_pair, join_by_key
 
-    # count() + consume would otherwise execute the mapping's lineage
-    # twice; the mapping lives in the object store either way
-    mapping = mapping.materialize()
+    # pinned: counted, then read (the object store holds it either way)
+    mapping = _dataset(mapping).materialize()
     n = mapping.count()
-    if n == 0:
-        # empty Datasets lose their columns through to_pandas (known
-        # ray 2.49 pitfall) — short-circuit: everything maps to default
-        def _empty(b: pa.Table) -> pa.Table:
-            col = (b.column(default_col) if default_col is not None
-                   else pa.nulls(b.num_rows))
-            return b.append_column(out_col, col)
 
-        return ds.map_batches(_empty, batch_format="pyarrow")
+    def _default(b: pa.Table, vals) -> pa.Table:
+        if default_col is not None:
+            d = b.column(default_col)
+            vals = d if pa.types.is_null(vals.type) else pc.coalesce(vals, d.cast(vals.type))
+        return b.append_column(out_col, vals)
+
+    if n == 0:  # every key is absent
+        return ds.map_batches(lambda b: _default(b, pa.nulls(b.num_rows)),
+                              batch_format="pyarrow")
     if n <= broadcast_limit:
-        # the lookup stays in Arrow: pandas widens an int column that
-        # holds a null to float64, which corrupts ids >= 2^53
-        lut = pa.concat_tables([t.select([map_key, map_value])
-                                for t in ray.get(mapping.to_arrow_refs()) if t.num_rows],
-                               promote_options="permissive").combine_chunks()
+        lut = _rows(mapping, [map_key, map_value])
         if pc.count_distinct(lut.column(map_key), mode="all").as_py() != n:
-            raise ValueError(
-                "apply_mapping: mapping has duplicate keys — "
-                "pre-aggregate to one row per key (the shuffle plan "
-                "would silently multiply rows)")
+            raise ValueError("apply_mapping: mapping has duplicate keys — "
+                             "pre-aggregate to one row per key")
         lut_ref = ray.put(lut)
 
         def _apply(b: pa.Table) -> pa.Table:
             lut = ray.get(lut_ref)
             # a null key takes the mapping's null key (index_in matches nulls)
-            vals = lut.column(map_value).take(
-                pc.index_in(b.column(key_col), value_set=lut.column(map_key).chunk(0)))
-            if default_col is not None:
-                d = b.column(default_col)
-                vals = d if pa.types.is_null(vals.type) else pc.coalesce(vals, d.cast(vals.type))
-            return b.append_column(out_col, vals)
+            return _default(b, lut.column(map_value).take(
+                pc.index_in(b.column(key_col), value_set=lut.column(map_key).chunk(0))))
 
         return ds.map_batches(_apply, batch_format="pyarrow")
 
-    # shuffle path: left outer hash join on the key (mapping columns
-    # renamed to private names so they can never collide with ds's).
-    # Partition count is clamped to the session CPUs: the hash-shuffle
-    # aggregator pool otherwise starves task operators on small
-    # sessions (the actor-pool deadlock pitfall — observed as a hang on
-    # the 4-CPU test fixture with 32 partitions).
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    nparts = max(2, min(num_partitions, cpus))
-    renamed = mapping.map_batches(
-        lambda b: pa.table({"__map_key": b.column(map_key),
-                            out_col: b.column(map_value)}),
-        batch_format="pyarrow")
-    joined = ds.join(renamed, join_type="left_outer",
-                     num_partitions=nparts,
-                     on=(key_col,), right_on=("__map_key",))
+    def _paired(t: pa.Table, key) -> pa.Table:
+        flag, val = _sort_pair(key)
+        return t.append_column("_mk_flag", flag).append_column("_mk_val", val)
 
-    def _finish(b: pa.Table) -> pa.Table:
-        if default_col is not None:
-            i = b.schema.get_field_index(out_col)
-            b = b.set_column(i, out_col,
-                             pc.coalesce(b.column(out_col), b.column(default_col)))
-        if "__map_key" in b.schema.names:
-            b = b.drop_columns(["__map_key"])
-        return b
-
-    return joined.map_batches(_finish, batch_format="pyarrow")
+    joined = join_by_key(
+        ds.map_batches(lambda b: _paired(b, b.column(key_col)), batch_format="pyarrow"),
+        mapping.map_batches(lambda b: _paired(pa.table({"_mk_out": b.column(map_value)}),
+                                              b.column(map_key)), batch_format="pyarrow"),
+        ["_mk_flag", "_mk_val"], how="left outer", _one_right=True)
+    return joined.map_batches(
+        lambda b: _default(b.drop_columns(["_mk_flag", "_mk_val", "_mk_out"]),
+                           b.column("_mk_out")), batch_format="pyarrow")

@@ -91,7 +91,7 @@ def bottom_k_sample(ds, id_col: str, k: int, *, seed: int = 0) -> pa.Table:
     partial-top-k shape as ``similarity.brute_force_topk``). Returns an
     in-memory ``pyarrow.Table`` (a sample is small by definition); on
     an input with no rows, its columns with no rows."""
-    from ..state.resources import fold_blocks
+    from ..state.resources import arrow_schema, fold_blocks
 
     def _take_k(t: pa.Table) -> pa.Table:
         h = np.asarray(t.column("_h"))
@@ -110,8 +110,7 @@ def bottom_k_sample(ds, id_col: str, k: int, *, seed: int = 0) -> pa.Table:
 
     buf = fold_blocks(ds, _partial, _merge, None)
     if buf is None:  # no rows: the input's columns with none of its rows
-        schema = ds.schema()
-        return pa.table({}) if schema is None else schema.base_schema.empty_table()
+        return arrow_schema(ds).empty_table()
     return _take_k(buf).drop_columns(["_h"])
 
 

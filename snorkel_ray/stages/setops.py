@@ -11,7 +11,7 @@ one ``fold_by_key`` (shuffle moves distinct-keys-per-block, not rows —
 the fold pre-combines each block before its sort), then the RIGHT side
 rides :func:`snorkel_ray.stages.joins.semi_join`'s count-gated plan:
 small right sides broadcast (``ray.put`` once, vectorized ``pc.is_in``
-per batch — zero extra shuffle), large ones hash-join.  Nothing
+per batch — zero extra shuffle), large ones ``join_by_key``.  Nothing
 materializes the full input on the driver.
 
 ALL keys — single or multi column — are composed into one string key

@@ -252,7 +252,7 @@ def _carry_plan(events, key: str, ts: str, chunk: pd.Timedelta,
        carry-in.
     3. Every carry-in column joins onto the heads on the (key, chunk)
        composite via ``joins.apply_mapping`` (broadcast under its
-       limit, hash join above); ``apply(b)`` folds it in.
+       limit, ``join_by_key`` above); ``apply(b)`` folds it in.
 
     Roles are an explicit column, never a sentinel value: a null
     carry-out is legal (a chunk of null values, a null right value)."""

@@ -21,7 +21,8 @@ merged by the same ``group_by`` over ``by_key``, the one keyed sort
 (every row of a key in one block, then one vectorized kernel per
 block over the block's group starts).  ``top_by_key`` merges its Arrow
 first-k-per-group kernel (``first_rows``) there too, and so do the
-per-key ordered ops of ``stages/windows.py`` and the as-of join.
+per-key ordered ops of ``stages/windows.py``, the as-of join and
+``join_by_key``, the one equi-join (both sides in one ``by_key``).
 
 ``by_key`` is a shuffle of plain Ray tasks, not a Ray Data ``sort``:
 a map task per block (on the ``block_tasks`` walk; the folds run their
@@ -427,7 +428,7 @@ _SAMPLES = 64
 def _keyed_map(block, keys, names, order, step):
     """``by_key``'s map step on one block: ``step`` (if any), the sort
     pairs appended, sorted on (pairs, ``order``) → (the table, (rows,
-    bytes, evenly spaced sample of its pair rows))."""
+    bytes, evenly spaced sample of its pair rows, schema))."""
     import numpy as np
     from ray.data.block import BlockAccessor
 
@@ -438,7 +439,7 @@ def _keyed_map(block, keys, names, order, step):
         t = t.append_column(name, col)
     t = _sorted(t, names, order)
     pick = np.unique(np.linspace(0, t.num_rows - 1, min(t.num_rows, _SAMPLES)).astype(np.int64))
-    return t, (t.num_rows, t.nbytes, t.select(names).take(pick))
+    return t, (t.num_rows, t.nbytes, t.select(names).take(pick), t.schema)
 
 
 def _keyed_split(t, bounds, names):
@@ -485,15 +486,15 @@ def _partitions(maps, infos, p: int, names):
     """The refs of the ``p`` key-range partitions of the sorted map
     outputs ``maps`` (each partition's slices in input block order;
     an empty partition left out), cut at ``p - 1`` boundaries placed at
-    the weighted quantiles of the map outputs' (rows, bytes, sample)
-    ``infos``."""
+    the weighted quantiles of the map outputs' (rows, bytes, sample,
+    schema) ``infos``."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
 
-    samples = pa.concat_tables([s for _, _, s in infos], promote_options="permissive")
-    weight = np.concatenate([np.full(len(s), r / len(s)) for r, _, s in infos])
+    samples = pa.concat_tables([s for _, _, s, _ in infos], promote_options="permissive")
+    weight = np.concatenate([np.full(len(s), r / len(s)) for r, _, s, _ in infos])
     at = pc.sort_indices(samples, sort_keys=[(c, "ascending") for c in names]).to_numpy()
     cum = np.cumsum(weight[at])
     bounds = samples.take(at[np.searchsorted(cum, cum[-1] * np.arange(1, p) / p)])
@@ -560,28 +561,40 @@ def by_key(ds, keys: list[str], kernel, order=(), *, _step=None):
     are (then one is kept).  An input with no rows gives an empty
     Dataset.  ``_step`` (private: the folds' per-block accumulate) runs
     on every block in the map task."""
+    keys, order = list(keys), list(order)
+    names = [f"_sort{i}_{p}" for i in range(len(keys)) for p in ("flag", "val")]
+    return _keyed_reduces(*_keyed_maps(ds, keys, names, order, _step), kernel, names, order)
+
+
+def _keyed_maps(ds, keys, names, order, step):
+    """``by_key``'s map step over the blocks of ``ds`` → (the refs of its
+    non-empty map outputs, their (rows, bytes, sample, schema))."""
+    import ray
+
+    step = None if step is None else ray.put(step)
+    maps, infos = [], []
+    for table, info in block_tasks(ds, _remote(_keyed_map, 2), keys, names, order, step):
+        got = ray.get(info)
+        if got[0]:
+            maps.append(table)
+            infos.append(got)
+    return maps, infos
+
+
+def _keyed_reduces(maps, infos, kernel, names, order):
+    """``by_key``'s partitions and reduce over the map outputs ``maps``
+    (emptied here: the object store frees each once its reader is done)."""
     import pyarrow as pa
     import ray
     import ray.data as rd
     from ray.data import DataContext
 
-    keys, order = list(keys), list(order)
-    names = [f"_sort{i}_{p}" for i in range(len(keys)) for p in ("flag", "val")]
-    step = None if _step is None else ray.put(_step)
-    maps, infos = [], []
-    for table, info in block_tasks(ds, _remote(_keyed_map, 2), keys, names, order, step):
-        rows, size, sample = ray.get(info)
-        if rows:
-            maps.append(table)
-            infos.append((rows, size, sample))
     if not maps:
         return rd.from_arrow(pa.table({}))
-    size = sum(s for _, s, _ in infos)
+    size = sum(s for _, s, _, _ in infos)
     p = max(1, min(len(maps), -(-size // (DataContext.get_current().target_max_block_size or size))))
-    parts = [maps] if p == 1 else _partitions(maps, infos, p, names)
-    # the driver lets go of each map output and slice, so the object
-    # store frees it once the task that reads it is done
-    del maps, table
+    parts = [list(maps)] if p == 1 else _partitions(maps, infos, p, names)
+    maps.clear()
     fn = ray.put(kernel)
     outs = [_remote(_keyed_reduce, 2).remote(fn, names, order, *refs) for refs in parts]
     del parts
@@ -670,3 +683,104 @@ def top_by_key(ds, keys: list[str], order: list[tuple[str, str]], k: int | str =
                                  pc.sort_indices(t, sort_keys=order).to_numpy(), kk)[0])
 
     return by_key(ds, keys, lambda b, starts: _top(b), _step=_top)
+
+
+_HOWS = ("inner", "left outer", "left semi", "left anti")
+
+
+def arrow_schema(ds):
+    """The schema of Dataset ``ds`` as a ``pyarrow.Schema`` (no columns
+    when Ray knows none); a column Ray types as a Python object (a
+    pandas block's) reads as a string."""
+    import pyarrow as pa
+
+    s = ds.schema()
+    return pa.schema([] if s is None else [
+        (n, t if isinstance(t, pa.DataType) else pa.string()) for n, t in zip(s.names, s.types)])
+
+
+def join_by_key(left, right, on, right_on=None, how: str = "inner", *, _one_right=False):
+    """SQL's equi-join of Datasets ``left`` and ``right`` on the columns
+    ``on`` of ``left`` = ``right_on`` of ``right`` (default ``on``);
+    ``how`` is ``"inner"``, ``"left outer"``, ``"left semi"`` (EXISTS)
+    or ``"left anti"`` (NOT EXISTS).  The output holds the left
+    columns, then (inner, left outer) the right non-key columns; a name
+    on both sides raises.  A NULL key never matches; NaN matches NaN,
+    as in DuckDB.
+
+    One ``by_key`` shuffle of both sides, cut at the same sampled
+    boundaries.  The map tasks tag each block (``_jside``: 0 right, 1
+    left, so a group's right rows come first; a right key takes its
+    left name; a NULL-keyed right row, and for inner or semi a
+    NULL-keyed left row, is dropped) and report its schema (a side
+    with no rows reads ``arrow_schema``).  The kernel builds every
+    group's (left row, right row) index pairs in segmented numpy and
+    gathers them with ``take``, so a list payload rides along (Arrow's
+    own join refuses one).  ``_one_right`` (private: ``apply_mapping``)
+    raises ``ValueError`` when a key has more than one right row."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    if how not in _HOWS:
+        raise ValueError(f"how must be one of {', '.join(_HOWS)}, got {how!r}")
+    on, right_on = ([c] if isinstance(c, str) else list(c)
+                    for c in (on, on if right_on is None else right_on))
+    if len(right_on) != len(on):
+        raise ValueError("on and right_on must name as many columns")
+    pairs = how in ("inner", "left outer")
+    names = [f"_sort{i}_{p}" for i in range(len(on)) for p in ("flag", "val")]
+
+    def _tag(t, side):
+        if not side or how in ("inner", "left semi"):
+            for k in on if side else right_on:
+                t = t.filter(pc.is_valid(t.column(k)))
+        if not side:
+            pay = [c for c in t.column_names if pairs and c not in right_on]
+            t = t.select([*right_on, *pay]).rename_columns([*on, *pay])
+        return t.append_column("_jside", pa.array(np.full(t.num_rows, side, np.int8)))
+
+    def _columns(infos, ds, keys):
+        s = pa.unify_schemas([i[3] for i in infos], promote_options="permissive") \
+            if infos else arrow_schema(ds)
+        return [f for f in s if f.name not in {*names, "_jside", *keys}]
+
+    maps, infos = _keyed_maps(left, on, names, ["_jside"], lambda t: _tag(t, 1))
+    rmaps, rinfos = _keyed_maps(right, on, names, ["_jside"], lambda t: _tag(t, 0))
+    lcols = _columns(infos, left, ())
+    rcols = _columns(rinfos, right, on if rinfos else right_on) if pairs else []
+    clash = {f.name for f in lcols} & {f.name for f in rcols}
+    if clash:
+        raise ValueError(f"join_by_key: columns {sorted(clash)} are on both sides")
+    out = pa.schema([*lcols, *rcols])
+    if not maps or not rmaps and how in ("inner", "left semi"):
+        return rd.from_arrow(out.empty_table())
+    maps += rmaps
+    del rmaps
+
+    def _kernel(b, starts):
+        right = b.column("_jside").to_numpy() == 0
+        per_group = np.add.reduceat(right.astype(np.int64), starts)
+        if _one_right and per_group.max() > 1:
+            raise ValueError("mapping has duplicate keys — pre-aggregate to one row per key")
+        li = np.flatnonzero(~right)
+        g = group_of(starts, b.num_rows)[li]
+        match = per_group[g]
+        if not pairs:
+            lsrc = li[(match > 0) == (how == "left semi")]
+        else:
+            reps = match if how == "inner" else np.maximum(match, 1)
+            lsrc = np.repeat(li, reps)
+            at = np.arange(len(lsrc)) - np.repeat(np.cumsum(reps) - reps, reps)
+            rsrc = np.where(np.repeat(match, reps) > 0, np.repeat(starts[g], reps) + at, -1)
+            rsrc = pa.array(np.maximum(rsrc, 0), mask=rsrc < 0)
+
+        def _take(f, src):
+            col = b.column(f.name) if f.name in b.column_names else pa.nulls(b.num_rows, f.type)
+            return col.take(src).cast(f.type)
+
+        return pa.Table.from_arrays([*(_take(f, lsrc) for f in lcols),
+                                     *(_take(f, rsrc) for f in rcols)], schema=out)
+
+    return _keyed_reduces(maps, infos + rinfos, _kernel, names, ["_jside"])

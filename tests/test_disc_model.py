@@ -52,6 +52,17 @@ def test_numpy_logreg_noise_aware_training(ray_session):
     assert acc > bayes_acc - 0.02, (acc, bayes_acc)
 
 
+def test_numpy_logreg_rejects_a_feature_count_mismatch():
+    """A feature list of the wrong length raises ``ValueError`` before
+    any pass over the data (an ``assert`` vanishes under ``-O``)."""
+    import pytest
+
+    from snorkel_ray.stages.disc_model import NumpyLogisticRegression
+
+    with pytest.raises(ValueError, match="2 feature columns for a model of 3"):
+        NumpyLogisticRegression(3).train(None, ["f0", "f1"])
+
+
 def test_dictionary_match_stemmer():
     from snorkel_ray.functions.matchers import (DictionaryMatch, Ngrams,
                                                 porter_lite_stem)

@@ -141,6 +141,33 @@ def test_apply_mapping_shuffle_path_matches_broadcast(ray_session):
     # missing keys fell back to the row's own column in both regimes
     assert (bcast.loc[bcast["k"].isin(["k5", "k6"]), "v"].str.startswith("F")).all()
 
+    # a lookup: a NULL key is a key of its own in both plans
+    import pyarrow as pa
+    import ray
+
+    nulls = rd.from_arrow(pa.table({"k": ["a", None, "b"], "i": [0, 1, 2]}))
+    for limit in (10_000, 0):
+        got = apply_mapping(nulls, pa.table({"key": ["a", None], "val": [10, 20]}),
+                            "k", "key", "val", "v", broadcast_limit=limit)
+        got = pa.concat_tables(ray.get(got.to_arrow_refs()))
+        assert got.sort_by("i").column("v").to_pylist() == [10, 20, None], limit
+
+
+def test_apply_mapping_shuffle_path_raises_on_duplicate_keys(ray_session):
+    """Above ``broadcast_limit`` a duplicate mapping key raises, as the
+    broadcast plan does, instead of multiplying the matching rows."""
+    import pyarrow as pa
+    import pytest
+    import ray.data as rd
+
+    from snorkel_ray.stages.joins import apply_mapping
+
+    ds = rd.from_arrow(pa.table({"k": ["a", "b", "c"]}))
+    dup = pa.table({"key": ["a", "b", "a"], "val": [1, 2, 3]})
+    for limit in (10_000, 0):
+        with pytest.raises(ValueError, match="duplicate keys"):
+            apply_mapping(ds, dup, "k", "key", "val", "v", broadcast_limit=limit).materialize()
+
 
 def test_apply_mapping_keeps_int_values_above_2_53(ray_session):
     """An int64 value above 2^53 in a mapping that also maps a key to

@@ -226,6 +226,19 @@ def test_semi_and_anti_join_both_paths(ray_session):
     assert got(semi_join(left, empty, "k", "kk")) == []
     assert len(got(semi_join(left, empty, "k", "kk", anti=True))) == 100
 
+    # SQL EXISTS / NOT EXISTS in both plans: a NULL key never matches
+    import ray
+
+    nulls = rd.from_arrow(pa.table({"k": ["a", None, "b"]}))
+    nkeys = pa.table({"kk": ["a", None]})
+    for limit in (10_000, 1):
+        def keys_of(**kw):
+            out = semi_join(nulls, nkeys, "k", "kk", broadcast_limit=limit, **kw)
+            return sorted((v for t in ray.get(out.to_arrow_refs()) for v in t["k"].to_pylist()),
+                          key=str)
+        assert keys_of() == ["a"], limit
+        assert keys_of(anti=True) == [None, "b"], limit
+
 
 def test_asof_join_semantics(ray_session):
     """Backward as-of join: greatest right ts <= left ts per key,
@@ -585,7 +598,7 @@ def test_semantic_dedup_within_cluster(ray_session):
 def test_asof_join_preserves_big_int_values(ray_session):
     """Round-4 review: integer right-side value columns used to ride
     the pandas group stage as float64, corrupting ids >= 2^53; they
-    now carry as strings and restore to the exact original type."""
+    now carry in Arrow through every plan and keep their exact type."""
     import pandas as pd
     import ray.data as rd
 

@@ -601,6 +601,31 @@ def test_every_aggregate_runs_on_the_folds():
     assert found == []
 
 
+def _join_settings(src: str, module: str) -> list[str]:
+    """``module.function:line`` for every call that passes a
+    ``join_type=`` keyword (a Dataset join; ``str.join`` takes none) or
+    a ``num_partitions=`` keyword."""
+    return [f"{module}.{getattr(top, 'name', '<module>')}:{node.lineno}"
+            for top in ast.parse(src).body for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and any(k.arg in ("join_type", "num_partitions") for k in node.keywords)]
+
+
+def test_every_join_runs_on_join_by_key():
+    """Every equi-join calls ``resources.join_by_key`` on the one keyed
+    shuffle: no module in ``snorkel_ray/`` (or ``__ray_entry__.py``)
+    calls a Dataset ``.join(join_type=...)``, and no call sets a
+    ``num_partitions`` (``by_key`` sizes its partitions from bytes)."""
+    probe = ("def f(a, b):\n"
+             "    j = a.join(b, join_type='inner', on=('k',))\n"
+             "    return ', '.join(['x']), j.repartition(num_partitions=4), g(num_partitions=2)\n")
+    assert _join_settings(probe, "m") == ["m.f:2", "m.f:3", "m.f:3"]
+    found = [site for path in _program_sources()
+             for site in _join_settings(open(path).read(),
+                                        os.path.basename(path)[:-len(".py")])]
+    assert found == []
+
+
 def _builds(log_dir):
     """→ one (pid, tag) per ``build()`` that ran."""
     return [line.split() for f in os.listdir(log_dir)
